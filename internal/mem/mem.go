@@ -133,14 +133,19 @@ type Segment struct {
 	// hist caches how many bytes are homed per GPM; index numGPMs holds
 	// unplaced bytes. It is kept in sync by every placement operation.
 	hist []int64
+	// touched[gpm] holds the System warmth epoch at which the GPM last
+	// read the segment (see System.epoch).
+	touched []uint64
 	// placeEpoch counts placement changes: every operation that rehomes at
 	// least one page bumps it (swapLayout, rehomeExplicit). Flow-decomposition
 	// cache slots are keyed on it, so a placement change invalidates every
 	// cached flow of the segment in O(1) while untouched segments keep their
 	// caches across frames. Starts at 1 so slot epoch 0 means "never filled".
 	placeEpoch uint64
-	// flows holds the per-(requester, op-class) flow-decomposition cache,
-	// numFlowOps slots per GPM, created on the segment's first access.
+	// flows holds the segment's flow-decomposition cache: one slot per
+	// (requester, op-class) pair the segment has actually served, created
+	// on that pair's first access and found by a linear scan (a segment
+	// serves a handful of pairs, never the full numFlowOps x NumGPMs).
 	flows []flowSlot
 }
 
@@ -157,11 +162,19 @@ const (
 	numFlowOps
 )
 
-// flowSlot caches one access's flow decomposition. A slot is valid when its
-// epoch matches the segment's current placeEpoch and its key fields match
-// the access; it is filled only by accesses that did not move any page, so
-// a hit replays a pure function of the (unchanged) placement state.
+// flowSlot caches one access's flow decomposition for one (requester,
+// op-class) pair. A slot is valid when its epoch matches the segment's
+// current placeEpoch and its key fields match the access; it is filled only
+// by accesses that did not move any page, so a hit replays a pure function
+// of the (unchanged) placement state.
+//
+// remote is the slot's own RemoteBySrc storage: a [:n:n] piece of the
+// System's pointer-free float slab, so a refill of this slot never reaches
+// a neighbour's vector and an append through it would reallocate rather
+// than overwrite one. The slab, not the slot, owns the memory; it lives as
+// long as the System.
 type flowSlot struct {
+	key    int    // int(requester)*numFlowOps + op
 	epoch  uint64 // segment placeEpoch at fill time; 0 = empty
 	offset int64
 	n      int64
@@ -223,11 +236,12 @@ func DefaultConfig(numGPMs int) Config {
 // number of bytes that crossed the link from GPM g's DRAM to the requester.
 //
 // Unless the flow cache is disabled (SetFlowCache), RemoteBySrc aliases
-// the segment's per-(requester, op-class) cache storage: it is valid until
-// the same requester performs the same class of access on the same segment
-// again, and must never be written. Every production consumer (fabric
-// reservation, traffic accounting) reads the flow immediately; callers
-// that need to hold one across accesses must copy it.
+// the cache storage of the segment's (requester, op-class) slot, a vector
+// carved from the System's slab that no other slot shares: it is valid
+// until the same requester performs the same class of access on the same
+// segment again, and must never be written. Every production consumer
+// (fabric reservation, traffic accounting) reads the flow immediately;
+// callers that need to hold one across accesses must copy it.
 type Flow struct {
 	Requester   GPMID
 	LocalBytes  float64
@@ -248,10 +262,9 @@ func (f Flow) RemoteTotal() float64 {
 type System struct {
 	cfg      Config
 	segments []*Segment
-	// touched[gpm][seg] holds the warmth epoch at which the GPM last read
-	// the segment; matching the current epoch means the remote cache is
-	// armed. ResetWarmth bumps the epoch instead of clearing per-GPM maps.
-	touched [][]uint64
+	// epoch is the warmth epoch: a segment's touched[gpm] matching it means
+	// the GPM's remote cache is armed for the segment. ResetWarmth bumps it
+	// instead of clearing per-GPM state.
 	epoch   uint64
 	traffic *Traffic
 	dramUse []int64 // bytes homed per GPM (capacity accounting)
@@ -262,7 +275,44 @@ type System struct {
 	// zeroRemote backs the RemoteBySrc of empty flows (n == 0 accesses);
 	// it is shared and must never be written.
 	zeroRemote []float64
+
+	// Slabs: per-segment state is carved from large chunks instead of one
+	// heap object per segment. A chunk is never reallocated (a full one is
+	// left to the pieces already carved from it), so *Segment pointers and
+	// carved vectors stay stable for the System's lifetime.
+	segSlab    slab[Segment]
+	histSlab   slab[int64]    // Segment.hist vectors, NumGPMs+1 each
+	warmSlab   slab[uint64]   // Segment.touched vectors, NumGPMs each
+	slotSlab   slab[flowSlot] // each segment's first flowSlotsInline slots
+	remoteSlab slab[float64]  // flowSlot.remote vectors, NumGPMs each
 }
+
+// slab hands out capacity-limited pieces of large pointer-stable chunks.
+type slab[T any] struct{ free []T }
+
+// Chunk sizes, in elements, of the System's slabs: a few KiB each, so a
+// small System wastes little and a large one allocates rarely.
+const (
+	segChunk  = 32
+	vecChunk  = 512
+	slotChunk = 64
+)
+
+// carve returns n zeroed elements as a [:n:n] slice; appending to it
+// reallocates instead of spilling into the next piece.
+func (sl *slab[T]) carve(n, chunk int) []T {
+	if len(sl.free) < n {
+		sl.free = make([]T, max(n, chunk))
+	}
+	p := sl.free[:n:n]
+	sl.free = sl.free[n:]
+	return p
+}
+
+// flowSlotsInline is how many slots a segment's first slot carve holds;
+// most segments serve one to three (requester, op-class) pairs, and a
+// segment that needs more grows its slot list on the heap.
+const flowSlotsInline = 2
 
 // NewSystem creates a memory system for the given configuration.
 func NewSystem(cfg Config) *System {
@@ -277,7 +327,6 @@ func NewSystem(cfg Config) *System {
 	}
 	return &System{
 		cfg:        cfg,
-		touched:    make([][]uint64, cfg.NumGPMs),
 		epoch:      1,
 		traffic:    NewTraffic(cfg.NumGPMs),
 		dramUse:    make([]int64, cfg.NumGPMs),
@@ -310,16 +359,15 @@ func (s *System) Alloc(kind SegmentKind, name string, size int64) SegmentID {
 	}
 	nPages := int((size + s.cfg.PageSize - 1) / s.cfg.PageSize)
 	id := SegmentID(len(s.segments))
-	hist := make([]int64, s.cfg.NumGPMs+1)
+	hist := s.histSlab.carve(s.cfg.NumGPMs+1, vecChunk)
 	hist[s.cfg.NumGPMs] = size
-	s.segments = append(s.segments, &Segment{
+	seg := &s.segSlab.carve(1, segChunk)[0]
+	*seg = Segment{
 		ID: id, Kind: kind, Name: name, Size: size,
 		nPages: nPages, layout: LayoutUniform, home: Unplaced, hist: hist,
-		placeEpoch: 1,
-	})
-	for g := range s.touched {
-		s.touched[g] = append(s.touched[g], 0)
+		touched: s.warmSlab.carve(s.cfg.NumGPMs, vecChunk), placeEpoch: 1,
 	}
+	s.segments = append(s.segments, seg)
 	return id
 }
 
@@ -594,30 +642,34 @@ func (s *System) WriteAll(gpm GPMID, id SegmentID) Flow {
 }
 
 // slot returns the flow-cache slot for (segment, requester, op), or nil
-// when the cache is disabled. The segment's slot array is created on first
-// use.
+// when the cache is disabled. A pair's slot, and its remote vector, are
+// created on the pair's first access. The returned pointer is valid until
+// the segment's next new slot (which may move the slot list).
 func (s *System) slot(seg *Segment, gpm GPMID, op int) *flowSlot {
 	if s.flowCacheOff {
 		return nil
 	}
-	if seg.flows == nil {
-		seg.flows = make([]flowSlot, numFlowOps*s.cfg.NumGPMs)
+	key := int(gpm)*numFlowOps + op
+	for i := range seg.flows {
+		if seg.flows[i].key == key {
+			return &seg.flows[i]
+		}
 	}
-	return &seg.flows[int(gpm)*numFlowOps+op]
+	if seg.flows == nil {
+		seg.flows = s.slotSlab.carve(flowSlotsInline, slotChunk)[:0]
+	}
+	seg.flows = append(seg.flows, flowSlot{key: key, remote: s.remoteSlab.carve(s.cfg.NumGPMs, vecChunk)})
+	return &seg.flows[len(seg.flows)-1]
 }
 
 // remoteTarget returns the slice an access should decompose its remote
-// bytes into: the slot's reusable storage (zeroed) on the cached path, a
-// fresh allocation otherwise.
+// bytes into: the slot's own storage (zeroed) on the cached path, a fresh
+// allocation otherwise.
 func (s *System) remoteTarget(sl *flowSlot) []float64 {
 	if sl == nil {
 		return make([]float64, s.cfg.NumGPMs)
 	}
-	if sl.remote == nil {
-		sl.remote = make([]float64, s.cfg.NumGPMs)
-	} else {
-		clear(sl.remote)
-	}
+	clear(sl.remote)
 	return sl.remote
 }
 
@@ -658,7 +710,7 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 	if n == 0 {
 		return Flow{Requester: gpm, RemoteBySrc: s.emptyRemote(), Kind: seg.Kind}
 	}
-	warm := s.Touched(gpm, id)
+	warm := seg.touched[gpm] == s.epoch
 	op := opWrite
 	if isRead {
 		if warm {
@@ -671,7 +723,7 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 	if sl != nil && sl.epoch != 0 && sl.epoch == seg.placeEpoch && sl.offset == offset && sl.n == n {
 		flow := Flow{Requester: gpm, LocalBytes: sl.local, RemoteBySrc: sl.remote, Kind: seg.Kind}
 		if isRead {
-			s.touched[gpm][id] = s.epoch
+			seg.touched[gpm] = s.epoch
 		}
 		s.traffic.Record(flow)
 		return flow
@@ -725,7 +777,7 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 		flow.RemoteBySrc[h] += remote
 	}
 	if isRead {
-		s.touched[gpm][id] = s.epoch
+		seg.touched[gpm] = s.epoch
 	}
 	s.traffic.Record(flow)
 	sl.fill(seg, preEpoch, offset, n, 0, flow.LocalBytes)
@@ -840,7 +892,7 @@ func (s *System) Duplicate(id SegmentID, dst GPMID) Flow {
 		// Only a duplicate that found the segment already uniform on dst
 		// fills the slot, so a hit is the all-local re-duplication case.
 		flow := Flow{Requester: dst, LocalBytes: sl.local, RemoteBySrc: sl.remote, Kind: seg.Kind}
-		s.touched[dst][id] = s.epoch
+		seg.touched[dst] = s.epoch
 		s.traffic.Record(flow)
 		return flow
 	}
@@ -853,7 +905,7 @@ func (s *System) Duplicate(id SegmentID, dst GPMID) Flow {
 		}
 	}
 	s.setUniform(seg, dst)
-	s.touched[dst][id] = s.epoch
+	seg.touched[dst] = s.epoch
 	s.traffic.Record(flow)
 	sl.fill(seg, preEpoch, 0, 0, 0, flow.LocalBytes)
 	return flow
@@ -872,7 +924,7 @@ func (s *System) ResetWarmth() {
 // warm).
 func (s *System) Touched(gpm GPMID, id SegmentID) bool {
 	s.checkGPM(gpm)
-	return s.touched[gpm][id] == s.epoch
+	return s.Segment(id).touched[gpm] == s.epoch
 }
 
 // HomeHistogram returns, for the given segment, how many bytes are homed on

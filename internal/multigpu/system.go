@@ -15,8 +15,8 @@ import (
 
 	"oovr/internal/gpu"
 	"oovr/internal/link"
-	"oovr/internal/obs"
 	"oovr/internal/mem"
+	"oovr/internal/obs"
 	"oovr/internal/pipeline"
 	"oovr/internal/scene"
 	"oovr/internal/sim"
@@ -202,9 +202,9 @@ type System struct {
 	// recorder is fed values the simulation already computed and nothing
 	// reads it back. Disabled (nil) it costs one branch per phase, which
 	// the 0 allocs/op frame gate covers.
-	tl                             *obs.Timeline
+	tl                            *obs.Timeline
 	tlShip, tlMig, tlExec, tlComp []obs.LaneID
-	taskSerial                     int64
+	taskSerial                    int64
 }
 
 // PhaseCycles breaks a run's simulated time into the frame phases: data
@@ -253,10 +253,12 @@ func (s *System) Timeline() *obs.Timeline { return s.tl }
 // noSegment marks an empty resident slot.
 const noSegment = mem.SegmentID(-1)
 
-// padTo grows sl to n entries, filling new slots with pad. Segment-indexed
-// state grows lazily because shipping appends new segments mid-run.
-func padTo[T any](sl []T, n int, pad T) []T {
-	for len(sl) < n {
+// padTo grows sl to hold index i, filling new slots with pad. Segment-
+// indexed state grows lazily, to the largest index it actually stores: a
+// table keyed by original segments never pays for the shipped copies
+// appended after them.
+func padTo[T any](sl []T, i int, pad T) []T {
+	for len(sl) <= i {
 		sl = append(sl, pad)
 	}
 	return sl
@@ -272,7 +274,7 @@ func (s *System) shippedThisFrame(gi int, seg mem.SegmentID) bool {
 // markShipped records seg as transferred to GPM gi this frame.
 func (s *System) markShipped(gi int, seg mem.SegmentID) {
 	if int(seg) >= len(s.shipStamp[gi]) {
-		s.shipStamp[gi] = padTo(s.shipStamp[gi], s.Mem.NumSegments(), 0)
+		s.shipStamp[gi] = padTo(s.shipStamp[gi], int(seg), 0)
 	}
 	s.shipStamp[gi][seg] = s.frameEpoch
 }
@@ -521,9 +523,8 @@ func (c *TaskContext) Ship() {
 	ids := s.shipIDs[:0]
 	budget := func(orig mem.SegmentID, want float64) {
 		if int(orig) >= len(s.shipMark) {
-			n := s.Mem.NumSegments()
-			s.shipMark = padTo(s.shipMark, n, 0)
-			s.shipBudget = padTo(s.shipBudget, n, 0)
+			s.shipMark = padTo(s.shipMark, int(orig), 0)
+			s.shipBudget = padTo(s.shipBudget, int(orig), 0)
 		}
 		if s.shipMark[orig] != serial {
 			s.shipMark[orig] = serial
@@ -593,9 +594,8 @@ func (c *TaskContext) Migrate() {
 			return // another GPM's batch owns it this frame
 		}
 		if int(seg) >= len(s.claimStamp) {
-			n := s.Mem.NumSegments()
-			s.claimStamp = padTo(s.claimStamp, n, 0)
-			s.claimOwner = padTo(s.claimOwner, n, 0)
+			s.claimStamp = padTo(s.claimStamp, int(seg), 0)
+			s.claimOwner = padTo(s.claimOwner, int(seg), 0)
 		}
 		s.claimStamp[seg] = s.frameEpoch
 		s.claimOwner[seg] = g
@@ -762,7 +762,7 @@ func (s *System) ship(g mem.GPMID, orig mem.SegmentID, budget float64, persisten
 		seg := s.Mem.Segment(orig)
 		cp = s.Mem.Alloc(seg.Kind, fmt.Sprintf("%s@gpm%d", seg.Name, gi), seg.Size)
 		s.Mem.Place(cp, g)
-		s.resident[gi] = padTo(s.resident[gi], s.Mem.NumSegments(), noSegment)
+		s.resident[gi] = padTo(s.resident[gi], int(orig), noSegment)
 		s.resident[gi][orig] = cp
 	}
 	if persistent && exists {

@@ -70,16 +70,23 @@ func (b Baseline) Render(sys *multigpu.System) multigpu.Metrics { return driver.
 func (Baseline) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile) {
 	sc := sys.Scene()
 	n := sys.NumGPMs()
+	// Per-run scratch: the driver runs a plan before asking for the next,
+	// so the submission list and task-part arena are rebuilt in place
+	// every frame.
+	var subs []driver.Submission
+	var parts []multigpu.TaskPart
 	return driver.PlanFunc(func(f *scene.Frame, fi int) driver.Plan {
+		subs, parts = subs[:0], parts[:0]
 		if n == 1 {
 			// A single GPU keeps both views on the same PMEs, so SMP works.
-			task := multigpu.Task{Color: multigpu.ColorStriped, SharedL2: true}
 			for oi := range f.Objects {
-				task.Parts = append(task.Parts, multigpu.TaskPart{
+				parts = append(parts, multigpu.TaskPart{
 					Object: &f.Objects[oi], Mode: pipeline.ModeBothSMP, GeomFrac: 1, FragFrac: 1,
 				})
 			}
-			return driver.Plan{Submissions: []driver.Submission{{GPM: 0, Task: task}}}
+			task := multigpu.Task{Color: multigpu.ColorStriped, SharedL2: true, Parts: parts}
+			subs = append(subs, driver.Submission{GPM: 0, Task: task})
+			return driver.Plan{Submissions: subs}
 		}
 		// Figure 3's quadrants: half the GPMs render the left view, half
 		// the right, and within a view's group each GPM owns a horizontal
@@ -89,7 +96,6 @@ func (Baseline) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile
 		leftGPMs := n / 2
 		rightGPMs := n - leftGPMs
 		view := sc.Stereo().Left.Bounds()
-		var plan driver.Plan
 		for g := 0; g < n; g++ {
 			group, idx := leftGPMs, g
 			if g >= leftGPMs {
@@ -97,23 +103,26 @@ func (Baseline) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile
 			}
 			band := stripRect(view, idx, group, false)
 			geomFrac := 1 / float64(group)
-			task := multigpu.Task{Color: multigpu.ColorStriped, SharedL2: true}
+			start := len(parts)
 			for oi := range f.Objects {
 				o := &f.Objects[oi]
 				if o.FragsPerView <= 0 {
 					continue
 				}
 				fragFrac := o.FragsInRect(band) / o.FragsPerView
-				task.Parts = append(task.Parts, multigpu.TaskPart{
+				parts = append(parts, multigpu.TaskPart{
 					Object:   o,
 					Mode:     pipeline.ModeSingleView,
 					GeomFrac: geomFrac,
 					FragFrac: fragFrac,
 				})
 			}
-			plan.Submissions = append(plan.Submissions, driver.Submission{GPM: mem.GPMID(g), Task: task})
+			// Capped, so later arena appends never alias this task's parts.
+			task := multigpu.Task{Color: multigpu.ColorStriped, SharedL2: true,
+				Parts: parts[start:len(parts):len(parts)]}
+			subs = append(subs, driver.Submission{GPM: mem.GPMID(g), Task: task})
 		}
-		return plan
+		return driver.Plan{Submissions: subs}
 	}), driver.Profile{}
 }
 
@@ -156,6 +165,10 @@ type afrPlanner struct {
 	// each frame's command stream; frames cannot issue before it.
 	driverFree float64
 	ensured    []bool
+	// parts and subs are per-run scratch rebuilt in place every frame (the
+	// driver runs a plan before asking for the next).
+	parts []multigpu.TaskPart
+	subs  []driver.Submission
 }
 
 // PlanFrame implements driver.FramePlanner.
@@ -170,22 +183,25 @@ func (p *afrPlanner) PlanFrame(f *scene.Frame, fi int) driver.Plan {
 	// The driver records this frame's commands serially before issue.
 	p.driverFree += float64(len(f.Objects))*p.cfg.DriverCyclesPerDraw +
 		2*f.FragsPerView()/1000*p.cfg.DriverCyclesPerKFrag
-	task := multigpu.Task{
-		UseLocalCopies: true,
-		Color:          multigpu.ColorLocalStage,
-		DepthLocal:     true,
-	}
+	p.parts = p.parts[:0]
 	for oi := range f.Objects {
-		task.Parts = append(task.Parts, multigpu.TaskPart{
+		p.parts = append(p.parts, multigpu.TaskPart{
 			Object:   &f.Objects[oi],
 			Mode:     pipeline.ModeBothSMP,
 			GeomFrac: 1,
 			FragFrac: 1,
 		})
 	}
+	task := multigpu.Task{
+		UseLocalCopies: true,
+		Color:          multigpu.ColorLocalStage,
+		DepthLocal:     true,
+		Parts:          p.parts,
+	}
+	p.subs = append(p.subs[:0], driver.Submission{GPM: g, IssueAt: sim.Time(p.driverFree), Task: task})
 	return driver.Plan{
 		Framebuffer: driver.FBPartitioned, // per-GPM local Z/FB accounting
-		Submissions: []driver.Submission{{GPM: g, IssueAt: sim.Time(p.driverFree), Task: task}},
+		Submissions: p.subs,
 		Compose:     driver.ComposeDiscard, // each frame's FB is local to its GPM
 	}
 }
@@ -234,10 +250,14 @@ func tilePlanner(sys *multigpu.System, vertical bool) driver.FramePlanner {
 	stereo := sc.Stereo()
 	shift := stereo.EyeShift()
 	combined := stereo.Combined()
+	// Per-run scratch rebuilt in place every frame: each GPM's task keeps
+	// its part list's capacity from the previous frame.
+	tasks := make([]multigpu.Task, n)
+	var subs []driver.Submission
 	return driver.PlanFunc(func(f *scene.Frame, fi int) driver.Plan {
-		tasks := make([]multigpu.Task, n)
 		for g := range tasks {
 			tasks[g] = multigpu.Task{
+				Parts: tasks[g].Parts[:0],
 				// Sort-first distribution: the framework pushes each
 				// object's data to every strip renderer that needs it, and
 				// the strip-to-object mapping changes with the camera, so
@@ -278,13 +298,13 @@ func tilePlanner(sys *multigpu.System, vertical bool) driver.FramePlanner {
 				}
 			}
 		}
-		plan := driver.Plan{Framebuffer: driver.FBPartitioned}
+		subs = subs[:0]
 		for g := 0; g < n; g++ {
 			if len(tasks[g].Parts) > 0 {
-				plan.Submissions = append(plan.Submissions, driver.Submission{GPM: mem.GPMID(g), Task: tasks[g]})
+				subs = append(subs, driver.Submission{GPM: mem.GPMID(g), Task: tasks[g]})
 			}
 		}
-		return plan
+		return driver.Plan{Framebuffer: driver.FBPartitioned, Submissions: subs}
 	})
 }
 
@@ -339,24 +359,33 @@ func (s ObjectSFR) Render(sys *multigpu.System) multigpu.Metrics { return driver
 // Begin implements driver.Planner.
 func (s ObjectSFR) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile) {
 	n := sys.NumGPMs()
+	// Per-run scratch rebuilt in place every frame: one part per object,
+	// shared by the two views' submissions.
+	var subs []driver.Submission
+	var parts []multigpu.TaskPart
 	return driver.PlanFunc(func(f *scene.Frame, fi int) driver.Plan {
 		plan := driver.Plan{
 			Framebuffer: driver.FBRoot, // the master node's DRAM holds the FB
 			Root:        s.Root,
 			Compose:     driver.ComposeRoot,
 		}
+		parts = parts[:0]
+		for oi := range f.Objects {
+			parts = append(parts, multigpu.TaskPart{
+				Object: &f.Objects[oi], Mode: pipeline.ModeSingleView,
+				GeomFrac: 1, FragFrac: 1,
+			})
+		}
+		subs = subs[:0]
 		// Left and right views are separate object streams ("it still
 		// executes the objects from the left and right views separately").
 		task := 0
 		for view := 0; view < 2; view++ {
-			for oi := range f.Objects {
+			for oi := range parts {
 				g := mem.GPMID(task % n)
 				task++
-				plan.Submissions = append(plan.Submissions, driver.Submission{GPM: g, Task: multigpu.Task{
-					Parts: []multigpu.TaskPart{{
-						Object: &f.Objects[oi], Mode: pipeline.ModeSingleView,
-						GeomFrac: 1, FragFrac: 1,
-					}},
+				subs = append(subs, driver.Submission{GPM: g, Task: multigpu.Task{
+					Parts: parts[oi : oi+1 : oi+1],
 					// Sort-last distribution: the master re-issues each
 					// frame's object stream, re-distributing object data
 					// with it (the framework has no cross-frame reuse
@@ -370,6 +399,7 @@ func (s ObjectSFR) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Prof
 				}})
 			}
 		}
+		plan.Submissions = subs
 		return plan
 	}), driver.Profile{}
 }

@@ -1,0 +1,62 @@
+package spec
+
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzDecodeJobBytes feeds outside bytes to the job decoder every oovrd
+// endpoint and fleet task goes through. Properties: decoding never panics;
+// a decoded job that canonicalizes decodes again from its canonical bytes,
+// to a job of the same kind with the same canonical bytes (decode →
+// canonical → decode is idempotent); and its content address is the same
+// before and after the round trip.
+//
+// The seed corpus in testdata/fuzz/FuzzDecodeJobBytes holds the seven
+// RunSpecs `oovrsim -all -dump-spec` prints and one ServiceSpec. Run it
+// longer with
+//
+//	go test -run '^$' -fuzz FuzzDecodeJobBytes -fuzztime 10s ./internal/spec
+func FuzzDecodeJobBytes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		job, err := DecodeJobBytes(b)
+		if err != nil {
+			return
+		}
+		if (job.Run == nil) == (job.Service == nil) {
+			t.Fatalf("decoded job holds run=%v service=%v, want exactly one", job.Run != nil, job.Service != nil)
+		}
+		canon, err := job.Canonical()
+		if err != nil {
+			return // decodes but names no resolvable run: rejected later, never hashed
+		}
+		hash, err := job.Hash()
+		if err != nil {
+			t.Fatalf("canonical form exists but hash fails: %v", err)
+		}
+		again, err := DecodeJobBytes(canon)
+		if err != nil {
+			t.Fatalf("canonical bytes do not decode: %v\n%s", err, canon)
+		}
+		if (again.Run != nil) != (job.Run != nil) {
+			t.Fatalf("canonical bytes changed the job kind:\n%s", canon)
+		}
+		canon2, err := again.Canonical()
+		if err != nil {
+			t.Fatalf("canonical bytes do not canonicalize: %v\n%s", err, canon)
+		}
+		if !bytes.Equal(canon, canon2) {
+			t.Fatalf("canonicalization is not idempotent:\n%s\n%s", canon, canon2)
+		}
+		hash2, err := again.Hash()
+		if err != nil {
+			t.Fatalf("hash of the round-tripped job: %v", err)
+		}
+		if hash != hash2 {
+			t.Fatalf("hash moved across the round trip: %s != %s\n%s", hash, hash2, canon)
+		}
+		if h, _ := job.Hash(); h != hash {
+			t.Fatalf("hash is not stable across calls: %s != %s", h, hash)
+		}
+	})
+}

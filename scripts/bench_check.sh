@@ -20,6 +20,12 @@
 # queues make both hot paths allocation-free, and this gate keeps it that
 # way).
 #
+# The cold path is gated on bytes: BenchmarkSimulatorColdStart (scene
+# generation, system construction, one cache-cold frame) may allocate at
+# most 10% more bytes per op than the baseline snapshot records, so the
+# sparse flow-cache slots and slab-backed segment state cannot quietly
+# regrow into per-segment heap objects.
+#
 # Usage: scripts/bench_check.sh [benchtime]   (default 1s; duration-based
 #        so the nanosecond-scale gated benchmarks get enough iterations
 #        for a stable ns/op — an iteration-count benchtime like 3x makes
@@ -112,6 +118,26 @@ for bench in BenchmarkSimulatorFrame BenchmarkServiceTick; do
         }
     }' || note_failure 1 "$bench(allocs)"
 done
+
+# Cold-path heap gate: bytes/op within 10% of the baseline snapshot.
+bench=BenchmarkSimulatorColdStart
+base_bytes=$(extract_metric "$bench" bytes_per_op "$baseline")
+new_bytes=$(extract_metric "$bench" bytes_per_op "$fresh")
+if [ -z "$new_bytes" ]; then
+    echo "bench_check: $bench bytes_per_op missing from the fresh run" >&2
+    note_failure 2 "$bench(bytes-missing)"
+elif [ -z "$base_bytes" ]; then
+    echo "$bench bytes/op: not in $baseline, skipped (refresh with scripts/bench.sh)"
+else
+    awk -v base="$base_bytes" -v new="$new_bytes" -v from="$baseline" -v name="$bench" 'BEGIN {
+        ceiling = base * 1.10
+        printf "%s: %.0f B/op (ceiling %.0f = %s + 10%%)\n", name, new, ceiling, from
+        if (new > ceiling) {
+            printf "FAIL: %s allocates more than %.0f B/op\n", name, ceiling
+            exit 1
+        }
+    }' || note_failure 1 "$bench(bytes)"
+fi
 
 if [ "$status" -eq 0 ]; then
     echo "OK: within the regression budget"

@@ -43,7 +43,7 @@ func main() {
 	log.SetFlags(log.Ltime | log.Lmsgprefix)
 	log.SetPrefix("fleetsmoke ")
 	bin := flag.String("oovrd", "", "oovrd binary to run (default: go build it into a temp dir)")
-	killAfter := flag.Duration("kill", time.Second, "SIGKILL the second worker this long after submitting")
+	killAfter := flag.Duration("kill", 0, "SIGKILL the second worker once it holds a live lease, no sooner than this long after submitting")
 	flag.Parse()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -114,7 +114,11 @@ func main() {
 		log.Fatalf("submit: %v", err)
 	}
 
+	// Kill w2 while it holds a live lease, so its death leaves a lease to
+	// expire: after a fixed delay alone, a fast sweep can have handed w2
+	// its last spec already.
 	time.Sleep(*killAfter)
+	waitLease(url, "w2", 30*time.Second)
 	log.Printf("SIGKILL worker w2 mid-sweep")
 	if err := w2.Process.Kill(); err != nil {
 		log.Fatalf("kill w2: %v", err)
@@ -252,6 +256,31 @@ func scrapeMetrics(url string) map[string]float64 {
 		out[name] = f
 	}
 	return out
+}
+
+// waitLease polls GET /metrics until the named worker holds a live lease.
+func waitLease(url, worker string, timeout time.Duration) {
+	prefix := `oovr_fleet_worker_live_leases{worker="` + worker + `"} `
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			log.Fatalf("scrape /metrics: %v", err)
+		}
+		held := false
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if v, ok := strings.CutPrefix(sc.Text(), prefix); ok {
+				n, err := strconv.ParseFloat(v, 64)
+				held = err == nil && n > 0
+				break
+			}
+		}
+		resp.Body.Close()
+		if held {
+			return
+		}
+	}
+	log.Fatalf("worker %s held no lease within %v of the sweep", worker, timeout)
 }
 
 // timelineKinds pulls GET /fleet/timeline and returns the set of event
