@@ -40,7 +40,10 @@
 // against a per-page reference implementation.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // GPMID identifies a GPU module. GPMs are numbered 0..N-1.
 type GPMID int
@@ -144,8 +147,11 @@ type Segment struct {
 	placeEpoch uint64
 	// flows holds the segment's flow-decomposition cache: one slot per
 	// (requester, op-class) pair the segment has actually served, created
-	// on that pair's first access and found by a linear scan (a segment
-	// serves a handful of pairs, never the full numFlowOps x NumGPMs).
+	// on that pair's first access and kept sorted by key for a binary
+	// search. Most segments serve one or two pairs, but shared textures
+	// and framebuffers serve many more (busiest over every planner and
+	// workload: 12 pairs at 4 GPMs, 24 at 8, 48 at 16), which a linear
+	// scan would walk on every hit.
 	flows []flowSlot
 }
 
@@ -168,11 +174,9 @@ const (
 // by accesses that did not move any page, so a hit replays a pure function
 // of the (unchanged) placement state.
 //
-// remote is the slot's own RemoteBySrc storage: a [:n:n] piece of the
-// System's pointer-free float slab, so a refill of this slot never reaches
-// a neighbour's vector and an append through it would reallocate rather
-// than overwrite one. The slab, not the slot, owns the memory; it lives as
-// long as the System.
+// remote is the slot's own RemoteBySrc storage, allocated with the slot
+// and shared with no other slot, so a refill of this slot never reaches a
+// flow returned by another.
 type flowSlot struct {
 	key    int    // int(requester)*numFlowOps + op
 	epoch  uint64 // segment placeEpoch at fill time; 0 = empty
@@ -236,12 +240,12 @@ func DefaultConfig(numGPMs int) Config {
 // number of bytes that crossed the link from GPM g's DRAM to the requester.
 //
 // Unless the flow cache is disabled (SetFlowCache), RemoteBySrc aliases
-// the cache storage of the segment's (requester, op-class) slot, a vector
-// carved from the System's slab that no other slot shares: it is valid
-// until the same requester performs the same class of access on the same
-// segment again, and must never be written. Every production consumer
-// (fabric reservation, traffic accounting) reads the flow immediately;
-// callers that need to hold one across accesses must copy it.
+// the cache storage of the segment's (requester, op-class) slot, which no
+// other slot shares: it is valid until the same requester performs the
+// same class of access on the same segment again, and must never be
+// written. Every production consumer (fabric reservation, traffic
+// accounting) reads the flow immediately; callers that need to hold one
+// across accesses must copy it.
 type Flow struct {
 	Requester   GPMID
 	LocalBytes  float64
@@ -275,44 +279,7 @@ type System struct {
 	// zeroRemote backs the RemoteBySrc of empty flows (n == 0 accesses);
 	// it is shared and must never be written.
 	zeroRemote []float64
-
-	// Slabs: per-segment state is carved from large chunks instead of one
-	// heap object per segment. A chunk is never reallocated (a full one is
-	// left to the pieces already carved from it), so *Segment pointers and
-	// carved vectors stay stable for the System's lifetime.
-	segSlab    slab[Segment]
-	histSlab   slab[int64]    // Segment.hist vectors, NumGPMs+1 each
-	warmSlab   slab[uint64]   // Segment.touched vectors, NumGPMs each
-	slotSlab   slab[flowSlot] // each segment's first flowSlotsInline slots
-	remoteSlab slab[float64]  // flowSlot.remote vectors, NumGPMs each
 }
-
-// slab hands out capacity-limited pieces of large pointer-stable chunks.
-type slab[T any] struct{ free []T }
-
-// Chunk sizes, in elements, of the System's slabs: a few KiB each, so a
-// small System wastes little and a large one allocates rarely.
-const (
-	segChunk  = 32
-	vecChunk  = 512
-	slotChunk = 64
-)
-
-// carve returns n zeroed elements as a [:n:n] slice; appending to it
-// reallocates instead of spilling into the next piece.
-func (sl *slab[T]) carve(n, chunk int) []T {
-	if len(sl.free) < n {
-		sl.free = make([]T, max(n, chunk))
-	}
-	p := sl.free[:n:n]
-	sl.free = sl.free[n:]
-	return p
-}
-
-// flowSlotsInline is how many slots a segment's first slot carve holds;
-// most segments serve one to three (requester, op-class) pairs, and a
-// segment that needs more grows its slot list on the heap.
-const flowSlotsInline = 2
 
 // NewSystem creates a memory system for the given configuration.
 func NewSystem(cfg Config) *System {
@@ -359,15 +326,13 @@ func (s *System) Alloc(kind SegmentKind, name string, size int64) SegmentID {
 	}
 	nPages := int((size + s.cfg.PageSize - 1) / s.cfg.PageSize)
 	id := SegmentID(len(s.segments))
-	hist := s.histSlab.carve(s.cfg.NumGPMs+1, vecChunk)
+	hist := make([]int64, s.cfg.NumGPMs+1)
 	hist[s.cfg.NumGPMs] = size
-	seg := &s.segSlab.carve(1, segChunk)[0]
-	*seg = Segment{
+	s.segments = append(s.segments, &Segment{
 		ID: id, Kind: kind, Name: name, Size: size,
 		nPages: nPages, layout: LayoutUniform, home: Unplaced, hist: hist,
-		touched: s.warmSlab.carve(s.cfg.NumGPMs, vecChunk), placeEpoch: 1,
-	}
-	s.segments = append(s.segments, seg)
+		touched: make([]uint64, s.cfg.NumGPMs), placeEpoch: 1,
+	})
 	return id
 }
 
@@ -650,16 +615,19 @@ func (s *System) slot(seg *Segment, gpm GPMID, op int) *flowSlot {
 		return nil
 	}
 	key := int(gpm)*numFlowOps + op
-	for i := range seg.flows {
-		if seg.flows[i].key == key {
-			return &seg.flows[i]
+	lo, hi := 0, len(seg.flows) // binary search for the first slot with key >= key
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if seg.flows[m].key < key {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	if seg.flows == nil {
-		seg.flows = s.slotSlab.carve(flowSlotsInline, slotChunk)[:0]
+	if lo == len(seg.flows) || seg.flows[lo].key != key {
+		seg.flows = slices.Insert(seg.flows, lo, flowSlot{key: key, remote: make([]float64, s.cfg.NumGPMs)})
 	}
-	seg.flows = append(seg.flows, flowSlot{key: key, remote: s.remoteSlab.carve(s.cfg.NumGPMs, vecChunk)})
-	return &seg.flows[len(seg.flows)-1]
+	return &seg.flows[lo]
 }
 
 // remoteTarget returns the slice an access should decompose its remote

@@ -15,8 +15,8 @@ import (
 
 	"oovr/internal/gpu"
 	"oovr/internal/link"
-	"oovr/internal/mem"
 	"oovr/internal/obs"
+	"oovr/internal/mem"
 	"oovr/internal/pipeline"
 	"oovr/internal/scene"
 	"oovr/internal/sim"
@@ -202,9 +202,9 @@ type System struct {
 	// recorder is fed values the simulation already computed and nothing
 	// reads it back. Disabled (nil) it costs one branch per phase, which
 	// the 0 allocs/op frame gate covers.
-	tl                            *obs.Timeline
+	tl                             *obs.Timeline
 	tlShip, tlMig, tlExec, tlComp []obs.LaneID
-	taskSerial                    int64
+	taskSerial                     int64
 }
 
 // PhaseCycles breaks a run's simulated time into the frame phases: data

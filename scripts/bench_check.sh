@@ -23,8 +23,8 @@
 # The cold path is gated on bytes: BenchmarkSimulatorColdStart (scene
 # generation, system construction, one cache-cold frame) may allocate at
 # most 10% more bytes per op than the baseline snapshot records, so the
-# sparse flow-cache slots and slab-backed segment state cannot quietly
-# regrow into per-segment heap objects.
+# sparse flow-cache slots cannot quietly regrow into dense per-segment
+# slot arrays.
 #
 # Usage: scripts/bench_check.sh [benchtime]   (default 1s; duration-based
 #        so the nanosecond-scale gated benchmarks get enough iterations

@@ -43,7 +43,6 @@ func main() {
 	log.SetFlags(log.Ltime | log.Lmsgprefix)
 	log.SetPrefix("fleetsmoke ")
 	bin := flag.String("oovrd", "", "oovrd binary to run (default: go build it into a temp dir)")
-	killAfter := flag.Duration("kill", 0, "SIGKILL the second worker once it holds a live lease, no sooner than this long after submitting")
 	flag.Parse()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -117,7 +116,6 @@ func main() {
 	// Kill w2 while it holds a live lease, so its death leaves a lease to
 	// expire: after a fixed delay alone, a fast sweep can have handed w2
 	// its last spec already.
-	time.Sleep(*killAfter)
 	waitLease(url, "w2", 30*time.Second)
 	log.Printf("SIGKILL worker w2 mid-sweep")
 	if err := w2.Process.Kill(); err != nil {
