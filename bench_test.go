@@ -256,11 +256,11 @@ func BenchmarkSimulatorFrame(b *testing.B) {
 // path reuses the streaming machinery's warm caches).
 func BenchmarkServiceTick(b *testing.B) {
 	sp := spec.ServiceSpec{
-		ServiceVersion:     1,
-		Nodes:              []spec.NodeGroup{{Count: 1}},
-		Sessions:           []spec.SessionMix{{Workload: "DM3-640"}},
-		Lambda:             2000,
-		HorizonMs:          0.5,
+		ServiceVersion: 1,
+		Nodes:          []spec.NodeGroup{{Count: 1}},
+		Sessions:       []spec.SessionMix{{Workload: "DM3-640"}},
+		Lambda:         2000,
+		HorizonMs:      0.5,
 		// The mean is astronomical so the one admitted session (seed 4
 		// draws exactly one admission) outlives any realistic b.N.
 		MeanFrames:         1e8,

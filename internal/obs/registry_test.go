@@ -150,9 +150,9 @@ func TestNamingScheme(t *testing.T) {
 	}{
 		{"server_cache_hits_total", KindCounter}, // missing oovr_ prefix
 		{"oovr_server_cacheHits_total", KindCounter},
-		{"oovr_server_cache_hits", KindCounter},      // counter without _total
-		{"oovr_fleet_pending_total", KindGauge},      // gauge with _total
-		{"oovr_server_run_duration", KindHistogram},  // histogram without unit
+		{"oovr_server_cache_hits", KindCounter},     // counter without _total
+		{"oovr_fleet_pending_total", KindGauge},     // gauge with _total
+		{"oovr_server_run_duration", KindHistogram}, // histogram without unit
 		{"oovr__double_underscore_total", KindCounter},
 		{"oovr", KindGauge},
 	}
