@@ -298,7 +298,7 @@ func BenchmarkSimulatorColdStart(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := spec.Generate(1280, 1024, 1, 1)
 		sys := oovr.NewSystem(oovr.DefaultOptions(), sc)
-		m := sched.Render(sys)
+		m := oovr.Run(sys, sched)
 		if m.Frames != 1 {
 			b.Fatal("bad run")
 		}

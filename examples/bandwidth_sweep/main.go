@@ -16,7 +16,7 @@ import (
 func main() {
 	spec, _ := oovr.BenchmarkByAbbr("UT3")
 	bandwidths := []float64{32, 64, 128, 256, 1024}
-	schemes := []oovr.Scheduler{
+	schemes := []oovr.Planner{
 		oovr.Baseline{},
 		oovr.ObjectSFR{},
 		oovr.NewOOVR(),
@@ -31,17 +31,12 @@ func main() {
 
 	for _, s := range schemes {
 		fmt.Printf("%-14s", s.Name())
-		var at64 float64
 		for _, bw := range bandwidths {
 			opt := oovr.DefaultOptions()
 			opt.Config = opt.Config.WithLinkGBs(bw)
 			scene := spec.Generate(1280, 1024, 4, 1)
-			m := s.Render(oovr.NewSystem(opt, scene))
+			m := oovr.Run(oovr.NewSystem(opt, scene), s)
 			fmt.Printf("%16.0f", m.FPSCycles())
-			if bw == 64 {
-				at64 = m.FPSCycles()
-			}
-			_ = at64
 		}
 		fmt.Println()
 	}
@@ -51,7 +46,7 @@ func main() {
 		run := func(bw float64) float64 {
 			opt := oovr.DefaultOptions()
 			opt.Config = opt.Config.WithLinkGBs(bw)
-			return s.Render(oovr.NewSystem(opt, spec.Generate(1280, 1024, 4, 1))).FPSCycles()
+			return oovr.Run(oovr.NewSystem(opt, spec.Generate(1280, 1024, 4, 1)), s).FPSCycles()
 		}
 		fmt.Printf("  %-14s %.2f\n", s.Name(), run(32)/run(1024))
 	}

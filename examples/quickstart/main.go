@@ -24,13 +24,13 @@ func main() {
 	// 2. Render with the baseline: the whole 4-GPM system acts as one big
 	//    GPU, left/right views land on different GPM groups, every texture
 	//    sample crosses the striped L2.
-	base := oovr.Baseline{}.Render(oovr.NewSystem(oovr.DefaultOptions(), scene))
+	base := oovr.Run(oovr.NewSystem(oovr.DefaultOptions(), scene), oovr.Baseline{})
 
 	// 3. Render the same workload with OO-VR: TSL-batched objects, both
 	//    eyes per batch via SMP, predictive batch distribution,
 	//    pre-allocated data, distributed composition.
 	scene2 := spec.Generate(1280, 1024, 4, 1) // fresh scene: systems own their placement state
-	ovr := oovr.NewOOVR().Render(oovr.NewSystem(oovr.DefaultOptions(), scene2))
+	ovr := oovr.Run(oovr.NewSystem(oovr.DefaultOptions(), scene2), oovr.NewOOVR())
 
 	// 4. Compare.
 	fmt.Printf("%-22s %18s %18s\n", "", "Baseline", "OO-VR")

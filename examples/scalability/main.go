@@ -13,7 +13,7 @@ import (
 func main() {
 	spec, _ := oovr.BenchmarkByAbbr("NFS")
 	gpmCounts := []int{1, 2, 4, 8}
-	schemes := []oovr.Scheduler{
+	schemes := []oovr.Planner{
 		oovr.Baseline{},
 		oovr.ObjectSFR{},
 		oovr.NewOOVR(),
@@ -24,7 +24,7 @@ func main() {
 		opt := oovr.DefaultOptions()
 		opt.Config = opt.Config.WithGPMs(1)
 		scene := spec.Generate(1280, 1024, 4, 1)
-		return oovr.Baseline{}.Render(oovr.NewSystem(opt, scene)).FPSCycles()
+		return oovr.Run(oovr.NewSystem(opt, scene), oovr.Baseline{}).FPSCycles()
 	}()
 
 	fmt.Println("NFS 1280x1024, speedup over a single GPU by GPM count")
@@ -39,7 +39,7 @@ func main() {
 			opt := oovr.DefaultOptions()
 			opt.Config = opt.Config.WithGPMs(n)
 			scene := spec.Generate(1280, 1024, 4, 1)
-			m := s.Render(oovr.NewSystem(opt, scene))
+			m := oovr.Run(oovr.NewSystem(opt, scene), s)
 			fmt.Printf("%12.2f", ref/m.FPSCycles())
 		}
 		fmt.Println()

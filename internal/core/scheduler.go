@@ -31,9 +31,6 @@ func NewOOApp() OOApp { return OOApp{Middleware: NewMiddleware()} }
 // Name implements driver.Planner.
 func (OOApp) Name() string { return "OO_APP" }
 
-// Render implements render.Scheduler.
-func (a OOApp) Render(sys *multigpu.System) multigpu.Metrics { return driver.Run(sys, a) }
-
 // Begin implements driver.Planner.
 func (a OOApp) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile) {
 	sc := sys.Scene()
@@ -200,9 +197,6 @@ func NewOOVR() OOVR { return OOVR{Middleware: NewMiddleware()} }
 
 // Name implements driver.Planner.
 func (OOVR) Name() string { return "OOVR" }
-
-// Render implements render.Scheduler.
-func (v OOVR) Render(sys *multigpu.System) multigpu.Metrics { return driver.Run(sys, v) }
 
 // Begin implements driver.Planner.
 func (v OOVR) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile) {

@@ -3,18 +3,19 @@ package core
 import (
 	"testing"
 
+	"oovr/internal/driver"
 	"oovr/internal/multigpu"
 	"oovr/internal/render"
 	"oovr/internal/scene"
 	"oovr/internal/workload"
 )
 
-func runOn(t *testing.T, s render.Scheduler, frames int) multigpu.Metrics {
+func runOn(t *testing.T, s driver.Planner, frames int) multigpu.Metrics {
 	t.Helper()
 	sp, _ := workload.ByAbbr("HL2")
 	sc := sp.Generate(1280, 1024, frames, 1)
 	sys := multigpu.New(multigpu.DefaultOptions(), sc)
-	m := s.Render(sys)
+	m := driver.Run(sys, s)
 	if m.Frames != frames {
 		t.Fatalf("%s rendered %d frames, want %d", s.Name(), m.Frames, frames)
 	}
@@ -58,7 +59,7 @@ func TestShallowSceneStaysUnderCap(t *testing.T) {
 	}
 	v := NewOOVR()
 	v.Stats = &EngineStats{}
-	v.Render(multigpu.New(multigpu.DefaultOptions(), sc))
+	driver.Run(multigpu.New(multigpu.DefaultOptions(), sc), v)
 	if v.Stats.FullQueueStalls != 0 {
 		t.Errorf("shallow scene stalled %d times", v.Stats.FullQueueStalls)
 	}
@@ -160,7 +161,7 @@ func TestOOVROnSingleGPM(t *testing.T) {
 	opt.Config = opt.Config.WithGPMs(1)
 	sp, _ := workload.ByAbbr("DM3")
 	sc := sp.Generate(640, 480, 2, 1)
-	m := NewOOVR().Render(multigpu.New(opt, sc))
+	m := driver.Run(multigpu.New(opt, sc), NewOOVR())
 	if m.InterGPMBytes != 0 {
 		t.Errorf("single-GPM OOVR produced inter-GPM traffic: %v", m.InterGPMBytes)
 	}
@@ -171,7 +172,7 @@ func TestOOVROnEightGPMs(t *testing.T) {
 	opt.Config = opt.Config.WithGPMs(8)
 	sp, _ := workload.ByAbbr("UT3")
 	sc := sp.Generate(1280, 1024, 2, 1)
-	m := NewOOVR().Render(multigpu.New(opt, sc))
+	m := driver.Run(multigpu.New(opt, sc), NewOOVR())
 	if len(m.GPMBusyCycles) != 8 {
 		t.Fatalf("busy cycles for %d GPMs", len(m.GPMBusyCycles))
 	}

@@ -394,7 +394,7 @@ func (s *Session) Close() multigpu.Metrics {
 }
 
 // Run renders every materialized frame of the bound scene through a
-// session — the batch entry point the Scheduler shims use.
+// session — the batch entry point.
 func Run(sys *multigpu.System, p Planner) multigpu.Metrics {
 	ses := Open(sys, p)
 	sc := sys.Scene()

@@ -89,8 +89,8 @@ var goldenFingerprints = map[string]map[string]string{
 
 // TestGoldenCrossArchitectureEquivalence asserts byte-identical Metrics
 // between the pre-refactor golden values and the new driver path, for all
-// seven schedulers, through both entry points: the legacy Scheduler shim
-// (batch) and a streaming driver.Session fed frame by frame.
+// seven schedulers, through both entry points: driver.Run (batch) and a streaming
+// driver.Session fed frame by frame.
 func TestGoldenCrossArchitectureEquivalence(t *testing.T) {
 	for cname, want := range goldenFingerprints {
 		c, ok := workload.CaseByName(cname)
@@ -98,9 +98,9 @@ func TestGoldenCrossArchitectureEquivalence(t *testing.T) {
 			t.Fatalf("missing benchmark case %s", cname)
 		}
 		for _, p := range allPlanners() {
-			// Batch path: the Scheduler shim over driver.Run.
+			// Batch path: driver.Run over the materialized scene.
 			sc := c.Spec.Generate(c.Width, c.Height, 4, 1)
-			batch := p.(render.Scheduler).Render(multigpu.New(multigpu.DefaultOptions(), sc))
+			batch := driver.Run(multigpu.New(multigpu.DefaultOptions(), sc), p)
 			if got := metricsFingerprint(batch); got != want[p.Name()] {
 				t.Errorf("%s/%s batch: fingerprint %s, golden %s (metrics drifted from the pre-refactor implementation)",
 					cname, p.Name(), got, want[p.Name()])

@@ -11,8 +11,7 @@
 //
 // Every scheme is a pure-policy driver.Planner: it emits per-frame Plans
 // (task submissions + composition + framebuffer placement) and the
-// driver.FrameLoop executes them. The Scheduler interface remains as a
-// batch-mode shim over driver.Run.
+// driver.FrameLoop executes them; driver.Run renders a whole bound scene.
 //
 // The OO-VR framework itself lives in internal/core; it plugs into the same
 // Planner contract.
@@ -28,29 +27,6 @@ import (
 	"oovr/internal/sim"
 )
 
-// Scheduler renders a bound scene on a multi-GPU system and reports
-// metrics — the batch-mode contract. Every scheme in this repo implements
-// it as a one-line shim over driver.Run; new policies should implement
-// driver.Planner and get this interface for free via driver.Run (or stream
-// frames through a driver.Session instead).
-type Scheduler interface {
-	// Name is the scheme's figure label.
-	Name() string
-	// Render executes the whole scene and returns collected metrics.
-	Render(sys *multigpu.System) multigpu.Metrics
-}
-
-// AsScheduler adapts any driver.Planner to the batch Scheduler interface,
-// so custom policies written against the Planner contract keep working with
-// code that expects the legacy shape.
-func AsScheduler(p driver.Planner) Scheduler { return plannerScheduler{p} }
-
-type plannerScheduler struct{ driver.Planner }
-
-func (s plannerScheduler) Render(sys *multigpu.System) multigpu.Metrics {
-	return driver.Run(sys, s.Planner)
-}
-
 // Baseline is the single-programming-model scheme of Section 2.3 and
 // Figure 3: the rendering tasks for the left and right views are distributed
 // to different GPM groups (the LT/RT/LB/RB quadrants), each view is broken
@@ -62,9 +38,6 @@ type Baseline struct{}
 
 // Name implements driver.Planner.
 func (Baseline) Name() string { return "Baseline" }
-
-// Render implements Scheduler.
-func (b Baseline) Render(sys *multigpu.System) multigpu.Metrics { return driver.Run(sys, b) }
 
 // Begin implements driver.Planner.
 func (Baseline) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile) {
@@ -147,9 +120,6 @@ func DefaultAFR() AFR { return AFR{DriverCyclesPerDraw: 40, DriverCyclesPerKFrag
 // Name implements driver.Planner.
 func (AFR) Name() string { return "Frame-Level" }
 
-// Render implements Scheduler.
-func (a AFR) Render(sys *multigpu.System) multigpu.Metrics { return driver.Run(sys, a) }
-
 // Begin implements driver.Planner.
 func (a AFR) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile) {
 	return &afrPlanner{sys: sys, cfg: a, ensured: make([]bool, sys.NumGPMs())},
@@ -218,9 +188,6 @@ type TileV struct{}
 // Name implements driver.Planner.
 func (TileV) Name() string { return "Tile-Level (V)" }
 
-// Render implements Scheduler.
-func (t TileV) Render(sys *multigpu.System) multigpu.Metrics { return driver.Run(sys, t) }
-
 // Begin implements driver.Planner.
 func (TileV) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile) {
 	return tilePlanner(sys, true), driver.Profile{}
@@ -234,9 +201,6 @@ type TileH struct{}
 
 // Name implements driver.Planner.
 func (TileH) Name() string { return "Tile-Level (H)" }
-
-// Render implements Scheduler.
-func (t TileH) Render(sys *multigpu.System) multigpu.Metrics { return driver.Run(sys, t) }
 
 // Begin implements driver.Planner.
 func (TileH) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile) {
@@ -352,9 +316,6 @@ type ObjectSFR struct {
 
 // Name implements driver.Planner.
 func (ObjectSFR) Name() string { return "Object-Level" }
-
-// Render implements Scheduler.
-func (s ObjectSFR) Render(sys *multigpu.System) multigpu.Metrics { return driver.Run(sys, s) }
 
 // Begin implements driver.Planner.
 func (s ObjectSFR) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile) {

@@ -3,6 +3,7 @@ package render
 import (
 	"testing"
 
+	"oovr/internal/driver"
 	"oovr/internal/geom"
 	"oovr/internal/multigpu"
 	"oovr/internal/scene"
@@ -18,10 +19,10 @@ func smallScene(frames int) *scene.Scene {
 	return sp.Generate(640, 480, frames, 7)
 }
 
-func runScheme(t *testing.T, s Scheduler, frames int) multigpu.Metrics {
+func runScheme(t *testing.T, s driver.Planner, frames int) multigpu.Metrics {
 	t.Helper()
 	sys := multigpu.New(multigpu.DefaultOptions(), smallScene(frames))
-	m := s.Render(sys)
+	m := driver.Run(sys, s)
 	if m.Frames != frames {
 		t.Fatalf("%s rendered %d frames, want %d", s.Name(), m.Frames, frames)
 	}
@@ -32,7 +33,7 @@ func runScheme(t *testing.T, s Scheduler, frames int) multigpu.Metrics {
 }
 
 func TestSchedulerNames(t *testing.T) {
-	want := map[Scheduler]string{
+	want := map[driver.Planner]string{
 		Baseline{}:   "Baseline",
 		DefaultAFR(): "Frame-Level",
 		TileV{}:      "Tile-Level (V)",
@@ -152,9 +153,9 @@ func TestTileVSplitsViewsAcrossGPMs(t *testing.T) {
 func TestSchemesOnEightGPMs(t *testing.T) {
 	opt := multigpu.DefaultOptions()
 	opt.Config = opt.Config.WithGPMs(8)
-	for _, s := range []Scheduler{Baseline{}, TileV{}, ObjectSFR{}} {
+	for _, s := range []driver.Planner{Baseline{}, TileV{}, ObjectSFR{}} {
 		sys := multigpu.New(opt, smallScene(1))
-		m := s.Render(sys)
+		m := driver.Run(sys, s)
 		if m.TotalCycles <= 0 {
 			t.Errorf("%s failed on 8 GPMs", s.Name())
 		}
@@ -164,9 +165,9 @@ func TestSchemesOnEightGPMs(t *testing.T) {
 func TestSchemesOnSingleGPM(t *testing.T) {
 	opt := multigpu.DefaultOptions()
 	opt.Config = opt.Config.WithGPMs(1)
-	for _, s := range []Scheduler{Baseline{}, ObjectSFR{}} {
+	for _, s := range []driver.Planner{Baseline{}, ObjectSFR{}} {
 		sys := multigpu.New(opt, smallScene(1))
-		m := s.Render(sys)
+		m := driver.Run(sys, s)
 		if m.InterGPMBytes != 0 {
 			t.Errorf("%s produced inter-GPM traffic on one GPM", s.Name())
 		}

@@ -25,7 +25,7 @@
 //	spec, _ := oovr.BenchmarkByAbbr("HL2")
 //	scene := spec.Generate(1280, 1024, 4, 1)
 //	sys := oovr.NewSystem(oovr.DefaultOptions(), scene)
-//	metrics := oovr.NewOOVR().Render(sys)
+//	metrics := oovr.Run(sys, oovr.NewOOVR())
 //	fmt.Println(metrics.TotalCycles, metrics.InterGPMBytes)
 //
 // See examples/ for runnable programs and DESIGN.md for the model.
@@ -212,15 +212,8 @@ func Open(sys *System, p Planner) *Session { return driver.Open(sys, p) }
 // frame driver — the batch entry point.
 func Run(sys *System, p Planner) Metrics { return driver.Run(sys, p) }
 
-// AsScheduler adapts a Planner to the legacy batch Scheduler interface.
-func AsScheduler(p Planner) Scheduler { return render.AsScheduler(p) }
-
 // Schedulers.
 type (
-	// Scheduler renders a bound scene and reports metrics — the batch shim
-	// over the frame driver; new policies should implement Planner (see
-	// examples/custom_scheduler).
-	Scheduler = render.Scheduler
 	// Baseline is the single-programming-model scheme of Section 2.3.
 	Baseline = render.Baseline
 	// AFR is alternate frame rendering (Section 4.1).

@@ -23,14 +23,14 @@ func smallScene(t *testing.T, frames int) *oovr.Scene {
 func TestQuickstartFlow(t *testing.T) {
 	sc := smallScene(t, 2)
 	sys := oovr.NewSystem(oovr.DefaultOptions(), sc)
-	m := oovr.NewOOVR().Render(sys)
+	m := oovr.Run(sys, oovr.NewOOVR())
 	if m.Frames != 2 || m.TotalCycles <= 0 {
 		t.Fatalf("OOVR render failed: %+v", m)
 	}
 }
 
 func TestAllSchedulersRunViaPublicAPI(t *testing.T) {
-	schedulers := []oovr.Scheduler{
+	schedulers := []oovr.Planner{
 		oovr.Baseline{},
 		oovr.DefaultAFR(),
 		oovr.TileV{},
@@ -41,7 +41,7 @@ func TestAllSchedulersRunViaPublicAPI(t *testing.T) {
 	}
 	for _, s := range schedulers {
 		sys := oovr.NewSystem(oovr.DefaultOptions(), smallScene(t, 2))
-		m := s.Render(sys)
+		m := oovr.Run(sys, s)
 		if m.Frames != 2 {
 			t.Errorf("%s: frames = %d", s.Name(), m.Frames)
 		}
@@ -73,17 +73,11 @@ func TestStreamingSessionViaPublicAPI(t *testing.T) {
 }
 
 // TestCustomPlannerViaPublicAPI exercises the open Planner contract the
-// way examples/custom_scheduler does, including the legacy adapter.
+// way examples/custom_scheduler does.
 func TestCustomPlannerViaPublicAPI(t *testing.T) {
-	p := everythingOnGPM0{}
-	m := oovr.Run(oovr.NewSystem(oovr.DefaultOptions(), smallScene(t, 2)), p)
+	m := oovr.Run(oovr.NewSystem(oovr.DefaultOptions(), smallScene(t, 2)), everythingOnGPM0{})
 	if m.Frames != 2 || m.Scheme != "GPM0" {
 		t.Errorf("planner run failed: %+v", m)
-	}
-	s := oovr.AsScheduler(p)
-	m2 := s.Render(oovr.NewSystem(oovr.DefaultOptions(), smallScene(t, 2)))
-	if m2.TotalCycles != m.TotalCycles {
-		t.Errorf("AsScheduler adapter diverged: %v vs %v", m2.TotalCycles, m.TotalCycles)
 	}
 }
 
@@ -108,8 +102,8 @@ func TestPaperHeadlineOrderings(t *testing.T) {
 	// API: OO-VR beats the baseline on single-frame latency and cuts
 	// inter-GPM traffic by more than half.
 	sc4 := func() *oovr.Scene { return smallScene(t, 4) }
-	base := oovr.Baseline{}.Render(oovr.NewSystem(oovr.DefaultOptions(), sc4()))
-	ovr := oovr.NewOOVR().Render(oovr.NewSystem(oovr.DefaultOptions(), sc4()))
+	base := oovr.Run(oovr.NewSystem(oovr.DefaultOptions(), sc4()), oovr.Baseline{})
+	ovr := oovr.Run(oovr.NewSystem(oovr.DefaultOptions(), sc4()), oovr.NewOOVR())
 	if ovr.AvgFrameLatency() >= base.AvgFrameLatency() {
 		t.Errorf("OOVR latency %v not below baseline %v", ovr.AvgFrameLatency(), base.AvgFrameLatency())
 	}
@@ -122,7 +116,7 @@ func TestHardwareSweepsViaPublicAPI(t *testing.T) {
 	opt := oovr.DefaultOptions()
 	opt.Config = oovr.Table2Config().WithGPMs(8).WithLinkGBs(128)
 	sys := oovr.NewSystem(opt, smallScene(t, 1))
-	m := oovr.NewOOVR().Render(sys)
+	m := oovr.Run(sys, oovr.NewOOVR())
 	if len(m.GPMBusyCycles) != 8 {
 		t.Errorf("expected 8 GPMs, got %d", len(m.GPMBusyCycles))
 	}
@@ -166,7 +160,7 @@ func TestRunSpecViaPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oovr.NewOOVR().Render(oovr.NewSystem(oovr.DefaultOptions(), smallScene(t, 2)))
+	want := oovr.Run(oovr.NewSystem(oovr.DefaultOptions(), smallScene(t, 2)), oovr.NewOOVR())
 	if got.TotalCycles != want.TotalCycles || got.InterGPMBytes != want.InterGPMBytes {
 		t.Errorf("spec run diverged from imperative run:\n %+v\nvs\n %+v", got, want)
 	}
