@@ -199,28 +199,23 @@ func runWorker(ctx context.Context, coordinator, name, chaosFlag string, workers
 	}
 	reg := obs.NewRegistry()
 	exec := server.New(server.Options{Workers: workers, CacheEntries: cache, Metrics: reg, Role: "worker"})
+	run := func(j spec.Job) ([]byte, error) {
+		body, _, _, err := exec.Job(context.Background(), j)
+		if err != nil && !server.IsExecError(err) {
+			// The spec itself is bad (unknown component, invalid
+			// hardware): quarantine it fleet-wide instead of burning its
+			// retry budget on other workers.
+			return nil, fleet.Permanent(err)
+		}
+		return body, err
+	}
 	w := &fleet.Worker{
 		Coordinator: strings.TrimRight(coordinator, "/"),
 		Name:        name,
 		Chaos:       chaos,
 		Logf:        log.New(os.Stderr, name+" ", log.LstdFlags).Printf,
-		Exec: func(rs spec.RunSpec) ([]byte, error) {
-			body, _, _, err := exec.Result(context.Background(), rs)
-			if err != nil && !server.IsExecError(err) {
-				// The spec itself is bad (unknown component, invalid
-				// hardware): quarantine it fleet-wide instead of burning
-				// its retry budget on other workers.
-				return nil, fleet.Permanent(err)
-			}
-			return body, err
-		},
-		ExecService: func(sp spec.ServiceSpec) ([]byte, error) {
-			body, _, _, err := exec.ServiceResult(context.Background(), sp)
-			if err != nil && !server.IsExecError(err) {
-				return nil, fleet.Permanent(err)
-			}
-			return body, err
-		},
+		Exec:        func(rs spec.RunSpec) ([]byte, error) { return run(rs) },
+		ExecService: func(sp spec.ServiceSpec) ([]byte, error) { return run(sp) },
 	}
 	w.RegisterMetrics(reg)
 	if obsAddr != "" {

@@ -35,32 +35,11 @@ func (c *Client) client() *http.Client {
 	return http.DefaultClient
 }
 
-// Submit registers a sweep and returns its id.
-func (c *Client) Submit(ctx context.Context, specs []spec.RunSpec) (string, error) {
-	body, err := spec.EncodeArray(specs)
-	if err != nil {
-		return "", err
-	}
-	var resp submitResponse
-	if err := c.post(ctx, "/fleet/submit", body, &resp); err != nil {
-		return "", err
-	}
-	return resp.Sweep, nil
-}
-
-// SubmitCells registers a sweep of single-cell ServiceSpecs and returns
-// its id. The wire shape is the same spec array /fleet/submit always took;
-// cells self-discriminate on service_version.
-func (c *Client) SubmitCells(ctx context.Context, cells []spec.ServiceSpec) (string, error) {
-	raw := make([]json.RawMessage, len(cells))
-	for i, cell := range cells {
-		b, err := cell.Canonical()
-		if err != nil {
-			return "", err
-		}
-		raw[i] = b
-	}
-	body, err := json.Marshal(raw)
+// Submit registers a sweep of jobs — RunSpecs or single-cell
+// ServiceSpecs, which self-discriminate on service_version — and returns
+// its id.
+func (c *Client) Submit(ctx context.Context, jobs []spec.Job) (string, error) {
+	body, err := spec.EncodeArray(jobs)
 	if err != nil {
 		return "", err
 	}
@@ -82,7 +61,7 @@ func (c *Client) RunService(ctx context.Context, sp spec.ServiceSpec) (service.R
 	if err != nil {
 		return service.Report{}, err
 	}
-	sweep, err := c.SubmitCells(ctx, cells)
+	sweep, err := c.Submit(ctx, spec.Jobs(cells))
 	if err != nil {
 		return service.Report{}, err
 	}
@@ -92,7 +71,7 @@ func (c *Client) RunService(ctx context.Context, sp spec.ServiceSpec) (service.R
 	}
 	reports := make([]service.CellReport, len(bodies))
 	for i, body := range bodies {
-		rep, err := DecodeVerifiedReport(body)
+		rep, err := decodeVerified[service.Report](body)
 		if err != nil {
 			return service.Report{}, fmt.Errorf("fleet: cell %d: %w", i, err)
 		}
@@ -102,23 +81,6 @@ func (c *Client) RunService(ctx context.Context, sp spec.ServiceSpec) (service.R
 		reports[i] = rep.Cells[0]
 	}
 	return service.Assemble(sp, reports)
-}
-
-// DecodeVerifiedReport decodes one service sweep element: a quarantine
-// error element becomes an error, and a Report is re-verified against its
-// content address on the client side.
-func DecodeVerifiedReport(body []byte) (service.Report, error) {
-	var probe struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &probe); err == nil && probe.Error != "" {
-		return service.Report{}, fmt.Errorf("fleet: %s", probe.Error)
-	}
-	rep, err := service.VerifyReportBody(body)
-	if err != nil {
-		return service.Report{}, fmt.Errorf("fleet: report integrity: %w", err)
-	}
-	return rep, nil
 }
 
 // Wait polls the sweep until every spec is done or quarantined and
@@ -149,7 +111,7 @@ func (c *Client) Wait(ctx context.Context, sweep string) ([]json.RawMessage, err
 
 // RunMatrix is Submit then Wait.
 func (c *Client) RunMatrix(ctx context.Context, specs []spec.RunSpec) ([]json.RawMessage, error) {
-	sweep, err := c.Submit(ctx, specs)
+	sweep, err := c.Submit(ctx, spec.Jobs(specs))
 	if err != nil {
 		return nil, err
 	}
@@ -170,21 +132,32 @@ func (c *Client) RunOne(ctx context.Context, rs spec.RunSpec) (multigpu.Metrics,
 	return res.Metrics, nil
 }
 
-// DecodeVerifiedResult decodes one sweep element: a quarantine error
-// element becomes an error, and a Result is re-verified against its
+// DecodeVerifiedResult decodes one RunSpec sweep element.
+func DecodeVerifiedResult(body []byte) (spec.Result, error) {
+	return decodeVerified[spec.Result](body)
+}
+
+// decodeVerified decodes one sweep element: a quarantine error element
+// becomes an error, and a Result or Report is re-verified against its
 // content address on the client side — the fleet's integrity guarantee is
 // end to end, not taken on faith from the coordinator.
-func DecodeVerifiedResult(body []byte) (spec.Result, error) {
+func decodeVerified[T spec.Result | service.Report](body []byte) (T, error) {
+	var zero T
 	var probe struct {
 		Error string `json:"error"`
 	}
 	if err := json.Unmarshal(body, &probe); err == nil && probe.Error != "" {
-		return spec.Result{}, fmt.Errorf("fleet: %s", probe.Error)
+		return zero, fmt.Errorf("fleet: %s", probe.Error)
 	}
-	if _, err := verifyResult(body); err != nil {
-		return spec.Result{}, fmt.Errorf("fleet: result integrity: %w", err)
+	_, v, err := verify(body)
+	if err != nil {
+		return zero, fmt.Errorf("fleet: result integrity: %w", err)
 	}
-	return spec.DecodeResult(body)
+	t, ok := v.(T)
+	if !ok {
+		return zero, fmt.Errorf("fleet: element holds a %T, want a %T", v, zero)
+	}
+	return t, nil
 }
 
 func (c *Client) post(ctx context.Context, path string, body []byte, out any) error {

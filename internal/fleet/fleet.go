@@ -211,11 +211,7 @@ func (c *Coordinator) Drain() {
 // Submit registers a sweep of RunSpecs — the common matrix case. It wraps
 // SubmitJobs, which also carries service cells.
 func (c *Coordinator) Submit(specs []spec.RunSpec) (id string, total int, err error) {
-	jobs := make([]spec.Job, len(specs))
-	for i := range specs {
-		jobs[i] = spec.Job{Run: &specs[i]}
-	}
-	return c.SubmitJobs(jobs)
+	return c.SubmitJobs(spec.Jobs(specs))
 }
 
 // SubmitJobs registers a sweep: one task per job (a RunSpec or a
@@ -233,8 +229,8 @@ func (c *Coordinator) SubmitJobs(jobs []spec.Job) (id string, total int, err err
 	c.nextSweep++
 	id = fmt.Sprintf("s%d", c.nextSweep)
 	order := make([]string, 0, len(jobs))
-	for i, rs := range jobs {
-		hash, herr := rs.Hash()
+	for i, j := range jobs {
+		hash, herr := j.Hash()
 		if herr != nil {
 			key := fmt.Sprintf("!%s/%d", id, i)
 			c.tasks[key] = &task{hash: key, state: taskQuarantined, failure: herr.Error()}
@@ -251,7 +247,7 @@ func (c *Coordinator) SubmitJobs(jobs []spec.Job) (id string, total int, err err
 			order = append(order, hash)
 			continue
 		}
-		canon, cerr := rs.Canonical()
+		canon, cerr := j.Canonical()
 		if cerr != nil {
 			return "", 0, cerr // unreachable once Hash succeeded
 		}
@@ -414,7 +410,7 @@ func (c *Coordinator) Complete(leaseID int64, body []byte) (accepted bool, reaso
 		worker = l.worker
 		c.touchWorker(worker)
 	}
-	hash, ierr := verifyResult(body)
+	hash, _, ierr := verify(body)
 	if ierr != nil {
 		c.counters.Corrupt++
 		c.record("corrupt", "", worker, leaseID, 0, ierr.Error())
@@ -461,30 +457,31 @@ func (c *Coordinator) Complete(leaseID int64, body []byte) (accepted bool, reaso
 	return true, ""
 }
 
-// verifyResult decodes a posted body — a RunSpec Result or a service
-// Report, told apart by their discriminating schema fields — and checks its
-// content address: the embedded spec's hash must equal the claimed
-// SpecHash. Returns the verified address.
-func verifyResult(body []byte) (string, error) {
+// verify decodes a posted body — a RunSpec Result or a service Report,
+// told apart by their discriminating schema fields — and checks its content
+// address: the embedded spec's hash must equal the claimed SpecHash. It
+// returns the verified address and the decoded spec.Result or
+// service.Report, so no caller decodes the same bytes twice.
+func verify(body []byte) (hash string, decoded any, err error) {
 	if service.IsReportBody(body) {
 		rep, err := service.VerifyReportBody(body)
 		if err != nil {
-			return "", err
+			return "", nil, err
 		}
-		return rep.SpecHash, nil
+		return rep.SpecHash, rep, nil
 	}
 	res, err := spec.DecodeResult(body)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	h, err := res.Spec.Hash()
 	if err != nil {
-		return "", fmt.Errorf("embedded spec does not hash: %w", err)
+		return "", nil, fmt.Errorf("embedded spec does not hash: %w", err)
 	}
 	if h != res.SpecHash {
-		return "", fmt.Errorf("result claims spec %.12s… but its spec hashes to %.12s…", res.SpecHash, h)
+		return "", nil, fmt.Errorf("result claims spec %.12s… but its spec hashes to %.12s…", res.SpecHash, h)
 	}
-	return h, nil
+	return h, res, nil
 }
 
 // FailKind classifies a worker-reported failure: resolve errors are the

@@ -19,22 +19,17 @@ import (
 // every leased job runs through the job server's single-flight cache, and
 // an error that is not an execution failure quarantines the spec.
 func oovrdWorker(exec *server.Server) *Worker {
+	run := func(j spec.Job) ([]byte, error) {
+		body, _, _, err := exec.Job(context.Background(), j)
+		if err != nil && !server.IsExecError(err) {
+			return nil, Permanent(err)
+		}
+		return body, err
+	}
 	return &Worker{
-		Name: "w",
-		Exec: func(rs spec.RunSpec) ([]byte, error) {
-			body, _, _, err := exec.Result(context.Background(), rs)
-			if err != nil && !server.IsExecError(err) {
-				return nil, Permanent(err)
-			}
-			return body, err
-		},
-		ExecService: func(sp spec.ServiceSpec) ([]byte, error) {
-			body, _, _, err := exec.ServiceResult(context.Background(), sp)
-			if err != nil && !server.IsExecError(err) {
-				return nil, Permanent(err)
-			}
-			return body, err
-		},
+		Name:        "w",
+		Exec:        func(rs spec.RunSpec) ([]byte, error) { return run(rs) },
+		ExecService: func(sp spec.ServiceSpec) ([]byte, error) { return run(sp) },
 	}
 }
 

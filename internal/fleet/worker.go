@@ -180,7 +180,8 @@ func (w *Worker) serve(ctx context.Context, g *Grant, try int) {
 		w.fail(ctx, g.Lease, FailResolve, fmt.Errorf("leased spec does not decode: %w", err))
 		return
 	}
-	if job.Service != nil && w.ExecService == nil {
+	sp, isService := job.(spec.ServiceSpec)
+	if isService && w.ExecService == nil {
 		w.Stats.Failed.Add(1)
 		w.fail(ctx, g.Lease, FailResolve, fmt.Errorf("this worker cannot execute service specs"))
 		return
@@ -194,10 +195,10 @@ func (w *Worker) serve(ctx context.Context, g *Grant, try int) {
 	}
 
 	var body []byte
-	if job.Service != nil {
-		body, err = w.ExecService(*job.Service)
+	if isService {
+		body, err = w.ExecService(sp)
 	} else {
-		body, err = w.Exec(*job.Run)
+		body, err = w.Exec(job.(spec.RunSpec))
 	}
 	if err != nil {
 		kind := FailExec

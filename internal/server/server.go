@@ -1,9 +1,9 @@
-// Package server implements the oovrd job service: RunSpecs arrive over
-// HTTP, a bounded worker pool executes them, and finished Results are kept
-// in a content-addressed cache keyed on the canonical spec encoding —
-// resubmitting an identical spec is served from stored bytes without
-// touching the simulator, and identical specs submitted concurrently share
-// one execution (single-flight).
+// Package server implements the oovrd job service: RunSpecs and
+// ServiceSpecs arrive over HTTP, a bounded worker pool executes them, and
+// finished bodies are kept in one content-addressed cache keyed on the
+// spec's content address — resubmitting an identical spec is served from
+// stored bytes without touching the simulator, and identical specs
+// submitted concurrently share one execution (single-flight).
 //
 // Endpoints:
 //
@@ -19,7 +19,7 @@
 //	GET  /stats       run/cache counters
 //	GET  /healthz     liveness
 //
-// Every /run response carries X-Oovrd-Cache: hit|miss and
+// Every /run and /service response carries X-Oovrd-Cache: hit|miss and
 // X-Oovrd-Spec-Hash: the spec's content address.
 package server
 
@@ -140,9 +140,21 @@ func New(opt Options) *Server {
 		start: time.Now(),
 	}
 	s.sem = make(chan struct{}, s.opt.Workers)
-	s.mux.HandleFunc("/run", s.handleRun)
+	s.mux.HandleFunc("/run", s.handleJob("POST a RunSpec", func(ctx context.Context, r io.Reader) ([]byte, string, bool, error) {
+		rs, err := spec.Decode(r)
+		if err != nil {
+			return nil, "", false, err
+		}
+		return s.Result(ctx, rs)
+	}))
+	s.mux.HandleFunc("/service", s.handleJob("POST a ServiceSpec", func(ctx context.Context, r io.Reader) ([]byte, string, bool, error) {
+		sp, err := spec.DecodeService(r)
+		if err != nil {
+			return nil, "", false, err
+		}
+		return s.Job(ctx, sp)
+	}))
 	s.mux.HandleFunc("/batch", s.handleBatch)
-	s.mux.HandleFunc("/service", s.handleService)
 	s.mux.HandleFunc("/routers", listHandler(service.RouterNames))
 	s.mux.HandleFunc("/schedulers", listHandler(spec.PlannerNames))
 	s.mux.HandleFunc("/workloads", listHandler(spec.WorkloadNames))
@@ -227,40 +239,46 @@ func (s *Server) Stats() Stats {
 	return s.stats
 }
 
-// Result answers one spec: from the cache when its content address is
-// known, executing (at most once, under the worker pool) otherwise. The
-// hash is computed before anything resolves, so cache hits are served from
-// stored bytes without constructing a planner or a system. The context is
-// the submitter's interest: a run that has not yet acquired a worker-pool
-// slot when ctx dies is abandoned instead of simulating for nobody.
-// Exported as the execution seam the fleet worker shares with the HTTP
-// handlers — a worker pulling leased specs goes through the same
-// single-flight cache as a curl to /run.
-func (s *Server) Result(ctx context.Context, rs spec.RunSpec) (body []byte, hash string, hit bool, err error) {
-	hash, err = rs.Hash()
-	if err != nil {
+// Job answers one job — a RunSpec or a ServiceSpec — from the cache when
+// its content address is known, executing it (at most once, under the
+// worker pool) otherwise. The hash is computed before anything resolves,
+// so a hit constructs nothing. Both kinds share one key space: their
+// canonical encodings never coincide. A job that has not yet acquired a
+// worker-pool slot when ctx (the submitter's interest) dies is abandoned.
+// The fleet worker and the HTTP handlers all execute through here.
+func (s *Server) Job(ctx context.Context, j spec.Job) (body []byte, hash string, hit bool, err error) {
+	if hash, err = j.Hash(); err != nil {
 		return nil, "", false, err
 	}
-	if rs.Timeline {
-		// Timeline requests bypass the cache entirely: the knob is folded
-		// out of the content address (it never changes Metrics), so a
-		// timeline body and its plain twin share a hash — caching either
-		// under it would serve the wrong shape to the other submitter.
-		// Execute fresh, store nothing.
-		s.mu.Lock()
-		s.stats.CacheMisses++
-		s.mu.Unlock()
-		body, err = s.resolveAndExecute(ctx, rs, hash)
-		return body, hash, false, err
+	body, hit, err = s.answer(ctx, j, hash)
+	return body, hash, hit, err
+}
+
+// Result is Job for a RunSpec. It hashes the concrete type: hashing
+// through the spec.Job interface would move the spec to the heap on every
+// submission, cache hits included.
+func (s *Server) Result(ctx context.Context, rs spec.RunSpec) (body []byte, hash string, hit bool, err error) {
+	if hash, err = rs.Hash(); err != nil {
+		return nil, "", false, err
 	}
-	if s.opt.CacheEntries < 0 {
-		// Still a miss for the counters: every submission lands under
-		// hits or misses, cache or no cache.
+	body, hit, err = s.answer(ctx, rs, hash)
+	return body, hash, hit, err
+}
+
+// answer serves a hashed job from stored bytes or executes it, once for
+// every concurrent submitter of the same address (single-flight).
+func (s *Server) answer(ctx context.Context, j spec.Job, hash string) (body []byte, hit bool, err error) {
+	// Timeline requests bypass the cache entirely: the knob is folded out
+	// of the content address (it never changes Metrics), so a timeline
+	// body and its plain twin share a hash — caching either under it would
+	// serve the wrong shape to the other submitter. Like every uncached
+	// submission it still counts as a miss.
+	if rs, _ := j.(spec.RunSpec); rs.Timeline || s.opt.CacheEntries < 0 {
 		s.mu.Lock()
 		s.stats.CacheMisses++
 		s.mu.Unlock()
-		body, err = s.resolveAndExecute(ctx, rs, hash)
-		return body, hash, false, err
+		body, err = s.execute(ctx, j, hash)
+		return body, false, err
 	}
 
 	s.mu.Lock()
@@ -275,14 +293,14 @@ func (s *Server) Result(ctx context.Context, rs spec.RunSpec) (body []byte, hash
 			s.stats.CacheHits++
 			s.mu.Unlock()
 		}
-		return e.body, hash, true, e.err
+		return e.body, true, e.err
 	}
 	e := &entry{done: make(chan struct{})}
 	s.cache[hash] = e
 	s.stats.CacheMisses++
 	s.mu.Unlock()
 
-	e.body, e.err = s.resolveAndExecute(ctx, rs, hash)
+	e.body, e.err = s.execute(ctx, j, hash)
 	s.mu.Lock()
 	if e.err != nil {
 		// Failed runs do not stay addressable; a corrected resubmission
@@ -293,7 +311,7 @@ func (s *Server) Result(ctx context.Context, rs spec.RunSpec) (body []byte, hash
 	}
 	s.mu.Unlock()
 	close(e.done)
-	return e.body, hash, false, e.err
+	return e.body, false, e.err
 }
 
 // waitDone blocks until e's run finishes, counting the wait when the run
@@ -345,136 +363,27 @@ func IsExecError(err error) bool {
 	return errors.As(err, &ee)
 }
 
-// resolveAndExecute resolves a spec (client errors) and runs it (server
-// errors) — the miss path. The recover sits here, above both phases: a
+// execute resolves a job (client errors) and runs it under the worker pool
+// (server errors) — the miss path. The recover sits above both phases: a
 // panicking user-registered factory or simulation must neither wedge the
-// in-flight cache entry (its close would be skipped) nor crash a /batch
-// worker goroutine; it reports as a server-side error instead.
-func (s *Server) resolveAndExecute(ctx context.Context, rs spec.RunSpec, hash string) (body []byte, err error) {
+// in-flight cache entry nor crash a /batch goroutine. The context gates
+// slot acquisition only: once a job holds a slot it completes (and lands
+// in the cache) — a simulation cannot be unwound halfway.
+func (s *Server) execute(ctx context.Context, j spec.Job, hash string) (body []byte, err error) {
+	// A service job's trace events carry service=true, so one trace tells
+	// the two kinds apart.
+	what, tag := "run", []obs.F{{K: "hash", V: hash}}
+	if _, ok := j.(spec.ServiceSpec); ok {
+		what, tag = "service run", append(tag, obs.F{K: "service", V: true})
+	}
 	defer func() {
 		if p := recover(); p != nil {
-			err = execError{fmt.Errorf("run panicked: %v", p)}
+			err = execError{fmt.Errorf("%s panicked: %v", what, p)}
 		}
 	}()
-	obs.Active().Emit("run_resolve", obs.F{K: "hash", V: hash})
-	run, err := rs.Resolve()
+	obs.Active().Emit("run_resolve", tag...)
+	run, err := resolve(j)
 	if err != nil {
-		return nil, err
-	}
-	return s.execute(ctx, run, hash)
-}
-
-// execute runs one resolved spec under the worker pool and encodes its
-// canonical Result. Panics are caught by resolveAndExecute. The context
-// gates slot acquisition only: a submitter that has disconnected must not
-// take a simulation slot for a result nobody will read, but once a run
-// holds a slot it completes (and lands in the cache) regardless — a
-// simulation cannot be unwound halfway.
-func (s *Server) execute(ctx context.Context, run *spec.Run, hash string) (body []byte, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("abandoned before execution: %w", err)
-	}
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, fmt.Errorf("abandoned waiting for an execution slot: %w", ctx.Err())
-	}
-	defer func() { <-s.sem }()
-	obs.Active().Emit("run_execute", obs.F{K: "hash", V: hash})
-	t0 := time.Now()
-	m := run.Execute()
-	dur := time.Since(t0)
-	if s.runDur != nil {
-		s.runDur.Observe(dur.Seconds())
-	}
-	obs.Active().Emit("run_collect", obs.F{K: "hash", V: hash},
-		obs.F{K: "wall_ms", V: dur.Milliseconds()})
-	s.mu.Lock()
-	s.stats.Runs++
-	s.mu.Unlock()
-	res, err := spec.NewResult(run.Spec, m)
-	if err != nil {
-		return nil, execError{err}
-	}
-	if run.Timeline != nil {
-		res.Timeline = run.Timeline.EncodeTraceEvents()
-	}
-	body, err = res.Encode()
-	if err != nil {
-		return nil, execError{err}
-	}
-	return body, nil
-}
-
-// ServiceResult answers one ServiceSpec the way Result answers a RunSpec:
-// content-addressed single-flight caching, the same worker pool, the same
-// error classification. The cache key is namespaced ("service:"+hash) so a
-// service report can never alias a RunSpec result. A sweep's cells run
-// serially inside one worker-pool slot — one service submission costs one
-// slot, like any other simulation; cluster-scale fan-out is the fleet's job
-// (per-cell sharding), not the in-process pool's.
-func (s *Server) ServiceResult(ctx context.Context, sp spec.ServiceSpec) (body []byte, hash string, hit bool, err error) {
-	hash, err = sp.Hash()
-	if err != nil {
-		return nil, "", false, err
-	}
-	key := "service:" + hash
-	if s.opt.CacheEntries < 0 {
-		s.mu.Lock()
-		s.stats.CacheMisses++
-		s.mu.Unlock()
-		body, err = s.resolveAndExecuteService(ctx, sp, hash)
-		return body, hash, false, err
-	}
-
-	s.mu.Lock()
-	if e, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		s.waitDone(e)
-		if e.err == nil {
-			s.mu.Lock()
-			s.stats.CacheHits++
-			s.mu.Unlock()
-		}
-		return e.body, hash, true, e.err
-	}
-	e := &entry{done: make(chan struct{})}
-	s.cache[key] = e
-	s.stats.CacheMisses++
-	s.mu.Unlock()
-
-	e.body, e.err = s.resolveAndExecuteService(ctx, sp, hash)
-	s.mu.Lock()
-	if e.err != nil {
-		delete(s.cache, key)
-	} else {
-		s.remember(key)
-	}
-	s.mu.Unlock()
-	close(e.done)
-	return e.body, hash, false, e.err
-}
-
-// resolveAndExecuteService validates a service spec (client errors) and
-// simulates it (server errors), mirroring resolveAndExecute's phases and
-// panic containment.
-func (s *Server) resolveAndExecuteService(ctx context.Context, sp spec.ServiceSpec, hash string) (body []byte, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = execError{fmt.Errorf("service run panicked: %v", p)}
-		}
-	}()
-	// The resolve phase: spec validation plus router resolution — every
-	// error a bad submission can cause, before any simulation starts.
-	obs.Active().Emit("run_resolve", obs.F{K: "hash", V: hash}, obs.F{K: "service", V: true})
-	n, err := sp.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	if _, err := service.NewRouter(n.Router.Name, n.Router.Params); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -486,9 +395,9 @@ func (s *Server) resolveAndExecuteService(ctx context.Context, sp spec.ServiceSp
 		return nil, fmt.Errorf("abandoned waiting for an execution slot: %w", ctx.Err())
 	}
 	defer func() { <-s.sem }()
-	obs.Active().Emit("run_execute", obs.F{K: "hash", V: hash}, obs.F{K: "service", V: true})
+	obs.Active().Emit("run_execute", tag...)
 	t0 := time.Now()
-	rep, err := service.Run(n, service.RunOptions{})
+	out, err := run()
 	if err != nil {
 		return nil, execError{err}
 	}
@@ -496,78 +405,81 @@ func (s *Server) resolveAndExecuteService(ctx context.Context, sp spec.ServiceSp
 	if s.runDur != nil {
 		s.runDur.Observe(dur.Seconds())
 	}
-	obs.Active().Emit("run_collect", obs.F{K: "hash", V: hash},
-		obs.F{K: "service", V: true}, obs.F{K: "wall_ms", V: dur.Milliseconds()})
+	obs.Active().Emit("run_collect", append(tag, obs.F{K: "wall_ms", V: dur.Milliseconds()})...)
 	s.mu.Lock()
 	s.stats.Runs++
 	s.mu.Unlock()
-	body, err = rep.Encode()
-	if err != nil {
+	if body, err = out.Encode(); err != nil {
 		return nil, execError{err}
 	}
 	return body, nil
 }
 
-// handleService serves POST /service.
-func (s *Server) handleService(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST a ServiceSpec", http.StatusMethodNotAllowed)
-		return
-	}
-	sp, err := spec.DecodeService(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	body, hash, hit, err := s.ServiceResult(r.Context(), sp)
-	if err != nil {
-		code := http.StatusBadRequest
-		var ee execError
-		if errors.As(err, &ee) {
-			code = http.StatusInternalServerError
+// encoder is what a job's execution produces: a spec.Result or a
+// service.Report, encoded canonically into the response body.
+type encoder interface{ Encode() ([]byte, error) }
+
+// resolve checks a job against the registries — every error a bad
+// submission can cause, before any simulation starts — and returns the
+// step that simulates it.
+func resolve(j spec.Job) (func() (encoder, error), error) {
+	switch j := j.(type) {
+	case spec.RunSpec:
+		run, err := j.Resolve()
+		if err != nil {
+			return nil, err
 		}
-		s.fail(w, code, err)
-		return
+		return func() (encoder, error) {
+			res, err := spec.NewResult(run.Spec, run.Execute())
+			if run.Timeline != nil {
+				res.Timeline = run.Timeline.EncodeTraceEvents()
+			}
+			return res, err
+		}, nil
+	case spec.ServiceSpec:
+		n, err := j.Normalized()
+		if err == nil {
+			err = n.Validate()
+		}
+		if err == nil {
+			_, err = service.NewRouter(n.Router.Name, n.Router.Params)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return func() (encoder, error) { return service.Run(n, service.RunOptions{}) }, nil
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Oovrd-Spec-Hash", hash)
-	if hit {
-		w.Header().Set("X-Oovrd-Cache", "hit")
-	} else {
-		w.Header().Set("X-Oovrd-Cache", "miss")
-	}
-	w.Write(body)
+	return nil, fmt.Errorf("server: unknown job kind")
 }
 
-// handleRun serves POST /run.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST a RunSpec", http.StatusMethodNotAllowed)
-		return
-	}
-	rs, err := spec.Decode(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	body, hash, hit, err := s.Result(r.Context(), rs)
-	if err != nil {
-		code := http.StatusBadRequest
-		var ee execError
-		if errors.As(err, &ee) {
-			code = http.StatusInternalServerError
+// handleJob returns the POST handler /run and /service share. answer
+// decodes one spec with its kind's strict decoder and runs it through the
+// job path; the reply carries the body and the cache headers, or an error
+// element: 400 for a bad submission, 500 for a server-side failure.
+func (s *Server) handleJob(usage string, answer func(context.Context, io.Reader) ([]byte, string, bool, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, usage, http.StatusMethodNotAllowed)
+			return
 		}
-		s.fail(w, code, err)
-		return
+		body, hash, hit, err := answer(r.Context(), http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		if err != nil {
+			code := http.StatusBadRequest
+			if IsExecError(err) {
+				code = http.StatusInternalServerError
+			}
+			s.fail(w, code, err)
+			return
+		}
+		cache := "miss"
+		if hit {
+			cache = "hit"
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Oovrd-Spec-Hash", hash)
+		w.Header().Set("X-Oovrd-Cache", cache)
+		w.Write(body)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Oovrd-Spec-Hash", hash)
-	if hit {
-		w.Header().Set("X-Oovrd-Cache", "hit")
-	} else {
-		w.Header().Set("X-Oovrd-Cache", "miss")
-	}
-	w.Write(body)
 }
 
 // handleBatch serves POST /batch: the elements fan out across the worker

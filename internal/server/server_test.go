@@ -155,6 +155,30 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
+// TestCacheHitAllocatesOnlyTheHash pins that a cache hit costs nothing
+// past hashing the spec: Result must not box the RunSpec into a spec.Job
+// on the heap before the lookup.
+func TestCacheHitAllocatesOnlyTheHash(t *testing.T) {
+	s := New(Options{Workers: 1})
+	rs := spec.RunSpec{
+		Workload:  spec.WorkloadRef{Name: "DM3-640"},
+		Scheduler: spec.SchedulerRef{Name: "baseline"},
+		Frames:    1,
+	}
+	if _, _, _, err := s.Result(context.Background(), rs); err != nil {
+		t.Fatal(err)
+	}
+	hash := testing.AllocsPerRun(20, func() { rs.Hash() })
+	hit := testing.AllocsPerRun(20, func() {
+		if _, _, hit, err := s.Result(context.Background(), rs); err != nil || !hit {
+			t.Fatalf("resubmission was not a cache hit (err %v)", err)
+		}
+	})
+	if hit > hash {
+		t.Errorf("a cache hit allocates %v times, hashing alone %v", hit, hash)
+	}
+}
+
 // TestBatch covers the fan-out endpoint: order preserved, failures
 // reported in place, successes cached.
 func TestBatch(t *testing.T) {

@@ -52,10 +52,11 @@ func TestServiceSerialParallelIdentical(t *testing.T) {
 		if err != nil {
 			return CellReport{}, err
 		}
-		if job.Service == nil {
+		cs, ok := job.(spec.ServiceSpec)
+		if !ok {
 			return CellReport{}, fmt.Errorf("cell did not decode as a service job")
 		}
-		return RunCell(*job.Service)
+		return RunCell(cs)
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,9 @@ func FuzzDecodeJobBytes(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if (job.Run == nil) == (job.Service == nil) {
-			t.Fatalf("decoded job holds run=%v service=%v, want exactly one", job.Run != nil, job.Service != nil)
+		_, isRun := job.(RunSpec)
+		if _, isService := job.(ServiceSpec); isRun == isService {
+			t.Fatalf("decoded job is a %T, want a RunSpec or a ServiceSpec", job)
 		}
 		canon, err := job.Canonical()
 		if err != nil {
@@ -38,7 +39,7 @@ func FuzzDecodeJobBytes(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical bytes do not decode: %v\n%s", err, canon)
 		}
-		if (again.Run != nil) != (job.Run != nil) {
+		if _, againRun := again.(RunSpec); againRun != isRun {
 			t.Fatalf("canonical bytes changed the job kind:\n%s", canon)
 		}
 		canon2, err := again.Canonical()

@@ -348,32 +348,28 @@ func (s ServiceSpec) CellSeed() (int64, error) {
 	return int64(binary.BigEndian.Uint64(sum[:8])), nil
 }
 
-// Indent returns the canonical encoding re-indented for humans.
-func (s ServiceSpec) Indent() ([]byte, error) {
-	c, err := s.Canonical()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, c, "", "  "); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// Job is one unit of work the job server, the fleet queue and its workers
+// carry: a RunSpec or a single-cell ServiceSpec. The wire form is the spec
+// document itself — self-discriminating via service_version — so the
+// coordinator's content-addressed task bytes stay canonical spec encodings.
+type Job interface {
+	Canonical() ([]byte, error)
+	Hash() (string, error)
 }
 
-// Job is the union the fleet queue carries: exactly one of a RunSpec or a
-// ServiceSpec (a single sweep cell). The wire form is the spec document
-// itself — self-discriminating via service_version — so the coordinator's
-// content-addressed task bytes stay canonical spec encodings.
-type Job struct {
-	Run     *RunSpec
-	Service *ServiceSpec
+// Jobs widens a slice of one spec kind to the jobs a sweep carries.
+func Jobs[J Job](specs []J) []Job {
+	jobs := make([]Job, len(specs))
+	for i, s := range specs {
+		jobs[i] = s
+	}
+	return jobs
 }
 
-// DecodeJobBytes classifies and strictly decodes one spec document: a
-// service_version field marks a ServiceSpec, anything else decodes as a
-// RunSpec (whose strict decoder rejects the unknown field if a malformed
-// hybrid slips through).
+// DecodeJobBytes classifies and strictly decodes one spec document into a
+// RunSpec or a ServiceSpec: a service_version field marks a ServiceSpec,
+// anything else decodes as a RunSpec (whose strict decoder rejects the
+// unknown field if a malformed hybrid slips through).
 func DecodeJobBytes(b []byte) (Job, error) {
 	var probe struct {
 		ServiceVersion int `json:"service_version"`
@@ -381,42 +377,12 @@ func DecodeJobBytes(b []byte) (Job, error) {
 	// The lenient probe only answers "which kind?"; the kind's strict
 	// decoder then owns validation.
 	if err := json.Unmarshal(b, &probe); err != nil {
-		return Job{}, fmt.Errorf("spec: decode job: %w", err)
+		return nil, fmt.Errorf("spec: decode job: %w", err)
 	}
 	if probe.ServiceVersion != 0 {
-		s, err := DecodeService(bytes.NewReader(b))
-		if err != nil {
-			return Job{}, err
-		}
-		return Job{Service: &s}, nil
+		return DecodeService(bytes.NewReader(b))
 	}
-	r, err := Decode(bytes.NewReader(b))
-	if err != nil {
-		return Job{}, err
-	}
-	return Job{Run: &r}, nil
-}
-
-// Canonical returns the canonical encoding of whichever spec the job holds.
-func (j Job) Canonical() ([]byte, error) {
-	switch {
-	case j.Run != nil:
-		return j.Run.Canonical()
-	case j.Service != nil:
-		return j.Service.Canonical()
-	}
-	return nil, fmt.Errorf("spec: empty job")
-}
-
-// Hash returns the content address of whichever spec the job holds.
-func (j Job) Hash() (string, error) {
-	switch {
-	case j.Run != nil:
-		return j.Run.Hash()
-	case j.Service != nil:
-		return j.Service.Hash()
-	}
-	return "", fmt.Errorf("spec: empty job")
+	return Decode(bytes.NewReader(b))
 }
 
 // ValidateOptions reports whether a hardware option block is resolvable,

@@ -82,11 +82,11 @@ func TestServiceSpecValidateErrors(t *testing.T) {
 
 func TestDecodeJobBytes(t *testing.T) {
 	j, err := DecodeJobBytes([]byte(`{"service_version":1,"lambda":2}`))
-	if err != nil || j.Service == nil || j.Run != nil {
+	if _, ok := j.(ServiceSpec); err != nil || !ok {
 		t.Fatalf("service job: %+v, %v", j, err)
 	}
 	j, err = DecodeJobBytes([]byte(`{"version":1,"workload":{"name":"HL2-1280"},"scheduler":{"name":"oovr"}}`))
-	if err != nil || j.Run == nil || j.Service != nil {
+	if _, ok := j.(RunSpec); err != nil || !ok {
 		t.Fatalf("run job: %+v, %v", j, err)
 	}
 	if _, err := DecodeJobBytes([]byte(`{"service_version":1,"typo":true}`)); err == nil {

@@ -417,8 +417,9 @@ func (s RunSpec) Hash() (string, error) {
 
 // EncodeArray renders specs as a JSON array with one canonical spec per
 // line — the -dump-spec job-list format of both CLIs, accepted verbatim by
-// oovrd's /batch endpoint.
-func EncodeArray(specs []RunSpec) ([]byte, error) {
+// oovrd's /batch endpoint (RunSpecs) and the fleet's /fleet/submit (any
+// jobs).
+func EncodeArray[J Job](specs []J) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteString("[\n")
 	for i, s := range specs {

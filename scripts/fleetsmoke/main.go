@@ -108,7 +108,7 @@ func main() {
 	}()
 
 	client := &fleet.Client{URL: url}
-	sweep, err := client.Submit(ctx, specs)
+	sweep, err := client.Submit(ctx, spec.Jobs(specs))
 	if err != nil {
 		log.Fatalf("submit: %v", err)
 	}
