@@ -438,13 +438,13 @@ func resolve(j spec.Job) (func() (encoder, error), error) {
 		}, nil
 	case spec.ServiceSpec:
 		n, err := j.Normalized()
-		if err == nil {
-			err = n.Validate()
-		}
-		if err == nil {
-			_, err = service.NewRouter(n.Router.Name, n.Router.Params)
-		}
 		if err != nil {
+			return nil, err
+		}
+		if err := n.Validate(); err != nil {
+			return nil, err
+		}
+		if _, err := service.NewRouter(n.Router.Name, n.Router.Params); err != nil {
 			return nil, err
 		}
 		return func() (encoder, error) { return service.Run(n, service.RunOptions{}) }, nil
