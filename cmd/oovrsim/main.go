@@ -93,6 +93,12 @@ func main() {
 		defer tr.Close()
 	}
 
+	// A timeline records an in-process run; a fleet result carries only
+	// the content-addressed output, and a run is deterministic, so a
+	// fleet-computed spec is X-rayed by running it locally with -spec.
+	if *timelinePath != "" && *fleetURL != "" {
+		fail(fmt.Errorf("-timeline records in-process; drop -fleet"))
+	}
 	if *servicePath != "" {
 		runService(*servicePath, *fleetURL, *parallel, *jsonOut, *timelinePath)
 		return
@@ -127,17 +133,7 @@ func main() {
 			Placement: *placement,
 			Frames:    *frames,
 			Seed:      *seed,
-			// Frames stream through a driver session exactly as a serving
-			// system would feed them; the result is identical to batch mode.
-			Stream: true,
 		}
-	}
-
-	// -timeline asks the run to record; plain -v gets a free local
-	// recording too (for the occupancy table) but must not leak the knob
-	// into -dump-spec output or fleet submissions it wasn't asked for.
-	if *timelinePath != "" || (*verbose && !*all && *fleetURL == "" && !*dumpSpec) {
-		base.Timeline = true
 	}
 
 	specs := []spec.RunSpec{base}
@@ -168,8 +164,13 @@ func main() {
 		return
 	}
 
+	// -timeline asks the run to record; plain -v gets a local recording
+	// too, for the occupancy table.
+	if (*timelinePath != "" || *verbose) && !*all && *fleetURL == "" {
+		runs[0].Timeline = obs.NewTimeline()
+	}
+
 	ms := make([]multigpu.Metrics, len(specs))
-	var fleetTimeline []byte
 	if *fleetURL != "" {
 		// The coordinator shards the sweep across its workers; results come
 		// back in submission order and are re-verified against their content
@@ -186,9 +187,6 @@ func main() {
 				fail(err)
 			}
 			ms[i] = res.Metrics
-			if i == 0 {
-				fleetTimeline = res.Timeline
-			}
 		}
 	} else {
 		// Each scheduler simulates on its own system, so the comparison rows
@@ -217,13 +215,7 @@ func main() {
 		return
 	}
 	if *timelinePath != "" {
-		enc := fleetTimeline
-		if *fleetURL == "" {
-			enc = runs[0].Timeline.EncodeTraceEvents()
-		} else if len(enc) == 0 {
-			fail(fmt.Errorf("fleet result carried no timeline (worker predates the timeline knob?)"))
-		}
-		if err := writeTimeline(*timelinePath, enc); err != nil {
+		if err := writeTimeline(*timelinePath, runs[0].Timeline.EncodeTraceEvents()); err != nil {
 			fail(err)
 		}
 	}
@@ -302,46 +294,18 @@ func runService(path, fleetURL string, parallel int, jsonOut bool, timelinePath 
 		fail(err)
 	}
 
-	var tl *obs.Timeline
-	opt := service.RunOptions{Parallel: parallel}
-	if timelinePath != "" {
-		if fleetURL != "" {
-			fail(fmt.Errorf("-timeline on a service run records in-process; drop -fleet"))
-		}
-		cells, err := service.CellSpecs(sp)
-		if err != nil {
-			fail(err)
-		}
-		if len(cells) != 1 {
-			fail(fmt.Errorf("-timeline records one cell; the spec sweeps %d", len(cells)))
-		}
-		tl = obs.NewTimeline()
-		opt.CellRunner = func(cs spec.ServiceSpec) (service.CellReport, error) {
-			c, err := service.OpenCell(cs)
-			if err != nil {
-				return service.CellReport{}, err
-			}
-			c.AttachTimeline(tl)
-			for c.Step() {
-			}
-			return c.Report(), nil
-		}
-	}
-
 	var rep service.Report
-	if fleetURL != "" {
+	switch {
+	case fleetURL != "":
 		c := &fleet.Client{URL: strings.TrimRight(fleetURL, "/")}
 		rep, err = c.RunService(context.Background(), sp)
-	} else {
-		rep, err = service.Run(sp, opt)
+	case timelinePath != "":
+		rep, err = recordCell(sp, timelinePath)
+	default:
+		rep, err = service.Run(sp, service.RunOptions{Parallel: parallel})
 	}
 	if err != nil {
 		fail(err)
-	}
-	if tl != nil {
-		if err := writeTimeline(timelinePath, tl.EncodeTraceEvents()); err != nil {
-			fail(err)
-		}
 	}
 
 	if jsonOut {
@@ -353,6 +317,30 @@ func runService(path, fleetURL string, parallel int, jsonOut bool, timelinePath 
 		return
 	}
 	printReport(rep)
+}
+
+// recordCell runs a single-cell ServiceSpec in-process with a timeline
+// attached, writes the trace to path, and returns the spec's Report.
+func recordCell(sp spec.ServiceSpec, path string) (service.Report, error) {
+	cells, err := service.CellSpecs(sp)
+	if err != nil {
+		return service.Report{}, err
+	}
+	if len(cells) != 1 {
+		return service.Report{}, fmt.Errorf("-timeline records one cell; the spec sweeps %d", len(cells))
+	}
+	c, err := service.OpenCell(cells[0])
+	if err != nil {
+		return service.Report{}, err
+	}
+	tl := obs.NewTimeline()
+	c.AttachTimeline(tl)
+	for c.Step() {
+	}
+	if err := writeTimeline(path, tl.EncodeTraceEvents()); err != nil {
+		return service.Report{}, err
+	}
+	return service.NewReport(sp, []service.CellReport{c.Report()})
 }
 
 // printReport renders a service Report as the capacity table: one row per

@@ -21,6 +21,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 
 	"oovr"
@@ -49,11 +50,11 @@ func main() {
 
 	fmt.Printf("\nbatch:    %12.0f cycles, %8.1f MB inter-GPM\n", batch.TotalCycles, batch.InterGPMBytes/1e6)
 	fmt.Printf("streamed: %12.0f cycles, %8.1f MB inter-GPM\n", streamed.TotalCycles, streamed.InterGPMBytes/1e6)
-	if reflect.DeepEqual(batch, streamed) {
-		fmt.Println("streamed metrics are byte-identical to batch mode ✓")
-	} else {
-		fmt.Println("ERROR: streamed metrics diverged from batch mode")
+	if !reflect.DeepEqual(batch, streamed) {
+		fmt.Fprintln(os.Stderr, "ERROR: streamed metrics diverged from batch mode")
+		os.Exit(1)
 	}
+	fmt.Println("streamed metrics are byte-identical to batch mode ✓")
 
 	// Head-motion trace: a smooth sinusoidal pan replaces the random walk.
 	mt := spec.Stream(1280, 1024, frames, 1)

@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oovr/internal/core"
 	"oovr/internal/driver"
 	"oovr/internal/multigpu"
+	"oovr/internal/obs"
 	"oovr/internal/render"
 	"oovr/internal/workload"
 )
@@ -125,6 +128,54 @@ func TestGoldenCrossArchitectureEquivalence(t *testing.T) {
 				t.Errorf("%s/%s: streamed metrics diverged from batch", cname, p.Name())
 			}
 		}
+	}
+}
+
+// TestTimelineBatchMatchesSession pins the x-ray reference run's trace
+// through both entry points: HL2-1280 under OO-VR on a ring, recorded
+// through driver.Run and through a driver.Session fed frame by frame, must
+// both encode to the fingerprint the timeline smoke check pins in
+// scripts/timeline_golden.txt (which oovrsim -timeline records in batch).
+func TestTimelineBatchMatchesSession(t *testing.T) {
+	golden, err := os.ReadFile("../../scripts/timeline_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(golden))
+	c, ok := workload.CaseByName("HL2-1280")
+	if !ok {
+		t.Fatal("missing benchmark case HL2-1280")
+	}
+	opt := multigpu.DefaultOptions()
+	opt.Config = opt.Config.WithTopology("ring")
+
+	batchTL := obs.NewTimeline()
+	sys := multigpu.New(opt, c.Spec.Generate(c.Width, c.Height, 4, 1))
+	sys.AttachTimeline(batchTL)
+	driver.Run(sys, core.NewOOVR())
+
+	sessionTL := obs.NewTimeline()
+	st := c.Spec.Stream(c.Width, c.Height, 4, 1)
+	sys = multigpu.New(opt, st.Header())
+	sys.AttachTimeline(sessionTL)
+	ses := driver.Open(sys, core.NewOOVR())
+	for {
+		f, ok := st.Next()
+		if !ok {
+			break
+		}
+		ses.SubmitFrame(f)
+	}
+	ses.Close()
+
+	if d := batchTL.Dropped(); d != 0 {
+		t.Fatalf("reference run overflowed the ring (%d dropped); the golden would be unstable", d)
+	}
+	if got := batchTL.Fingerprint(); got != want {
+		t.Errorf("batch timeline fingerprint %s, golden %s", got, want)
+	}
+	if got := sessionTL.Fingerprint(); got != want {
+		t.Errorf("session timeline fingerprint %s, golden %s", got, want)
 	}
 }
 

@@ -80,7 +80,7 @@ func (c *Client) RunService(ctx context.Context, sp spec.ServiceSpec) (service.R
 		}
 		reports[i] = rep.Cells[0]
 	}
-	return service.Assemble(sp, reports)
+	return service.NewReport(sp, reports)
 }
 
 // Wait polls the sweep until every spec is done or quarantined and

@@ -268,12 +268,9 @@ func (s *Server) Result(ctx context.Context, rs spec.RunSpec) (body []byte, hash
 // answer serves a hashed job from stored bytes or executes it, once for
 // every concurrent submitter of the same address (single-flight).
 func (s *Server) answer(ctx context.Context, j spec.Job, hash string) (body []byte, hit bool, err error) {
-	// Timeline requests bypass the cache entirely: the knob is folded out
-	// of the content address (it never changes Metrics), so a timeline
-	// body and its plain twin share a hash — caching either under it would
-	// serve the wrong shape to the other submitter. Like every uncached
-	// submission it still counts as a miss.
-	if rs, _ := j.(spec.RunSpec); rs.Timeline || s.opt.CacheEntries < 0 {
+	// A server without a cache executes every submission, each counted as
+	// a miss.
+	if s.opt.CacheEntries < 0 {
 		s.mu.Lock()
 		s.stats.CacheMisses++
 		s.mu.Unlock()
@@ -429,13 +426,7 @@ func resolve(j spec.Job) (func() (encoder, error), error) {
 		if err != nil {
 			return nil, err
 		}
-		return func() (encoder, error) {
-			res, err := spec.NewResult(run.Spec, run.Execute())
-			if run.Timeline != nil {
-				res.Timeline = run.Timeline.EncodeTraceEvents()
-			}
-			return res, err
-		}, nil
+		return func() (encoder, error) { return spec.NewResult(run.Spec, run.Execute()) }, nil
 	case spec.ServiceSpec:
 		n, err := j.Normalized()
 		if err != nil {

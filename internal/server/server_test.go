@@ -267,18 +267,22 @@ func TestPanickingPlannerDoesNotWedge(t *testing.T) {
 // TestRejections covers the input guards.
 func TestRejections(t *testing.T) {
 	_, ts := newTestServer(t)
-	// Unknown top-level field: the strict decoder must refuse it.
-	resp, err := http.Post(ts.URL+"/run", "application/json",
-		strings.NewReader(`{"scheduler": {"name": "oovr"}, "workload": {"name": "WE"}, "typo": 1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field accepted: HTTP %d", resp.StatusCode)
+	// Unknown top-level fields: the strict decoder must refuse them, stream
+	// and timeline included — a spec carrying either must fail rather than
+	// alias a plain run's content address.
+	for _, field := range []string{`"typo": 1`, `"stream": true`, `"timeline": true`} {
+		resp, err := http.Post(ts.URL+"/run", "application/json",
+			strings.NewReader(`{"scheduler": {"name": "oovr"}, "workload": {"name": "WE"}, `+field+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("unknown field %s accepted: HTTP %d", field, resp.StatusCode)
+		}
 	}
 	// Wrong method.
-	resp, err = http.Get(ts.URL + "/run")
+	resp, err := http.Get(ts.URL + "/run")
 	if err != nil {
 		t.Fatal(err)
 	}

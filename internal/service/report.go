@@ -87,8 +87,9 @@ type Report struct {
 	Cells         []CellReport     `json:"cells"`
 }
 
-// NewReport assembles a Report for the given spec and cells; the spec is
-// normalized and hashed here so every producer agrees on the address.
+// NewReport assembles a Report for the given spec from its cell reports in
+// CellSpecs order, wherever they ran (in-process or on a fleet); the spec
+// is normalized and hashed here so every producer agrees on the address.
 func NewReport(s spec.ServiceSpec, cells []CellReport) (Report, error) {
 	n, err := s.Normalized()
 	if err != nil {

@@ -84,9 +84,6 @@ type RunOptions struct {
 	// Parallel is the number of cells simulated concurrently (<=1 serial).
 	// The assembled Report is byte-identical either way.
 	Parallel int
-	// CellRunner, when set, executes one single-cell spec somewhere else —
-	// the fleet seam. Nil runs RunCell in-process.
-	CellRunner func(spec.ServiceSpec) (CellReport, error)
 }
 
 // Run simulates every cell of the spec and assembles the canonical Report.
@@ -95,10 +92,6 @@ func Run(s spec.ServiceSpec, opt RunOptions) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	runner := opt.CellRunner
-	if runner == nil {
-		runner = RunCell
-	}
 	reports := make([]CellReport, len(cells))
 	errs := make([]error, len(cells))
 	workers := opt.Parallel
@@ -106,7 +99,7 @@ func Run(s spec.ServiceSpec, opt RunOptions) (Report, error) {
 		workers = 1
 	}
 	par.ForEach(workers, len(cells), func(i int) {
-		reports[i], errs[i] = runner(cells[i])
+		reports[i], errs[i] = RunCell(cells[i])
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -114,12 +107,6 @@ func Run(s spec.ServiceSpec, opt RunOptions) (Report, error) {
 		}
 	}
 	return NewReport(s, reports)
-}
-
-// Assemble builds the sweep Report from cell reports produced elsewhere
-// (a fleet), in CellSpecs order.
-func Assemble(s spec.ServiceSpec, cells []CellReport) (Report, error) {
-	return NewReport(s, cells)
 }
 
 // RunCell simulates one single-cell spec to drain.

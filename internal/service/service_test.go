@@ -29,8 +29,8 @@ func smallSpec() spec.ServiceSpec {
 
 // TestServiceSerialParallelIdentical pins the tentpole's determinism claim:
 // the same sweep produces byte-identical canonical Reports run serially,
-// run with parallel cells, and run cell-by-cell through the CellRunner seam
-// (the in-process stand-in for fleet sharding).
+// run with parallel cells, and assembled with NewReport from cells run one
+// by one (the in-process stand-in for fleet sharding).
 func TestServiceSerialParallelIdentical(t *testing.T) {
 	sp := smallSpec()
 	serial, err := Run(sp, RunOptions{})
@@ -41,23 +41,31 @@ func TestServiceSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := Run(sp, RunOptions{CellRunner: func(cell spec.ServiceSpec) (CellReport, error) {
+	cells, err := CellSpecs(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := make([]CellReport, len(cells))
+	for i, cell := range cells {
 		// A fleet worker sees only the standalone cell spec; re-encode it
 		// through its wire form to prove nothing leaks from the sweep.
 		b, err := cell.Canonical()
 		if err != nil {
-			return CellReport{}, err
+			t.Fatal(err)
 		}
 		job, err := spec.DecodeJobBytes(b)
 		if err != nil {
-			return CellReport{}, err
+			t.Fatal(err)
 		}
 		cs, ok := job.(spec.ServiceSpec)
 		if !ok {
-			return CellReport{}, fmt.Errorf("cell did not decode as a service job")
+			t.Fatalf("cell %d did not decode as a service job", i)
 		}
-		return RunCell(cs)
-	}})
+		if reports[i], err = RunCell(cs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sharded, err := NewReport(sp, reports)
 	if err != nil {
 		t.Fatal(err)
 	}

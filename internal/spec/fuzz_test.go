@@ -2,6 +2,8 @@ package spec
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 )
 
@@ -9,7 +11,8 @@ import (
 // endpoint and fleet task goes through. Properties: decoding never panics;
 // a decoded job that canonicalizes decodes again from its canonical bytes,
 // to a job of the same kind with the same canonical bytes (decode →
-// canonical → decode is idempotent); and its content address is the same
+// canonical → decode is idempotent); its content address is the plain
+// SHA-256 of those canonical bytes, for both job kinds; and it is the same
 // before and after the round trip.
 //
 // The seed corpus in testdata/fuzz/FuzzDecodeJobBytes holds the seven
@@ -34,6 +37,9 @@ func FuzzDecodeJobBytes(f *testing.F) {
 		hash, err := job.Hash()
 		if err != nil {
 			t.Fatalf("canonical form exists but hash fails: %v", err)
+		}
+		if sum := sha256.Sum256(canon); hash != hex.EncodeToString(sum[:]) {
+			t.Fatalf("content address %s is not the SHA-256 of the canonical bytes\n%s", hash, canon)
 		}
 		again, err := DecodeJobBytes(canon)
 		if err != nil {

@@ -22,20 +22,10 @@ type Result struct {
 	SpecHash      string           `json:"spec_hash"`
 	Spec          RunSpec          `json:"spec"`
 	Metrics       multigpu.Metrics `json:"metrics"`
-	// Timeline carries the run's encoded trace-event document when the
-	// submitted spec asked for one (spec.Timeline). It rides OUTSIDE the
-	// canonical encoding: the knob is folded out of SpecHash and Spec, the
-	// server never caches timeline bodies, and the encoder's output is
-	// compact pre-escaped JSON so this RawMessage survives a Result
-	// marshal/unmarshal round-trip byte-identically (the fleet path).
-	Timeline json.RawMessage `json:"timeline,omitempty"`
 }
 
 // NewResult assembles a Result for the given spec and metrics; the spec is
 // normalized and hashed here so every producer agrees on the address.
-// Execution-path knobs are folded out of the embedded spec exactly as Hash
-// folds them out of the address: a cached body must be canonical for its
-// content address, never echo whichever submitter happened to run first.
 func NewResult(s RunSpec, m multigpu.Metrics) (Result, error) {
 	n, err := s.Normalized()
 	if err != nil {
@@ -45,8 +35,6 @@ func NewResult(s RunSpec, m multigpu.Metrics) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	n.Stream = false
-	n.Timeline = false
 	return Result{SchemaVersion: ResultSchemaVersion, SpecHash: h, Spec: n, Metrics: m}, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -321,17 +320,8 @@ func (s ServiceSpec) Canonical() ([]byte, error) {
 }
 
 // Hash returns the spec's content address: the hex SHA-256 of the
-// canonical encoding. Unlike RunSpec there is no execution-path knob to
-// fold out — parallelism and sharding are submission options, not spec
-// fields — so the canonical bytes hash directly.
-func (s ServiceSpec) Hash() (string, error) {
-	c, err := s.Canonical()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(c)
-	return hex.EncodeToString(sum[:]), nil
-}
+// canonical encoding.
+func (s ServiceSpec) Hash() (string, error) { return contentAddress(s.Canonical()) }
 
 // CellSeed derives the deterministic RNG seed for one single-cell spec from
 // its content, not its sweep position: the same cell reached serially, in

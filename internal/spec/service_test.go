@@ -92,6 +92,13 @@ func TestDecodeJobBytes(t *testing.T) {
 	if _, err := DecodeJobBytes([]byte(`{"service_version":1,"typo":true}`)); err == nil {
 		t.Error("unknown service field accepted")
 	}
+	// stream and timeline are not spec fields: a spec carrying one fails to
+	// decode rather than alias a plain run's address.
+	for _, knob := range []string{`"stream":true`, `"timeline":true`} {
+		if _, err := DecodeJobBytes([]byte(`{"version":1,"workload":{"name":"HL2-1280"},"scheduler":{"name":"oovr"},` + knob + `}`)); err == nil {
+			t.Errorf("run spec with %s accepted", knob)
+		}
+	}
 	if _, err := DecodeJobBytes([]byte(`{"lambda":3}`)); err == nil {
 		t.Error("service fields without service_version accepted as a run spec")
 	}

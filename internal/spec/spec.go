@@ -21,6 +21,9 @@ import (
 // CurrentVersion is the RunSpec schema version this package encodes and
 // accepts. Bump it on any incompatible field change; decoders reject
 // versions they do not speak, so cached results never alias across schemas.
+// Version 1 no longer accepts "stream" or "timeline" fields, without a
+// bump: a spec without them keeps its canonical bytes and address, and a
+// spec with them fails the strict decoder instead of aliasing.
 const CurrentVersion = 1
 
 // WorkloadRef names the workload of a run. The common form references a
@@ -66,16 +69,6 @@ type RunSpec struct {
 	Frames int `json:"frames,omitempty"`
 	// Seed drives the deterministic workload synthesis (0 normalizes to 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Stream feeds frames through a streaming driver.Session instead of
-	// materializing the scene; metrics are identical either way (the
-	// determinism tests pin it), so this is an execution-path knob.
-	Stream bool `json:"stream,omitempty"`
-	// Timeline records a simulated-time execution trace during the run
-	// (internal/obs.Timeline); the encoded trace rides back on the Result
-	// outside the canonical encoding. Like Stream it is an execution-path
-	// knob: Metrics are identical with or without it (observation never
-	// feeds back), so it does not participate in the content address.
-	Timeline bool `json:"timeline,omitempty"`
 }
 
 // Decode strictly reads one RunSpec from r: unknown fields and trailing
@@ -238,9 +231,9 @@ type Run struct {
 	// enters the canonical Result encoding, so content addresses and golden
 	// fingerprints are untouched.
 	Phases multigpu.PhaseCycles
-	// Timeline is the simulated-time execution trace, populated by Execute
-	// when the spec's Timeline knob is set (nil otherwise). Observational,
-	// like Phases: it never enters the canonical Result encoding.
+	// Timeline, when set before Execute, records the run's simulated-time
+	// execution trace. Observational, like Phases: it never enters the
+	// canonical Result encoding.
 	Timeline *obs.Timeline
 
 	layout LayoutFunc
@@ -343,26 +336,6 @@ func validOptions(opt multigpu.Options) (err error) {
 // this for every registered scheduler).
 func (r *Run) Execute() multigpu.Metrics {
 	c := r.Case
-	if r.Spec.Timeline {
-		r.Timeline = obs.NewTimeline()
-	}
-	if r.Spec.Stream {
-		st := c.Spec.Stream(c.Width, c.Height, r.Spec.Frames, r.Spec.Seed)
-		sys := multigpu.New(r.Options, st.Header())
-		sys.AttachTimeline(r.Timeline)
-		r.layout(sys)
-		ses := driver.Open(sys, r.Planner)
-		for {
-			f, ok := st.Next()
-			if !ok {
-				break
-			}
-			ses.SubmitFrame(f)
-		}
-		m := ses.Close()
-		r.Phases = ses.Phases()
-		return m
-	}
 	sc := c.Spec.Generate(c.Width, c.Height, r.Spec.Frames, r.Spec.Seed)
 	sys := multigpu.New(r.Options, sc)
 	sys.AttachTimeline(r.Timeline)
@@ -393,25 +366,16 @@ func (s RunSpec) Canonical() ([]byte, error) {
 }
 
 // Hash returns the spec's content address: the hex SHA-256 of the
-// canonical encoding with execution-path knobs folded out. Stream does not
-// participate — batch and streamed runs produce byte-identical Metrics
-// (pinned by the determinism tests) — so the same configuration submitted
-// either way shares one cache entry. Timeline is folded out for the same
-// reason (recording never perturbs Metrics); the server bypasses its
-// result cache for timeline requests so the folded address never serves
-// a cached body without its trace.
-func (s RunSpec) Hash() (string, error) {
-	n, err := s.Normalized()
+// canonical encoding.
+func (s RunSpec) Hash() (string, error) { return contentAddress(s.Canonical()) }
+
+// contentAddress hashes a job's canonical encoding (or passes on the error
+// that kept it from having one).
+func contentAddress(canon []byte, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	n.Stream = false
-	n.Timeline = false
-	c, err := json.Marshal(n)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(c)
+	sum := sha256.Sum256(canon)
 	return hex.EncodeToString(sum[:]), nil
 }
 

@@ -32,8 +32,7 @@ func imperativePlanners() map[string]driver.Planner {
 
 // TestSpecMatchesImperative is the tentpole equivalence guarantee: a
 // RunSpec-driven run produces byte-identical Metrics to the equivalent
-// imperative oovr.* calls, for all seven registered schedulers, through
-// both the batch and the streaming execution paths.
+// imperative oovr.* calls, for all seven registered schedulers.
 func TestSpecMatchesImperative(t *testing.T) {
 	c, ok := workload.CaseByName("DM3-640")
 	if !ok {
@@ -44,27 +43,23 @@ func TestSpecMatchesImperative(t *testing.T) {
 		sc := c.Spec.Generate(c.Width, c.Height, frames, seed)
 		want := driver.Run(multigpu.New(multigpu.DefaultOptions(), sc), p)
 
-		for _, stream := range []bool{false, true} {
-			s := RunSpec{
-				Workload:  WorkloadRef{Name: c.Name},
-				Scheduler: SchedulerRef{Name: name},
-				Frames:    frames,
-				Seed:      seed,
-				Stream:    stream,
-			}
-			got, err := s.Run()
-			if err != nil {
-				t.Fatalf("%s (stream=%v): %v", name, stream, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s (stream=%v): spec-driven metrics diverged from imperative run\n got %+v\nwant %+v",
-					name, stream, got, want)
-			}
-			gb, _ := json.Marshal(got)
-			wb, _ := json.Marshal(want)
-			if !bytes.Equal(gb, wb) {
-				t.Errorf("%s (stream=%v): canonical metric bytes differ", name, stream)
-			}
+		s := RunSpec{
+			Workload:  WorkloadRef{Name: c.Name},
+			Scheduler: SchedulerRef{Name: name},
+			Frames:    frames,
+			Seed:      seed,
+		}
+		got, err := s.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: spec-driven metrics diverged from imperative run\n got %+v\nwant %+v", name, got, want)
+		}
+		gb, _ := json.Marshal(got)
+		wb, _ := json.Marshal(want)
+		if !bytes.Equal(gb, wb) {
+			t.Errorf("%s: canonical metric bytes differ", name)
 		}
 	}
 }
@@ -77,7 +72,6 @@ func randomSpec(rng *rand.Rand) RunSpec {
 		Scheduler: SchedulerRef{Name: names[rng.Intn(len(names))]},
 		Frames:    rng.Intn(6),
 		Seed:      rng.Int63n(5),
-		Stream:    rng.Intn(2) == 0,
 	}
 	wls := WorkloadNames()
 	if rng.Intn(4) == 0 {
@@ -197,9 +191,6 @@ func TestAliasAndCaseInsensitiveHash(t *testing.T) {
 		{Workload: WorkloadRef{Name: "WE"}, Scheduler: SchedulerRef{Name: "OOVR"}},
 		{Workload: WorkloadRef{Name: "WE"}, Scheduler: SchedulerRef{Name: "oo-vr"}},
 		{Workload: WorkloadRef{Name: "WE"}, Scheduler: SchedulerRef{Name: "oovr"}, Placement: "Striped"},
-		// The execution path does not change the metrics, so it must not
-		// change the content address either.
-		{Workload: WorkloadRef{Name: "WE"}, Scheduler: SchedulerRef{Name: "oovr"}, Stream: true},
 		// Semantically-empty params mean the defaults, like no params.
 		{Workload: WorkloadRef{Name: "WE"}, Scheduler: SchedulerRef{Name: "oovr", Params: json.RawMessage("null")}},
 		{Workload: WorkloadRef{Name: "WE"}, Scheduler: SchedulerRef{Name: "oovr", Params: json.RawMessage("{}")}},
@@ -392,28 +383,6 @@ func TestPlacementLayouts(t *testing.T) {
 	}
 	if striped.RemoteTextureBytes == homed.RemoteTextureBytes {
 		t.Errorf("gpm0 layout did not change remote texture traffic (%.0f bytes)", homed.RemoteTextureBytes)
-	}
-}
-
-// TestResultFoldsStream pins that the embedded result spec is canonical
-// for its content address: two submitters differing only in the execution
-// path share one cached body, so that body must not echo either's Stream.
-func TestResultFoldsStream(t *testing.T) {
-	s := RunSpec{Workload: WorkloadRef{Name: "WE"}, Scheduler: SchedulerRef{Name: "baseline"}, Frames: 1, Stream: true}
-	m, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := NewResult(s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Spec.Stream {
-		t.Error("result spec kept the Stream knob the content address folds out")
-	}
-	h, _ := s.Hash()
-	if res.SpecHash != h {
-		t.Errorf("result hash %s differs from the spec's content address %s", res.SpecHash, h)
 	}
 }
 

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"oovr/internal/multigpu"
+	"oovr/internal/obs"
 	"oovr/internal/par"
 )
 
 // timelineSpec is the canonical x-ray target: HL2-1280 under OO-VR on a
-// ring (shared hops make link contention visible), streamed.
+// ring (shared hops make link contention visible).
 func timelineSpec() RunSpec {
 	opt := multigpu.DefaultOptions()
 	opt.Config = opt.Config.WithTopology("ring")
@@ -19,79 +20,33 @@ func timelineSpec() RunSpec {
 		Hardware:  &opt,
 		Frames:    4,
 		Seed:      1,
-		Stream:    true,
-		Timeline:  true,
-	}
-}
-
-// TestTimelineKnobFoldedFromAddress pins that Timeline, like Stream, is
-// an execution-path knob: it changes neither the content address nor the
-// canonical Result's embedded spec.
-func TestTimelineKnobFoldedFromAddress(t *testing.T) {
-	s := timelineSpec()
-	plain := s
-	plain.Timeline = false
-	h1, err := s.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := plain.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Fatalf("Timeline changed the content address: %s vs %s", h1, h2)
-	}
-	res, err := NewResult(s, multigpu.Metrics{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Spec.Timeline {
-		t.Fatal("NewResult echoed the Timeline knob into the canonical embedded spec")
-	}
-	eh, err := res.Spec.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eh != res.SpecHash {
-		t.Fatalf("embedded spec hashes to %s, result claims %s", eh, res.SpecHash)
 	}
 }
 
 // TestTimelineDeterministicAcrossPaths pins the x-ray invariants: the
-// same spec records the same event stream whether executed streamed,
-// batched, serially or concurrently — and recording never perturbs the
-// Metrics (observation feeds nothing back).
+// same spec records the same event stream whether executed serially or
+// concurrently — and recording never perturbs the Metrics (observation
+// feeds nothing back). The batch and session entry points are pinned
+// against each other in internal/experiments.
 func TestTimelineDeterministicAcrossPaths(t *testing.T) {
-	runOne := func(s RunSpec) (*Run, multigpu.Metrics) {
-		r, err := s.Resolve()
+	runOne := func(tl *obs.Timeline) multigpu.Metrics {
+		r, err := timelineSpec().Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := r.Execute()
-		return r, m
+		r.Timeline = tl
+		return r.Execute()
 	}
 
-	ref, refM := runOne(timelineSpec())
-	if ref.Timeline == nil || len(ref.Timeline.Events()) == 0 {
+	ref := obs.NewTimeline()
+	refM := runOne(ref)
+	if len(ref.Events()) == 0 {
 		t.Fatal("timeline run recorded nothing")
 	}
-	if d := ref.Timeline.Dropped(); d != 0 {
+	if d := ref.Dropped(); d != 0 {
 		t.Fatalf("reference run overflowed the ring (%d dropped); the golden would be unstable", d)
 	}
-	refFP := ref.Timeline.Fingerprint()
-
-	// Batch path (Stream=false) executes through driver.Run instead of a
-	// session; the recording must be identical.
-	batch := timelineSpec()
-	batch.Stream = false
-	b, bm := runOne(batch)
-	if got := b.Timeline.Fingerprint(); got != refFP {
-		t.Fatalf("batch path fingerprint %s != streamed %s", got, refFP)
-	}
-	if !reflect.DeepEqual(bm, refM) {
-		t.Fatal("batch metrics diverged from streamed metrics")
-	}
+	refFP := ref.Fingerprint()
 
 	// Concurrent executions (each run owns its recorder) must all match.
 	const n = 6
@@ -102,6 +57,7 @@ func TestTimelineDeterministicAcrossPaths(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		r.Timeline = obs.NewTimeline()
 		r.Execute()
 		fps[i] = r.Timeline.Fingerprint()
 	})
@@ -113,13 +69,7 @@ func TestTimelineDeterministicAcrossPaths(t *testing.T) {
 
 	// Observation never feeds back: a recording run's Metrics are exactly
 	// a plain run's.
-	plain := timelineSpec()
-	plain.Timeline = false
-	p, pm := runOne(plain)
-	if p.Timeline != nil {
-		t.Fatal("plain run grew a timeline")
-	}
-	if !reflect.DeepEqual(pm, refM) {
+	if pm := runOne(nil); !reflect.DeepEqual(pm, refM) {
 		t.Fatal("recording perturbed the Metrics")
 	}
 }
