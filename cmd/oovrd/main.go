@@ -64,23 +64,12 @@ func main() {
 	name := flag.String("name", "", "worker name (default host-pid)")
 	chaosFlag := flag.String("chaos", "", "worker fault injection: crash=P,stall=P,corrupt=P,seed=N")
 	quiet := flag.Bool("quiet", false, "suppress the per-request access log")
-	tracePath := flag.String("trace", "", "append structured JSONL trace events (run lifecycle, lease timelines) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this extra address (off when empty)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *tracePath != "" {
-		f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		tr := obs.NewTracer(f)
-		obs.SetTracer(tr)
-		defer tr.Close()
-	}
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr)
 	}
@@ -168,17 +157,13 @@ func serve(ctx context.Context, addr string, workers, cache int, lease, drain ti
 	case <-ctx.Done():
 	}
 	fmt.Println("oovrd draining")
-	obs.Active().Emit("shutdown", obs.F{K: "role", V: "coordinator"})
 	coord.Drain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	// The tracer autoflushes at most once a second; a drain shorter than
-	// that window would otherwise lose the tail events (including the
-	// shutdown marker above) between here and process exit.
-	return obs.Active().Flush()
+	return nil
 }
 
 // runWorker pulls leased specs from the coordinator and executes them
@@ -232,12 +217,5 @@ func runWorker(ctx context.Context, coordinator, name, chaosFlag string, workers
 		fmt.Printf("oovrd worker metrics on %s\n", obsAddr)
 	}
 	fmt.Printf("oovrd worker %s pulling from %s (%d slots, chaos %q)\n", name, coordinator, workers, chaosFlag)
-	err = w.Run(ctx)
-	// Flush the trace tail for the same reason serve does: the final
-	// lease's events may still sit inside the 1s autoflush window.
-	obs.Active().Emit("shutdown", obs.F{K: "role", V: "worker"})
-	if ferr := obs.Active().Flush(); err == nil {
-		err = ferr
-	}
-	return err
+	return w.Run(ctx)
 }

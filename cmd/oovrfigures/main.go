@@ -51,7 +51,6 @@ import (
 	"oovr/internal/fleet"
 	"oovr/internal/gpu"
 	"oovr/internal/multigpu"
-	"oovr/internal/obs"
 	"oovr/internal/service"
 	"oovr/internal/spec"
 	"oovr/internal/stats"
@@ -69,18 +68,7 @@ func main() {
 	specPath := flag.String("spec", "", "RunSpec file used as the experiment template (hardware, frames, seed, workload)")
 	dumpSpec := flag.Bool("dump-spec", false, "print the scheduler-by-case job matrix as a RunSpec array and exit")
 	fleetURL := flag.String("fleet", "", "execute every simulation via the fleet coordinator at this base URL")
-	tracePath := flag.String("trace", "", "append structured JSONL trace events (per-case run lifecycle) to this file")
 	flag.Parse()
-
-	if *tracePath != "" {
-		f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fail(err)
-		}
-		tr := obs.NewTracer(f)
-		obs.SetTracer(tr)
-		defer tr.Close()
-	}
 
 	opt := experiments.Options{Frames: *frames, Seed: *seed, Parallel: *parallel}
 	if *fleetURL != "" {

@@ -75,22 +75,11 @@ func main() {
 	dumpSpec := flag.Bool("dump-spec", false, "print the run's RunSpec (JSON) and exit without simulating")
 	jsonOut := flag.Bool("json", false, "with -service: print the canonical Report JSON instead of the table")
 	verbose := flag.Bool("v", false, "also print the frame-phase breakdown, sim-time occupancy and per-link interconnect statistics")
-	tracePath := flag.String("trace", "", "append structured JSONL trace events (run lifecycle, per-frame phases) to this file")
 	timelinePath := flag.String("timeline", "", "write the run's simulated-time execution trace (Chrome trace-event / Perfetto JSON) to this file")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "unexpected arguments:", flag.Args())
 		os.Exit(2)
-	}
-
-	if *tracePath != "" {
-		f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fail(err)
-		}
-		tr := obs.NewTracer(f)
-		obs.SetTracer(tr)
-		defer tr.Close()
 	}
 
 	// A timeline records an in-process run; a fleet result carries only

@@ -215,7 +215,6 @@ func (l *FrameLoop) RunFrame(f *scene.Frame) sim.Time {
 		barrierStart = l.sys.BeginFrame()
 	}
 	ob, _ := l.fp.(Observer)
-	phasesBefore := l.sys.Phases()
 
 	var frameStart, frameEnd sim.Time
 	started := false
@@ -269,7 +268,6 @@ func (l *FrameLoop) RunFrame(f *scene.Frame) sim.Time {
 			l.tl.Span(l.tlFrames, "frame", int64(frameStart), int64(frameEnd),
 				obs.Arg{K: "frame", V: int64(fi)}, obs.Arg{K: "latency", V: int64(frameEnd - frameStart)})
 		}
-		l.traceFrame(fi, frameEnd-frameStart, phasesBefore)
 		return frameEnd
 	}
 	end := l.sys.EndFrame()
@@ -277,28 +275,7 @@ func (l *FrameLoop) RunFrame(f *scene.Frame) sim.Time {
 		l.tl.Span(l.tlFrames, "frame", int64(barrierStart), int64(end),
 			obs.Arg{K: "frame", V: int64(fi)}, obs.Arg{K: "latency", V: int64(end - barrierStart)})
 	}
-	l.traceFrame(fi, end-barrierStart, phasesBefore)
 	return end
-}
-
-// traceFrame emits one per-frame event to the process tracer: the frame's
-// latency and its phase-cycle breakdown since the previous frame. The nil
-// check keeps the steady-state loop allocation-free when tracing is off
-// (the fields slice is only built inside the branch).
-func (l *FrameLoop) traceFrame(fi int, latency sim.Time, before multigpu.PhaseCycles) {
-	tr := obs.Active()
-	if tr == nil {
-		return
-	}
-	p := l.sys.Phases()
-	tr.Emit("frame",
-		obs.F{K: "scheme", V: l.name},
-		obs.F{K: "frame", V: fi},
-		obs.F{K: "latency_cycles", V: int64(latency)},
-		obs.F{K: "ship_cycles", V: int64(p.Ship - before.Ship)},
-		obs.F{K: "migrate_cycles", V: int64(p.Migrate - before.Migrate)},
-		obs.F{K: "execute_cycles", V: int64(p.Execute - before.Execute)},
-		obs.F{K: "compose_cycles", V: int64(p.Compose - before.Compose)})
 }
 
 // maxNextFree returns the latest GPM availability — the loop's notion of

@@ -12,12 +12,10 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"oovr/internal/core"
 	"oovr/internal/driver"
 	"oovr/internal/multigpu"
-	"oovr/internal/obs"
 	"oovr/internal/pipeline"
 	"oovr/internal/scene"
 	"oovr/internal/service"
@@ -121,34 +119,13 @@ func runCase(c workload.Case, scheduler string, params json.RawMessage, sysOpt m
 // fatal for the same reason a local one is — the harness submits only
 // specs it built itself, so the remaining causes (fleet quarantine,
 // integrity mismatch, a dead coordinator) all invalidate the figure.
-// Every case's lifecycle reports to the process tracer (-trace): figures
-// runs are the longest the repo has, and per-case begin/done events are
-// what makes a stalled sweep diagnosable.
 func (o Options) runCase(c workload.Case, scheduler string, params json.RawMessage, sysOpt multigpu.Options, frames int, seed int64) multigpu.Metrics {
-	tr := obs.Active()
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-		tr.Emit("case_run",
-			obs.F{K: "workload", V: c.Name},
-			obs.F{K: "scheduler", V: scheduler},
-			obs.F{K: "remote", V: o.Runner != nil})
-	}
-	var m multigpu.Metrics
 	if o.Runner == nil {
-		m = runCase(c, scheduler, params, sysOpt, frames, seed)
-	} else {
-		var err error
-		m, err = o.Runner(caseSpec(c, scheduler, params, sysOpt, frames, seed))
-		if err != nil {
-			panic(err)
-		}
+		return runCase(c, scheduler, params, sysOpt, frames, seed)
 	}
-	if tr != nil {
-		tr.Emit("case_done",
-			obs.F{K: "workload", V: c.Name},
-			obs.F{K: "scheduler", V: scheduler},
-			obs.F{K: "wall_ms", V: time.Since(t0).Milliseconds()})
+	m, err := o.Runner(caseSpec(c, scheduler, params, sysOpt, frames, seed))
+	if err != nil {
+		panic(err)
 	}
 	return m
 }

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"strconv"
-	"time"
 
-	"oovr/internal/obs"
 	"oovr/internal/service"
 	"oovr/internal/spec"
 	"oovr/internal/stats"
@@ -49,17 +47,8 @@ func fsSpec(scheduler string, seed int64) spec.ServiceSpec {
 // default, or o.ServiceRunner (a fleet) when set. Reports are
 // content-addressed per cell, so a remote runner returns byte-identical
 // cells to a local one, and a failure invalidates the figure the same way a
-// runCase failure does. Lifecycle events report to the process tracer
-// (-trace) like runCase's do.
+// runCase failure does.
 func (o Options) runService(sp spec.ServiceSpec) service.Report {
-	tr := obs.Active()
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-		tr.Emit("service_run",
-			obs.F{K: "scheduler", V: sp.Scheduler.Name},
-			obs.F{K: "remote", V: o.ServiceRunner != nil})
-	}
 	var rep service.Report
 	var err error
 	if o.ServiceRunner != nil {
@@ -69,12 +58,6 @@ func (o Options) runService(sp spec.ServiceSpec) service.Report {
 	}
 	if err != nil {
 		panic(err)
-	}
-	if tr != nil {
-		tr.Emit("service_done",
-			obs.F{K: "scheduler", V: sp.Scheduler.Name},
-			obs.F{K: "cells", V: len(rep.Cells)},
-			obs.F{K: "wall_ms", V: time.Since(t0).Milliseconds()})
 	}
 	return rep
 }

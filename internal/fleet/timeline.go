@@ -8,10 +8,9 @@ import (
 )
 
 // TimelineEvent is one entry in the coordinator's flight record: a bounded
-// in-memory ring of lease-lifecycle events, served by GET /fleet/timeline
-// and mirrored to the process tracer when one is installed. The record
-// answers the operator question the counters cannot — not "how many leases
-// expired" but "what happened to THIS spec": submit → lease → renew…
+// in-memory ring of lease-lifecycle events, served by GET /fleet/timeline.
+// The record answers the operator question the counters cannot — not "how
+// many leases expired" but "what happened to THIS spec": submit → lease → renew…
 // → expire → lease (retry) → speculate → complete, per content address.
 type TimelineEvent struct {
 	// Seq orders events totally (the ring drops old events; gaps in Seq
@@ -33,8 +32,7 @@ type TimelineEvent struct {
 // so a long-lived coordinator keeps the recent past, not the whole run.
 const timelineCap = 4096
 
-// record appends one event to the flight record and mirrors it to the
-// process tracer. Called with mu held.
+// record appends one event to the flight record. Called with mu held.
 func (c *Coordinator) record(kind, hash, worker string, lease int64, attempt int, detail string) {
 	now := c.opt.now()
 	c.evSeq++
@@ -53,12 +51,6 @@ func (c *Coordinator) record(kind, hash, worker string, lease int64, attempt int
 	} else {
 		c.events[c.evNext] = ev
 		c.evNext = (c.evNext + 1) % timelineCap
-	}
-	if tr := obs.Active(); tr != nil {
-		tr.Emit("fleet_"+kind,
-			obs.F{K: "hash", V: hash}, obs.F{K: "worker", V: worker},
-			obs.F{K: "lease", V: lease}, obs.F{K: "attempt", V: attempt},
-			obs.F{K: "detail", V: detail})
 	}
 }
 

@@ -242,29 +242,3 @@ func TestWorkerMetrics(t *testing.T) {
 		}
 	}
 }
-
-// TestTimelineFeedsTracer pins the tracer mirror: with a tracer installed,
-// coordinator events also land in the JSONL stream.
-func TestTimelineFeedsTracer(t *testing.T) {
-	var sink strings.Builder
-	obs.SetTracer(obs.NewTracer(&sink))
-	defer obs.SetTracer(nil)
-
-	c, _ := testCoordinator(t, CoordinatorOptions{LeaseTTL: time.Second})
-	rs := mkSpec(1)
-	c.Submit([]spec.RunSpec{rs})
-	g, _ := c.Lease("w1")
-	c.Complete(g.Lease, mkResult(t, rs))
-	obs.Active().Flush()
-
-	for _, kind := range []string{"fleet_submit", "fleet_lease", "fleet_complete"} {
-		if !strings.Contains(sink.String(), `"kind":"`+kind+`"`) {
-			t.Errorf("trace missing %s events:\n%s", kind, sink.String())
-		}
-	}
-	var ev map[string]any
-	line := strings.SplitN(sink.String(), "\n", 2)[0]
-	if err := json.Unmarshal([]byte(line), &ev); err != nil {
-		t.Fatalf("trace line is not JSON: %v\n%s", err, line)
-	}
-}

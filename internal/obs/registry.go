@@ -1,10 +1,11 @@
 // Package obs is the zero-dependency observability layer: a metrics
 // registry with Prometheus text exposition (registry.go, expose.go), a
-// structured JSONL span/event tracer (trace.go), and an HTTP access-log
-// middleware (httplog.go). Every other package instruments through it;
-// nothing in it feeds back into simulation state — observation is strictly
-// read-only, which is what keeps the golden fingerprints byte-identical
-// with instrumentation compiled in (DESIGN.md §12 states the rules).
+// simulated-time span recorder with Perfetto export (timeline.go,
+// traceevent.go), and an HTTP access-log middleware (httplog.go). Every
+// other package instruments through it; nothing in it feeds back into
+// simulation state — observation is strictly read-only, which is what
+// keeps the golden fingerprints byte-identical with instrumentation
+// compiled in (DESIGN.md §12 states the rules).
 //
 // The increment paths (Counter.Inc/Add, Gauge.Set/Add, Histogram.Observe)
 // are lock-free atomics and allocate nothing, so they are safe on the

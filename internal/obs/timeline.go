@@ -2,9 +2,9 @@ package obs
 
 // Timeline records simulated-time execution spans on named lanes: which
 // GPM ran which task when, which link carried which flow, where a frame
-// begins and ends. Unlike Tracer (wall-clock JSONL for the *process*),
-// Timeline ticks on the simulator's virtual clock and is replayed after
-// the run into a Chrome trace-event / Perfetto file (traceevent.go).
+// begins and ends. Timeline ticks on the simulator's virtual clock and is
+// replayed after the run into a Chrome trace-event / Perfetto file
+// (traceevent.go).
 //
 // The recorder follows the observation-never-feeds-back rule: it is fed
 // values the simulation already computed and returns nothing the

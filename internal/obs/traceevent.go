@@ -18,6 +18,7 @@ package obs
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"strconv"
 )
 
@@ -36,6 +37,15 @@ func (e *teEncoder) next() {
 
 func (e *teEncoder) str(s string) {
 	e.b, _ = appendJSON(e.b, s)
+}
+
+// appendJSON appends v's compact JSON encoding to b.
+func appendJSON(b []byte, v any) ([]byte, error) {
+	enc, err := json.Marshal(v)
+	if err != nil {
+		return b, err
+	}
+	return append(b, enc...), nil
 }
 
 func (e *teEncoder) i64(v int64) {

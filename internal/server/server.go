@@ -274,7 +274,7 @@ func (s *Server) answer(ctx context.Context, j spec.Job, hash string) (body []by
 		s.mu.Lock()
 		s.stats.CacheMisses++
 		s.mu.Unlock()
-		body, err = s.execute(ctx, j, hash)
+		body, err = s.execute(ctx, j)
 		return body, false, err
 	}
 
@@ -297,7 +297,7 @@ func (s *Server) answer(ctx context.Context, j spec.Job, hash string) (body []by
 	s.stats.CacheMisses++
 	s.mu.Unlock()
 
-	e.body, e.err = s.execute(ctx, j, hash)
+	e.body, e.err = s.execute(ctx, j)
 	s.mu.Lock()
 	if e.err != nil {
 		// Failed runs do not stay addressable; a corrected resubmission
@@ -366,19 +366,16 @@ func IsExecError(err error) bool {
 // in-flight cache entry nor crash a /batch goroutine. The context gates
 // slot acquisition only: once a job holds a slot it completes (and lands
 // in the cache) — a simulation cannot be unwound halfway.
-func (s *Server) execute(ctx context.Context, j spec.Job, hash string) (body []byte, err error) {
-	// A service job's trace events carry service=true, so one trace tells
-	// the two kinds apart.
-	what, tag := "run", []obs.F{{K: "hash", V: hash}}
+func (s *Server) execute(ctx context.Context, j spec.Job) (body []byte, err error) {
+	what := "run"
 	if _, ok := j.(spec.ServiceSpec); ok {
-		what, tag = "service run", append(tag, obs.F{K: "service", V: true})
+		what = "service run"
 	}
 	defer func() {
 		if p := recover(); p != nil {
 			err = execError{fmt.Errorf("%s panicked: %v", what, p)}
 		}
 	}()
-	obs.Active().Emit("run_resolve", tag...)
 	run, err := resolve(j)
 	if err != nil {
 		return nil, err
@@ -392,17 +389,14 @@ func (s *Server) execute(ctx context.Context, j spec.Job, hash string) (body []b
 		return nil, fmt.Errorf("abandoned waiting for an execution slot: %w", ctx.Err())
 	}
 	defer func() { <-s.sem }()
-	obs.Active().Emit("run_execute", tag...)
 	t0 := time.Now()
 	out, err := run()
 	if err != nil {
 		return nil, execError{err}
 	}
-	dur := time.Since(t0)
 	if s.runDur != nil {
-		s.runDur.Observe(dur.Seconds())
+		s.runDur.Observe(time.Since(t0).Seconds())
 	}
-	obs.Active().Emit("run_collect", append(tag, obs.F{K: "wall_ms", V: dur.Milliseconds()})...)
 	s.mu.Lock()
 	s.stats.Runs++
 	s.mu.Unlock()

@@ -159,6 +159,9 @@ func TestSingleFlight(t *testing.T) {
 // past hashing the spec: Result must not box the RunSpec into a spec.Job
 // on the heap before the lookup.
 func TestCacheHitAllocatesOnlyTheHash(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled JSON encoders at random under -race; allocation counts are not deterministic")
+	}
 	s := New(Options{Workers: 1})
 	rs := spec.RunSpec{
 		Workload:  spec.WorkloadRef{Name: "DM3-640"},

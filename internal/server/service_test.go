@@ -100,7 +100,13 @@ func TestServiceRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, body := range map[string][]byte{"unknown router": badRouter, "RunSpec body": runSpec} {
+	plain, err := json.Marshal(smallService())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// telemetry is not a spec field: the strict decoder refuses it.
+	telemetry := append(bytes.TrimSuffix(plain, []byte("}")), `,"telemetry":{"sample_ms":5}}`...)
+	for name, body := range map[string][]byte{"unknown router": badRouter, "RunSpec body": runSpec, "telemetry": telemetry} {
 		resp, out := postService(t, ts.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400: %s", name, resp.StatusCode, out)
@@ -112,7 +118,7 @@ func TestServiceRejections(t *testing.T) {
 			t.Errorf("%s: body %s is not an error element", name, out)
 		}
 	}
-	if st := srv.Stats(); st.Runs != 0 || st.Errors != 2 {
-		t.Errorf("stats after two rejections: %+v", st)
+	if st := srv.Stats(); st.Runs != 0 || st.Errors != 3 {
+		t.Errorf("stats after three rejections: %+v", st)
 	}
 }

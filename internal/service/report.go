@@ -54,25 +54,6 @@ type CellReport struct {
 	// admitted to the node, and busy time over the cell's makespan.
 	NodeSessions    []int     `json:"node_sessions,omitempty"`
 	NodeUtilization []float64 `json:"node_utilization,omitempty"`
-	// Samples is the per-cell time series, present only when the spec opts
-	// in via telemetry. Sampling is observational: the simulated numbers are
-	// byte-identical with and without it.
-	Samples []CellSample `json:"samples,omitempty"`
-}
-
-// CellSample is one telemetry observation of a running cell, taken every
-// telemetry.sample_ms of virtual time.
-type CellSample struct {
-	// TMs is the virtual instant the sample describes.
-	TMs float64 `json:"t_ms"`
-	// Active is the number of resident sessions across the cluster.
-	Active int `json:"active"`
-	// MaxBacklogMs is the deepest node queue: the longest any node's serial
-	// renderer is booked past the sample instant.
-	MaxBacklogMs float64 `json:"max_backlog_ms"`
-	// P99Ms is the rolling p99 frame latency over every frame rendered so
-	// far (nearest-rank; 0 before the first frame).
-	P99Ms float64 `json:"p99_ms"`
 }
 
 // Report is the versioned outcome of a ServiceSpec: the normalized spec it

@@ -206,10 +206,6 @@ type Cell struct {
 	latencies []float64
 	makespan  float64
 
-	// telemetry (0 sampleMs = off; one branch on the hot path)
-	sampleMs   float64
-	nextSample float64
-
 	// tl, when attached, records session-lifecycle lanes: admit/reject
 	// instants on a cluster admission lane, frame spans and drop/evict
 	// instants on per-node lanes. Lane time is virtual microseconds
@@ -273,10 +269,6 @@ func OpenCell(s spec.ServiceSpec) (*Cell, error) {
 		return nil, err
 	}
 	c := &Cell{sp: n, router: router, periodMs: 1000 / n.RefreshHz, deadline: n.DeadlineMs}
-	if n.Telemetry != nil {
-		c.sampleMs = n.Telemetry.SampleMs
-		c.nextSample = c.sampleMs
-	}
 	for gi, g := range n.Nodes {
 		opts := *g.Hardware
 		graph, err := topo.Build(opts.Config.TopologyParams())
@@ -437,12 +429,6 @@ func (c *Cell) Step() bool {
 		return false
 	}
 	e := c.pop()
-	if c.sampleMs > 0 {
-		for e.t >= c.nextSample {
-			c.sample(c.nextSample)
-			c.nextSample += c.sampleMs
-		}
-	}
 	switch e.kind {
 	case evArrival:
 		c.arrive(int(e.sess), e.t)
@@ -591,20 +577,6 @@ func (c *Cell) renderFrame(s *session, e event) {
 		return
 	}
 	c.push(event{t: s.due0 + float64(s.next)*c.periodMs, kind: evFrame, seq: c.nextSeq(), sess: e.sess})
-}
-
-// sample records one telemetry observation at virtual instant t. Samples
-// are taken between events — the state they see is exactly the state every
-// event after t would see — so the series is as deterministic as the
-// simulation itself, and never feeds back into it.
-func (c *Cell) sample(t float64) {
-	s := CellSample{TMs: t, Active: c.active, P99Ms: percentile(c.latencies, 0.99)}
-	for i := range c.nodes {
-		if b := c.nodes[i].freeAt - t; b > s.MaxBacklogMs {
-			s.MaxBacklogMs = b
-		}
-	}
-	c.rep.Samples = append(c.rep.Samples, s)
 }
 
 // endSession retires a session — completed its duration, or evicted after

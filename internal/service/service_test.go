@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"oovr/internal/obs"
 	"oovr/internal/spec"
 )
 
@@ -30,7 +31,8 @@ func smallSpec() spec.ServiceSpec {
 // TestServiceSerialParallelIdentical pins the tentpole's determinism claim:
 // the same sweep produces byte-identical canonical Reports run serially,
 // run with parallel cells, and assembled with NewReport from cells run one
-// by one (the in-process stand-in for fleet sharding).
+// by one (the in-process stand-in for fleet sharding) with a Timeline
+// recording each cell's session lanes.
 func TestServiceSerialParallelIdentical(t *testing.T) {
 	sp := smallSpec()
 	serial, err := Run(sp, RunOptions{})
@@ -61,9 +63,20 @@ func TestServiceSerialParallelIdentical(t *testing.T) {
 		if !ok {
 			t.Fatalf("cell %d did not decode as a service job", i)
 		}
-		if reports[i], err = RunCell(cs); err != nil {
+		// Record the session lanes on this path: observation must not
+		// move a byte of the Report.
+		c, err := OpenCell(cs)
+		if err != nil {
 			t.Fatal(err)
 		}
+		tl := obs.NewTimeline()
+		c.AttachTimeline(tl)
+		for c.Step() {
+		}
+		if len(tl.Events()) == 0 {
+			t.Errorf("cell %d recorded no session events", i)
+		}
+		reports[i] = c.Report()
 	}
 	sharded, err := NewReport(sp, reports)
 	if err != nil {

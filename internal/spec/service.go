@@ -17,6 +17,11 @@ import (
 // accepts. The field doubles as the document discriminator: a RunSpec never
 // carries service_version, so the two spec kinds are distinguishable under
 // strict decoding (DecodeJobBytes probes it).
+//
+// The version stayed 1 when the telemetry field was removed: a spec
+// without it keeps byte-identical canonical bytes, content address and
+// cell seeds, and a spec with it fails strict decoding rather than
+// aliasing onto a different document.
 const ServiceVersion = 1
 
 // NodeGroup describes a homogeneous slice of the simulated cluster: Count
@@ -32,17 +37,6 @@ type NodeGroup struct {
 type SessionMix struct {
 	Workload string  `json:"workload"`
 	Weight   float64 `json:"weight,omitempty"`
-}
-
-// TelemetryRef opts a service run into per-cell time-series sampling: the
-// cell records a CellSample (active sessions, node backlog, rolling p99)
-// every SampleMs of virtual time and attaches the series to its CellReport.
-// Telemetry is observational — it participates in the spec's content address
-// (a sampled run is a different artifact) but is folded out of CellSeed, so
-// the random draws, and therefore every simulated number, are identical with
-// and without it.
-type TelemetryRef struct {
-	SampleMs float64 `json:"sample_ms,omitempty"`
 }
 
 // RouterRef names the session→node routing policy and its factory params.
@@ -109,11 +103,6 @@ type ServiceSpec struct {
 	MaxSessionsPerNode int `json:"max_sessions_per_node,omitempty"`
 	// Router is the session→node routing policy.
 	Router RouterRef `json:"router"`
-	// Telemetry, when set, attaches per-cell time-series samples to the
-	// Report. Absent from the canonical form when nil, so pre-existing spec
-	// content addresses are unchanged; excluded from CellSeed, so it never
-	// perturbs the simulation's draws.
-	Telemetry *TelemetryRef `json:"telemetry,omitempty"`
 	// Seed drives every random draw — arrivals, mixes, durations, session
 	// seeds (0 normalizes to 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -234,10 +223,6 @@ func (s ServiceSpec) Normalized() (ServiceSpec, error) {
 	if n.Seed == 0 {
 		n.Seed = 1
 	}
-	if n.Telemetry != nil {
-		t := *n.Telemetry
-		n.Telemetry = &t
-	}
 	return n, nil
 }
 
@@ -303,9 +288,6 @@ func (s ServiceSpec) Validate() error {
 	if n.MaxSessionsPerNode <= 0 {
 		return fmt.Errorf("spec: max_sessions_per_node must be positive, got %d", n.MaxSessionsPerNode)
 	}
-	if n.Telemetry != nil && n.Telemetry.SampleMs <= 0 {
-		return fmt.Errorf("spec: telemetry sample_ms must be positive, got %g", n.Telemetry.SampleMs)
-	}
 	return nil
 }
 
@@ -325,11 +307,8 @@ func (s ServiceSpec) Hash() (string, error) { return contentAddress(s.Canonical(
 
 // CellSeed derives the deterministic RNG seed for one single-cell spec from
 // its content, not its sweep position: the same cell reached serially, in
-// parallel, or via a fleet shard draws the same arrivals. Observational
-// fields (Telemetry) are folded out before hashing, so turning sampling on
-// never changes a single draw.
+// parallel, or via a fleet shard draws the same arrivals.
 func (s ServiceSpec) CellSeed() (int64, error) {
-	s.Telemetry = nil
 	c, err := s.Canonical()
 	if err != nil {
 		return 0, err

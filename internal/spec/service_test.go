@@ -99,6 +99,10 @@ func TestDecodeJobBytes(t *testing.T) {
 			t.Errorf("run spec with %s accepted", knob)
 		}
 	}
+	// Nor is telemetry a service spec field.
+	if _, err := DecodeJobBytes([]byte(`{"service_version":1,"telemetry":{"sample_ms":5}}`)); err == nil {
+		t.Error("service spec with telemetry accepted")
+	}
 	if _, err := DecodeJobBytes([]byte(`{"lambda":3}`)); err == nil {
 		t.Error("service fields without service_version accepted as a run spec")
 	}
