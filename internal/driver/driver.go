@@ -293,9 +293,6 @@ func (l *FrameLoop) maxNextFree() sim.Time {
 // Collect snapshots the run's metrics under the planner's name.
 func (l *FrameLoop) Collect() multigpu.Metrics { return l.sys.Collect(l.name) }
 
-// Phases returns the run's accumulated per-phase cycle totals.
-func (l *FrameLoop) Phases() multigpu.PhaseCycles { return l.sys.Phases() }
-
 // place applies the plan's framebuffer placement (idempotent layout swaps).
 func (l *FrameLoop) place(plan Plan) {
 	switch plan.Framebuffer {
@@ -359,9 +356,6 @@ func (s *Session) SubmitFrame(f *scene.Frame) sim.Time {
 
 // Frames returns how many frames the session has rendered.
 func (s *Session) Frames() int { return s.loop.Frames() }
-
-// Phases returns the session's accumulated per-phase cycle totals.
-func (s *Session) Phases() multigpu.PhaseCycles { return s.loop.Phases() }
 
 // Close ends the stream and returns the run's metrics. The session cannot
 // be reused.

@@ -2,46 +2,6 @@ package geom
 
 import "math"
 
-// Triangle is a screen-space triangle produced by the geometry stage. The
-// simulator uses it to estimate fragment coverage and tile overlap rather
-// than to shade actual pixels.
-type Triangle struct {
-	A, B, C Vec2
-}
-
-// Area returns the (positive) area of t in square pixels.
-func (t Triangle) Area() float64 {
-	return math.Abs(t.B.Sub(t.A).Cross(t.C.Sub(t.A))) / 2
-}
-
-// Bounds returns the axis-aligned bounding box of t.
-func (t Triangle) Bounds() AABB {
-	return AABB{
-		Min: Vec2{min3(t.A.X, t.B.X, t.C.X), min3(t.A.Y, t.B.Y, t.C.Y)},
-		Max: Vec2{max3(t.A.X, t.B.X, t.C.X), max3(t.A.Y, t.B.Y, t.C.Y)},
-	}
-}
-
-// Contains reports whether p is inside t (inclusive of edges), using
-// consistent half-plane tests that tolerate either winding.
-func (t Triangle) Contains(p Vec2) bool {
-	d1 := sign(p, t.A, t.B)
-	d2 := sign(p, t.B, t.C)
-	d3 := sign(p, t.C, t.A)
-	hasNeg := d1 < 0 || d2 < 0 || d3 < 0
-	hasPos := d1 > 0 || d2 > 0 || d3 > 0
-	return !(hasNeg && hasPos)
-}
-
-func sign(p, a, b Vec2) float64 {
-	return (p.X-b.X)*(a.Y-b.Y) - (a.X-b.X)*(p.Y-b.Y)
-}
-
-// Translate returns t shifted by d.
-func (t Triangle) Translate(d Vec2) Triangle {
-	return Triangle{t.A.Add(d), t.B.Add(d), t.C.Add(d)}
-}
-
 // AABB is a screen-space axis-aligned bounding box, min-inclusive and
 // max-exclusive when used for pixel coverage.
 type AABB struct {
@@ -93,9 +53,6 @@ func (b AABB) Union(o AABB) AABB {
 	}
 }
 
-// Overlaps reports whether b and o share any area.
-func (b AABB) Overlaps(o AABB) bool { return !b.Intersect(o).Empty() }
-
 // Translate returns b shifted by d.
 func (b AABB) Translate(d Vec2) AABB {
 	return AABB{Min: b.Min.Add(d), Max: b.Max.Add(d)}
@@ -111,6 +68,3 @@ func (b AABB) Clamp(o AABB) AABB {
 	}
 	return r
 }
-
-func min3(a, b, c float64) float64 { return math.Min(a, math.Min(b, c)) }
-func max3(a, b, c float64) float64 { return math.Max(a, math.Max(b, c)) }

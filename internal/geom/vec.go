@@ -1,12 +1,13 @@
-// Package geom provides the small linear-algebra and rasterization-geometry
-// substrate used by the OO-VR simulator: vectors, 4x4 matrices, triangles,
-// viewports and clipping.
+// Package geom provides the screen-space geometry of the OO-VR object
+// model: 2-D points, axis-aligned boxes and the per-eye stereo viewports.
 //
-// The simulator is transaction-level, so geom is not a full software
-// rasterizer; it supplies exactly what the workload model needs: projecting
-// object bounds into screen space, estimating per-view fragment coverage,
-// and re-projecting geometry between the left and right stereo viewports the
-// way the paper's SMP (simultaneous multi-projection) engine does.
+// The simulator is transaction-level and object-level: each object is a
+// screen-space box carrying per-view fragment counts, so geom supplies no
+// matrices, triangles or clipping. It covers exactly what the workload
+// model needs: object bounds, the fragment share of a box inside a screen
+// tile, and re-projection between the left and right stereo viewports by a
+// box shift, the way the paper's SMP (simultaneous multi-projection) engine
+// does (Section 5.1).
 package geom
 
 import (
@@ -22,101 +23,7 @@ type Vec2 struct {
 // Add returns v + u.
 func (v Vec2) Add(u Vec2) Vec2 { return Vec2{v.X + u.X, v.Y + u.Y} }
 
-// Sub returns v - u.
-func (v Vec2) Sub(u Vec2) Vec2 { return Vec2{v.X - u.X, v.Y - u.Y} }
-
-// Scale returns v scaled by s.
-func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
-
-// Dot returns the dot product of v and u.
-func (v Vec2) Dot(u Vec2) float64 { return v.X*u.X + v.Y*u.Y }
-
-// Cross returns the scalar (z-component) cross product of v and u.
-func (v Vec2) Cross(u Vec2) float64 { return v.X*u.Y - v.Y*u.X }
-
-// Len returns the Euclidean length of v.
-func (v Vec2) Len() float64 { return math.Hypot(v.X, v.Y) }
-
-// Vec3 is a 3-component vector.
-type Vec3 struct {
-	X, Y, Z float64
-}
-
-// Add returns v + u.
-func (v Vec3) Add(u Vec3) Vec3 { return Vec3{v.X + u.X, v.Y + u.Y, v.Z + u.Z} }
-
-// Sub returns v - u.
-func (v Vec3) Sub(u Vec3) Vec3 { return Vec3{v.X - u.X, v.Y - u.Y, v.Z - u.Z} }
-
-// Scale returns v scaled by s.
-func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
-
-// Dot returns the dot product of v and u.
-func (v Vec3) Dot(u Vec3) float64 { return v.X*u.X + v.Y*u.Y + v.Z*u.Z }
-
-// Cross returns the vector cross product of v and u.
-func (v Vec3) Cross(u Vec3) Vec3 {
-	return Vec3{
-		v.Y*u.Z - v.Z*u.Y,
-		v.Z*u.X - v.X*u.Z,
-		v.X*u.Y - v.Y*u.X,
-	}
-}
-
-// Len returns the Euclidean length of v.
-func (v Vec3) Len() float64 { return math.Sqrt(v.Dot(v)) }
-
-// Normalize returns v scaled to unit length. The zero vector is returned
-// unchanged.
-func (v Vec3) Normalize() Vec3 {
-	l := v.Len()
-	if l == 0 {
-		return v
-	}
-	return v.Scale(1 / l)
-}
-
-// Vec4 is a homogeneous 4-component vector as produced by vertex shading.
-type Vec4 struct {
-	X, Y, Z, W float64
-}
-
-// V4 builds a Vec4 from a Vec3 and an explicit w.
-func V4(v Vec3, w float64) Vec4 { return Vec4{v.X, v.Y, v.Z, w} }
-
-// Add returns v + u.
-func (v Vec4) Add(u Vec4) Vec4 { return Vec4{v.X + u.X, v.Y + u.Y, v.Z + u.Z, v.W + u.W} }
-
-// Sub returns v - u.
-func (v Vec4) Sub(u Vec4) Vec4 { return Vec4{v.X - u.X, v.Y - u.Y, v.Z - u.Z, v.W - u.W} }
-
-// Scale returns v scaled by s.
-func (v Vec4) Scale(s float64) Vec4 { return Vec4{v.X * s, v.Y * s, v.Z * s, v.W * s} }
-
-// Dot returns the dot product of v and u.
-func (v Vec4) Dot(u Vec4) float64 { return v.X*u.X + v.Y*u.Y + v.Z*u.Z + v.W*u.W }
-
-// Lerp linearly interpolates between v and u by t in [0,1].
-func (v Vec4) Lerp(u Vec4, t float64) Vec4 {
-	return v.Add(u.Sub(v).Scale(t))
-}
-
-// PerspectiveDivide maps clip space to normalized device coordinates.
-// A w of zero yields the point unchanged (degenerate, caller clips first).
-func (v Vec4) PerspectiveDivide() Vec3 {
-	if v.W == 0 {
-		return Vec3{v.X, v.Y, v.Z}
-	}
-	inv := 1 / v.W
-	return Vec3{v.X * inv, v.Y * inv, v.Z * inv}
-}
-
-// XY returns the first two components as a Vec2.
-func (v Vec4) XY() Vec2 { return Vec2{v.X, v.Y} }
-
 func (v Vec2) String() string { return fmt.Sprintf("(%g, %g)", v.X, v.Y) }
-func (v Vec3) String() string { return fmt.Sprintf("(%g, %g, %g)", v.X, v.Y, v.Z) }
-func (v Vec4) String() string { return fmt.Sprintf("(%g, %g, %g, %g)", v.X, v.Y, v.Z, v.W) }
 
 // NearlyEqual reports whether a and b differ by less than eps.
 func NearlyEqual(a, b, eps float64) bool {

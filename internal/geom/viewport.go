@@ -16,18 +16,6 @@ func (v Viewport) Bounds() AABB {
 	}
 }
 
-// Pixels returns the number of pixels the viewport covers.
-func (v Viewport) Pixels() int { return v.Width * v.Height }
-
-// NDCToScreen maps a normalized-device-coordinate point (x,y in [-1,1]) to
-// pixel coordinates inside the viewport.
-func (v Viewport) NDCToScreen(p Vec3) Vec2 {
-	return Vec2{
-		X: float64(v.X) + (p.X+1)/2*float64(v.Width),
-		Y: float64(v.Y) + (1-(p.Y+1)/2)*float64(v.Height),
-	}
-}
-
 // StereoPair holds the per-eye viewports of a stereo render target. The
 // paper's auto-model generates the right viewport by shifting the original
 // along the X coordinate (Section 5.1); SideBySide implements that layout.

@@ -61,17 +61,6 @@ type hop struct {
 	lid int32
 }
 
-// NewFabric builds the paper's full-mesh fabric of n GPMs with the given
-// per-direction link bandwidth (GB/s) at the given clock (GHz) — the
-// historical constructor, kept for callers that never name a topology.
-func NewFabric(n int, gbPerSec, clockGHz float64) *Fabric {
-	g, err := topo.Build(topo.Params{NumGPMs: n, LinkGBs: gbPerSec})
-	if err != nil {
-		panic("link: " + err.Error())
-	}
-	return New(g, clockGHz)
-}
-
 // New builds the fabric for a topology graph at the given clock (GHz).
 func New(g *topo.Graph, clockGHz float64) *Fabric {
 	if clockGHz <= 0 {
@@ -197,19 +186,6 @@ func (f *Fabric) TotalBytes() float64 {
 		s += r.TotalServed()
 	}
 	return s
-}
-
-// MaxBusy returns the largest busy time across all physical links; it
-// bounds how long the fabric alone would need to carry the recorded
-// traffic.
-func (f *Fabric) MaxBusy() sim.Time {
-	var m sim.Time
-	for _, r := range f.res {
-		if r.BusyCycles() > m {
-			m = r.BusyCycles()
-		}
-	}
-	return m
 }
 
 // Reset clears all link state.

@@ -20,7 +20,7 @@ func TestBytesPerCycle(t *testing.T) {
 }
 
 func TestFabricTopology(t *testing.T) {
-	f := NewFabric(4, 64, 1)
+	f := topoFabric(t, "", 4)
 	if f.NumGPMs() != 4 || f.Topology().Name() != "fullmesh" || f.NumLinks() != 12 {
 		t.Errorf("fabric identity wrong")
 	}
@@ -36,7 +36,7 @@ func TestFabricTopology(t *testing.T) {
 }
 
 func TestReserveFlowUsesCorrectLinks(t *testing.T) {
-	f := NewFabric(4, 64, 1)
+	f := topoFabric(t, "", 4)
 	flow := mem.Flow{
 		Requester:   2,
 		RemoteBySrc: []float64{640, 0, 0, 1280},
@@ -62,7 +62,7 @@ func TestReserveFlowUsesCorrectLinks(t *testing.T) {
 }
 
 func TestReserveFlowEmpty(t *testing.T) {
-	f := NewFabric(2, 64, 1)
+	f := topoFabric(t, "", 2)
 	flow := mem.Flow{Requester: 0, RemoteBySrc: []float64{0, 0}}
 	if end := f.ReserveFlow(42, flow); end != 42 {
 		t.Errorf("empty flow end = %v", end)
@@ -70,23 +70,20 @@ func TestReserveFlowEmpty(t *testing.T) {
 }
 
 func TestReserveFlowContention(t *testing.T) {
-	f := NewFabric(2, 64, 1)
+	f := topoFabric(t, "", 2)
 	flow := mem.Flow{Requester: 1, RemoteBySrc: []float64{6400, 0}}
 	e1 := f.ReserveFlow(0, flow) // 100 cycles
 	e2 := f.ReserveFlow(0, flow) // queued behind: 200
 	if e1 != 100 || e2 != 200 {
 		t.Errorf("contention ends = %v, %v", e1, e2)
 	}
-	if f.MaxBusy() != 200 {
-		t.Errorf("MaxBusy = %v", f.MaxBusy())
-	}
 }
 
 func TestFabricReset(t *testing.T) {
-	f := NewFabric(2, 64, 1)
+	f := topoFabric(t, "", 2)
 	f.ReserveFlow(0, mem.Flow{Requester: 1, RemoteBySrc: []float64{640, 0}})
 	f.Reset()
-	if f.TotalBytes() != 0 || f.MaxBusy() != 0 {
+	if f.TotalBytes() != 0 {
 		t.Errorf("Reset did not clear fabric")
 	}
 }
@@ -176,8 +173,8 @@ func TestAccountHops(t *testing.T) {
 func TestSingleGPUFabricPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Errorf("zero-GPM fabric did not panic")
+			t.Errorf("single-GPM fabric did not panic on an out-of-range GPM")
 		}
 	}()
-	NewFabric(0, 64, 1)
+	topoFabric(t, "", 1).Link(0, 1)
 }

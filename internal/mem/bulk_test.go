@@ -6,50 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestStreamReadsFromHomesWithoutRehoming(t *testing.T) {
-	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 4096*4)
-	s.PlaceStriped(id)
-	f := s.Stream(2, id)
-	// One page per GPM; the page homed on 2 is local, three are remote.
-	if f.LocalBytes != 4096 {
-		t.Errorf("local bytes = %v, want 4096", f.LocalBytes)
-	}
-	if f.RemoteTotal() != 3*4096 {
-		t.Errorf("remote bytes = %v, want %v", f.RemoteTotal(), 3*4096)
-	}
-	// Homes unchanged: Stream copies out, it does not migrate.
-	seg := s.Segment(id)
-	for p := 0; p < seg.Pages(); p++ {
-		if seg.PageHome(p) != GPMID(p%4) {
-			t.Errorf("page %d rehomed to %d", p, seg.PageHome(p))
-		}
-	}
-}
-
-func TestStreamFirstTouchesUnplacedPages(t *testing.T) {
-	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 8192)
-	f := s.Stream(3, id)
-	if f.RemoteTotal() != 0 {
-		t.Errorf("streaming unplaced pages should be local after FT, remote=%v", f.RemoteTotal())
-	}
-	if s.Segment(id).PageHome(0) != 3 {
-		t.Errorf("first touch did not place on the reader")
-	}
-}
-
-func TestStreamBypassesRemoteCache(t *testing.T) {
-	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 4096)
-	s.Place(id, 0)
-	s.Read(1, id, 0, 4096) // arms the remote cache for GPM1
-	f := s.Stream(1, id)
-	if f.RemoteBySrc[0] != 4096 {
-		t.Errorf("bulk stream must bypass the remote cache, remote=%v", f.RemoteBySrc[0])
-	}
-}
-
 func TestReadProportionalSplitsByHomeShares(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindTexture, "tex", 4096*4)

@@ -10,7 +10,7 @@ import (
 
 // TestFlowCacheSlotsDoNotAlias pins the aliasing contract on Flow: a
 // returned RemoteBySrc stays intact until the same (requester, op-class)
-// slot is refilled. Every requester drives all six op classes once against
+// slot is refilled. Every requester drives all five op classes once against
 // one segment, and the Duplicates keep moving the placement, so every fill
 // writes fresh values into its own slot. A slot whose remote vector shared
 // storage with another's would overwrite a held flow.
@@ -41,7 +41,6 @@ func TestFlowCacheSlotsDoNotAlias(t *testing.T) {
 				hold(fmt.Sprintf("gpm%d read-warm", g), s.Read(gpm, id, 0, size))
 				hold(fmt.Sprintf("gpm%d write", g), s.Write(gpm, id, 0, size))
 				hold(fmt.Sprintf("gpm%d prop", g), s.ReadProportional(gpm, id, 3*float64(size)))
-				hold(fmt.Sprintf("gpm%d stream", g), s.Stream(gpm, id))
 				hold(fmt.Sprintf("gpm%d dup", g), s.Duplicate(id, gpm))
 			}
 			nonzero := 0

@@ -27,8 +27,8 @@
 // range is computed in closed form — O(NumGPMs) arithmetic with zero page
 // iteration — and the Place* family are O(NumGPMs) layout swaps. Each
 // segment also caches its home histogram (bytes per GPM), updated
-// incrementally on every rehome, so ReadProportional, Duplicate, Stream
-// and HomeHistogram never rescan pages.
+// incrementally on every rehome, so ReadProportional, Duplicate and
+// HomeHistogram never rescan pages.
 //
 // All byte counts are integers, accumulated in int64 and converted to
 // float64 once per GPM, so the closed forms produce Flows byte-identical
@@ -163,7 +163,6 @@ const (
 	opReadWarm
 	opWrite
 	opProp
-	opStream
 	opDup
 	numFlowOps
 )
@@ -307,9 +306,6 @@ func NewSystem(cfg Config) *System {
 // from-scratch computation. Flows returned while the cache is on alias the
 // segment's cache storage (see Flow).
 func (s *System) SetFlowCache(on bool) { s.flowCacheOff = !on }
-
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // NumGPMs returns the GPM count.
 func (s *System) NumGPMs() int { return s.cfg.NumGPMs }
@@ -601,11 +597,6 @@ func (s *System) Write(gpm GPMID, id SegmentID, offset, n int64) Flow {
 	return s.access(gpm, id, offset, n, false)
 }
 
-// WriteAll writes the entire segment.
-func (s *System) WriteAll(gpm GPMID, id SegmentID) Flow {
-	return s.Write(gpm, id, 0, s.Segment(id).Size)
-}
-
 // slot returns the flow-cache slot for (segment, requester, op), or nil
 // when the cache is disabled. A pair's slot, and its remote vector, are
 // created on the pair's first access. The returned pointer is valid until
@@ -815,39 +806,6 @@ func (s *System) firstTouchAll(seg *Segment, gpm GPMID) {
 	}
 }
 
-// Stream models a bulk copy-out of the whole segment by the given GPM: the
-// transfer engine reads every byte from the page homes without the benefit
-// of the remote cache (bulk streams blow through it) and without arming it.
-// Unplaced pages are first-touch placed on the reader. The segment's homes
-// are not changed — the caller owns whatever local copy it made.
-func (s *System) Stream(gpm GPMID, id SegmentID) Flow {
-	s.checkGPM(gpm)
-	seg := s.Segment(id)
-	sl := s.slot(seg, gpm, opStream)
-	if sl != nil && sl.epoch != 0 && sl.epoch == seg.placeEpoch {
-		flow := Flow{Requester: gpm, LocalBytes: sl.local, RemoteBySrc: sl.remote, Kind: seg.Kind}
-		s.traffic.Record(flow)
-		return flow
-	}
-	preEpoch := seg.placeEpoch
-	flow := Flow{Requester: gpm, RemoteBySrc: s.remoteTarget(sl), Kind: seg.Kind}
-	s.firstTouchAll(seg, gpm)
-	for h := 0; h < s.cfg.NumGPMs; h++ {
-		bytes := float64(seg.hist[h])
-		if bytes == 0 {
-			continue
-		}
-		if GPMID(h) == gpm {
-			flow.LocalBytes += bytes
-		} else {
-			flow.RemoteBySrc[h] += bytes
-		}
-	}
-	s.traffic.Record(flow)
-	sl.fill(seg, preEpoch, 0, 0, 0, flow.LocalBytes)
-	return flow
-}
-
 // Duplicate models copying the whole segment into the given GPM's DRAM (the
 // AFR scheme's separate memory spaces, and OO-VR's straggler data
 // duplication). The copy itself moves bytes over the links from each page's
@@ -899,19 +857,6 @@ func (s *System) Touched(gpm GPMID, id SegmentID) bool {
 // each GPM (index NumGPMs holds unplaced bytes).
 func (s *System) HomeHistogram(id SegmentID) []int64 {
 	return append([]int64(nil), s.Segment(id).hist...)
-}
-
-// SegmentsByKind returns the ids of all segments with the given kind, in
-// allocation order (segments are appended in id order, so no sort is
-// needed).
-func (s *System) SegmentsByKind(kind SegmentKind) []SegmentID {
-	var out []SegmentID
-	for _, seg := range s.segments {
-		if seg.Kind == kind {
-			out = append(out, seg.ID)
-		}
-	}
-	return out
 }
 
 func (s *System) checkGPM(g GPMID) {

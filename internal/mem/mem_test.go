@@ -202,52 +202,12 @@ func TestTrafficByKind(t *testing.T) {
 	}
 }
 
-func TestTrafficAdd(t *testing.T) {
-	a := NewTraffic(2)
-	b := NewTraffic(2)
-	a.Record(Flow{Requester: 0, LocalBytes: 10, RemoteBySrc: []float64{0, 5}, Kind: KindTexture})
-	b.Record(Flow{Requester: 1, LocalBytes: 20, RemoteBySrc: []float64{7, 0}, Kind: KindTexture})
-	a.Add(b)
-	if a.TotalLocal() != 30 {
-		t.Errorf("TotalLocal = %v", a.TotalLocal())
-	}
-	if a.TotalInterGPM() != 12 {
-		t.Errorf("TotalInterGPM = %v", a.TotalInterGPM())
-	}
-	if a.LinkBytes(1, 0) != 5 || a.LinkBytes(0, 1) != 7 {
-		t.Errorf("link bytes wrong")
-	}
-}
-
-func TestTrafficAddMismatchedPanics(t *testing.T) {
-	a := NewTraffic(2)
-	b := NewTraffic(3)
-	defer func() {
-		if recover() == nil {
-			t.Errorf("mismatched Add did not panic")
-		}
-	}()
-	a.Add(b)
-}
-
 func TestMaxLinkBytes(t *testing.T) {
 	tr := NewTraffic(3)
 	tr.Record(Flow{Requester: 0, RemoteBySrc: []float64{0, 100, 30}, Kind: KindTexture})
 	tr.Record(Flow{Requester: 2, RemoteBySrc: []float64{40, 0, 0}, Kind: KindTexture})
 	if got := tr.MaxLinkBytes(); got != 100 {
 		t.Errorf("MaxLinkBytes = %v", got)
-	}
-}
-
-func TestSegmentsByKind(t *testing.T) {
-	s := newSys(t)
-	s.Alloc(KindVertex, "vb", 10)
-	t1 := s.Alloc(KindTexture, "t1", 10)
-	s.Alloc(KindFramebuffer, "fb", 10)
-	t2 := s.Alloc(KindTexture, "t2", 10)
-	got := s.SegmentsByKind(KindTexture)
-	if len(got) != 2 || got[0] != t1 || got[1] != t2 {
-		t.Errorf("SegmentsByKind = %v", got)
 	}
 }
 

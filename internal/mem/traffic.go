@@ -7,13 +7,12 @@ import (
 
 // Traffic accumulates the byte flows of a simulation run. It distinguishes
 // local DRAM traffic from inter-GPM traffic, attributes inter-GPM bytes to
-// (source, destination) link pairs, and breaks totals down by segment kind;
-// Figure 9 and Figure 16 of the paper are plots of these counters.
+// (source, destination) link pairs, and breaks inter-GPM totals down by
+// segment kind; Figure 9 and Figure 16 of the paper are plots of these
+// counters.
 type Traffic struct {
-	n          int
 	local      []float64   // per GPM
 	link       [][]float64 // [src][dst] bytes crossing the src->dst link
-	kindLocal  []float64   // per SegmentKind
 	kindRemote []float64   // per SegmentKind
 	// hop accumulates bytes per *physical* link of the interconnect
 	// topology, indexed by link ID. The (src,dst) matrix above is logical
@@ -30,10 +29,8 @@ func NewTraffic(n int) *Traffic {
 		link[i] = make([]float64, n)
 	}
 	return &Traffic{
-		n:          n,
 		local:      make([]float64, n),
 		link:       link,
-		kindLocal:  make([]float64, numKinds),
 		kindRemote: make([]float64, numKinds),
 	}
 }
@@ -41,7 +38,6 @@ func NewTraffic(n int) *Traffic {
 // Record adds a flow to the account.
 func (t *Traffic) Record(f Flow) {
 	t.local[f.Requester] += f.LocalBytes
-	t.kindLocal[f.Kind] += f.LocalBytes
 	for src, b := range f.RemoteBySrc {
 		if b == 0 {
 			continue
@@ -50,9 +46,6 @@ func (t *Traffic) Record(f Flow) {
 		t.kindRemote[f.Kind] += b
 	}
 }
-
-// LocalBytes returns the total local DRAM bytes moved by the given GPM.
-func (t *Traffic) LocalBytes(g GPMID) float64 { return t.local[g] }
 
 // TotalLocal returns local DRAM bytes summed over all GPMs.
 func (t *Traffic) TotalLocal() float64 {
@@ -80,9 +73,6 @@ func (t *Traffic) TotalInterGPM() float64 {
 
 // RemoteByKind returns the inter-GPM bytes attributed to the given kind.
 func (t *Traffic) RemoteByKind(k SegmentKind) float64 { return t.kindRemote[k] }
-
-// LocalByKind returns the local bytes attributed to the given kind.
-func (t *Traffic) LocalByKind(k SegmentKind) float64 { return t.kindLocal[k] }
 
 // ConfigureHops sizes the per-physical-link accounting for a topology of n
 // links. The fabric calls it once at system construction; RecordHop panics
@@ -116,32 +106,6 @@ func (t *Traffic) MaxLinkBytes() float64 {
 		}
 	}
 	return m
-}
-
-// Add accumulates another traffic account (for multi-frame totals). The two
-// accounts must have the same GPM count.
-func (t *Traffic) Add(o *Traffic) {
-	if t.n != o.n {
-		panic(fmt.Sprintf("mem: traffic GPM counts differ: %d vs %d", t.n, o.n))
-	}
-	for i := range t.local {
-		t.local[i] += o.local[i]
-	}
-	for i := range t.link {
-		for j := range t.link[i] {
-			t.link[i][j] += o.link[i][j]
-		}
-	}
-	for k := range t.kindLocal {
-		t.kindLocal[k] += o.kindLocal[k]
-		t.kindRemote[k] += o.kindRemote[k]
-	}
-	if len(t.hop) != len(o.hop) {
-		panic(fmt.Sprintf("mem: traffic hop counts differ: %d vs %d (different topologies)", len(t.hop), len(o.hop)))
-	}
-	for i := range t.hop {
-		t.hop[i] += o.hop[i]
-	}
 }
 
 // String renders a compact human-readable summary.

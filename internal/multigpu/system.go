@@ -367,9 +367,6 @@ func (s *System) Options() Options { return s.opt }
 // NumGPMs returns the GPM count.
 func (s *System) NumGPMs() int { return s.nGPM }
 
-// Rates returns the per-GPM stage rates.
-func (s *System) Rates() gpu.Rates { return s.rates }
-
 // Scene returns the bound scene.
 func (s *System) Scene() *scene.Scene { return s.sc }
 
@@ -500,12 +497,6 @@ func (s *System) Begin(g mem.GPMID, task Task) *TaskContext {
 	}
 	return c
 }
-
-// Start returns the task's current start time (phases that block push it).
-func (c *TaskContext) Start() sim.Time { return c.start }
-
-// GPM returns the target GPM.
-func (c *TaskContext) GPM() mem.GPMID { return c.gpm }
 
 // Ship performs the software data distribution of the sort-first/sort-last
 // frameworks: each referenced segment is copied into the GPM's DRAM, after

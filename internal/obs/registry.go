@@ -237,12 +237,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.s.count.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.s.bits.Load()) }
-
 // NewCounter registers and returns a counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
 	f := &family{name: name, help: help, kind: KindCounter, single: &serie{}}

@@ -79,18 +79,6 @@ func (w Work) Add(o Work) Work {
 	}
 }
 
-// Scale returns w with every volume multiplied by f.
-func (w Work) Scale(f float64) Work {
-	return Work{
-		Vertices:       w.Vertices * f,
-		SMPTriangles:   w.SMPTriangles * f,
-		SetupTriangles: w.SetupTriangles * f,
-		Fragments:      w.Fragments * f,
-		Pixels:         w.Pixels * f,
-		DrawIssues:     w.DrawIssues * f,
-	}
-}
-
 // StageCycles is the drain time of each pipeline stage, for diagnostics and
 // the rendering-time predictor's calibration.
 type StageCycles struct {

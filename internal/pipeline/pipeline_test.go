@@ -88,10 +88,6 @@ func TestWorkAddScale(t *testing.T) {
 	if b.Vertices != 2 || b.DrawIssues != 12 {
 		t.Errorf("Add wrong: %+v", b)
 	}
-	c := a.Scale(3)
-	if c.SMPTriangles != 6 || c.Pixels != 15 {
-		t.Errorf("Scale wrong: %+v", c)
-	}
 }
 
 func TestCyclesPipelineOverlap(t *testing.T) {

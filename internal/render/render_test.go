@@ -144,7 +144,7 @@ func TestTileVSplitsViewsAcrossGPMs(t *testing.T) {
 	leftObj := geom.AABB{Min: geom.Vec2{X: 10, Y: 10}, Max: geom.Vec2{X: 100, Y: 100}}
 	for g := 2; g < 4; g++ {
 		tile := stripRect(combined, g, 4, true)
-		if leftObj.Overlaps(tile) {
+		if !leftObj.Intersect(tile).Empty() {
 			t.Errorf("left-view object overlaps right-half strip %d", g)
 		}
 	}

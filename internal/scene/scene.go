@@ -7,7 +7,6 @@ package scene
 
 import (
 	"fmt"
-	"sort"
 
 	"oovr/internal/geom"
 )
@@ -76,9 +75,6 @@ func (o *Object) FragsInRect(r geom.AABB) float64 {
 	}
 	return o.FragsPerView * inter.Area() / area
 }
-
-// OverlapsRect reports whether the object touches r in the left view.
-func (o *Object) OverlapsRect(r geom.AABB) bool { return o.Bounds.Overlaps(r) }
 
 // Frame is one rendered frame: an ordered draw list.
 type Frame struct {
@@ -271,20 +267,4 @@ func (f *Frame) Sharing() SharingStats {
 		}
 	}
 	return st
-}
-
-// TexturesUsed returns the sorted distinct texture ids a frame samples.
-func (f *Frame) TexturesUsed() []TextureID {
-	seen := map[TextureID]bool{}
-	for i := range f.Objects {
-		for _, t := range f.Objects[i].Textures {
-			seen[t] = true
-		}
-	}
-	out := make([]TextureID, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

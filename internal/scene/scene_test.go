@@ -125,14 +125,6 @@ func TestSharingStats(t *testing.T) {
 	}
 }
 
-func TestTexturesUsedSorted(t *testing.T) {
-	f := &validScene().Frames[0]
-	used := f.TexturesUsed()
-	if len(used) != 2 || used[0] != 0 || used[1] != 1 {
-		t.Errorf("TexturesUsed = %v", used)
-	}
-}
-
 func TestValidateCatchesBadScenes(t *testing.T) {
 	mutations := []struct {
 		name   string

@@ -251,3 +251,40 @@ func TestReportVerify(t *testing.T) {
 		t.Error("hash-mismatched report accepted")
 	}
 }
+
+// TestSteadyStateServiceTickDoesNotAllocate pins the serving cell's heap
+// traffic per event: the cell and warm-up are BenchmarkServiceTick's (one
+// node, one long-lived DM3-640 session, the arrival burst and first frames
+// spent in warm-up), and once Reserve has presized the event heap and the
+// latency log, every further Step (heap pop, deadline bookkeeping, the
+// warm streaming frame, the next frame's push) must reuse what it has.
+func TestSteadyStateServiceTickDoesNotAllocate(t *testing.T) {
+	cell, err := OpenCell(spec.ServiceSpec{
+		ServiceVersion:     1,
+		Nodes:              []spec.NodeGroup{{Count: 1}},
+		Sessions:           []spec.SessionMix{{Workload: "DM3-640"}},
+		Lambda:             2000,
+		HorizonMs:          0.5,
+		MeanFrames:         1e8, // the one admitted session outlives the test
+		MaxSessionsPerNode: 1,
+		Seed:               4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if !cell.Step() {
+			t.Fatal("cell drained during warm-up")
+		}
+	}
+	const runs = 200
+	cell.Reserve(runs + 1) // AllocsPerRun makes one extra warm-up call
+	step := func() {
+		if !cell.Step() {
+			t.Fatal("cell drained; raise MeanFrames")
+		}
+	}
+	if avg := testing.AllocsPerRun(runs, step); avg != 0 {
+		t.Errorf("steady-state service tick allocated %.2f times per step, want 0", avg)
+	}
+}

@@ -1,6 +1,18 @@
+// Package sim provides the simulated-time substrate of the OO-VR multi-GPU
+// model: FIFO bandwidth resources that model DRAM channels, inter-GPM links
+// and other rate-limited servers. The frame loop reserves them in issue
+// order; there is no event queue.
+//
+// Time is measured in GPU cycles (the paper's baseline clocks GPMs at 1 GHz,
+// so one cycle is one nanosecond). Fractional cycles are permitted because
+// bandwidth reservations rarely end on cycle boundaries at transaction
+// granularity.
 package sim
 
 import "fmt"
+
+// Time is a point in simulated time, in GPU cycles.
+type Time float64
 
 // Resource is a FIFO bandwidth server: a DRAM channel, one direction of an
 // inter-GPM link, a ROP array, or any other component that serves work at a

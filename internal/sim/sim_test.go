@@ -6,108 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestEngineRunsInTimeOrder(t *testing.T) {
-	var e Engine
-	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
-	end := e.Run()
-	if end != 30 {
-		t.Errorf("end = %v", end)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order = %v", order)
-	}
-	if e.EventsRun() != 3 {
-		t.Errorf("EventsRun = %d", e.EventsRun())
-	}
-}
-
-func TestEngineEqualTimesRunInScheduleOrder(t *testing.T) {
-	var e Engine
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(5, func() { order = append(order, i) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tie-break order violated: %v", order)
-		}
-	}
-}
-
-func TestEngineEventsCanScheduleEvents(t *testing.T) {
-	var e Engine
-	var hits []Time
-	e.Schedule(1, func() {
-		hits = append(hits, e.Now())
-		e.After(4, func() { hits = append(hits, e.Now()) })
-	})
-	end := e.Run()
-	if end != 5 {
-		t.Errorf("end = %v", end)
-	}
-	if len(hits) != 2 || hits[0] != 1 || hits[1] != 5 {
-		t.Errorf("hits = %v", hits)
-	}
-}
-
-func TestEngineSchedulePastPanics(t *testing.T) {
-	var e Engine
-	e.Schedule(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("scheduling in the past did not panic")
-			}
-		}()
-		e.Schedule(5, func() {})
-	})
-	e.Run()
-}
-
-func TestEngineNegativeDelayPanics(t *testing.T) {
-	var e Engine
-	defer func() {
-		if recover() == nil {
-			t.Errorf("negative delay did not panic")
-		}
-	}()
-	e.After(-1, func() {})
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	var e Engine
-	var ran int
-	e.Schedule(10, func() { ran++ })
-	e.Schedule(20, func() { ran++ })
-	e.Schedule(30, func() { ran++ })
-	e.RunUntil(20)
-	if ran != 2 {
-		t.Errorf("ran = %d, want 2", ran)
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d", e.Pending())
-	}
-	if e.Now() != 20 {
-		t.Errorf("Now = %v", e.Now())
-	}
-	e.Run()
-	if ran != 3 {
-		t.Errorf("ran = %d after Run", ran)
-	}
-}
-
-func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
-	var e Engine
-	e.RunUntil(100)
-	if e.Now() != 100 {
-		t.Errorf("idle RunUntil should advance clock, Now = %v", e.Now())
-	}
-}
-
 func TestResourceBasicReservation(t *testing.T) {
 	r := NewResource("dram", 100) // 100 bytes/cycle
 	end := r.Reserve(0, 1000)
@@ -217,23 +115,6 @@ func TestResourceFIFOPropertyQuick(t *testing.T) {
 		return math.Abs(float64(r.BusyCycles())-totalAmount/7) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: engine executes every scheduled event exactly once regardless of
-// schedule order.
-func TestEngineAllEventsRunQuick(t *testing.T) {
-	f := func(times []uint16) bool {
-		var e Engine
-		count := 0
-		for _, tm := range times {
-			e.Schedule(Time(tm), func() { count++ })
-		}
-		e.Run()
-		return count == len(times) && e.Pending() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

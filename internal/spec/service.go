@@ -353,7 +353,3 @@ func DecodeJobBytes(b []byte) (Job, error) {
 	}
 	return Decode(bytes.NewReader(b))
 }
-
-// ValidateOptions reports whether a hardware option block is resolvable,
-// converting the option structs' panic-style validation into an error.
-func ValidateOptions(opt multigpu.Options) error { return validOptions(opt) }

@@ -39,23 +39,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
-// MinMax returns the extremes of xs.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // Series is one line/bar group of a figure: a named sequence of values
 // aligned with the figure's x-axis labels.
 type Series struct {

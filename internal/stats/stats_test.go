@@ -31,17 +31,6 @@ func TestGeoMean(t *testing.T) {
 	GeoMean([]float64{0})
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, 1, 2})
-	if lo != 1 || hi != 3 {
-		t.Errorf("MinMax = %v, %v", lo, hi)
-	}
-	lo, hi = MinMax(nil)
-	if lo != 0 || hi != 0 {
-		t.Errorf("MinMax(nil) = %v, %v", lo, hi)
-	}
-}
-
 func TestFigureSeries(t *testing.T) {
 	f := Figure{ID: "Figure X", Caption: "test", XLabels: []string{"a", "b"}}
 	f.AddSeries("s1", []float64{1, 2})

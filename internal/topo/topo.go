@@ -107,12 +107,6 @@ func (g *Graph) Name() string { return g.name }
 // NumGPMs returns the GPM count.
 func (g *Graph) NumGPMs() int { return g.numGPMs }
 
-// NumNodes returns the node count (GPMs plus internal nodes).
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
-// NodeName returns the diagnostic name of node i.
-func (g *Graph) NodeName(i int) string { return g.nodes[i] }
-
 // Links returns the physical links in ID order. The caller must not mutate
 // the returned slice.
 func (g *Graph) Links() []Link { return g.links }
