@@ -15,6 +15,7 @@ import (
 	"oovr/internal/multigpu"
 	"oovr/internal/obs"
 	"oovr/internal/render"
+	"oovr/internal/scene"
 	"oovr/internal/workload"
 )
 
@@ -93,7 +94,7 @@ var goldenFingerprints = map[string]map[string]string{
 // TestGoldenCrossArchitectureEquivalence asserts byte-identical Metrics
 // between the pre-refactor golden values and the new driver path, for all
 // seven schedulers, through both entry points: driver.Run (batch) and a streaming
-// driver.Session fed frame by frame.
+// driver.Session fed frame by frame, in fresh frames and in one reused frame.
 func TestGoldenCrossArchitectureEquivalence(t *testing.T) {
 	for cname, want := range goldenFingerprints {
 		c, ok := workload.CaseByName(cname)
@@ -127,8 +128,25 @@ func TestGoldenCrossArchitectureEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(batch, streamed) {
 				t.Errorf("%s/%s: streamed metrics diverged from batch", cname, p.Name())
 			}
+			if reused := runReusedFrame(multigpu.DefaultOptions(), c, p); !reflect.DeepEqual(batch, reused) {
+				t.Errorf("%s/%s: reused-frame metrics diverged from batch", cname, p.Name())
+			}
 		}
 	}
+}
+
+// runReusedFrame renders the case's 4-frame, seed-1 stream through a
+// driver.Session that is fed every frame in one reused buffer (NextInto), the
+// way spec.Run.Execute and the serving cell stream. It matches the batch run
+// only if no planner keeps pointers into one frame's objects across frames.
+func runReusedFrame(opt multigpu.Options, c workload.Case, p driver.Planner) multigpu.Metrics {
+	st := c.Spec.Stream(c.Width, c.Height, 4, 1)
+	ses := driver.Open(multigpu.New(opt, st.Header()), p)
+	var f scene.Frame
+	for st.NextInto(&f) {
+		ses.SubmitFrame(&f)
+	}
+	return ses.Close()
 }
 
 // TestTimelineBatchMatchesSession pins the x-ray reference run's trace
@@ -222,7 +240,7 @@ var topologyGoldenFingerprints = map[string]map[string]string{
 
 // TestGoldenTopologyFingerprints pins every scheduler's Metrics on the
 // routed topologies, through both execution paths (batch and a streaming
-// session) — the topology counterpart of the fullmesh golden test above.
+// session, fed fresh frames and one reused frame) — the topology counterpart of the fullmesh golden test above.
 func TestGoldenTopologyFingerprints(t *testing.T) {
 	c, ok := workload.CaseByName("HL2-1280")
 	if !ok {
@@ -250,6 +268,9 @@ func TestGoldenTopologyFingerprints(t *testing.T) {
 			streamed := ses.Close()
 			if !reflect.DeepEqual(batch, streamed) {
 				t.Errorf("%s/%s: streamed metrics diverged from batch", topoName, p.Name())
+			}
+			if reused := runReusedFrame(opt, c, p); !reflect.DeepEqual(batch, reused) {
+				t.Errorf("%s/%s: reused-frame metrics diverged from batch", topoName, p.Name())
 			}
 		}
 	}

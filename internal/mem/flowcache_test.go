@@ -100,3 +100,65 @@ func TestColdSegmentAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestAllLocalAccessesBypassTheFlowCache pins the all-local fast path: on
+// a segment homed entirely on the requester, reads, writes and proportional
+// reads return the per-page reference's flows with the flow cache on and
+// off, create no slot, allocate nothing, and still arm the remote cache
+// for a later remote read. One proportional volume is chosen so that
+// bytes*Size/Size != bytes in float64, which a shortcut returning the
+// volume itself would get wrong.
+func TestAllLocalAccessesBypassTheFlowCache(t *testing.T) {
+	cfg := DefaultConfig(4)
+	const size = 3*4096 + 100
+	const g = GPMID(2)
+	vol := 0.0
+	for v := 1.1; v < 1000; v += 0.1 {
+		if v*size/size != v {
+			vol = v
+			break
+		}
+	}
+	if vol == 0 {
+		t.Fatal("no volume found whose share differs from itself")
+	}
+	for _, cache := range []bool{true, false} {
+		s := NewSystem(cfg)
+		s.SetFlowCache(cache)
+		ref := newPageRef(cfg)
+		id := s.Alloc(KindTexture, "tex", size)
+		rid := ref.alloc(KindTexture, size)
+		s.Place(id, g)
+		ref.place(rid, g)
+
+		check := func(what string, got, want Flow) {
+			t.Helper()
+			if !flowsEqual(got, want) {
+				t.Errorf("cache=%v %s: flow %+v, reference %+v", cache, what, got, want)
+			}
+		}
+		check("cold read", s.ReadAll(g, id), ref.access(g, rid, 0, size, true))
+		check("warm read", s.Read(g, id, 4000, 5000), ref.access(g, rid, 4000, 5000, true))
+		check("write", s.Write(g, id, 100, size-100), ref.access(g, rid, 100, size-100, false))
+		check("proportional", s.ReadProportional(g, id, vol), ref.readProportional(g, rid, vol))
+		check("proportional > size", s.ReadProportional(g, id, 3*size), ref.readProportional(g, rid, 3*size))
+		if n := len(s.Segment(id).flows); n != 0 {
+			t.Errorf("cache=%v: all-local accesses created %d flow-cache slots", cache, n)
+		}
+		if cache {
+			allocs := testing.AllocsPerRun(100, func() {
+				s.ReadAll(g, id)
+				s.Write(g, id, 100, size-100)
+				s.ReadProportional(g, id, vol)
+			})
+			if allocs != 0 {
+				t.Errorf("all-local accesses allocate %v times per run", allocs)
+			}
+		}
+		// The fast reads kept the warmth stamp: once the segment is
+		// striped, g's next read is warm and the remote cache absorbs half.
+		s.PlaceStriped(id)
+		ref.placeStriped(rid)
+		check("warm remote read", s.ReadAll(g, id), ref.access(g, rid, 0, size, true))
+	}
+}

@@ -126,6 +126,8 @@ func (l Layout) String() string {
 type Segment struct {
 	ID   SegmentID
 	Kind SegmentKind
+	// Name labels the segment in panic messages. It need not be unique: a
+	// GPM-local copy carries its original's name.
 	Name string
 	Size int64
 
@@ -669,6 +671,16 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 	if n == 0 {
 		return Flow{Requester: gpm, RemoteBySrc: s.emptyRemote(), Kind: seg.Kind}
 	}
+	if seg.layout == LayoutUniform && seg.home == gpm {
+		// All-local: every byte is homed on the requester, so the flow is
+		// the access length with no remote part and no slot to consult.
+		flow := Flow{Requester: gpm, LocalBytes: float64(n), RemoteBySrc: s.emptyRemote(), Kind: seg.Kind}
+		if isRead {
+			seg.touched[gpm] = s.epoch
+		}
+		s.traffic.Record(flow)
+		return flow
+	}
 	warm := seg.touched[gpm] == s.epoch
 	op := opWrite
 	if isRead {
@@ -759,6 +771,14 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
 	seg := s.Segment(id)
 	if bytes == 0 || seg.Size == 0 {
 		flow := Flow{Requester: gpm, RemoteBySrc: s.emptyRemote(), Kind: seg.Kind}
+		s.traffic.Record(flow)
+		return flow
+	}
+	if seg.layout == LayoutUniform && seg.home == gpm {
+		// All-local. The share is still computed as the general path does:
+		// bytes*Size/Size is not always bytes in float64.
+		share := bytes * float64(seg.hist[gpm]) / float64(seg.Size)
+		flow := Flow{Requester: gpm, LocalBytes: share, RemoteBySrc: s.emptyRemote(), Kind: seg.Kind}
 		s.traffic.Record(flow)
 		return flow
 	}

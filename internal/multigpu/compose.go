@@ -141,9 +141,17 @@ func (s *System) EndFrame() sim.Time {
 	return end
 }
 
+// maxReservedFrames bounds ReserveFrames: frame counts arrive unbounded
+// from submitted specs, so a larger stream grows its storage as it goes.
+const maxReservedFrames = 1 << 16
+
 // ReserveFrames pre-allocates latency storage for n more frames, so a
-// frame loop that knows its stream length appends without growing.
+// frame loop that knows its stream length appends without growing. It
+// reserves nothing when n exceeds maxReservedFrames.
 func (s *System) ReserveFrames(n int) {
+	if n > maxReservedFrames {
+		return
+	}
 	if free := cap(s.frameLatency) - len(s.frameLatency); free < n {
 		nl := make([]sim.Time, len(s.frameLatency), len(s.frameLatency)+n)
 		copy(nl, s.frameLatency)

@@ -256,13 +256,21 @@ const noSegment = mem.SegmentID(-1)
 // padTo grows sl to hold index i, filling new slots with pad. Segment-
 // indexed state grows lazily, to the largest index it actually stores: a
 // table keyed by original segments never pays for the shipped copies
-// appended after them.
-func padTo[T any](sl []T, i int, pad T) []T {
+// appended after them. A table that must grow reserves room for at least
+// want entries at once (the shared segments every such table is keyed by).
+func padTo[T any](sl []T, i, want int, pad T) []T {
+	if cap(sl) <= i {
+		sl = slices.Grow(sl, max(i+1, want)-len(sl))
+	}
 	for len(sl) <= i {
 		sl = append(sl, pad)
 	}
 	return sl
 }
+
+// numShared returns how many texture and vertex segments the scene shares
+// across GPMs.
+func (s *System) numShared() int { return len(s.texSeg) + len(s.vbSeg) }
 
 // shippedThisFrame reports whether seg was already transferred to GPM gi in
 // the current frame.
@@ -274,7 +282,7 @@ func (s *System) shippedThisFrame(gi int, seg mem.SegmentID) bool {
 // markShipped records seg as transferred to GPM gi this frame.
 func (s *System) markShipped(gi int, seg mem.SegmentID) {
 	if int(seg) >= len(s.shipStamp[gi]) {
-		s.shipStamp[gi] = padTo(s.shipStamp[gi], int(seg), 0)
+		s.shipStamp[gi] = padTo(s.shipStamp[gi], int(seg), s.numShared(), 0)
 	}
 	s.shipStamp[gi][seg] = s.frameEpoch
 }
@@ -413,19 +421,20 @@ func (s *System) PlaceSharedAt(g mem.GPMID) {
 // EnsureLocalCopies allocates (once) private texture and vertex copies on
 // the GPM, modelling AFR's pre-allocated per-GPM memory spaces. The copy is
 // made at application load time, so it costs capacity but no link time.
+// A copy carries its original's name.
 func (s *System) EnsureLocalCopies(g mem.GPMID) {
 	gi := int(g)
 	if s.texCopy[gi] != nil {
 		return
 	}
 	for _, t := range s.sc.Textures {
-		id := s.Mem.Alloc(mem.KindTexture, fmt.Sprintf("tex%d@gpm%d", t.ID, g), t.Bytes)
+		id := s.Mem.Alloc(mem.KindTexture, t.Name, t.Bytes)
 		s.Mem.Place(id, g)
 		s.texCopy[gi] = append(s.texCopy[gi], id)
 	}
-	for i, vb := range s.vbSeg {
-		size := s.Mem.Segment(vb).Size
-		id := s.Mem.Alloc(mem.KindVertex, fmt.Sprintf("vb%04d@gpm%d", i, g), size)
+	for _, vb := range s.vbSeg {
+		seg := s.Mem.Segment(vb)
+		id := s.Mem.Alloc(mem.KindVertex, seg.Name, seg.Size)
 		s.Mem.Place(id, g)
 		s.vbCopy[gi] = append(s.vbCopy[gi], id)
 	}
@@ -514,8 +523,8 @@ func (c *TaskContext) Ship() {
 	ids := s.shipIDs[:0]
 	budget := func(orig mem.SegmentID, want float64) {
 		if int(orig) >= len(s.shipMark) {
-			s.shipMark = padTo(s.shipMark, int(orig), 0)
-			s.shipBudget = padTo(s.shipBudget, int(orig), 0)
+			s.shipMark = padTo(s.shipMark, int(orig), s.numShared(), 0)
+			s.shipBudget = padTo(s.shipBudget, int(orig), s.numShared(), 0)
 		}
 		if s.shipMark[orig] != serial {
 			s.shipMark[orig] = serial
@@ -585,8 +594,8 @@ func (c *TaskContext) Migrate() {
 			return // another GPM's batch owns it this frame
 		}
 		if int(seg) >= len(s.claimStamp) {
-			s.claimStamp = padTo(s.claimStamp, int(seg), 0)
-			s.claimOwner = padTo(s.claimOwner, int(seg), 0)
+			s.claimStamp = padTo(s.claimStamp, int(seg), s.numShared(), 0)
+			s.claimOwner = padTo(s.claimOwner, int(seg), s.numShared(), 0)
 		}
 		s.claimStamp[seg] = s.frameEpoch
 		s.claimOwner[seg] = g
@@ -741,7 +750,8 @@ func (s *System) Run(g mem.GPMID, task Task) sim.Time {
 // ship ensures GPM g holds a local copy of orig and returns the copy's
 // segment id. The bulk transfer is booked at time at and extends *end; it is
 // skipped when the copy is already valid (persistent residency from an
-// earlier frame, or an earlier ship in this frame).
+// earlier frame, or an earlier ship in this frame). The copy carries the
+// original's name.
 func (s *System) ship(g mem.GPMID, orig mem.SegmentID, budget float64, persistent bool, at sim.Time, end *sim.Time) mem.SegmentID {
 	gi := int(g)
 	cp := noSegment
@@ -751,9 +761,9 @@ func (s *System) ship(g mem.GPMID, orig mem.SegmentID, budget float64, persisten
 	exists := cp != noSegment
 	if !exists {
 		seg := s.Mem.Segment(orig)
-		cp = s.Mem.Alloc(seg.Kind, fmt.Sprintf("%s@gpm%d", seg.Name, gi), seg.Size)
+		cp = s.Mem.Alloc(seg.Kind, seg.Name, seg.Size)
 		s.Mem.Place(cp, g)
-		s.resident[gi] = padTo(s.resident[gi], int(orig), noSegment)
+		s.resident[gi] = padTo(s.resident[gi], int(orig), s.numShared(), noSegment)
 		s.resident[gi][orig] = cp
 	}
 	if persistent && exists {

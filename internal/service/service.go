@@ -472,9 +472,7 @@ func (c *Cell) arrive(idx int, t float64) {
 	sys := multigpu.New(gr.opts, st.Header())
 	layout, _ := spec.LayoutByName(c.sp.Placement)
 	layout(sys)
-	if a.frames <= 1<<16 {
-		sys.ReserveFrames(a.frames)
-	}
+	sys.ReserveFrames(a.frames)
 	planner, err := spec.NewPlanner(c.sp.Scheduler.Name, c.sp.Scheduler.Params)
 	if err != nil {
 		panic(err) // validated at OpenCell

@@ -1,0 +1,45 @@
+package spec
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestColdRunAllocBudget bounds the bytes one cold RunSpec.Run allocates:
+// HL2-1280, 12 frames, seed 1, under AFR (a private copy of every texture
+// and vertex buffer per GPM) and OO-VR (shipped copies and migrated
+// batches). Each budget is the measured bytes/op plus 10%. It pins the
+// cold-path cuts: frames streamed through one buffer instead of
+// materialized, all-local accesses kept out of the flow cache, no name
+// formatted per copy, and segment-indexed tables sized once. A streamed
+// run's bytes do not grow with its frame count, so 12 frames make a
+// materialized run stand out.
+func TestColdRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime changes allocation counts; see race_test.go")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+	for _, tc := range []struct {
+		scheduler string
+		measured  float64 // B/op, linux/amd64, go1.24
+	}{
+		{"afr", 1_477_800},
+		{"oovr", 1_538_100},
+	} {
+		s := RunSpec{Workload: WorkloadRef{Name: "HL2-1280"}, Scheduler: SchedulerRef{Name: tc.scheduler}, Frames: 12}
+		if _, err := s.Run(); err != nil { // warm the registries and caches
+			t.Fatal(err)
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			s.Run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		if budget := 1.1 * tc.measured; bytes > budget {
+			t.Errorf("%s: cold 12-frame HL2-1280 run allocates %.0f B/op, budget %.0f", tc.scheduler, bytes, budget)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"oovr/internal/multigpu"
 	"oovr/internal/obs"
 	"oovr/internal/render"
+	"oovr/internal/scene"
 	"oovr/internal/topo"
 	"oovr/internal/workload"
 )
@@ -333,14 +334,22 @@ func validOptions(opt multigpu.Options) (err error) {
 
 // Execute runs the resolved simulation and collects its metrics — byte
 // identical to the equivalent imperative construction (the spec tests pin
-// this for every registered scheduler).
+// this for every registered scheduler). Frames stream through one reused
+// buffer into a driver.Session, so a run holds one frame at a time
+// whatever its frame count.
 func (r *Run) Execute() multigpu.Metrics {
 	c := r.Case
-	sc := c.Spec.Generate(c.Width, c.Height, r.Spec.Frames, r.Spec.Seed)
-	sys := multigpu.New(r.Options, sc)
+	st := c.Spec.Stream(c.Width, c.Height, r.Spec.Frames, r.Spec.Seed)
+	sys := multigpu.New(r.Options, st.Header())
 	sys.AttachTimeline(r.Timeline)
 	r.layout(sys)
-	m := driver.Run(sys, r.Planner)
+	ses := driver.Open(sys, r.Planner)
+	sys.ReserveFrames(r.Spec.Frames)
+	var f scene.Frame
+	for st.NextInto(&f) {
+		ses.SubmitFrame(&f)
+	}
+	m := ses.Close()
 	r.Phases = sys.Phases()
 	return m
 }

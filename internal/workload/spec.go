@@ -167,7 +167,8 @@ func CaseByName(name string) (Case, bool) {
 // per-eye resolution. The same (spec, resolution, frames, seed) always
 // yields the identical scene. Generate is the batch form of Stream: it
 // drains the frame stream to completion, so batch and streamed runs see
-// identical frames.
+// identical frames. It holds every frame at once; a run that renders each
+// frame once should stream instead (spec.Run.Execute does).
 func (sp Spec) Generate(width, height, frames int, seed int64) *scene.Scene {
 	if frames <= 0 {
 		panic("workload: frames must be positive")

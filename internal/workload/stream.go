@@ -39,7 +39,9 @@ type Stream struct {
 // Stream opens a frame stream at the given per-eye resolution. frames <= 0
 // streams without bound (the multi-user serving scenario); otherwise the
 // stream ends after the given count. The same (spec, resolution, frames,
-// seed) prefix always yields identical frames.
+// seed) prefix always yields identical frames. Stream validates the header
+// and frame 0 (Scene.Validate) and panics on a malformed recipe; every
+// later frame is valid by construction.
 func (sp Spec) Stream(width, height, frames int, seed int64) *Stream {
 	rng := rand.New(rand.NewSource(seed ^ int64(len(sp.Abbr))*7919 ^ int64(width)*31 ^ int64(height)*17))
 
@@ -103,6 +105,12 @@ func (sp Spec) Stream(width, height, frames int, seed int64) *Stream {
 		vcaps[i] = st.base.Objects[i].VertexBytes()
 	}
 	st.header.Capacity = scene.Capacity{MaxObjects: len(st.base.Objects), VertexBytes: vcaps}
+
+	// Later frames only rescale clamped fragment counts and shift bounds,
+	// so checking the header with frame 0 covers every frame of the stream.
+	v := st.header
+	v.Frames = []scene.Frame{st.base}
+	v.Validate()
 	return st
 }
 
