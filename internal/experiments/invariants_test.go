@@ -1,0 +1,69 @@
+package experiments
+
+import (
+	"math"
+	"testing"
+
+	"oovr/internal/multigpu"
+)
+
+// TestTrafficInvariantsOverTheSpecMatrix checks the model's accounting
+// invariants as a property over every scheduler and every paper case, at
+// 4 and 8 GPMs on the full mesh, two frames each (126 runs):
+//
+//   - the five per-kind Remote*Bytes sum to InterGPMBytes;
+//   - the per-link byte counts sum to InterGPMBytes (on the full mesh every
+//     remote flow crosses exactly one link);
+//   - every link utilization lies in [0,1];
+//   - no frame latency and no GPM's busy time exceeds the run's TotalCycles.
+//
+// Sums are compared within 1e-12 relative: they add the same bytes in a
+// different order.
+func TestTrafficInvariantsOverTheSpecMatrix(t *testing.T) {
+	const tol = 1e-12
+	near := func(got, want float64) bool {
+		return math.Abs(got-want) <= tol*math.Max(math.Abs(want), 1)
+	}
+	for _, gpms := range []int{4, 8} {
+		sys := multigpu.DefaultOptions()
+		sys.Config = sys.Config.WithGPMs(gpms)
+		for _, s := range SpecMatrix(Options{Frames: 2, System: &sys}, nil) {
+			m, err := s.Run()
+			if err != nil {
+				t.Fatalf("%d GPMs: %v", gpms, err)
+			}
+			run := func(format string, args ...any) {
+				t.Helper()
+				t.Errorf("%d GPMs, %s on %s: "+format, append([]any{gpms, m.Scheme, m.Workload}, args...)...)
+			}
+			kinds := m.RemoteTextureBytes + m.RemoteCompositionBytes + m.RemoteDepthBytes +
+				m.RemoteCommandBytes + m.RemoteVertexBytes
+			if !near(kinds, m.InterGPMBytes) {
+				run("per-kind remote bytes sum to %v, InterGPMBytes %v", kinds, m.InterGPMBytes)
+			}
+			if len(m.Links) == 0 {
+				run("no link statistics")
+			}
+			var links float64
+			for _, l := range m.Links {
+				links += l.Bytes
+				if l.Utilization < 0 || l.Utilization > 1 {
+					run("link %s utilization %v outside [0,1]", l.Name, l.Utilization)
+				}
+			}
+			if !near(links, m.InterGPMBytes) {
+				run("link bytes sum to %v, InterGPMBytes %v", links, m.InterGPMBytes)
+			}
+			for i, l := range m.FrameLatencies {
+				if l > m.TotalCycles {
+					run("frame %d latency %v exceeds TotalCycles %v", i, l, m.TotalCycles)
+				}
+			}
+			for g, b := range m.GPMBusyCycles {
+				if b > m.TotalCycles {
+					run("GPM %d busy %v exceeds TotalCycles %v", g, b, m.TotalCycles)
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -105,9 +106,11 @@ func TestColdSegmentAllocBudget(t *testing.T) {
 // a segment homed entirely on the requester, reads, writes and proportional
 // reads return the per-page reference's flows with the flow cache on and
 // off, create no slot, allocate nothing, and still arm the remote cache
-// for a later remote read. One proportional volume is chosen so that
-// bytes*Size/Size != bytes in float64, which a shortcut returning the
-// volume itself would get wrong.
+// for a later remote read. A registered copy (Copy) of a striped segment
+// must read exactly as a segment placed on the requester does: equal
+// flows, equal Traffic and equal warmth, across a frame boundary. One
+// proportional volume is chosen so that bytes*Size/Size != bytes in
+// float64, which a shortcut returning the volume itself would get wrong.
 func TestAllLocalAccessesBypassTheFlowCache(t *testing.T) {
 	cfg := DefaultConfig(4)
 	const size = 3*4096 + 100
@@ -160,5 +163,49 @@ func TestAllLocalAccessesBypassTheFlowCache(t *testing.T) {
 		s.PlaceStriped(id)
 		ref.placeStriped(rid)
 		check("warm remote read", s.ReadAll(g, id), ref.access(g, rid, 0, size, true))
+
+		placed, copied := NewSystem(cfg), NewSystem(cfg)
+		placed.SetFlowCache(cache)
+		copied.SetFlowCache(cache)
+		pid := placed.Alloc(KindTexture, "tex", size)
+		placed.Place(pid, g)
+		cid := copied.Alloc(KindTexture, "tex", size)
+		copied.PlaceStriped(cid)
+		if !copied.Copy(cid, g) || copied.Copy(cid, g) {
+			t.Errorf("cache=%v: Copy must report new once, then not", cache)
+		}
+		warmth := func(when string) {
+			t.Helper()
+			if got, want := copied.CopyTouched(g, cid), placed.Touched(g, pid); got != want {
+				t.Errorf("cache=%v %s: copy warm=%v, placed segment warm=%v", cache, when, got, want)
+			}
+		}
+		for frame := 0; frame < 2; frame++ {
+			if frame > 0 {
+				placed.ResetWarmth()
+				copied.ResetWarmth()
+			}
+			warmth("at frame start")
+			check("copy empty read", copied.ReadCopy(g, cid, 100, 0), placed.Read(g, pid, 100, 0))
+			check("copy zero proportional", copied.ReadCopyProportional(g, cid, 0), placed.ReadProportional(g, pid, 0))
+			check("copy proportional", copied.ReadCopyProportional(g, cid, vol), placed.ReadProportional(g, pid, vol))
+			warmth("before the first read")
+			check("copy read", copied.ReadCopy(g, cid, 0, size), placed.Read(g, pid, 0, size))
+			warmth("after a read")
+			check("copy partial read", copied.ReadCopy(g, cid, 4000, 5000), placed.Read(g, pid, 4000, 5000))
+		}
+		if !reflect.DeepEqual(copied.Traffic(), placed.Traffic()) {
+			t.Errorf("cache=%v: copy traffic %v, placed segment traffic %v", cache, copied.Traffic(), placed.Traffic())
+		}
+		if cache {
+			allocs := testing.AllocsPerRun(100, func() {
+				copied.ReadCopy(g, cid, 0, size)
+				copied.ReadCopyProportional(g, cid, vol)
+				copied.CopyTouched(g, cid)
+			})
+			if allocs != 0 {
+				t.Errorf("copy reads allocate %v times per run", allocs)
+			}
+		}
 	}
 }

@@ -126,8 +126,7 @@ func (l Layout) String() string {
 type Segment struct {
 	ID   SegmentID
 	Kind SegmentKind
-	// Name labels the segment in panic messages. It need not be unique: a
-	// GPM-local copy carries its original's name.
+	// Name labels the segment in panic messages. It need not be unique.
 	Name string
 	Size int64
 
@@ -269,8 +268,13 @@ type System struct {
 	segments []*Segment
 	// epoch is the warmth epoch: a segment's touched[gpm] matching it means
 	// the GPM's remote cache is armed for the segment. ResetWarmth bumps it
-	// instead of clearing per-GPM state.
-	epoch   uint64
+	// instead of clearing per-GPM state. It starts above copyCold.
+	epoch uint64
+	// copies[g][id] is GPM g's private copy of segment id (see Copy): 0
+	// when g holds none, otherwise the copy's warmth stamp — copyCold until
+	// g first reads it, then the epoch of g's last read. A copy is homed
+	// entirely on g, so this stamp is all the state its reads consult.
+	copies  [][]uint64
 	traffic *Traffic
 	dramUse []int64 // bytes homed per GPM (capacity accounting)
 	// flowCacheOff disables the flow-decomposition cache (SetFlowCache):
@@ -295,7 +299,8 @@ func NewSystem(cfg Config) *System {
 	}
 	return &System{
 		cfg:        cfg,
-		epoch:      1,
+		epoch:      copyCold + 1,
+		copies:     make([][]uint64, cfg.NumGPMs),
 		traffic:    NewTraffic(cfg.NumGPMs),
 		dramUse:    make([]int64, cfg.NumGPMs),
 		zeroRemote: make([]float64, cfg.NumGPMs),
@@ -662,6 +667,14 @@ func (sl *flowSlot) fill(seg *Segment, preEpoch uint64, offset, n int64, prop, l
 	sl.local = local
 }
 
+// allLocal records and returns an access served entirely from the
+// requester's DRAM: no remote part and no flow-cache slot to consult.
+func (s *System) allLocal(gpm GPMID, kind SegmentKind, local float64) Flow {
+	flow := Flow{Requester: gpm, LocalBytes: local, RemoteBySrc: s.emptyRemote(), Kind: kind}
+	s.traffic.Record(flow)
+	return flow
+}
+
 func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) Flow {
 	s.checkGPM(gpm)
 	seg := s.Segment(id)
@@ -673,13 +686,11 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 	}
 	if seg.layout == LayoutUniform && seg.home == gpm {
 		// All-local: every byte is homed on the requester, so the flow is
-		// the access length with no remote part and no slot to consult.
-		flow := Flow{Requester: gpm, LocalBytes: float64(n), RemoteBySrc: s.emptyRemote(), Kind: seg.Kind}
+		// the access length.
 		if isRead {
 			seg.touched[gpm] = s.epoch
 		}
-		s.traffic.Record(flow)
-		return flow
+		return s.allLocal(gpm, seg.Kind, float64(n))
 	}
 	warm := seg.touched[gpm] == s.epoch
 	op := opWrite
@@ -770,17 +781,12 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
 	}
 	seg := s.Segment(id)
 	if bytes == 0 || seg.Size == 0 {
-		flow := Flow{Requester: gpm, RemoteBySrc: s.emptyRemote(), Kind: seg.Kind}
-		s.traffic.Record(flow)
-		return flow
+		return s.allLocal(gpm, seg.Kind, 0)
 	}
 	if seg.layout == LayoutUniform && seg.home == gpm {
 		// All-local. The share is still computed as the general path does:
 		// bytes*Size/Size is not always bytes in float64.
-		share := bytes * float64(seg.hist[gpm]) / float64(seg.Size)
-		flow := Flow{Requester: gpm, LocalBytes: share, RemoteBySrc: s.emptyRemote(), Kind: seg.Kind}
-		s.traffic.Record(flow)
-		return flow
+		return s.allLocal(gpm, seg.Kind, bytes*float64(seg.hist[gpm])/float64(seg.Size))
 	}
 	sl := s.slot(seg, gpm, opProp)
 	if sl != nil && sl.epoch != 0 && sl.epoch == seg.placeEpoch && sl.prop == bytes {
@@ -871,6 +877,75 @@ func (s *System) ResetWarmth() {
 func (s *System) Touched(gpm GPMID, id SegmentID) bool {
 	s.checkGPM(gpm)
 	return s.Segment(id).touched[gpm] == s.epoch
+}
+
+// copyCold is the warmth stamp of a registered copy that no read has
+// warmed yet; warmth epochs start above it.
+const copyCold = 1
+
+// Copy registers GPM g's private copy of segment id: a replica homed
+// entirely in g's DRAM, such as AFR's per-GPM memory spaces or a
+// framework's shipped working set. The copy costs the original's size in
+// g's DRAM capacity but is no segment of its own; ReadCopy,
+// ReadCopyProportional and CopyTouched read it, always all-local. Copy is
+// idempotent and reports whether the copy is new.
+func (s *System) Copy(id SegmentID, g GPMID) bool {
+	s.checkGPM(g)
+	c := s.copies[g]
+	if int(id) < len(c) && c[id] != 0 {
+		return false
+	}
+	size := s.Segment(id).Size
+	if int(id) >= len(c) {
+		c = append(c, make([]uint64, len(s.segments)-len(c))...)
+		s.copies[g] = c
+	}
+	c[id] = copyCold
+	s.dramUse[g] += size
+	return true
+}
+
+// copyStamp returns the warmth stamp of g's copy of id and panics when g
+// holds no copy of it.
+func (s *System) copyStamp(g GPMID, id SegmentID) *uint64 {
+	if c := s.copies[g]; int(id) < len(c) && c[id] != 0 {
+		return &c[id]
+	}
+	panic("mem: read of a copy that was never registered")
+}
+
+// ReadCopy is Read on GPM g's copy of the segment: the flow a segment
+// homed entirely on g would give, local bytes only.
+func (s *System) ReadCopy(g GPMID, id SegmentID, offset, n int64) Flow {
+	stamp := s.copyStamp(g, id)
+	seg := s.Segment(id)
+	if offset < 0 || n < 0 || offset+n > seg.Size {
+		panic(fmt.Sprintf("mem: access [%d,%d) outside segment %q of size %d", offset, offset+n, seg.Name, seg.Size))
+	}
+	if n == 0 {
+		return Flow{Requester: g, RemoteBySrc: s.emptyRemote(), Kind: seg.Kind}
+	}
+	*stamp = s.epoch
+	return s.allLocal(g, seg.Kind, float64(n))
+}
+
+// ReadCopyProportional is ReadProportional on GPM g's copy of the segment:
+// the all-local share bytes*Size/Size.
+func (s *System) ReadCopyProportional(g GPMID, id SegmentID, bytes float64) Flow {
+	if bytes < 0 {
+		panic(fmt.Sprintf("mem: negative proportional read %v", bytes))
+	}
+	s.copyStamp(g, id) // panics unless g holds a copy
+	seg := s.Segment(id)
+	if bytes == 0 || seg.Size == 0 {
+		return s.allLocal(g, seg.Kind, 0)
+	}
+	return s.allLocal(g, seg.Kind, bytes*float64(seg.Size)/float64(seg.Size)) // not always bytes
+}
+
+// CopyTouched is Touched on GPM g's copy of the segment.
+func (s *System) CopyTouched(g GPMID, id SegmentID) bool {
+	return *s.copyStamp(g, id) == s.epoch
 }
 
 // HomeHistogram returns, for the given segment, how many bytes are homed on

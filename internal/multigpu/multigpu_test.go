@@ -179,16 +179,6 @@ func TestLocalCopiesKeepTrafficLocal(t *testing.T) {
 	}
 }
 
-func TestEnsureLocalCopiesIdempotent(t *testing.T) {
-	s := newSystem(t)
-	s.EnsureLocalCopies(1)
-	n := s.Mem.NumSegments()
-	s.EnsureLocalCopies(1)
-	if s.Mem.NumSegments() != n {
-		t.Errorf("second EnsureLocalCopies allocated again")
-	}
-}
-
 // TestSteadyStateFrameDoesNotAllocate pins the frame loop's heap traffic:
 // once warm-up frames have built the shipping residency, filled the memory
 // system's flow caches and grown the epoch-stamped scratch, every further

@@ -113,8 +113,10 @@ type Task struct {
 	// the task start (OO-VR's PA units pre-allocate while the previous
 	// batch renders, Section 5.2).
 	Prefetch bool
-	// UseLocalCopies reads textures/vertices from this GPM's private copy
-	// (AFR's separate memory spaces) instead of the shared pool.
+	// UseLocalCopies makes Execute read textures and vertices from this
+	// GPM's private copies (AFR's separate memory spaces; see
+	// EnsureLocalCopies) instead of the shared pool. Ship and Migrate act
+	// on the shared segments either way.
 	UseLocalCopies bool
 	// SharedL2 models the single-programming-model baseline: all GPMs form
 	// one logical GPU whose L2 slices are address-interleaved, so every
@@ -158,10 +160,6 @@ type System struct {
 	cmdSeg   mem.SegmentID
 	stageSeg []mem.SegmentID // per GPM color staging
 
-	// Private copies for AFR's segmented memory, allocated lazily.
-	texCopy [][]mem.SegmentID // [gpm][texture]
-	vbCopy  [][]mem.SegmentID // [gpm][object]
-
 	// Per-frame transfer state lives in epoch-stamped slices indexed by
 	// segment id: BeginFrame resets all of it by bumping frameEpoch, so the
 	// steady-state frame loop allocates nothing.
@@ -176,10 +174,6 @@ type System struct {
 	claimStamp []uint64
 	claimOwner []mem.GPMID
 	frameEpoch uint64
-	// resident[g][orig] is the GPM's local shipped copy of orig (noSegment
-	// when none); copies persist across frames (capacity stays allocated)
-	// and, for persistent shipping, so does their content.
-	resident [][]mem.SegmentID
 
 	// Ship's working state: per-segment working-set budgets stamped by
 	// shipSerial plus the touched-id list, reused across tasks.
@@ -250,14 +244,10 @@ func (s *System) AttachTimeline(tl *obs.Timeline) {
 // Timeline returns the attached recorder, or nil when recording is off.
 func (s *System) Timeline() *obs.Timeline { return s.tl }
 
-// noSegment marks an empty resident slot.
-const noSegment = mem.SegmentID(-1)
-
 // padTo grows sl to hold index i, filling new slots with pad. Segment-
-// indexed state grows lazily, to the largest index it actually stores: a
-// table keyed by original segments never pays for the shipped copies
-// appended after them. A table that must grow reserves room for at least
-// want entries at once (the shared segments every such table is keyed by).
+// indexed state grows lazily, to the largest index it actually stores. A
+// table that must grow reserves room for at least want entries at once
+// (the shared segments every such table is keyed by).
 func padTo[T any](sl []T, i, want int, pad T) []T {
 	if cap(sl) <= i {
 		sl = slices.Grow(sl, max(i+1, want)-len(sl))
@@ -313,9 +303,6 @@ func New(opt Options, sc *scene.Scene) *System {
 		sc:         sc,
 		shipStamp:  make([][]uint64, n),
 		frameEpoch: 1,
-		resident:   make([][]mem.SegmentID, n),
-		texCopy:    make([][]mem.SegmentID, n),
-		vbCopy:     make([][]mem.SegmentID, n),
 		ropScratch: make([]float64, n),
 	}
 	if n > 1 {
@@ -418,40 +405,17 @@ func (s *System) PlaceSharedAt(g mem.GPMID) {
 	}
 }
 
-// EnsureLocalCopies allocates (once) private texture and vertex copies on
-// the GPM, modelling AFR's pre-allocated per-GPM memory spaces. The copy is
-// made at application load time, so it costs capacity but no link time.
-// A copy carries its original's name.
+// EnsureLocalCopies registers a private copy of every shared texture and
+// vertex buffer on the GPM (mem.System.Copy), modelling AFR's
+// pre-allocated per-GPM memory spaces. The copy is made at application
+// load time, so it costs capacity but no link time. Idempotent.
 func (s *System) EnsureLocalCopies(g mem.GPMID) {
-	gi := int(g)
-	if s.texCopy[gi] != nil {
-		return
+	for _, id := range s.texSeg {
+		s.Mem.Copy(id, g)
 	}
-	for _, t := range s.sc.Textures {
-		id := s.Mem.Alloc(mem.KindTexture, t.Name, t.Bytes)
-		s.Mem.Place(id, g)
-		s.texCopy[gi] = append(s.texCopy[gi], id)
+	for _, id := range s.vbSeg {
+		s.Mem.Copy(id, g)
 	}
-	for _, vb := range s.vbSeg {
-		seg := s.Mem.Segment(vb)
-		id := s.Mem.Alloc(mem.KindVertex, seg.Name, seg.Size)
-		s.Mem.Place(id, g)
-		s.vbCopy[gi] = append(s.vbCopy[gi], id)
-	}
-}
-
-func (s *System) textureSegment(g mem.GPMID, task *Task, id scene.TextureID) mem.SegmentID {
-	if task.UseLocalCopies {
-		return s.texCopy[g][id]
-	}
-	return s.texSeg[id]
-}
-
-func (s *System) vertexSegment(g mem.GPMID, task *Task, obj int) mem.SegmentID {
-	if task.UseLocalCopies {
-		return s.vbCopy[g][obj]
-	}
-	return s.vbSeg[obj]
 }
 
 // reserveFlow books a flow's bytes on the requester DRAM and on the links
@@ -486,9 +450,8 @@ type TaskContext struct {
 	task  Task
 	start sim.Time
 	// shipped records that the Ship phase ran: Execute then reads every
-	// referenced segment through the GPM's resident copy table (Ship budgets
-	// exactly the segments Execute touches, so a resident entry is
-	// guaranteed to exist).
+	// texture and vertex buffer from the GPM's copy (Ship registers a copy
+	// of exactly the segments Execute reads).
 	shipped bool
 	done    bool
 	// serial identifies the task on timeline spans (assigned only while
@@ -551,10 +514,9 @@ func (c *TaskContext) Ship() {
 			overfetch = 1
 		}
 		for _, tid := range p.Object.Textures {
-			orig := s.textureSegment(g, task, tid)
-			budget(orig, views*p.Object.FragsPerView*s.opt.Cache.SampleBytesPerFragment*overfetch)
+			budget(s.texSeg[tid], views*p.Object.FragsPerView*s.opt.Cache.SampleBytesPerFragment*overfetch)
 		}
-		vb := s.vertexSegment(g, task, p.Object.Index)
+		vb := s.vbSeg[p.Object.Index]
 		budget(vb, float64(s.Mem.Segment(vb).Size))
 	}
 	// Reserve in segment-id order: FIFO resources book reservations in
@@ -609,9 +571,9 @@ func (c *TaskContext) Migrate() {
 	}
 	for _, p := range task.Parts {
 		for _, tid := range p.Object.Textures {
-			migrate(s.textureSegment(g, task, tid))
+			migrate(s.texSeg[tid])
 		}
-		migrate(s.vertexSegment(g, task, p.Object.Index))
+		migrate(s.vbSeg[p.Object.Index])
 	}
 	s.phases.Migrate += migEnd - c.start
 	if s.tl != nil && migEnd > c.start {
@@ -634,11 +596,14 @@ func (c *TaskContext) Execute() sim.Time {
 	c.done = true
 	s, g, task, start := c.sys, c.gpm, &c.task, c.start
 	gi := int(g)
-	resolve := func(orig mem.SegmentID) mem.SegmentID {
-		if !c.shipped {
-			return orig
+	// Shipped and AFR tasks read textures and vertices from the GPM's
+	// copies.
+	copies := c.shipped || task.UseLocalCopies
+	read := func(seg mem.SegmentID, n int64) mem.Flow {
+		if copies {
+			return s.Mem.ReadCopy(g, seg, 0, n)
 		}
-		return s.resident[gi][orig] // Ship guaranteed the copy exists
+		return s.Mem.Read(g, seg, 0, n)
 	}
 
 	// Aggregate compute work and issue memory flows.
@@ -654,25 +619,35 @@ func (c *TaskContext) Execute() sim.Time {
 		mv := pipeline.ObjectMemVolumes(p.Object, p.Mode, p.GeomFrac, p.FragFrac)
 
 		// Vertex fetch.
-		vb := resolve(s.vertexSegment(g, task, p.Object.Index))
-		account(s.Mem.Read(g, vb, 0, clampLen(mv.VertexBytes, s.Mem.Segment(vb).Size)))
+		vb := s.vbSeg[p.Object.Index]
+		account(read(vb, clampLen(mv.VertexBytes, s.Mem.Segment(vb).Size)))
 
 		// Texture fetch: each bound texture is sampled by the part's
 		// fragments.
 		for _, tid := range p.Object.Textures {
-			seg := resolve(s.textureSegment(g, task, tid))
+			seg := s.texSeg[tid]
 			size := s.Mem.Segment(seg).Size
 			if task.SharedL2 {
 				// Striped shared L2: sample volume itself crosses the
 				// fabric, no local-cache filtering.
-				account(s.Mem.ReadProportional(g, seg, mv.FragsForTexture*s.opt.Cache.SampleBytesPerFragment))
+				vol := mv.FragsForTexture * s.opt.Cache.SampleBytesPerFragment
+				if copies {
+					account(s.Mem.ReadCopyProportional(g, seg, vol))
+				} else {
+					account(s.Mem.ReadProportional(g, seg, vol))
+				}
 				continue
 			}
 			// Independent renderer: the GPM's own caches filter; only
 			// DRAM-level misses move, bounded by the texture size.
-			warm := s.Mem.Touched(g, seg)
+			var warm bool
+			if copies {
+				warm = s.Mem.CopyTouched(g, seg)
+			} else {
+				warm = s.Mem.Touched(g, seg)
+			}
 			bytes := s.opt.Cache.TextureFetchBytes(size, mv.FragsForTexture, warm)
-			account(s.Mem.Read(g, seg, 0, clampLen(bytes, size)))
+			account(read(seg, clampLen(bytes, size)))
 		}
 
 		// Depth read-modify-write.
@@ -747,30 +722,18 @@ func (s *System) Run(g mem.GPMID, task Task) sim.Time {
 	return c.Execute()
 }
 
-// ship ensures GPM g holds a local copy of orig and returns the copy's
-// segment id. The bulk transfer is booked at time at and extends *end; it is
-// skipped when the copy is already valid (persistent residency from an
-// earlier frame, or an earlier ship in this frame). The copy carries the
-// original's name.
-func (s *System) ship(g mem.GPMID, orig mem.SegmentID, budget float64, persistent bool, at sim.Time, end *sim.Time) mem.SegmentID {
+// ship ensures GPM g holds a copy of orig (mem.System.Copy). The bulk
+// transfer is booked at time at and extends *end; it is skipped when the
+// copy is already valid (persistent residency from an earlier frame, or an
+// earlier ship in this frame). Copies persist across frames: their
+// capacity stays allocated.
+func (s *System) ship(g mem.GPMID, orig mem.SegmentID, budget float64, persistent bool, at sim.Time, end *sim.Time) {
 	gi := int(g)
-	cp := noSegment
-	if int(orig) < len(s.resident[gi]) {
-		cp = s.resident[gi][orig]
-	}
-	exists := cp != noSegment
-	if !exists {
-		seg := s.Mem.Segment(orig)
-		cp = s.Mem.Alloc(seg.Kind, seg.Name, seg.Size)
-		s.Mem.Place(cp, g)
-		s.resident[gi] = padTo(s.resident[gi], int(orig), s.numShared(), noSegment)
-		s.resident[gi][orig] = cp
-	}
-	if persistent && exists {
-		return cp // content still valid from a previous frame
+	if fresh := s.Mem.Copy(orig, g); persistent && !fresh {
+		return // content still valid from a previous frame
 	}
 	if s.shippedThisFrame(gi, orig) {
-		return cp // already transferred this frame
+		return // already transferred this frame
 	}
 	s.markShipped(gi, orig)
 	size := float64(s.Mem.Segment(orig).Size)
@@ -781,7 +744,6 @@ func (s *System) ship(g mem.GPMID, orig mem.SegmentID, budget float64, persisten
 	if e := s.reserveFlow(at, flow); e > *end {
 		*end = e
 	}
-	return cp
 }
 
 // fullyHomedAt reports whether every byte of the segment lives on g.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"testing"
 )
 
@@ -64,6 +65,39 @@ func FuzzDecodeJobBytes(f *testing.F) {
 		}
 		if h, _ := job.Hash(); h != hash {
 			t.Fatalf("hash is not stable across calls: %s != %s", h, hash)
+		}
+	})
+}
+
+// FuzzDecodeResult feeds outside bytes to the Result decoder that reads
+// cached results and fleet workers' answers. Properties: decoding never
+// panics, and an accepted Result encodes, and those bytes decode to an
+// equal Result.
+//
+// The seed corpus in testdata/fuzz/FuzzDecodeResult holds one encoded
+// Result (DM3-640 under OO-VR, two frames); the added seeds spell two
+// values Encode writes differently: an empty Links list and scheduler
+// params with whitespace and an HTML character. Run it longer with
+//
+//	go test -run '^$' -fuzz FuzzDecodeResult -fuzztime 10s ./internal/spec
+func FuzzDecodeResult(f *testing.F) {
+	f.Add([]byte(`{"schema_version":1,"metrics":{"Links":[]}}`))
+	f.Add([]byte(`{"schema_version":1,"spec":{"scheduler":{"name":"x","params":{ "a" : "<" }}}}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeResult(b)
+		if err != nil {
+			return
+		}
+		enc, err := r.Encode()
+		if err != nil {
+			t.Fatalf("an accepted Result does not encode: %v", err)
+		}
+		again, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatalf("an encoded Result does not decode: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(r, again) {
+			t.Fatalf("Result changed across encode and decode:\n%+v\n%+v", r, again)
 		}
 	})
 }

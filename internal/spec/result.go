@@ -48,7 +48,9 @@ func (r Result) Encode() ([]byte, error) {
 }
 
 // DecodeResult parses a canonical Result and rejects unknown schema
-// versions.
+// versions. It returns the value Encode writes back, so decode → encode →
+// decode is the identity: Encode omits an empty Links list and writes
+// scheduler params compact and HTML-escaped, and so does the decoded value.
 func DecodeResult(b []byte) (Result, error) {
 	var r Result
 	if err := json.Unmarshal(b, &r); err != nil {
@@ -57,6 +59,15 @@ func DecodeResult(b []byte) (Result, error) {
 	if r.SchemaVersion != ResultSchemaVersion {
 		return Result{}, fmt.Errorf("spec: unsupported result schema %d (this build speaks %d)",
 			r.SchemaVersion, ResultSchemaVersion)
+	}
+	if len(r.Metrics.Links) == 0 {
+		r.Metrics.Links = nil
+	}
+	if p := r.Spec.Scheduler.Params; len(p) > 0 {
+		var err error
+		if r.Spec.Scheduler.Params, err = json.Marshal(p); err != nil {
+			return Result{}, fmt.Errorf("spec: decode result: %w", err)
+		}
 	}
 	return r, nil
 }
