@@ -51,6 +51,7 @@ import (
 	"oovr/internal/server"
 	"oovr/internal/service"
 	"oovr/internal/spec"
+	"oovr/internal/topo"
 )
 
 func main() {
@@ -146,7 +147,7 @@ func serve(ctx context.Context, addr string, workers, cache int, lease, drain ti
 	fmt.Printf("  schedulers: %s\n", strings.Join(spec.PlannerNames(), ", "))
 	fmt.Printf("  workloads:  %s\n", strings.Join(spec.WorkloadNames(), ", "))
 	fmt.Printf("  layouts:    %s\n", strings.Join(spec.LayoutNames(), ", "))
-	fmt.Printf("  topologies: %s\n", strings.Join(spec.TopologyNames(), ", "))
+	fmt.Printf("  topologies: %s\n", strings.Join(topo.Names(), ", "))
 	fmt.Printf("  routers:    %s\n", strings.Join(service.RouterNames(), ", "))
 
 	errc := make(chan error, 1)

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -96,16 +97,6 @@ func main() {
 		}
 		opt.System = &sys
 	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.ToUpper(strings.TrimSpace(e))] = true
-	}
-	all := want["ALL"]
-	if *dumpSpec {
-		dumpMatrix(opt, want, all)
-		return
-	}
-	sel := func(id string) bool { return all || want[id] }
 	emit := func(f stats.Figure) {
 		if *csv {
 			fmt.Print(f.CSV())
@@ -113,69 +104,59 @@ func main() {
 			fmt.Println(f.Render())
 		}
 	}
-
-	if sel("T1") {
-		printTable1()
+	fig := func(run func(experiments.Options) stats.Figure) func() {
+		return func() { emit(run(opt)) }
 	}
-	if sel("T2") {
-		printTable2()
+	// Every experiment id in print order; -exp selects from this table and
+	// is checked against it.
+	exps := []struct {
+		id  string
+		run func()
+	}{
+		{"T1", printTable1},
+		{"T2", printTable2},
+		{"T3", printTable3},
+		{"E0", fig(experiments.E0SMPValidation)},
+		{"F4", fig(experiments.F4Bandwidth)},
+		{"F7", fig(experiments.F7AFR)},
+		{"F8", fig(experiments.F8SFRPerformance)},
+		{"F9", fig(experiments.F9SFRTraffic)},
+		{"F10", fig(experiments.F10Imbalance)},
+		{"F15", fig(experiments.F15Speedup)},
+		{"F16", fig(experiments.F16Traffic)},
+		{"F17", fig(experiments.F17BandwidthScaling)},
+		{"F18", fig(experiments.F18GPMScaling)},
+		{"FT", fig(experiments.FTopology)},
+		{"FS", fig(experiments.FSCapacity)},
+		{"O1", func() { emit(experiments.O1Overhead()) }},
+		{"BRK", fig(experiments.TrafficBreakdown)},
+		{"A1", fig(experiments.A1NoBatching)},
+		{"A2", fig(experiments.A2NoPredictor)},
+		{"A3", fig(experiments.A3NoDHC)},
+		{"A4", fig(experiments.A4TSLSweep)},
 	}
-	if sel("T3") {
-		printTable3()
+	var ids []string
+	for _, e := range exps {
+		ids = append(ids, e.id)
 	}
-	if sel("E0") {
-		emit(experiments.E0SMPValidation(opt))
+	sort.Strings(ids)
+	want := map[string]bool{}
+	for _, e := range strings.Split(*exp, ",") {
+		id := strings.ToUpper(strings.TrimSpace(e))
+		if _, ok := slices.BinarySearch(ids, id); !ok && id != "ALL" {
+			fail(fmt.Errorf("-exp: unknown experiment id %q (valid: all, %s)", e, strings.Join(ids, ", ")))
+		}
+		want[id] = true
 	}
-	if sel("F4") {
-		emit(experiments.F4Bandwidth(opt))
+	all := want["ALL"]
+	if *dumpSpec {
+		dumpMatrix(opt, want, all)
+		return
 	}
-	if sel("F7") {
-		emit(experiments.F7AFR(opt))
-	}
-	if sel("F8") {
-		emit(experiments.F8SFRPerformance(opt))
-	}
-	if sel("F9") {
-		emit(experiments.F9SFRTraffic(opt))
-	}
-	if sel("F10") {
-		emit(experiments.F10Imbalance(opt))
-	}
-	if sel("F15") {
-		emit(experiments.F15Speedup(opt))
-	}
-	if sel("F16") {
-		emit(experiments.F16Traffic(opt))
-	}
-	if sel("F17") {
-		emit(experiments.F17BandwidthScaling(opt))
-	}
-	if sel("F18") {
-		emit(experiments.F18GPMScaling(opt))
-	}
-	if sel("FT") {
-		emit(experiments.FTopology(opt))
-	}
-	if sel("FS") {
-		emit(experiments.FSCapacity(opt))
-	}
-	if sel("O1") {
-		emit(experiments.O1Overhead())
-	}
-	if sel("BRK") {
-		emit(experiments.TrafficBreakdown(opt))
-	}
-	if sel("A1") {
-		emit(experiments.A1NoBatching(opt))
-	}
-	if sel("A2") {
-		emit(experiments.A2NoPredictor(opt))
-	}
-	if sel("A3") {
-		emit(experiments.A3NoDHC(opt))
-	}
-	if sel("A4") {
-		emit(experiments.A4TSLSweep(opt))
+	for _, e := range exps {
+		if all || want[e.id] {
+			e.run()
+		}
 	}
 	if flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "unexpected arguments:", flag.Args())

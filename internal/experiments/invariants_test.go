@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"oovr/internal/multigpu"
+	"oovr/internal/obs"
 )
 
 // TestTrafficInvariantsOverTheSpecMatrix checks the model's accounting
@@ -15,7 +16,10 @@ import (
 //   - the per-link byte counts sum to InterGPMBytes (on the full mesh every
 //     remote flow crosses exactly one link);
 //   - every link utilization lies in [0,1];
-//   - no frame latency and no GPM's busy time exceeds the run's TotalCycles.
+//   - no frame latency and no GPM's busy time exceeds the run's TotalCycles;
+//   - every timeline event the run retains satisfies Start <= End <=
+//     TotalCycles (some runs overflow the recorder's ring; the overwritten
+//     events are not checked).
 //
 // Sums are compared within 1e-12 relative: they add the same bytes in a
 // different order.
@@ -28,10 +32,12 @@ func TestTrafficInvariantsOverTheSpecMatrix(t *testing.T) {
 		sys := multigpu.DefaultOptions()
 		sys.Config = sys.Config.WithGPMs(gpms)
 		for _, s := range SpecMatrix(Options{Frames: 2, System: &sys}, nil) {
-			m, err := s.Run()
+			r, err := s.Resolve()
 			if err != nil {
 				t.Fatalf("%d GPMs: %v", gpms, err)
 			}
+			r.Timeline = obs.NewTimeline()
+			m := r.Execute()
 			run := func(format string, args ...any) {
 				t.Helper()
 				t.Errorf("%d GPMs, %s on %s: "+format, append([]any{gpms, m.Scheme, m.Workload}, args...)...)
@@ -62,6 +68,12 @@ func TestTrafficInvariantsOverTheSpecMatrix(t *testing.T) {
 			for g, b := range m.GPMBusyCycles {
 				if b > m.TotalCycles {
 					run("GPM %d busy %v exceeds TotalCycles %v", g, b, m.TotalCycles)
+				}
+			}
+			for _, e := range r.Timeline.Events() {
+				if e.Start > e.End || float64(e.End) > m.TotalCycles {
+					run("timeline event %s spans [%d,%d], TotalCycles %v", e.Name, e.Start, e.End, m.TotalCycles)
+					break
 				}
 			}
 		}

@@ -49,7 +49,7 @@ func ParseChaos(s string) (Chaos, error) {
 			c.Seed = n
 		case "crash", "stall", "corrupt":
 			p, err := strconv.ParseFloat(v, 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || !(p >= 0 && p <= 1) { // NaN fails both bounds
 				return Chaos{}, fmt.Errorf("fleet: chaos %s: %q is not a probability", k, v)
 			}
 			switch k {

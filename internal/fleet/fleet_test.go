@@ -366,7 +366,7 @@ func TestChaosParseAndDeterminism(t *testing.T) {
 	if c.Crash != 0.2 || c.Stall != 0.1 || c.Corrupt != 0.05 || c.Seed != 7 {
 		t.Fatalf("parsed %+v", c)
 	}
-	for _, bad := range []string{"crash", "crash=2", "boom=0.1", "crash=0.6,stall=0.6"} {
+	for _, bad := range []string{"crash", "crash=2", "boom=0.1", "crash=0.6,stall=0.6", "crash=NaN", "crash=nan,stall=0.5"} {
 		if _, err := ParseChaos(bad); err == nil {
 			t.Errorf("%q parsed", bad)
 		}

@@ -40,6 +40,7 @@ import (
 	"oovr/internal/par"
 	"oovr/internal/service"
 	"oovr/internal/spec"
+	"oovr/internal/topo"
 )
 
 // maxSpecBytes bounds one submitted spec (inline workloads included).
@@ -159,7 +160,7 @@ func New(opt Options) *Server {
 	s.mux.HandleFunc("/schedulers", listHandler(spec.PlannerNames))
 	s.mux.HandleFunc("/workloads", listHandler(spec.WorkloadNames))
 	s.mux.HandleFunc("/layouts", listHandler(spec.LayoutNames))
-	s.mux.HandleFunc("/topologies", listHandler(spec.TopologyNames))
+	s.mux.HandleFunc("/topologies", listHandler(topo.Names))
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	if m := s.opt.Metrics; m != nil {

@@ -3,9 +3,8 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
+
+	"oovr/internal/registry"
 )
 
 // NodeView is the router's read-only picture of one node at an arrival
@@ -49,40 +48,26 @@ type Router interface {
 // fields are an error.
 type RouterFactory func(params json.RawMessage) (Router, error)
 
-var routers = struct {
-	sync.RWMutex
-	m map[string]RouterFactory
-}{m: map[string]RouterFactory{}}
+// routers is the routing-policy name table (case-insensitive).
+var routers = registry.New[RouterFactory]("service", "router", true)
 
 // RegisterRouter adds a named session→node routing policy, so ServiceSpecs
 // can reference it by string. Names are case-insensitive; registering a
 // taken name panics. The builtins — "least-loaded", "round-robin",
 // "topology-aware" — register at init.
 func RegisterRouter(name string, f RouterFactory) {
-	if name == "" {
-		panic("service: router registered with empty name")
-	}
 	if f == nil {
 		panic("service: nil RouterFactory for " + name)
 	}
-	key := strings.ToLower(name)
-	routers.Lock()
-	defer routers.Unlock()
-	if _, dup := routers.m[key]; dup {
-		panic("service: router " + name + " registered twice")
-	}
-	routers.m[key] = f
+	routers.Register(name, f)
 }
 
 // NewRouter resolves a registered routing policy and builds it from the
 // given params. Unknown names report the sorted registered list.
 func NewRouter(name string, params json.RawMessage) (Router, error) {
-	routers.RLock()
-	f, ok := routers.m[strings.ToLower(name)]
-	routers.RUnlock()
+	f, ok := routers.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("service: unknown router %q (registered: %s)",
-			name, strings.Join(RouterNames(), ", "))
+		return nil, routers.Unknown(name)
 	}
 	r, err := f(params)
 	if err != nil {
@@ -92,16 +77,7 @@ func NewRouter(name string, params json.RawMessage) (Router, error) {
 }
 
 // RouterNames returns the sorted names of all registered routing policies.
-func RouterNames() []string {
-	routers.RLock()
-	defer routers.RUnlock()
-	out := make([]string, 0, len(routers.m))
-	for name := range routers.m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func RouterNames() []string { return routers.Names() }
 
 // roundRobin cycles arrivals across the cluster regardless of load: the
 // baseline policy. A full node in the rotation rejects its session.

@@ -6,8 +6,8 @@
 // harness builds one per figure case, and cmd/oovrd accepts them over HTTP,
 // caching results under the canonical spec encoding.
 //
-// Three registries back the resolution, mirroring the named-plugin shape of
-// production schedulers:
+// Three registry.Tables back the resolution, mirroring the named-plugin
+// shape of production schedulers:
 //
 //   - planners: scheduling policies (driver.Planner factories taking JSON
 //     params) — the seven built-in schemes register at init, user policies
@@ -17,9 +17,10 @@
 //   - layouts: initial NUMA placements for the shared texture/vertex pool
 //     via RegisterLayout.
 //
-// A fourth axis — the interconnect topology named in the hardware block —
-// resolves through the internal/topo registry; RegisterTopology and
-// TopologyNames (topology.go) are its spec surface.
+// The other named axes resolve through the same Table type in the package
+// that owns them: the interconnect topology of the hardware block in
+// internal/topo, and a ServiceSpec's router and motion trace in
+// internal/service and internal/workload.
 //
 // DESIGN.md §7 documents the layer; §8 documents the topology model.
 package spec
@@ -27,12 +28,11 @@ package spec
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"oovr/internal/driver"
 	"oovr/internal/multigpu"
+	"oovr/internal/registry"
 	"oovr/internal/workload"
 )
 
@@ -45,101 +45,10 @@ type PlannerFactory func(params json.RawMessage) (driver.Planner, error)
 // vertex data to a freshly bound system, before any frame runs.
 type LayoutFunc func(sys *multigpu.System)
 
-// registry is one name-keyed component table. Primary names and aliases
-// share the value map; Names reports primaries only, so error messages and
-// listing endpoints stay canonical.
-type registry[V any] struct {
-	mu     sync.RWMutex
-	kind   string
-	fold   bool         // case-insensitive lookup
-	values map[string]V // by folded key
-	// primary maps a primary entry's folded key to its registered display
-	// spelling, which listings and canonical specs preserve.
-	primary map[string]string
-	// canon maps every accepted key (primary or alias, folded) to the
-	// primary display name, so spec normalization can rewrite aliases —
-	// identical runs must canonicalize to identical bytes and content
-	// addresses.
-	canon map[string]string
-}
-
-func newRegistry[V any](kind string, fold bool) *registry[V] {
-	return &registry[V]{kind: kind, fold: fold,
-		values: map[string]V{}, primary: map[string]string{}, canon: map[string]string{}}
-}
-
-func (r *registry[V]) key(name string) string {
-	if r.fold {
-		return strings.ToLower(name)
-	}
-	return name
-}
-
-func (r *registry[V]) register(name string, v V, aliases ...string) {
-	if name == "" {
-		panic("spec: " + r.kind + " registered with empty name")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := r.key(name)
-	if _, dup := r.values[k]; dup {
-		panic(fmt.Sprintf("spec: %s %q registered twice", r.kind, name))
-	}
-	r.values[k] = v
-	r.primary[k] = name
-	r.canon[k] = name
-	for _, a := range aliases {
-		ak := r.key(a)
-		if _, dup := r.values[ak]; dup {
-			panic(fmt.Sprintf("spec: %s alias %q registered twice", r.kind, a))
-		}
-		r.values[ak] = v
-		r.canon[ak] = name
-	}
-}
-
-func (r *registry[V]) lookup(name string) (V, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	v, ok := r.values[r.key(name)]
-	return v, ok
-}
-
-// canonicalName maps any accepted spelling (case variant or alias) to the
-// registered primary name; unregistered names come back unchanged so the
-// resolution error can still report them verbatim.
-func (r *registry[V]) canonicalName(name string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if p, ok := r.canon[r.key(name)]; ok {
-		return p
-	}
-	return name
-}
-
-// names returns the sorted primary names in their registered spelling.
-func (r *registry[V]) names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.primary))
-	for _, name := range r.primary {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// unknown formats the resolution error every submission surface reports:
-// the unknown name plus the sorted list of registered ones.
-func (r *registry[V]) unknown(name string) error {
-	return fmt.Errorf("spec: unknown %s %q (registered: %s)",
-		r.kind, name, strings.Join(r.names(), ", "))
-}
-
 var (
-	planners  = newRegistry[PlannerFactory]("scheduler", true)
-	workloads = newRegistry[workload.Case]("workload", false)
-	layouts   = newRegistry[LayoutFunc]("placement layout", true)
+	planners  = registry.New[PlannerFactory]("spec", "scheduler", true)
+	workloads = registry.New[workload.Case]("spec", "workload", false)
+	layouts   = registry.New[LayoutFunc]("spec", "placement layout", true)
 )
 
 // RegisterPlanner adds a named scheduling policy to the registry (plus any
@@ -149,15 +58,15 @@ func RegisterPlanner(name string, f PlannerFactory, aliases ...string) {
 	if f == nil {
 		panic("spec: nil PlannerFactory for " + name)
 	}
-	planners.register(name, f, aliases...)
+	planners.Register(name, f, aliases...)
 }
 
 // NewPlanner resolves a registered scheduling policy and builds it from the
 // given params. Unknown names report the sorted registered list.
 func NewPlanner(name string, params json.RawMessage) (driver.Planner, error) {
-	f, ok := planners.lookup(name)
+	f, ok := planners.Lookup(name)
 	if !ok {
-		return nil, planners.unknown(name)
+		return nil, planners.Unknown(name)
 	}
 	p, err := f(params)
 	if err != nil {
@@ -167,32 +76,32 @@ func NewPlanner(name string, params json.RawMessage) (driver.Planner, error) {
 }
 
 // PlannerNames returns the sorted primary names of all registered policies.
-func PlannerNames() []string { return planners.names() }
+func PlannerNames() []string { return planners.Names() }
 
 // RegisterWorkload adds a named benchmark case. Names are case-sensitive
 // (they are figure labels like "HL2-1280").
-func RegisterWorkload(name string, c workload.Case) { workloads.register(name, c) }
+func RegisterWorkload(name string, c workload.Case) { workloads.Register(name, c) }
 
 // WorkloadByName resolves a registered benchmark case.
-func WorkloadByName(name string) (workload.Case, bool) { return workloads.lookup(name) }
+func WorkloadByName(name string) (workload.Case, bool) { return workloads.Lookup(name) }
 
 // WorkloadNames returns the sorted names of all registered workloads.
-func WorkloadNames() []string { return workloads.names() }
+func WorkloadNames() []string { return workloads.Names() }
 
 // RegisterLayout adds a named initial shared-data placement.
 func RegisterLayout(name string, f LayoutFunc) {
 	if f == nil {
 		panic("spec: nil LayoutFunc for " + name)
 	}
-	layouts.register(name, f)
+	layouts.Register(name, f)
 }
 
 // LayoutByName resolves a registered placement layout — the service layer
 // applies the named layout to every node it binds.
-func LayoutByName(name string) (LayoutFunc, bool) { return layouts.lookup(name) }
+func LayoutByName(name string) (LayoutFunc, bool) { return layouts.Lookup(name) }
 
 // LayoutNames returns the sorted names of all registered layouts.
-func LayoutNames() []string { return layouts.names() }
+func LayoutNames() []string { return layouts.Names() }
 
 // DecodeParams strictly unmarshals a factory's params over defaults already
 // present in v (a nil/empty message leaves the defaults untouched); unknown

@@ -138,7 +138,7 @@ func (s ServiceSpec) Normalized() (ServiceSpec, error) {
 	if n.Scheduler.Name == "" {
 		n.Scheduler.Name = "oovr"
 	}
-	n.Scheduler.Name = planners.canonicalName(n.Scheduler.Name)
+	n.Scheduler.Name = planners.Canonical(n.Scheduler.Name)
 	if len(n.Scheduler.Params) > 0 {
 		canon, err := canonicalJSON(n.Scheduler.Params)
 		if err != nil {
@@ -152,7 +152,7 @@ func (s ServiceSpec) Normalized() (ServiceSpec, error) {
 	if n.Placement == "" {
 		n.Placement = "striped"
 	}
-	n.Placement = layouts.canonicalName(n.Placement)
+	n.Placement = layouts.Canonical(n.Placement)
 	if len(n.Nodes) == 0 {
 		n.Nodes = []NodeGroup{{Count: 4}}
 	} else {
@@ -257,15 +257,15 @@ func (s ServiceSpec) Validate() error {
 			}
 		}
 	}
-	if _, ok := planners.lookup(n.Scheduler.Name); !ok {
-		return planners.unknown(n.Scheduler.Name)
+	if _, ok := planners.Lookup(n.Scheduler.Name); !ok {
+		return planners.Unknown(n.Scheduler.Name)
 	}
-	if _, ok := layouts.lookup(n.Placement); !ok {
-		return layouts.unknown(n.Placement)
+	if _, ok := layouts.Lookup(n.Placement); !ok {
+		return layouts.Unknown(n.Placement)
 	}
 	for _, m := range n.Sessions {
 		if _, ok := WorkloadByName(m.Workload); !ok {
-			return workloads.unknown(m.Workload)
+			return workloads.Unknown(m.Workload)
 		}
 		if m.Weight < 0 {
 			return fmt.Errorf("spec: session mix %q weight must be positive, got %g", m.Workload, m.Weight)

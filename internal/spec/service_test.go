@@ -16,7 +16,7 @@ func TestServiceSpecNormalizeDefaults(t *testing.T) {
 	if n.Scheduler.Name != "OO-VR" && n.Scheduler.Name != "oovr" {
 		// whichever primary spelling the registry holds, it must be the
 		// canonical one for the "oovr" alias
-		if got := planners.canonicalName("oovr"); n.Scheduler.Name != got {
+		if got := planners.Canonical("oovr"); n.Scheduler.Name != got {
 			t.Errorf("scheduler = %q, want canonical %q", n.Scheduler.Name, got)
 		}
 	}

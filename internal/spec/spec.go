@@ -110,8 +110,8 @@ func (s RunSpec) Normalized() (RunSpec, error) {
 	// Aliases and case variants name the same components, so they must
 	// canonicalize to the same bytes — otherwise identical runs would get
 	// distinct content addresses and defeat the result cache.
-	n.Scheduler.Name = planners.canonicalName(n.Scheduler.Name)
-	n.Placement = layouts.canonicalName(n.Placement)
+	n.Scheduler.Name = planners.Canonical(n.Scheduler.Name)
+	n.Placement = layouts.Canonical(n.Placement)
 	n.Hardware = canonicalHardware(n.Hardware)
 	if n.Workload.Inline != nil {
 		sp := *n.Workload.Inline
@@ -124,7 +124,7 @@ func (s RunSpec) Normalized() (RunSpec, error) {
 		} else {
 			c, ok := WorkloadByName(n.Workload.Name)
 			if !ok {
-				return RunSpec{}, workloads.unknown(n.Workload.Name)
+				return RunSpec{}, workloads.Unknown(n.Workload.Name)
 			}
 			res = [][2]int{{c.Width, c.Height}}
 		}
@@ -261,9 +261,9 @@ func (s RunSpec) Resolve() (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout, ok := layouts.lookup(n.Placement)
+	layout, ok := layouts.Lookup(n.Placement)
 	if !ok {
-		return nil, layouts.unknown(n.Placement)
+		return nil, layouts.Unknown(n.Placement)
 	}
 	if err := validOptions(*n.Hardware); err != nil {
 		return nil, fmt.Errorf("spec: hardware: %w", err)
@@ -304,7 +304,7 @@ func (n RunSpec) ResolveWorkload() (workload.Case, error) {
 	}
 	c, ok := WorkloadByName(w.Name)
 	if !ok {
-		return workload.Case{}, workloads.unknown(w.Name)
+		return workload.Case{}, workloads.Unknown(w.Name)
 	}
 	c.Width, c.Height = w.Width, w.Height
 	return c, nil

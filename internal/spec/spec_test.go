@@ -253,9 +253,6 @@ func TestUnknownComponentErrors(t *testing.T) {
 	if !strings.Contains(err.Error(), wantList) {
 		t.Errorf("scheduler error %q does not list registered names %q", err, wantList)
 	}
-	if !sortedWithin(PlannerNames()) || !sortedWithin(WorkloadNames()) || !sortedWithin(LayoutNames()) {
-		t.Error("registry name listings are not sorted")
-	}
 
 	_, err = RunSpec{Workload: WorkloadRef{Name: "nope"}, Scheduler: SchedulerRef{Name: "oovr"}}.Run()
 	if err == nil || !strings.Contains(err.Error(), "HL2-1280") {
@@ -329,15 +326,6 @@ func TestPartialResolutionOverride(t *testing.T) {
 	if hBase == hOver {
 		t.Error("width override did not change the content address")
 	}
-}
-
-func sortedWithin(xs []string) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i-1] >= xs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestSchedulerParamsApply verifies factories honour their params.

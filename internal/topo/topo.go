@@ -16,9 +16,10 @@
 // the same Params always yield the same routes, which the determinism tests
 // rely on.
 //
-// Named builders register through the same registry idiom the spec layer
-// uses for schedulers and layouts; Build resolves a name (case-insensitive,
-// aliases accepted) and constructs the graph. The built-ins are:
+// Named builders register in a registry.Table, the name table the spec
+// layer uses for schedulers and layouts; Build resolves a name
+// (case-insensitive, aliases accepted) and constructs the graph. The
+// built-ins are:
 //
 //   - fullmesh: the paper's dedicated pairwise links (the default);
 //   - ring: a bidirectional cycle gpm i <-> gpm (i+1) mod N;
@@ -36,9 +37,8 @@ package topo
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
-	"sync"
+
+	"oovr/internal/registry"
 )
 
 // Default is the topology every existing configuration implies: the paper's
@@ -130,65 +130,26 @@ func (g *Graph) Diameter() int {
 	return d
 }
 
-// builderFunc constructs the links of a topology into gb. It runs after the
-// GPM nodes exist and Params validation passed.
-type builderFunc func(gb *graphBuilder, p Params) error
+// Builder constructs the links of a topology into gb. It runs after the
+// GPM nodes exist and Params validation passed; it adds any internal nodes
+// and the links.
+type Builder func(gb *GraphBuilder, p Params) error
 
-var (
-	regMu sync.RWMutex
-	// builders maps every accepted spelling (folded) to its builder.
-	builders = map[string]builderFunc{}
-	// primary maps a primary name's folded key to its display spelling;
-	// canon maps every accepted key to the primary display name.
-	primary = map[string]string{}
-	canon   = map[string]string{}
-)
+// builders is the topology name table: case-insensitive, aliases accepted.
+var builders = registry.New[Builder]("topo", "topology", true)
 
-func fold(name string) string { return strings.ToLower(name) }
-
-// register adds a named topology builder plus aliases. Registering a taken
-// name panics (a programming error, like the spec registries).
-func register(name string, b builderFunc, aliases ...string) {
-	if name == "" {
-		panic("topo: topology registered with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	for _, n := range append([]string{name}, aliases...) {
-		k := fold(n)
-		if _, dup := builders[k]; dup {
-			panic(fmt.Sprintf("topo: topology %q registered twice", n))
-		}
-		builders[k] = b
-		canon[k] = name
-	}
-	primary[fold(name)] = name
-}
-
-// Register adds a user-defined topology builder under the given name (plus
-// aliases). The builder receives validated Params and a graphBuilder with
-// the GPM nodes already created; it adds internal nodes and links. Names are
-// case-insensitive.
-func Register(name string, build func(gb *GraphBuilder, p Params) error, aliases ...string) {
+// Register adds a named topology builder (plus aliases), so hardware
+// configurations can reference it by string. Names are case-insensitive;
+// registering a taken name panics.
+func Register(name string, build Builder, aliases ...string) {
 	if build == nil {
 		panic("topo: nil builder for " + name)
 	}
-	register(name, func(gb *graphBuilder, p Params) error {
-		return build((*GraphBuilder)(gb), p)
-	}, aliases...)
+	builders.Register(name, build, aliases...)
 }
 
 // Names returns the sorted primary names of all registered topologies.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(primary))
-	for _, n := range primary {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return builders.Names() }
 
 // CanonicalName maps any accepted spelling (case variant or alias) to the
 // registered primary name; unregistered names come back unchanged so the
@@ -198,12 +159,7 @@ func CanonicalName(name string) string {
 	if name == "" {
 		return Default
 	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if p, ok := canon[fold(name)]; ok {
-		return p
-	}
-	return name
+	return builders.Canonical(name)
 }
 
 // CanonicalParams maps Params to their canonical form, so that equal runs
@@ -255,13 +211,6 @@ func CanonicalParams(p Params) Params {
 	return p
 }
 
-// unknown formats the resolution error every surface reports: the unknown
-// name plus the sorted registered alternatives.
-func unknown(name string) error {
-	return fmt.Errorf("topo: unknown topology %q (registered: %s)",
-		name, strings.Join(Names(), ", "))
-}
-
 // Validate checks the Params without building: the name must be registered
 // and the numeric parameters in range. It is the resolve-time check the spec
 // layer runs so a bad HTTP-submitted spec errors instead of panicking inside
@@ -279,11 +228,9 @@ func Build(p Params) (*Graph, error) {
 	if name == "" {
 		name = Default
 	}
-	regMu.RLock()
-	build, ok := builders[fold(name)]
-	regMu.RUnlock()
+	build, ok := builders.Lookup(name)
 	if !ok {
-		return nil, unknown(name)
+		return nil, builders.Unknown(name)
 	}
 	if p.NumGPMs <= 0 {
 		return nil, fmt.Errorf("topo: NumGPMs %d must be positive", p.NumGPMs)
@@ -294,9 +241,9 @@ func Build(p Params) (*Graph, error) {
 	if p.MeshCols < 0 || p.PackageSize < 0 || p.TrunkGBs < 0 || p.BackplaneGBs < 0 {
 		return nil, fmt.Errorf("topo: topology parameters must be non-negative")
 	}
-	gb := &graphBuilder{g: &Graph{name: CanonicalName(name), numGPMs: p.NumGPMs}}
+	gb := &GraphBuilder{g: &Graph{name: CanonicalName(name), numGPMs: p.NumGPMs}}
 	for i := 0; i < p.NumGPMs; i++ {
-		gb.addNode(fmt.Sprintf("gpm%d", i))
+		gb.AddNode(fmt.Sprintf("gpm%d", i))
 	}
 	if p.NumGPMs > 1 {
 		if err := build(gb, p); err != nil {
@@ -310,27 +257,18 @@ func Build(p Params) (*Graph, error) {
 	return g, nil
 }
 
-// graphBuilder accumulates nodes and links during Build.
-type graphBuilder struct{ g *Graph }
-
-// GraphBuilder is the construction surface handed to user-registered
-// builders.
-type GraphBuilder graphBuilder
+// GraphBuilder accumulates nodes and links during Build; builders receive
+// it with the GPM nodes already created.
+type GraphBuilder struct{ g *Graph }
 
 // AddNode adds an internal (non-GPM) node and returns its index.
-func (gb *GraphBuilder) AddNode(name string) int { return (*graphBuilder)(gb).addNode(name) }
-
-// AddLink adds a directed link and returns its ID.
-func (gb *GraphBuilder) AddLink(name string, from, to int, gbs float64) int {
-	return (*graphBuilder)(gb).addLink(name, from, to, gbs)
-}
-
-func (gb *graphBuilder) addNode(name string) int {
+func (gb *GraphBuilder) AddNode(name string) int {
 	gb.g.nodes = append(gb.g.nodes, name)
 	return len(gb.g.nodes) - 1
 }
 
-func (gb *graphBuilder) addLink(name string, from, to int, gbs float64) int {
+// AddLink adds a directed link and returns its ID.
+func (gb *GraphBuilder) AddLink(name string, from, to int, gbs float64) int {
 	if from == to {
 		panic(fmt.Sprintf("topo: self-link %q on node %d", name, from))
 	}
@@ -416,21 +354,21 @@ func (g *Graph) computeRoutes() error {
 // The built-in topologies.
 
 func init() {
-	register(Default, buildFullMesh, "full-mesh")
-	register("ring", buildRing)
-	register("chain", buildChain, "line")
-	register("mesh2d", buildMesh2D, "mesh")
-	register("switch", buildSwitch, "crossbar")
-	register("hierarchical", buildHierarchical, "mcm", "package")
+	Register(Default, buildFullMesh, "full-mesh")
+	Register("ring", buildRing)
+	Register("chain", buildChain, "line")
+	Register("mesh2d", buildMesh2D, "mesh")
+	Register("switch", buildSwitch, "crossbar")
+	Register("hierarchical", buildHierarchical, "mcm", "package")
 }
 
 // buildFullMesh reproduces the paper's fabric exactly: one dedicated link
 // per ordered GPM pair, named as the original link.Fabric named them.
-func buildFullMesh(gb *graphBuilder, p Params) error {
+func buildFullMesh(gb *GraphBuilder, p Params) error {
 	for i := 0; i < p.NumGPMs; i++ {
 		for j := 0; j < p.NumGPMs; j++ {
 			if i != j {
-				gb.addLink(fmt.Sprintf("link%d->%d", i, j), i, j, p.LinkGBs)
+				gb.AddLink(fmt.Sprintf("link%d->%d", i, j), i, j, p.LinkGBs)
 			}
 		}
 	}
@@ -438,10 +376,10 @@ func buildFullMesh(gb *graphBuilder, p Params) error {
 }
 
 // buildChain links neighbours i <-> i+1 with no wraparound.
-func buildChain(gb *graphBuilder, p Params) error {
+func buildChain(gb *GraphBuilder, p Params) error {
 	for i := 0; i+1 < p.NumGPMs; i++ {
-		gb.addLink(fmt.Sprintf("link%d->%d", i, i+1), i, i+1, p.LinkGBs)
-		gb.addLink(fmt.Sprintf("link%d->%d", i+1, i), i+1, i, p.LinkGBs)
+		gb.AddLink(fmt.Sprintf("link%d->%d", i, i+1), i, i+1, p.LinkGBs)
+		gb.AddLink(fmt.Sprintf("link%d->%d", i+1, i), i+1, i, p.LinkGBs)
 	}
 	return nil
 }
@@ -449,13 +387,13 @@ func buildChain(gb *graphBuilder, p Params) error {
 // buildRing closes the chain with a wraparound link. Two GPMs already share
 // their only neighbour pair, so the ring degenerates to the chain rather
 // than doubling the links.
-func buildRing(gb *graphBuilder, p Params) error {
+func buildRing(gb *GraphBuilder, p Params) error {
 	if err := buildChain(gb, p); err != nil {
 		return err
 	}
 	if n := p.NumGPMs; n > 2 {
-		gb.addLink(fmt.Sprintf("link%d->%d", n-1, 0), n-1, 0, p.LinkGBs)
-		gb.addLink(fmt.Sprintf("link%d->%d", 0, n-1), 0, n-1, p.LinkGBs)
+		gb.AddLink(fmt.Sprintf("link%d->%d", n-1, 0), n-1, 0, p.LinkGBs)
+		gb.AddLink(fmt.Sprintf("link%d->%d", 0, n-1), 0, n-1, p.LinkGBs)
 	}
 	return nil
 }
@@ -472,11 +410,11 @@ func mesh2DCols(p Params) int {
 // neighbours in both directions. A partial last row and a width exceeding
 // the GPM count both degrade to the connected sub-grid (a single row is
 // the chain).
-func buildMesh2D(gb *graphBuilder, p Params) error {
+func buildMesh2D(gb *GraphBuilder, p Params) error {
 	cols := mesh2DCols(p)
 	pair := func(a, b int) {
-		gb.addLink(fmt.Sprintf("link%d->%d", a, b), a, b, p.LinkGBs)
-		gb.addLink(fmt.Sprintf("link%d->%d", b, a), b, a, p.LinkGBs)
+		gb.AddLink(fmt.Sprintf("link%d->%d", a, b), a, b, p.LinkGBs)
+		gb.AddLink(fmt.Sprintf("link%d->%d", b, a), b, a, p.LinkGBs)
 	}
 	for g := 0; g < p.NumGPMs; g++ {
 		if (g+1)%cols != 0 && g+1 < p.NumGPMs { // right neighbour
@@ -493,19 +431,19 @@ func buildMesh2D(gb *graphBuilder, p Params) error {
 // the switch and egress port out of it at the full link bandwidth, and all
 // traffic funnels through one shared backplane link whose budget defaults to
 // half-bisection (NumGPMs/2 x LinkGBs).
-func buildSwitch(gb *graphBuilder, p Params) error {
+func buildSwitch(gb *GraphBuilder, p Params) error {
 	backplane := p.BackplaneGBs
 	if backplane == 0 {
 		backplane = p.LinkGBs * float64(p.NumGPMs) / 2
 	}
-	in := gb.addNode("xbar-in")
-	out := gb.addNode("xbar-out")
+	in := gb.AddNode("xbar-in")
+	out := gb.AddNode("xbar-out")
 	for g := 0; g < p.NumGPMs; g++ {
-		gb.addLink(fmt.Sprintf("up%d", g), g, in, p.LinkGBs)
+		gb.AddLink(fmt.Sprintf("up%d", g), g, in, p.LinkGBs)
 	}
-	gb.addLink("backplane", in, out, backplane)
+	gb.AddLink("backplane", in, out, backplane)
 	for g := 0; g < p.NumGPMs; g++ {
-		gb.addLink(fmt.Sprintf("down%d", g), out, g, p.LinkGBs)
+		gb.AddLink(fmt.Sprintf("down%d", g), out, g, p.LinkGBs)
 	}
 	return nil
 }
@@ -523,7 +461,7 @@ func hierPackageSize(p Params) int {
 // package owns a router, and routers are joined pairwise by slower trunk
 // links (default half the intra-package bandwidth) that all off-package
 // flows of the two packages share.
-func buildHierarchical(gb *graphBuilder, p Params) error {
+func buildHierarchical(gb *GraphBuilder, p Params) error {
 	size := hierPackageSize(p)
 	trunk := p.TrunkGBs
 	if trunk == 0 {
@@ -539,24 +477,24 @@ func buildHierarchical(gb *graphBuilder, p Params) error {
 	for i := 0; i < p.NumGPMs; i++ {
 		for j := 0; j < p.NumGPMs; j++ {
 			if i != j && pkg(i) == pkg(j) {
-				gb.addLink(fmt.Sprintf("link%d->%d", i, j), i, j, p.LinkGBs)
+				gb.AddLink(fmt.Sprintf("link%d->%d", i, j), i, j, p.LinkGBs)
 			}
 		}
 	}
 	// Per-package routers and GPM ports onto them.
 	routers := make([]int, nPkg)
 	for k := 0; k < nPkg; k++ {
-		routers[k] = gb.addNode(fmt.Sprintf("rtr%d", k))
+		routers[k] = gb.AddNode(fmt.Sprintf("rtr%d", k))
 	}
 	for g := 0; g < p.NumGPMs; g++ {
-		gb.addLink(fmt.Sprintf("up%d", g), g, routers[pkg(g)], p.LinkGBs)
-		gb.addLink(fmt.Sprintf("down%d", g), routers[pkg(g)], g, p.LinkGBs)
+		gb.AddLink(fmt.Sprintf("up%d", g), g, routers[pkg(g)], p.LinkGBs)
+		gb.AddLink(fmt.Sprintf("down%d", g), routers[pkg(g)], g, p.LinkGBs)
 	}
 	// Pairwise trunks between routers.
 	for a := 0; a < nPkg; a++ {
 		for b := 0; b < nPkg; b++ {
 			if a != b {
-				gb.addLink(fmt.Sprintf("trunk%d->%d", a, b), routers[a], routers[b], trunk)
+				gb.AddLink(fmt.Sprintf("trunk%d->%d", a, b), routers[a], routers[b], trunk)
 			}
 		}
 	}

@@ -193,12 +193,6 @@ func TestAliasesAndCanonicalNames(t *testing.T) {
 			t.Errorf("CanonicalName(%q) = %q, want %q", spelling, got, want)
 		}
 	}
-	names := Names()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Names() not sorted: %v", names)
-		}
-	}
 }
 
 func TestValidation(t *testing.T) {

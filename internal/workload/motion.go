@@ -3,10 +3,10 @@ package workload
 import (
 	_ "embed"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
+
+	"oovr/internal/registry"
 )
 
 // Trace is a recorded head-motion pan sequence: per-frame camera deltas in
@@ -85,47 +85,23 @@ var hmdPanCSV string
 // captured at 90 Hz.
 const HMDPan = "hmd-pan"
 
-var traces = struct {
-	sync.RWMutex
-	m map[string]Trace
-}{m: map[string]Trace{}}
+// traces is the head-motion trace name table (exact-match names).
+var traces = registry.New[Trace]("workload", "trace", false)
 
 // RegisterTrace adds a named head-motion trace; registering a taken name
 // panics. The built-in HMDPan trace registers at init.
 func RegisterTrace(t Trace) {
-	if t.Name == "" {
-		panic("workload: trace registered with empty name")
-	}
 	if t.Len() == 0 {
 		panic("workload: trace " + t.Name + " has no frames")
 	}
-	traces.Lock()
-	defer traces.Unlock()
-	if _, dup := traces.m[t.Name]; dup {
-		panic("workload: trace " + t.Name + " registered twice")
-	}
-	traces.m[t.Name] = t
+	traces.Register(t.Name, t)
 }
 
 // TraceByName resolves a registered head-motion trace.
-func TraceByName(name string) (Trace, bool) {
-	traces.RLock()
-	defer traces.RUnlock()
-	t, ok := traces.m[name]
-	return t, ok
-}
+func TraceByName(name string) (Trace, bool) { return traces.Lookup(name) }
 
 // TraceNames returns the sorted names of all registered traces.
-func TraceNames() []string {
-	traces.RLock()
-	defer traces.RUnlock()
-	out := make([]string, 0, len(traces.m))
-	for name := range traces.m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func TraceNames() []string { return traces.Names() }
 
 func init() {
 	t, err := ParseTrace(HMDPan, hmdPanCSV)

@@ -47,6 +47,7 @@ import (
 	"oovr/internal/service"
 	"oovr/internal/spec"
 	"oovr/internal/stats"
+	"oovr/internal/topo"
 	"oovr/internal/workload"
 )
 
@@ -297,8 +298,8 @@ func RegisterLayout(name string, f LayoutFunc) { spec.RegisterLayout(name, f) }
 // RegisterTopology adds a named interconnect topology, referenced from
 // HardwareConfig.Topology (pre-registered: fullmesh, ring, chain, mesh2d,
 // switch, hierarchical — DESIGN.md §8).
-func RegisterTopology(name string, build spec.TopologyBuilder, aliases ...string) {
-	spec.RegisterTopology(name, build, aliases...)
+func RegisterTopology(name string, build topo.Builder, aliases ...string) {
+	topo.Register(name, build, aliases...)
 }
 
 // RegisteredPlanners, RegisteredWorkloads, RegisteredLayouts and
@@ -307,7 +308,7 @@ func RegisterTopology(name string, build spec.TopologyBuilder, aliases ...string
 func RegisteredPlanners() []string   { return spec.PlannerNames() }
 func RegisteredWorkloads() []string  { return spec.WorkloadNames() }
 func RegisteredLayouts() []string    { return spec.LayoutNames() }
-func RegisteredTopologies() []string { return spec.TopologyNames() }
+func RegisteredTopologies() []string { return topo.Names() }
 
 // NewPlanner resolves a registered policy by name; unknown names error
 // with the sorted registered list.
