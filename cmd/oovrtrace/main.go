@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -76,6 +77,18 @@ func main() {
 		fmt.Printf("exported trace to %s\n", *exportPath)
 	}
 
+	if err := summarize(os.Stdout, sc, *batches); err != nil {
+		fmt.Fprintln(os.Stderr, "oovrtrace:", err)
+		os.Exit(1)
+	}
+}
+
+// summarize prints frame 0's statistics and TSL batching. A trace with no
+// frames, or an empty frame 0, has nothing to summarize: an error.
+func summarize(w io.Writer, sc *scene.Scene, batches bool) error {
+	if len(sc.Frames) == 0 || len(sc.Frames[0].Objects) == 0 {
+		return fmt.Errorf("%s: frame 0 has no objects", sc.Name)
+	}
 	f := &sc.Frames[0]
 	var tris []int
 	var frags []float64
@@ -88,15 +101,15 @@ func main() {
 	}
 	sort.Ints(tris)
 	sort.Float64s(frags)
-	fmt.Printf("draws/frame:  %d\n", len(f.Objects))
-	fmt.Printf("triangles:    total %d, median %d, p95 %d, max %d\n",
+	fmt.Fprintf(w, "draws/frame:  %d\n", len(f.Objects))
+	fmt.Fprintf(w, "triangles:    total %d, median %d, p95 %d, max %d\n",
 		totalTris, tris[len(tris)/2], tris[len(tris)*95/100], tris[len(tris)-1])
-	fmt.Printf("fragments:    total %.2fM per view (overdraw %.2f), median %.0f, max %.0f\n",
+	fmt.Fprintf(w, "fragments:    total %.2fM per view (overdraw %.2f), median %.0f, max %.0f\n",
 		totalFrags/1e6, totalFrags/float64(sc.PixelsPerView()),
 		frags[len(frags)/2], frags[len(frags)-1])
 
 	st := f.Sharing()
-	fmt.Printf("sharing:      %d textures referenced, %d shared by >1 object, avg %.2f sharers, max %d\n",
+	fmt.Fprintf(w, "sharing:      %d textures referenced, %d shared by >1 object, avg %.2f sharers, max %d\n",
 		st.UniqueTextures, st.SharedTextures, st.AvgSharers(), st.MaxSharers)
 
 	deps := 0
@@ -105,19 +118,20 @@ func main() {
 			deps++
 		}
 	}
-	fmt.Printf("dependencies: %d objects (%.1f%%) depend on their predecessor\n",
+	fmt.Fprintf(w, "dependencies: %d objects (%.1f%%) depend on their predecessor\n",
 		deps, 100*float64(deps)/float64(len(f.Objects)))
 
 	mw := core.NewMiddleware()
 	bs := mw.GroupFrame(sc, f)
-	fmt.Printf("TSL batching: %d objects -> %d batches (threshold %.2f, cap %d triangles)\n",
+	fmt.Fprintf(w, "TSL batching: %d objects -> %d batches (threshold %.2f, cap %d triangles)\n",
 		len(f.Objects), len(bs), mw.TSLThreshold, mw.TriangleCap)
 
-	if *batches {
-		fmt.Println()
+	if batches {
+		fmt.Fprintln(w)
 		for _, b := range bs {
-			fmt.Printf("batch %3d: %3d objects, %6d triangles, %7.0f frags, %2d textures\n",
+			fmt.Fprintf(w, "batch %3d: %3d objects, %6d triangles, %7.0f frags, %2d textures\n",
 				b.ID, len(b.Objects), b.Triangles, b.FragsBothViews(), len(b.Textures))
 		}
 	}
+	return nil
 }

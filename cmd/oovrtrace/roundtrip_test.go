@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oovr/internal/core"
@@ -57,6 +58,25 @@ func TestTraceRoundTripDrivesIdenticalSimulation(t *testing.T) {
 				t.Errorf("topology %q / %s: imported trace diverged from generated scene\n got %+v\nwant %+v",
 					topoName, p.Name(), got, want)
 			}
+		}
+	}
+}
+
+// TestSummarizeRejectsEmptyTraces: the decoder accepts a trace with no
+// frames and one whose frame 0 has no objects; -import must report either
+// as an error, not index into the empty frame.
+func TestSummarizeRejectsEmptyTraces(t *testing.T) {
+	for _, in := range []string{
+		`{"version":1,"name":"x","width":8,"height":8,"textures":[],"frames":[]}`,
+		`{"version":1,"name":"x","width":8,"height":8,"textures":[],"frames":[{"objects":[]}]}`,
+	} {
+		sc, err := scene.Decode(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("decode %s: %v", in, err)
+		}
+		var out bytes.Buffer
+		if err := summarize(&out, sc, true); err == nil {
+			t.Errorf("summarize accepted %s", in)
 		}
 	}
 }

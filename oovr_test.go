@@ -72,6 +72,37 @@ func TestStreamingSessionViaPublicAPI(t *testing.T) {
 	}
 }
 
+// TestSteadyStateOOVRSessionDoesNotAllocate pins the whole warm OO-VR
+// frame path at zero allocations per frame: the workload stream's NextInto,
+// the OO-VR planner with its TSL grouping and distribution engine, and
+// driver.FrameLoop over the multi-GPU system. The setup is
+// BenchmarkSimulatorFrame's: 8 frames warm the Grouper, the predictor and
+// shipped residency before the count starts.
+func TestSteadyStateOOVRSessionDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime changes allocation counts")
+	}
+	spec, _ := oovr.BenchmarkByAbbr("HL2")
+	st := spec.Stream(1280, 1024, 0, 1)
+	sys := oovr.NewSystem(oovr.DefaultOptions(), st.Header())
+	ses := oovr.Open(sys, oovr.NewOOVR())
+	var f oovr.Frame
+	frame := func() {
+		if !st.NextInto(&f) {
+			t.Fatal("stream ended")
+		}
+		ses.SubmitFrame(&f)
+	}
+	for i := 0; i < 8; i++ {
+		frame()
+	}
+	const runs = 100
+	sys.ReserveFrames(runs + 1) // AllocsPerRun adds one warm-up call
+	if avg := testing.AllocsPerRun(runs, frame); avg != 0 {
+		t.Errorf("steady-state OO-VR frame allocated %.2f times per frame, want 0", avg)
+	}
+}
+
 // TestCustomPlannerViaPublicAPI exercises the open Planner contract the
 // way examples/custom_scheduler does.
 func TestCustomPlannerViaPublicAPI(t *testing.T) {

@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# bench_ab.sh — the performance gate: a same-host A/B of the end-to-end
+# benchmark (BENCHMARK.json, bench/run.sh) between two source trees.
+#
+#   scripts/bench_ab.sh BASE_TREE HEAD_TREE
+#
+# For each of the five workloads BENCHMARK.json declares and each seed in
+# SEEDS it runs one pair of untraced oovrbench runs, one per tree, on the
+# same host. The side that goes first alternates from pair to pair, so a
+# drift in host speed loads both sides alike. Each tree builds its own
+# oovrbench from its own sources. Runs are appended to bench_ab/base.jsonl
+# and bench_ab/head.jsonl in the current directory, and the verdict table
+# goes to bench_ab/compare.txt.
+#
+# Exits non-zero when a run fails or is not correct=true with failed=0, or
+# when `oovrbench compare` (run from HEAD_TREE, so with its BENCHMARK.json
+# bounds) calls any metric of any workload worse or unresolved.
+#
+# SEEDS (one pair each) and SECONDS_PER_RUN are fixed on purpose: they were
+# chosen from same-commit A/A runs, which must show no failing row, and
+# from seeded regressions, which must fail. Re-measure both before
+# changing them.
+set -euo pipefail
+
+SEEDS=(11 12 13 14 15 16 17) # one pair per seed
+SECONDS_PER_RUN=6
+WORKLOADS=(figures service_capacity oovrd_hit oovrd_miss fleet_sweep)
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: scripts/bench_ab.sh BASE_TREE HEAD_TREE" >&2
+    exit 2
+fi
+base=$(cd "$1" && pwd)
+head=$(cd "$2" && pwd)
+out="$PWD/bench_ab"
+mkdir -p "$out"
+rm -f "$out/base.jsonl" "$out/head.jsonl" "$out/compare.txt"
+
+# run SIDE TREE WORKLOAD SEED: one oovrbench run, appended to SIDE.jsonl.
+run() {
+    local line
+    echo "== $1 $3 seed $4" >&2
+    if ! line=$(cd "$2" && bash bench/run.sh --workload "$3" --seed "$4" \
+        --seconds "$SECONDS_PER_RUN" --trace 0 --append "$out/$1.jsonl" | tail -n 1); then
+        echo "bench_ab: $1 $3 seed $4: oovrbench failed" >&2
+        exit 1
+    fi
+    if [[ "$line" != *'"correct":true'* || "$line" != *'"failed":0,'* ]]; then
+        echo "bench_ab: $1 $3 seed $4: not correct=true with failed=0: $line" >&2
+        exit 1
+    fi
+}
+
+for ((p = 0; p < ${#SEEDS[@]}; p++)); do
+    for w in "${WORKLOADS[@]}"; do
+        if ((p % 2 == 0)); then
+            run base "$base" "$w" "${SEEDS[p]}"
+            run head "$head" "$w" "${SEEDS[p]}"
+        else
+            run head "$head" "$w" "${SEEDS[p]}"
+            run base "$base" "$w" "${SEEDS[p]}"
+        fi
+    done
+done
+
+cd "$head"
+status=0
+bash bench/run.sh compare "$out/base.jsonl" "$out/head.jsonl" > "$out/compare.txt" || status=$?
+cat "$out/compare.txt"
+exit "$status"
