@@ -2,12 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"oovr/internal/scene"
 )
 
 // groupScratch is the reusable working storage of one batching pass. The
-// per-texture arrays are marked monotonically (marks are never reset):
+// mark arrays (rootOwner, candMark) are marked monotonically (never reset):
 // every batch claims a fresh mark, so entries left over from earlier
 // batches or earlier frames can never be misread. Growing an array
 // zero-fills it, and mark 0 is never issued, which keeps the invariant
@@ -32,6 +33,25 @@ type groupScratch struct {
 	rootTotal []int64   // per batch: Σ deduplicated root texture bytes (Pr denominator)
 	objIdx    [][]int32 // per batch: member object indices in placement order
 	shared    []sharedTex
+
+	// The frame's texture → users index in CSR form: the independent
+	// objects sampling texture t are texUsers[texStart[t]:texStart[t+1]],
+	// in increasing position (an object listing t twice appears twice).
+	// Dependent objects are left out: they are never TSL candidates.
+	texStart []int32
+	texUsers []int32
+	// Batches carve their Objects, Textures and objIdx from these per-frame
+	// arenas instead of allocating each. The newest batch grows at an
+	// arena's tail and is clipped when its scan ends, so a later dependency
+	// merge into it reallocates that batch's slice, never a neighbour's.
+	objArena []*scene.Object
+	texArena []scene.TextureID
+	idxArena []int32
+	// frontier is a min-heap of the candidate positions of the batch being
+	// scanned; candMark[i] is the mark of the last batch that pushed object
+	// i, so no object enters one batch's frontier twice.
+	frontier []int32
+	candMark []int64
 }
 
 // sharedTex is one texture common to the scanned batch's root set and the
@@ -49,46 +69,94 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// reserve returns s emptied with room for n elements.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // groupFrame is the batching pass behind both Middleware.GroupFrame and
-// Grouper: the Figure 12 control flow of the original implementation with
-// the O(|root|·|candidate|) TSL inner loop replaced by stamp arrays — the
-// float arithmetic (operand values and accumulation order) is unchanged,
-// so the output is bit-identical to the reference. batches is an optional
-// storage donor whose backing arrays are reused.
+// Grouper: the Figure 12 control flow, with each batch scoring only the
+// draws that can join it. A draw sharing no texture with the root set
+// scores TSL 0, which never exceeds a threshold in [0,1], so the scan pops
+// the later users of the root textures in increasing position and scores
+// each once against the root set as it stands there: the candidates, order
+// and Equation (1) operands of a scan over every later draw, so the output
+// is bit-identical. A frame costs O(draws + textures) for the index plus
+// time proportional to its texture-sharing pairs. batches is an optional
+// storage donor whose array is reused.
 func (m Middleware) groupFrame(s *groupScratch, sc *scene.Scene, f *scene.Frame, batches []Batch) []Batch {
-	if m.TSLThreshold < 0 || m.TSLThreshold > 1 {
+	if !(m.TSLThreshold >= 0 && m.TSLThreshold <= 1) {
 		panic(fmt.Sprintf("core: TSL threshold %v out of [0,1]", m.TSLThreshold))
 	}
 	if m.TriangleCap <= 0 {
 		panic("core: triangle cap must be positive")
 	}
 	n := len(f.Objects)
+	nt := len(sc.Textures)
 
-	if s.texScene != sc || len(s.texBytes) != len(sc.Textures) {
-		s.texBytes = grow(s.texBytes, len(sc.Textures))
+	if s.texScene != sc || len(s.texBytes) != nt {
+		s.texBytes = grow(s.texBytes, nt)
 		for i := range sc.Textures {
 			s.texBytes[i] = sc.Textures[i].Bytes
 		}
 		s.texScene = sc
 	}
-	s.rootOwner = grow(s.rootOwner, len(sc.Textures))
-	s.rootPos = grow(s.rootPos, len(sc.Textures))
+	s.rootOwner = grow(s.rootOwner, nt)
+	s.rootPos = grow(s.rootPos, nt)
 
 	s.candTotal = grow(s.candTotal, n)
 	s.used = grow(s.used, n)
 	s.batchOf = grow(s.batchOf, n)
+	s.candMark = grow(s.candMark, n)
+	// Counting sort into CSR: count t's users in texStart[t+2], prefix-sum
+	// so texStart[t+1] is t's first slot, then fill advancing texStart[t+1]
+	// to t's end, which is where t+1 starts.
+	s.texStart = grow(s.texStart, nt+2)
+	clear(s.texStart)
+	users, refs := 0, 0
 	for i := 0; i < n; i++ {
+		o := &f.Objects[i]
 		var tot int64
-		for _, t := range f.Objects[i].Textures {
+		refs += len(o.Textures)
+		for _, t := range o.Textures {
 			tot += s.texBytes[t]
+			if o.DependsOn == scene.NoDependency {
+				s.texStart[t+2]++
+				users++
+			}
 		}
 		s.candTotal[i] = tot
 		s.used[i] = false
 		s.batchOf[i] = -1
 	}
-	s.rootTotal = s.rootTotal[:0]
-	batches = batches[:0]
+	for t := 2; t < nt+2; t++ {
+		s.texStart[t] += s.texStart[t-1]
+	}
+	s.texUsers = grow(s.texUsers, users)
+	for i := 0; i < n; i++ {
+		if f.Objects[i].DependsOn != scene.NoDependency {
+			continue
+		}
+		for _, t := range f.Objects[i].Textures {
+			s.texUsers[s.texStart[t+1]] = int32(i)
+			s.texStart[t+1]++
+		}
+	}
+	// A frame has at most n batches: reserve them up front instead of
+	// regrowing, so a new batch reslices its slot below.
+	s.rootTotal = reserve(s.rootTotal, n)
+	batches = reserve(batches, n)
+	s.objIdx = reserve(s.objIdx, n)
 	markBase := s.nextMark + 1
+	// Each object is placed once, and a root set is a subset of its members'
+	// texture lists, so n and refs bound what the arenas hold.
+	s.objArena = grow(s.objArena, n)
+	s.idxArena = grow(s.idxArena, n)
+	s.texArena = grow(s.texArena, refs)
+	objOff, texOff := 0, 0
 
 	for head := 0; head < n; head++ {
 		if s.used[head] {
@@ -104,45 +172,83 @@ func (m Middleware) groupFrame(s *groupScratch, sc *scene.Scene, f *scene.Frame,
 		}
 
 		id := len(batches)
-		if id < cap(batches) {
-			batches = batches[:id+1]
-		} else {
-			batches = append(batches, Batch{})
-		}
+		batches = batches[:id+1]
 		b := &batches[id]
 		b.ID = id
 		b.Triangles = 0
-		b.Objects = b.Objects[:0]
-		b.Textures = b.Textures[:0]
+		b.Objects = s.objArena[objOff:objOff]
+		b.Textures = s.texArena[texOff:texOff]
 		s.rootTotal = append(s.rootTotal, 0)
-		if id < len(s.objIdx) {
-			s.objIdx[id] = s.objIdx[id][:0]
-		} else {
-			s.objIdx = append(s.objIdx, nil)
-		}
+		s.objIdx = s.objIdx[:id+1]
+		s.objIdx[id] = s.idxArena[objOff:objOff]
 		mark := markBase + int64(id)
 		s.nextMark = mark
 
+		s.frontier = s.frontier[:0]
 		s.place(b, o, head, mark)
-		// Scan the remaining queue for shareable objects while under cap.
-		for j := head + 1; j < n && b.Triangles < m.TriangleCap; j++ {
-			if s.used[j] {
-				continue
-			}
+		s.pushUsers(b.Textures, head, mark)
+		// Scan the later users of the root textures while under cap.
+		for len(s.frontier) > 0 && b.Triangles < m.TriangleCap {
+			j := int(s.popFrontier())
 			cand := &f.Objects[j]
-			if cand.DependsOn != scene.NoDependency {
-				// Dependent objects are never TSL-grouped; the dependency
-				// rule merges them into their predecessor's batch when they
-				// reach the queue head.
-				continue
-			}
 			if s.tslAgainstRoot(b, mark, cand.Textures, s.candTotal[j]) > m.TSLThreshold {
+				k := len(b.Textures)
 				s.place(b, cand, j, mark)
+				s.pushUsers(b.Textures[k:], j, mark)
 			}
 		}
+		objOff += len(b.Objects)
+		texOff += len(b.Textures)
+		b.Objects = slices.Clip(b.Objects)
+		b.Textures = slices.Clip(b.Textures)
+		s.objIdx[id] = slices.Clip(s.objIdx[id])
 	}
 	s.objIdx = s.objIdx[:len(batches)]
 	return batches
+}
+
+// pushUsers adds to the frontier every unused object after position pos
+// that samples one of the given textures, newly added to the root set of
+// the batch with the given mark. Users at or before pos have already been
+// scored against this batch, or are its members.
+func (s *groupScratch) pushUsers(textures []scene.TextureID, pos int, mark int64) {
+	for _, t := range textures {
+		users := s.texUsers[s.texStart[t]:s.texStart[t+1]]
+		k, _ := slices.BinarySearch(users, int32(pos)+1)
+		for _, u := range users[k:] {
+			if s.used[u] || s.candMark[u] == mark {
+				continue
+			}
+			s.candMark[u] = mark
+			h := append(s.frontier, u)
+			c := len(h) - 1
+			for c > 0 && h[(c-1)/2] > u {
+				h[c] = h[(c-1)/2]
+				c = (c - 1) / 2
+			}
+			h[c] = u
+			s.frontier = h
+		}
+	}
+}
+
+// popFrontier removes and returns the frontier's smallest position.
+func (s *groupScratch) popFrontier() int32 {
+	h := s.frontier
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for c, l := 0, 1; l < n; c, l = l, 2*l+1 {
+		if l+1 < n && h[l+1] < h[l] {
+			l++
+		}
+		if h[c] <= h[l] {
+			break
+		}
+		h[c], h[l] = h[l], h[c]
+	}
+	s.frontier = h
+	return top
 }
 
 // place adds an object to the batch currently being built (whose root-set
@@ -258,11 +364,6 @@ type Grouper struct {
 	sigTexLen []int32
 	sigTex    []scene.TextureID
 	batches   []Batch
-
-	// Rebuilds counts from-scratch groupings (cache misses plus the first
-	// frame); tests use it to assert the steady-state path stays on the
-	// cache.
-	Rebuilds int
 }
 
 // NewGrouper returns a Grouper batching with the given middleware
@@ -285,7 +386,6 @@ func (g *Grouper) GroupFrame(sc *scene.Scene, f *scene.Frame) []Batch {
 	g.sc = sc
 	g.record(f)
 	g.valid = true
-	g.Rebuilds++
 	return g.batches
 }
 

@@ -70,8 +70,9 @@ func TSL(sc *scene.Scene, root []scene.TextureID, candidate []scene.TextureID) f
 	// Summation follows the root slice order — not a map — so TSL is
 	// bit-stable across runs (it feeds threshold comparisons, and the
 	// simulator guarantees deterministic schedules). Texture sets are tiny,
-	// so duplicates are skipped by prefix scan instead of a hash set: TSL
-	// is the O(n²) inner loop of GroupFrame and must not allocate.
+	// so duplicates are skipped by prefix scan instead of a hash set.
+	// GroupFrame evaluates this same sum, in this order, on stamp arrays
+	// (groupScratch.tslAgainstRoot).
 	var rootTotal, candTotal int64
 	for i, t := range root {
 		if contains(root[:i], t) {
@@ -131,10 +132,10 @@ func NewMiddleware() Middleware {
 // and stop growing when the triangle cap is reached. Objects that depend on
 // a batch member are merged into that batch directly (raising its cap), so
 // the programmer-defined order is preserved.
-// The O(n²) pair scan runs on stamp arrays (see groupFrame) instead of
-// calling TSL directly, which keeps the float arithmetic — operands and
-// accumulation order — identical while dropping the per-pair cost from
-// O(|root|·|candidate|) to O(|candidate|).
+// Only candidates sharing a texture with the batch are scored (see
+// groupFrame), so a frame costs O(draws + textures) plus time proportional
+// to its texture-sharing pairs, and each score runs on stamp arrays in
+// O(|candidate|) with TSL's operands and accumulation order.
 func (m Middleware) GroupFrame(sc *scene.Scene, f *scene.Frame) []Batch {
 	var s groupScratch
 	return m.groupFrame(&s, sc, f, nil)

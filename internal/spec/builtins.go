@@ -54,7 +54,7 @@ type OOVRParams struct {
 // validMiddleware range-checks the TSL knobs at resolve time, so a bad
 // spec errors instead of panicking mid-simulation.
 func validMiddleware(threshold float64, cap int) error {
-	if threshold < 0 || threshold > 1 {
+	if !(threshold >= 0 && threshold <= 1) { // NaN fails every comparison
 		return fmt.Errorf("TSLThreshold %v out of [0,1]", threshold)
 	}
 	if cap < 1 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -304,6 +305,15 @@ func TestParamRangeValidation(t *testing.T) {
 		Hardware:  &opt}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("in-range Root rejected: %v", err)
+	}
+}
+
+// TestValidMiddlewareRejectsNaN pins that a NaN threshold, which passes
+// both range comparisons of a naive check, is an error rather than a
+// middleware that silently never groups.
+func TestValidMiddlewareRejectsNaN(t *testing.T) {
+	if err := validMiddleware(math.NaN(), 4096); err == nil {
+		t.Error("a NaN TSLThreshold validated")
 	}
 }
 
