@@ -1,14 +1,14 @@
 package experiments
 
-// Property test for the temporal-coherence caches: the incremental paths
-// (TSL grouping reuse, flow-decomposition slots) are pure memoization, so
-// a frame stream with arbitrary structural churn must produce Metrics
-// byte-identical to a from-scratch run that recomputes everything every
-// frame. The golden fingerprints pin the steady case (a fixed draw list);
-// this test attacks the invalidation logic with the mutations a real
-// engine performs between frames — draw-list growth and shrinkage, LOD
-// swaps, texture rebinds — interleaved with quiet camera-jitter frames
-// that keep the caches on their hit path.
+// Property test for the temporal-coherence cache: the incremental path
+// (TSL grouping reuse) is pure memoization, so a frame stream with
+// arbitrary structural churn must produce Metrics byte-identical to a
+// from-scratch run that recomputes everything every frame. The golden
+// fingerprints pin the steady case (a fixed draw list); this test attacks
+// the invalidation logic with the mutations a real engine performs between
+// frames — draw-list growth and shrinkage, LOD swaps, texture rebinds —
+// interleaved with quiet camera-jitter frames that keep the cache on its
+// hit path.
 
 import (
 	"fmt"
@@ -25,9 +25,7 @@ import (
 )
 
 // noCachePlanners mirrors allPlanners with every planner-owned incremental
-// cache disabled: the OO middleware regroups each frame from scratch. The
-// memory-side flow cache is switched off separately on the bound system
-// (mem.System.SetFlowCache).
+// cache disabled: the OO middleware regroups each frame from scratch.
 func noCachePlanners() []driver.Planner {
 	mw := core.NewMiddleware()
 	mw.NoCache = true
@@ -135,22 +133,15 @@ func churnScene(t *testing.T, seed int64) *scene.Scene {
 }
 
 // TestChurnCacheEquivalence renders a churning frame stream with every
-// planner four ways — caches on and off, batch and streaming — and
+// planner four ways — grouping cache on and off, batch and streaming — and
 // requires all four Metrics to match byte-for-byte (DeepEqual covers the
 // per-link data the fingerprint predates).
 func TestChurnCacheEquivalence(t *testing.T) {
-	runBatch := func(sc *scene.Scene, p driver.Planner, caches bool) multigpu.Metrics {
-		sys := multigpu.New(multigpu.DefaultOptions(), sc)
-		if !caches {
-			sys.Mem.SetFlowCache(false)
-		}
-		return driver.Run(sys, p)
+	runBatch := func(sc *scene.Scene, p driver.Planner) multigpu.Metrics {
+		return driver.Run(multigpu.New(multigpu.DefaultOptions(), sc), p)
 	}
-	runStream := func(sc *scene.Scene, p driver.Planner, caches bool) multigpu.Metrics {
+	runStream := func(sc *scene.Scene, p driver.Planner) multigpu.Metrics {
 		sys := multigpu.New(multigpu.DefaultOptions(), sc)
-		if !caches {
-			sys.Mem.SetFlowCache(false)
-		}
 		ses := driver.Open(sys, p)
 		for fi := range sc.Frames {
 			ses.SubmitFrame(&sc.Frames[fi])
@@ -164,15 +155,15 @@ func TestChurnCacheEquivalence(t *testing.T) {
 		uncached := noCachePlanners()
 		for i := range cached {
 			name := cached[i].Name()
-			want := runBatch(sc, cached[i], true)
+			want := runBatch(sc, cached[i])
 			wantFP := metricsFingerprint(want)
 			variants := []struct {
 				label string
 				got   multigpu.Metrics
 			}{
-				{"cached/stream", runStream(sc, cached[i], true)},
-				{"nocache/batch", runBatch(sc, uncached[i], false)},
-				{"nocache/stream", runStream(sc, uncached[i], false)},
+				{"cached/stream", runStream(sc, cached[i])},
+				{"nocache/batch", runBatch(sc, uncached[i])},
+				{"nocache/stream", runStream(sc, uncached[i])},
 			}
 			for _, v := range variants {
 				if got := metricsFingerprint(v.got); got != wantFP {

@@ -17,6 +17,7 @@ package link
 
 import (
 	"fmt"
+	"math"
 
 	"oovr/internal/mem"
 	"oovr/internal/obs"
@@ -63,7 +64,7 @@ type hop struct {
 
 // New builds the fabric for a topology graph at the given clock (GHz).
 func New(g *topo.Graph, clockGHz float64) *Fabric {
-	if clockGHz <= 0 {
+	if !(clockGHz > 0) || math.IsInf(clockGHz, 1) {
 		panic(fmt.Sprintf("link: invalid clock %v GHz", clockGHz))
 	}
 	n := g.NumGPMs()

@@ -40,10 +40,7 @@
 // against a per-page reference implementation.
 package mem
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // GPMID identifies a GPU module. GPMs are numbered 0..N-1.
 type GPMID int
@@ -140,51 +137,6 @@ type Segment struct {
 	// touched[gpm] holds the System warmth epoch at which the GPM last
 	// read the segment (see System.epoch).
 	touched []uint64
-	// placeEpoch counts placement changes: every operation that rehomes at
-	// least one page bumps it (swapLayout, rehomeExplicit). Flow-decomposition
-	// cache slots are keyed on it, so a placement change invalidates every
-	// cached flow of the segment in O(1) while untouched segments keep their
-	// caches across frames. Starts at 1 so slot epoch 0 means "never filled".
-	placeEpoch uint64
-	// flows holds the segment's flow-decomposition cache: one slot per
-	// (requester, op-class) pair the segment has actually served, created
-	// on that pair's first access and kept sorted by key for a binary
-	// search. Most segments serve one or two pairs, but shared textures
-	// and framebuffers serve many more (busiest over every planner and
-	// workload: 12 pairs at 4 GPMs, 24 at 8, 48 at 16), which a linear
-	// scan would walk on every hit.
-	flows []flowSlot
-}
-
-// Flow-cache op classes. Cold and warm reads get separate slots: within a
-// frame the first read is cold and the rest are warm, so a single slot
-// would thrash on exactly the steady-state pattern the cache exists for.
-const (
-	opReadCold = iota
-	opReadWarm
-	opWrite
-	opProp
-	opDup
-	numFlowOps
-)
-
-// flowSlot caches one access's flow decomposition for one (requester,
-// op-class) pair. A slot is valid when its epoch matches the segment's
-// current placeEpoch and its key fields match the access; it is filled only
-// by accesses that did not move any page, so a hit replays a pure function
-// of the (unchanged) placement state.
-//
-// remote is the slot's own RemoteBySrc storage, allocated with the slot
-// and shared with no other slot, so a refill of this slot never reaches a
-// flow returned by another.
-type flowSlot struct {
-	key    int    // int(requester)*numFlowOps + op
-	epoch  uint64 // segment placeEpoch at fill time; 0 = empty
-	offset int64
-	n      int64
-	prop   float64
-	local  float64
-	remote []float64
 }
 
 // Pages returns the number of pages in the segment.
@@ -239,10 +191,8 @@ func DefaultConfig(numGPMs int) Config {
 // Flow describes where the bytes of one access went. RemoteBySrc[g] is the
 // number of bytes that crossed the link from GPM g's DRAM to the requester.
 //
-// Unless the flow cache is disabled (SetFlowCache), RemoteBySrc aliases
-// the cache storage of the segment's (requester, op-class) slot, which no
-// other slot shares: it is valid until the same requester performs the
-// same class of access on the same segment again, and must never be
+// RemoteBySrc aliases one scratch vector owned by the System, so it is
+// valid only until the next access on the same System, and must never be
 // written. Every production consumer (fabric reservation, traffic
 // accounting) reads the flow immediately; callers that need to hold one
 // across accesses must copy it.
@@ -277,13 +227,8 @@ type System struct {
 	copies  [][]uint64
 	traffic *Traffic
 	dramUse []int64 // bytes homed per GPM (capacity accounting)
-	// flowCacheOff disables the flow-decomposition cache (SetFlowCache):
-	// every access recomputes into a freshly allocated Flow, the
-	// pre-incremental behaviour the churn property tests compare against.
-	flowCacheOff bool
-	// zeroRemote backs the RemoteBySrc of empty flows (n == 0 accesses);
-	// it is shared and must never be written.
-	zeroRemote []float64
+	// remote is the RemoteBySrc of every returned Flow (see Flow).
+	remote []float64
 }
 
 // NewSystem creates a memory system for the given configuration.
@@ -298,21 +243,14 @@ func NewSystem(cfg Config) *System {
 		panic("mem: RemoteCacheHitRate must be in [0,1]")
 	}
 	return &System{
-		cfg:        cfg,
-		epoch:      copyCold + 1,
-		copies:     make([][]uint64, cfg.NumGPMs),
-		traffic:    NewTraffic(cfg.NumGPMs),
-		dramUse:    make([]int64, cfg.NumGPMs),
-		zeroRemote: make([]float64, cfg.NumGPMs),
+		cfg:     cfg,
+		epoch:   copyCold + 1,
+		copies:  make([][]uint64, cfg.NumGPMs),
+		traffic: NewTraffic(cfg.NumGPMs),
+		dramUse: make([]int64, cfg.NumGPMs),
+		remote:  make([]float64, cfg.NumGPMs),
 	}
 }
-
-// SetFlowCache enables or disables the per-segment flow-decomposition
-// cache. The cache changes cost, never results — disabling it exists so
-// the churn property tests can pin the incremental path against the
-// from-scratch computation. Flows returned while the cache is on alias the
-// segment's cache storage (see Flow).
-func (s *System) SetFlowCache(on bool) { s.flowCacheOff = !on }
 
 // NumGPMs returns the GPM count.
 func (s *System) NumGPMs() int { return s.cfg.NumGPMs }
@@ -334,7 +272,7 @@ func (s *System) Alloc(kind SegmentKind, name string, size int64) SegmentID {
 	s.segments = append(s.segments, &Segment{
 		ID: id, Kind: kind, Name: name, Size: size,
 		nPages: nPages, layout: LayoutUniform, home: Unplaced, hist: hist,
-		touched: make([]uint64, s.cfg.NumGPMs), placeEpoch: 1,
+		touched: make([]uint64, s.cfg.NumGPMs),
 	})
 	return id
 }
@@ -407,14 +345,7 @@ func (s *System) setUniform(seg *Segment, gpm GPMID) {
 
 // swapLayout installs a new layout whose full home histogram is hist,
 // updating the per-GPM DRAM capacity accounting by the histogram delta.
-// Re-installing the placement a segment already has is a no-op (the
-// histogram of an analytic layout is a pure function of layout and home),
-// so per-frame re-placement of a stable surface does not invalidate its
-// flow cache.
 func (s *System) swapLayout(seg *Segment, layout Layout, home GPMID, hist []int64) {
-	if layout == seg.layout && home == seg.home && layout != LayoutExplicit {
-		return
-	}
 	for g := 0; g < s.cfg.NumGPMs; g++ {
 		s.dramUse[g] += hist[g] - seg.hist[g]
 	}
@@ -422,7 +353,6 @@ func (s *System) swapLayout(seg *Segment, layout Layout, home GPMID, hist []int6
 	seg.layout = layout
 	seg.home = home
 	seg.pages = nil
-	seg.placeEpoch++
 }
 
 // stripedFullHist writes the whole-segment home histogram of the striped
@@ -529,7 +459,6 @@ func (s *System) rehomeExplicit(seg *Segment, page int, gpm GPMID) {
 	seg.hist[gpm] += size
 	s.dramUse[gpm] += size
 	seg.pages[page] = gpm
-	seg.placeEpoch++
 }
 
 // explicitRangeHist accumulates into hist the per-GPM byte counts of the
@@ -604,73 +533,16 @@ func (s *System) Write(gpm GPMID, id SegmentID, offset, n int64) Flow {
 	return s.access(gpm, id, offset, n, false)
 }
 
-// slot returns the flow-cache slot for (segment, requester, op), or nil
-// when the cache is disabled. A pair's slot, and its remote vector, are
-// created on the pair's first access. The returned pointer is valid until
-// the segment's next new slot (which may move the slot list).
-func (s *System) slot(seg *Segment, gpm GPMID, op int) *flowSlot {
-	if s.flowCacheOff {
-		return nil
-	}
-	key := int(gpm)*numFlowOps + op
-	lo, hi := 0, len(seg.flows) // binary search for the first slot with key >= key
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if seg.flows[m].key < key {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo == len(seg.flows) || seg.flows[lo].key != key {
-		seg.flows = slices.Insert(seg.flows, lo, flowSlot{key: key, remote: make([]float64, s.cfg.NumGPMs)})
-	}
-	return &seg.flows[lo]
-}
-
-// remoteTarget returns the slice an access should decompose its remote
-// bytes into: the slot's own storage (zeroed) on the cached path, a fresh
-// allocation otherwise.
-func (s *System) remoteTarget(sl *flowSlot) []float64 {
-	if sl == nil {
-		return make([]float64, s.cfg.NumGPMs)
-	}
-	clear(sl.remote)
-	return sl.remote
-}
-
-// emptyRemote returns the RemoteBySrc for a zero-byte flow: the shared
-// all-zero slice on the cached path (callers never write flows), a fresh
-// allocation otherwise.
-func (s *System) emptyRemote() []float64 {
-	if s.flowCacheOff {
-		return make([]float64, s.cfg.NumGPMs)
-	}
-	return s.zeroRemote
-}
-
-// fill records a computed access in its slot — unless the computation
-// rehomed a page (preEpoch moved on), in which case the result reflects
-// the pre-mutation placement and must not be replayed.
-func (sl *flowSlot) fill(seg *Segment, preEpoch uint64, offset, n int64, prop, local float64) {
-	if sl == nil {
-		return
-	}
-	if seg.placeEpoch != preEpoch {
-		sl.epoch = 0
-		return
-	}
-	sl.epoch = preEpoch
-	sl.offset = offset
-	sl.n = n
-	sl.prop = prop
-	sl.local = local
+// remoteScratch returns the System's RemoteBySrc scratch, zeroed.
+func (s *System) remoteScratch() []float64 {
+	clear(s.remote)
+	return s.remote
 }
 
 // allLocal records and returns an access served entirely from the
-// requester's DRAM: no remote part and no flow-cache slot to consult.
+// requester's DRAM: no remote part to split.
 func (s *System) allLocal(gpm GPMID, kind SegmentKind, local float64) Flow {
-	flow := Flow{Requester: gpm, LocalBytes: local, RemoteBySrc: s.emptyRemote(), Kind: kind}
+	flow := Flow{Requester: gpm, LocalBytes: local, RemoteBySrc: s.remoteScratch(), Kind: kind}
 	s.traffic.Record(flow)
 	return flow
 }
@@ -682,7 +554,7 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 		panic(fmt.Sprintf("mem: access [%d,%d) outside segment %q of size %d", offset, offset+n, seg.Name, seg.Size))
 	}
 	if n == 0 {
-		return Flow{Requester: gpm, RemoteBySrc: s.emptyRemote(), Kind: seg.Kind}
+		return Flow{Requester: gpm, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
 	}
 	if seg.layout == LayoutUniform && seg.home == gpm {
 		// All-local: every byte is homed on the requester, so the flow is
@@ -692,27 +564,8 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 		}
 		return s.allLocal(gpm, seg.Kind, float64(n))
 	}
-	warm := seg.touched[gpm] == s.epoch
-	op := opWrite
-	if isRead {
-		if warm {
-			op = opReadWarm
-		} else {
-			op = opReadCold
-		}
-	}
-	sl := s.slot(seg, gpm, op)
-	if sl != nil && sl.epoch != 0 && sl.epoch == seg.placeEpoch && sl.offset == offset && sl.n == n {
-		flow := Flow{Requester: gpm, LocalBytes: sl.local, RemoteBySrc: sl.remote, Kind: seg.Kind}
-		if isRead {
-			seg.touched[gpm] = s.epoch
-		}
-		s.traffic.Record(flow)
-		return flow
-	}
-
-	preEpoch := seg.placeEpoch
-	flow := Flow{Requester: gpm, RemoteBySrc: s.remoteTarget(sl), Kind: seg.Kind}
+	warm := isRead && seg.touched[gpm] == s.epoch
+	flow := Flow{Requester: gpm, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
 
 	// Split the range's bytes by home GPM — closed form for the analytic
 	// layouts, page iteration only in the explicit fallback.
@@ -751,7 +604,7 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 			continue
 		}
 		remote := bytes
-		if isRead && warm {
+		if warm {
 			hit := remote * s.cfg.RemoteCacheHitRate
 			flow.LocalBytes += hit // served from the local remote-cache copy
 			remote -= hit
@@ -762,7 +615,6 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 		seg.touched[gpm] = s.epoch
 	}
 	s.traffic.Record(flow)
-	sl.fill(seg, preEpoch, offset, n, 0, flow.LocalBytes)
 	return flow
 }
 
@@ -788,14 +640,7 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
 		// bytes*Size/Size is not always bytes in float64.
 		return s.allLocal(gpm, seg.Kind, bytes*float64(seg.hist[gpm])/float64(seg.Size))
 	}
-	sl := s.slot(seg, gpm, opProp)
-	if sl != nil && sl.epoch != 0 && sl.epoch == seg.placeEpoch && sl.prop == bytes {
-		flow := Flow{Requester: gpm, LocalBytes: sl.local, RemoteBySrc: sl.remote, Kind: seg.Kind}
-		s.traffic.Record(flow)
-		return flow
-	}
-	preEpoch := seg.placeEpoch
-	flow := Flow{Requester: gpm, RemoteBySrc: s.remoteTarget(sl), Kind: seg.Kind}
+	flow := Flow{Requester: gpm, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
 	// Place any unplaced pages on the requester first (FT), then split the
 	// volume by the cached home byte shares.
 	s.firstTouchAll(seg, gpm)
@@ -812,7 +657,6 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
 		}
 	}
 	s.traffic.Record(flow)
-	sl.fill(seg, preEpoch, 0, 0, bytes, flow.LocalBytes)
 	return flow
 }
 
@@ -839,17 +683,7 @@ func (s *System) firstTouchAll(seg *Segment, gpm GPMID) {
 func (s *System) Duplicate(id SegmentID, dst GPMID) Flow {
 	s.checkGPM(dst)
 	seg := s.Segment(id)
-	sl := s.slot(seg, dst, opDup)
-	if sl != nil && sl.epoch != 0 && sl.epoch == seg.placeEpoch {
-		// Only a duplicate that found the segment already uniform on dst
-		// fills the slot, so a hit is the all-local re-duplication case.
-		flow := Flow{Requester: dst, LocalBytes: sl.local, RemoteBySrc: sl.remote, Kind: seg.Kind}
-		seg.touched[dst] = s.epoch
-		s.traffic.Record(flow)
-		return flow
-	}
-	preEpoch := seg.placeEpoch
-	flow := Flow{Requester: dst, RemoteBySrc: s.remoteTarget(sl), Kind: seg.Kind}
+	flow := Flow{Requester: dst, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
 	flow.LocalBytes = float64(seg.hist[dst] + seg.hist[s.cfg.NumGPMs])
 	for h := 0; h < s.cfg.NumGPMs; h++ {
 		if GPMID(h) != dst && seg.hist[h] != 0 {
@@ -859,7 +693,6 @@ func (s *System) Duplicate(id SegmentID, dst GPMID) Flow {
 	s.setUniform(seg, dst)
 	seg.touched[dst] = s.epoch
 	s.traffic.Record(flow)
-	sl.fill(seg, preEpoch, 0, 0, 0, flow.LocalBytes)
 	return flow
 }
 
@@ -923,7 +756,7 @@ func (s *System) ReadCopy(g GPMID, id SegmentID, offset, n int64) Flow {
 		panic(fmt.Sprintf("mem: access [%d,%d) outside segment %q of size %d", offset, offset+n, seg.Name, seg.Size))
 	}
 	if n == 0 {
-		return Flow{Requester: g, RemoteBySrc: s.emptyRemote(), Kind: seg.Kind}
+		return Flow{Requester: g, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
 	}
 	*stamp = s.epoch
 	return s.allLocal(g, seg.Kind, float64(n))

@@ -180,9 +180,9 @@ func TestLocalCopiesKeepTrafficLocal(t *testing.T) {
 }
 
 // TestSteadyStateFrameDoesNotAllocate pins the frame loop's heap traffic:
-// once warm-up frames have built the shipping residency, filled the memory
-// system's flow caches and grown the epoch-stamped scratch, every further
-// BeginFrame → ship/render → compose → EndFrame cycle must reuse all of it.
+// once warm-up frames have built the shipping residency and grown the
+// epoch-stamped scratch, every further BeginFrame → ship/render → compose
+// → EndFrame cycle must reuse all of it.
 // A regression here shows up long before the benchmark gate does.
 func TestSteadyStateFrameDoesNotAllocate(t *testing.T) {
 	s := newSystem(t)
@@ -202,7 +202,7 @@ func TestSteadyStateFrameDoesNotAllocate(t *testing.T) {
 		s.EndFrame()
 	}
 	frame() // cold: allocates resident copies and scratch capacity
-	frame() // warm residency, warm flow caches
+	frame() // warm residency
 	s.ReserveFrames(256)
 	if avg := testing.AllocsPerRun(100, frame); avg != 0 {
 		t.Errorf("steady-state frame allocated %.2f times per frame, want 0", avg)

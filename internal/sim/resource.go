@@ -9,7 +9,10 @@
 // granularity.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a point in simulated time, in GPU cycles.
 type Time float64
@@ -34,10 +37,10 @@ type Resource struct {
 }
 
 // NewResource creates a resource serving rate units per cycle. Rate must be
-// positive.
+// positive and finite.
 func NewResource(name string, rate float64) *Resource {
-	if rate <= 0 {
-		panic(fmt.Sprintf("sim: resource %q rate %v must be positive", name, rate))
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		panic(fmt.Sprintf("sim: resource %q rate %v must be positive and finite", name, rate))
 	}
 	return &Resource{name: name, rate: rate}
 }
@@ -50,10 +53,12 @@ func (r *Resource) Rate() float64 { return r.rate }
 
 // Reserve queues a request of the given amount arriving at time at, and
 // returns the time the transfer completes. Zero amounts complete immediately
-// at max(at, queue head) without occupying the server.
+// at max(at, queue head) without occupying the server. A negative or NaN
+// amount panics: a NaN would lose every later end-time comparison and
+// leave the resource uncharged.
 func (r *Resource) Reserve(at Time, amount float64) Time {
-	if amount < 0 {
-		panic(fmt.Sprintf("sim: resource %q negative amount %v", r.name, amount))
+	if !(amount >= 0) {
+		panic(fmt.Sprintf("sim: resource %q invalid amount %v", r.name, amount))
 	}
 	start := at
 	if r.nextFree > start {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -116,5 +117,30 @@ func TestResourceFIFOPropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResourceRejectsNaN pins the rate and amount guards against values
+// every ordered comparison lets through: a NaN rate or amount would make
+// end times NaN, which lose every later `e > end` test and so charge no
+// time at all.
+func TestResourceRejectsNaN(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		mustPanic(fmt.Sprintf("rate %v", rate), func() { NewResource("bad", rate) })
+	}
+	r := NewResource("x", 1)
+	mustPanic("NaN amount", func() { r.Reserve(0, math.NaN()) })
+	mustPanic("negative amount", func() { r.Reserve(0, -1) })
+	if end := r.Reserve(0, 2); end != 2 {
+		t.Errorf("valid reservation after rejected ones ends at %v, want 2", end)
 	}
 }

@@ -235,7 +235,7 @@ func Build(p Params) (*Graph, error) {
 	if p.NumGPMs <= 0 {
 		return nil, fmt.Errorf("topo: NumGPMs %d must be positive", p.NumGPMs)
 	}
-	if p.NumGPMs > 1 && p.LinkGBs <= 0 {
+	if p.NumGPMs > 1 && !(p.LinkGBs > 0) {
 		return nil, fmt.Errorf("topo: LinkGBs %v must be positive for multi-GPM systems", p.LinkGBs)
 	}
 	if p.MeshCols < 0 || p.PackageSize < 0 || p.TrunkGBs < 0 || p.BackplaneGBs < 0 {
@@ -272,7 +272,7 @@ func (gb *GraphBuilder) AddLink(name string, from, to int, gbs float64) int {
 	if from == to {
 		panic(fmt.Sprintf("topo: self-link %q on node %d", name, from))
 	}
-	if gbs <= 0 {
+	if !(gbs > 0) {
 		panic(fmt.Sprintf("topo: link %q bandwidth %v must be positive", name, gbs))
 	}
 	id := len(gb.g.links)

@@ -2,6 +2,7 @@ package oovr_test
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"oovr"
@@ -151,6 +152,21 @@ func TestHardwareSweepsViaPublicAPI(t *testing.T) {
 	if len(m.GPMBusyCycles) != 8 {
 		t.Errorf("expected 8 GPMs, got %d", len(m.GPMBusyCycles))
 	}
+}
+
+// TestNaNLinkBandwidthPanics pins that a NaN link bandwidth is refused when
+// the system is built. Before the NaN guards it ran: NaN hop end times lost
+// every comparison, so no link time was charged and the Metrics looked
+// finite.
+func TestNaNLinkBandwidthPanics(t *testing.T) {
+	opt := oovr.DefaultOptions()
+	opt.Config = opt.Config.WithLinkGBs(math.NaN())
+	defer func() {
+		if recover() == nil {
+			t.Error("a NaN link bandwidth built a system")
+		}
+	}()
+	oovr.NewSystem(opt, smallScene(t, 1))
 }
 
 func TestTSLViaPublicAPI(t *testing.T) {
