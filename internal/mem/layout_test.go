@@ -29,16 +29,19 @@ func newPageRef(cfg Config) *pageRefSystem {
 	return &pageRefSystem{cfg: cfg, touched: touched, dramUse: make([]int64, cfg.NumGPMs)}
 }
 
+// alloc homes the new segment's pages striped, page by page.
 func (r *pageRefSystem) alloc(kind SegmentKind, size int64) int {
 	n := int((size + r.cfg.PageSize - 1) / r.cfg.PageSize)
-	pages := make([]GPMID, n)
-	for i := range pages {
-		pages[i] = Unplaced
-	}
-	r.pages = append(r.pages, pages)
+	r.pages = append(r.pages, make([]GPMID, n))
 	r.sizes = append(r.sizes, size)
 	r.kinds = append(r.kinds, kind)
-	return len(r.pages) - 1
+	id := len(r.pages) - 1
+	for p := range r.pages[id] {
+		home := GPMID(p % r.cfg.NumGPMs)
+		r.pages[id][p] = home
+		r.dramUse[home] += r.pageBytes(id, p)
+	}
+	return id
 }
 
 func (r *pageRefSystem) pageBytes(id, p int) int64 {
@@ -58,9 +61,7 @@ func (r *pageRefSystem) rehome(id, p int, g GPMID) {
 		return
 	}
 	size := r.pageBytes(id, p)
-	if old != Unplaced {
-		r.dramUse[old] -= size
-	}
+	r.dramUse[old] -= size
 	r.dramUse[g] += size
 	r.pages[id][p] = g
 }
@@ -108,10 +109,6 @@ func (r *pageRefSystem) access(gpm GPMID, id int, offset, n int64, isRead bool) 
 		}
 		bytes := float64(aEnd - aStart)
 		home := r.pages[id][p]
-		if home == Unplaced {
-			r.rehome(id, p, gpm)
-			home = gpm
-		}
 		if home == gpm {
 			flow.LocalBytes += bytes
 			continue
@@ -137,9 +134,6 @@ func (r *pageRefSystem) readProportional(gpm GPMID, id int, bytes float64) Flow 
 	}
 	homes := make([]int64, r.cfg.NumGPMs)
 	for p := range r.pages[id] {
-		if r.pages[id][p] == Unplaced {
-			r.rehome(id, p, gpm)
-		}
 		homes[r.pages[id][p]] += r.pageBytes(id, p)
 	}
 	for h, b := range homes {
@@ -161,7 +155,7 @@ func (r *pageRefSystem) duplicate(id int, dst GPMID) Flow {
 	for p := range r.pages[id] {
 		bytes := float64(r.pageBytes(id, p))
 		home := r.pages[id][p]
-		if home == Unplaced || home == dst {
+		if home == dst {
 			flow.LocalBytes += bytes
 		} else {
 			flow.RemoteBySrc[home] += bytes
@@ -179,14 +173,9 @@ func (r *pageRefSystem) resetWarmth() {
 }
 
 func (r *pageRefSystem) homeHistogram(id int) []int64 {
-	hist := make([]int64, r.cfg.NumGPMs+1)
+	hist := make([]int64, r.cfg.NumGPMs)
 	for p := range r.pages[id] {
-		home := r.pages[id][p]
-		idx := int(home)
-		if home == Unplaced {
-			idx = r.cfg.NumGPMs
-		}
-		hist[idx] += r.pageBytes(id, p)
+		hist[r.pages[id][p]] += r.pageBytes(id, p)
 	}
 	return hist
 }
@@ -215,7 +204,7 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 	// Dyadic hit rates: exactly representable, multiplication is exact, so
 	// per-page and per-GPM cache arithmetic agree bit-for-bit.
 	rates := []float64{0, 0.25, 0.5, 1}
-	gpmCounts := []int{1, 2, 4, 7, 20} // 20 exercises the heap scratch path
+	gpmCounts := []int{1, 2, 4, 7, 20}
 	for trial := 0; trial < 40; trial++ {
 		rate := rates[trial%len(rates)]
 		ng := gpmCounts[trial%len(gpmCounts)]
@@ -234,6 +223,41 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 			}
 			ids = append(ids, id)
 		}
+		// State must agree everywhere: page homes, histograms, DRAM
+		// capacity accounting, and warmth.
+		checkState := func(when string) {
+			t.Helper()
+			for _, id := range ids {
+				seg := sys.Segment(id)
+				for p := 0; p < seg.Pages(); p++ {
+					if seg.PageHome(p) != ref.pages[int(id)][p] {
+						t.Fatalf("trial %d %s: seg %d page %d home %d != ref %d (layout=%v)",
+							trial, when, id, p, seg.PageHome(p), ref.pages[int(id)][p], seg.Layout())
+					}
+				}
+				gotHist := sys.HomeHistogram(id)
+				wantHist := ref.homeHistogram(int(id))
+				if len(gotHist) != len(wantHist) {
+					t.Fatalf("trial %d %s: seg %d hist has %d entries, want %d", trial, when, id, len(gotHist), len(wantHist))
+				}
+				for i := range wantHist {
+					if gotHist[i] != wantHist[i] {
+						t.Fatalf("trial %d %s: seg %d hist[%d] = %d, want %d", trial, when, id, i, gotHist[i], wantHist[i])
+					}
+				}
+				for g := 0; g < ng; g++ {
+					if sys.Touched(GPMID(g), id) != ref.touched[g][int(id)] {
+						t.Fatalf("trial %d %s: seg %d touched[%d] mismatch", trial, when, id, g)
+					}
+				}
+			}
+			for g := 0; g < ng; g++ {
+				if sys.DRAMUsed(GPMID(g)) != ref.dramUse[g] {
+					t.Fatalf("trial %d %s: DRAMUsed(%d) = %d, want %d", trial, when, g, sys.DRAMUsed(GPMID(g)), ref.dramUse[g])
+				}
+			}
+		}
+		checkState("after Alloc")
 
 		for step := 0; step < 400; step++ {
 			id := ids[rng.Intn(len(ids))]
@@ -282,46 +306,19 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 			}
 		}
 
-		// Final state must agree everywhere: page homes, histograms, DRAM
-		// capacity accounting, and warmth.
-		for _, id := range ids {
-			seg := sys.Segment(id)
-			for p := 0; p < seg.Pages(); p++ {
-				if seg.PageHome(p) != ref.pages[int(id)][p] {
-					t.Fatalf("trial %d: seg %d page %d home %d != ref %d (layout=%v)",
-						trial, id, p, seg.PageHome(p), ref.pages[int(id)][p], seg.Layout())
-				}
-			}
-			gotHist := sys.HomeHistogram(id)
-			wantHist := ref.homeHistogram(int(id))
-			for i := range wantHist {
-				if gotHist[i] != wantHist[i] {
-					t.Fatalf("trial %d: seg %d hist[%d] = %d, want %d", trial, id, i, gotHist[i], wantHist[i])
-				}
-			}
-			for g := 0; g < ng; g++ {
-				if sys.Touched(GPMID(g), id) != ref.touched[g][int(id)] {
-					t.Fatalf("trial %d: seg %d touched[%d] mismatch", trial, id, g)
-				}
-			}
-		}
-		for g := 0; g < ng; g++ {
-			if sys.DRAMUsed(GPMID(g)) != ref.dramUse[g] {
-				t.Fatalf("trial %d: DRAMUsed(%d) = %d, want %d", trial, g, sys.DRAMUsed(GPMID(g)), ref.dramUse[g])
-			}
-		}
+		checkState("after the last step")
 	}
 }
 
-// TestAnalyticLayoutsStayAnalytic pins the perf contract: the placements
-// the schedulers use must not degrade to the explicit per-page fallback.
+// TestAnalyticLayoutsStayAnalytic pins the layout each placement installs
+// and that accesses never change it: a fresh segment is striped, and reads
+// and proportional reads leave every layout as placed.
 func TestAnalyticLayoutsStayAnalytic(t *testing.T) {
 	s := NewSystem(Config{NumGPMs: 4, PageSize: 4096, RemoteCacheHitRate: 0.5})
 	id := s.Alloc(KindTexture, "tex", 4096*1000)
-	if got := s.Segment(id).Layout(); got != LayoutUniform {
-		t.Fatalf("fresh segment layout = %v", got)
+	if got := s.Segment(id).Layout(); got != LayoutStriped {
+		t.Fatalf("fresh segment layout = %v, want striped", got)
 	}
-	s.PlaceStriped(id)
 	s.Read(1, id, 123, 4096*700)
 	s.ReadProportional(2, id, 1e9)
 	if got := s.Segment(id).Layout(); got != LayoutStriped {
@@ -336,17 +333,5 @@ func TestAnalyticLayoutsStayAnalytic(t *testing.T) {
 	s.Duplicate(id, 3)
 	if got := s.Segment(id).Layout(); got != LayoutUniform {
 		t.Fatalf("layout after place/duplicate = %v, want uniform", got)
-	}
-	// Whole-segment first touch of a fresh segment stays uniform...
-	ft := s.Alloc(KindTexture, "ft", 4096*10)
-	s.Read(1, ft, 0, 4096*10)
-	if got := s.Segment(ft).Layout(); got != LayoutUniform {
-		t.Fatalf("layout after full first touch = %v, want uniform", got)
-	}
-	// ...while a partial first touch degrades to the explicit fallback.
-	part := s.Alloc(KindTexture, "part", 4096*10)
-	s.Read(1, part, 0, 4096)
-	if got := s.Segment(part).Layout(); got != LayoutExplicit {
-		t.Fatalf("layout after partial first touch = %v, want explicit", got)
 	}
 }

@@ -1,52 +1,47 @@
 // Package mem models the NUMA memory system of the multi-GPU architecture
 // in the paper (Section 2.3): one DRAM partition per GPM sharing a single
-// address space, page-granular placement with a First-Touch (FT) policy, a
-// remote-access cache, and full accounting of which bytes moved locally and
-// which crossed inter-GPM links.
+// address space, page-granular placement, a remote-access cache, and full
+// accounting of which bytes moved locally and which crossed inter-GPM
+// links.
 //
 // The simulator works at *segment* granularity: a segment is a logically
 // contiguous allocation (a texture, a vertex buffer, a framebuffer
-// partition, a command stream). Segments are divided into pages; each page
-// has a home GPM assigned on first touch or by explicit placement (the
-// OO-VR pre-allocation units use explicit placement, Section 5.2).
+// partition, a command stream). Segments are divided into pages, and every
+// page has a home GPM from the moment the segment is allocated: Alloc
+// stripes a new segment, and the Place* family re-homes it (the OO-VR
+// pre-allocation units use explicit placement, Section 5.2). The paper's
+// first-touch policy has no counterpart here, because the simulated driver
+// pre-places every allocation before any access.
 //
 // # Placement layouts
 //
-// Every placement the simulator's schedulers produce is one of four
-// layouts, so a segment stores a layout descriptor instead of a per-page
-// home array:
+// Every placement is one of three layouts, so a segment stores a layout
+// descriptor instead of a per-page home array:
 //
-//   - LayoutUniform: every page homed on one GPM (Place, Duplicate, and
-//     a fresh allocation, whose shared home is Unplaced);
-//   - LayoutStriped: page i homed on GPM i mod N (PlaceStriped);
-//   - LayoutPartitioned: N contiguous 1/N shares (PlacePartitioned);
-//   - LayoutExplicit: an arbitrary per-page home array, the fallback that
-//     partial first-touch placement degrades to.
+//   - LayoutUniform: every page homed on one GPM (Place, Duplicate);
+//   - LayoutStriped: page i homed on GPM i mod N (Alloc, PlaceStriped);
+//   - LayoutPartitioned: N contiguous 1/N shares (PlacePartitioned).
 //
-// For the first three, the local/remote byte split of any [offset, n)
-// range is computed in closed form — O(NumGPMs) arithmetic with zero page
-// iteration — and the Place* family are O(NumGPMs) layout swaps. Each
-// segment also caches its home histogram (bytes per GPM), updated
-// incrementally on every rehome, so ReadProportional, Duplicate and
-// HomeHistogram never rescan pages.
+// The local/remote byte split of any [offset, n) range is computed in
+// closed form — O(NumGPMs) arithmetic with zero page iteration — and the
+// Place* family are O(NumGPMs) layout swaps. Each segment also caches its
+// home histogram (bytes per GPM), rewritten on every placement, so
+// ReadProportional, Duplicate and HomeHistogram never rescan pages.
 //
 // All byte counts are integers, accumulated in int64 and converted to
 // float64 once per GPM, so the closed forms produce Flows byte-identical
 // to summing the per-page contributions (integer sums below 2^53 are exact
 // in float64). The remote-cache scaling is applied once per source GPM
 // instead of once per page; for dyadic hit rates (0.5 is the paper's
-// value) the two orders are exactly equal. DESIGN.md §"Memory-model
-// layouts" states the equivalence guarantee; layout_test.go proves it
-// against a per-page reference implementation.
+// value) the two orders are exactly equal. DESIGN.md §2 states the
+// equivalence guarantee; layout_test.go proves it against a per-page
+// reference implementation.
 package mem
 
 import "fmt"
 
 // GPMID identifies a GPU module. GPMs are numbered 0..N-1.
 type GPMID int
-
-// Unplaced marks a page that has no home yet.
-const Unplaced GPMID = -1
 
 // SegmentID identifies an allocation in the shared address space.
 type SegmentID int
@@ -92,15 +87,12 @@ func (k SegmentKind) String() string {
 type Layout int
 
 const (
-	// LayoutUniform homes every page on one GPM (Unplaced for a fresh
-	// allocation).
+	// LayoutUniform homes every page on one GPM.
 	LayoutUniform Layout = iota
 	// LayoutStriped homes page i on GPM i mod NumGPMs.
 	LayoutStriped
 	// LayoutPartitioned splits the pages into NumGPMs contiguous shares.
 	LayoutPartitioned
-	// LayoutExplicit stores an arbitrary per-page home array.
-	LayoutExplicit
 )
 
 // String returns the layout's short name.
@@ -112,8 +104,6 @@ func (l Layout) String() string {
 		return "striped"
 	case LayoutPartitioned:
 		return "partitioned"
-	case LayoutExplicit:
-		return "explicit"
 	default:
 		return fmt.Sprintf("layout(%d)", int(l))
 	}
@@ -129,10 +119,9 @@ type Segment struct {
 
 	nPages int
 	layout Layout
-	home   GPMID   // LayoutUniform: the shared home (may be Unplaced)
-	pages  []GPMID // LayoutExplicit only
-	// hist caches how many bytes are homed per GPM; index numGPMs holds
-	// unplaced bytes. It is kept in sync by every placement operation.
+	home   GPMID // LayoutUniform only: the shared home
+	// hist caches how many bytes are homed per GPM. Every placement
+	// rewrites it.
 	hist []int64
 	// touched[gpm] holds the System warmth epoch at which the GPM last
 	// read the segment (see System.epoch).
@@ -146,7 +135,7 @@ func (s *Segment) Pages() int { return s.nPages }
 func (s *Segment) Layout() Layout { return s.layout }
 
 // numGPMs recovers the GPM count from the cached histogram.
-func (s *Segment) numGPMs() int { return len(s.hist) - 1 }
+func (s *Segment) numGPMs() int { return len(s.hist) }
 
 // pagesPerPartition returns the ceil(nPages/N) partition stride of the
 // partitioned layout.
@@ -155,17 +144,15 @@ func (s *Segment) pagesPerPartition() int {
 	return (s.nPages + n - 1) / n
 }
 
-// PageHome returns the home GPM of page i (Unplaced if not yet placed).
+// PageHome returns the home GPM of page i.
 func (s *Segment) PageHome(i int) GPMID {
 	switch s.layout {
 	case LayoutUniform:
 		return s.home
 	case LayoutStriped:
 		return GPMID(i % s.numGPMs())
-	case LayoutPartitioned:
+	default: // LayoutPartitioned
 		return GPMID(i / s.pagesPerPartition())
-	default:
-		return s.pages[i]
 	}
 }
 
@@ -229,6 +216,8 @@ type System struct {
 	dramUse []int64 // bytes homed per GPM (capacity accounting)
 	// remote is the RemoteBySrc of every returned Flow (see Flow).
 	remote []float64
+	// hist is access's per-GPM byte split of the accessed range.
+	hist []int64
 }
 
 // NewSystem creates a memory system for the given configuration.
@@ -239,7 +228,7 @@ func NewSystem(cfg Config) *System {
 	if cfg.PageSize <= 0 {
 		panic("mem: PageSize must be positive")
 	}
-	if cfg.RemoteCacheHitRate < 0 || cfg.RemoteCacheHitRate > 1 {
+	if !(cfg.RemoteCacheHitRate >= 0 && cfg.RemoteCacheHitRate <= 1) {
 		panic("mem: RemoteCacheHitRate must be in [0,1]")
 	}
 	return &System{
@@ -249,6 +238,7 @@ func NewSystem(cfg Config) *System {
 		traffic: NewTraffic(cfg.NumGPMs),
 		dramUse: make([]int64, cfg.NumGPMs),
 		remote:  make([]float64, cfg.NumGPMs),
+		hist:    make([]int64, cfg.NumGPMs),
 	}
 }
 
@@ -258,22 +248,21 @@ func (s *System) NumGPMs() int { return s.cfg.NumGPMs }
 // Traffic returns the accumulated traffic accounting.
 func (s *System) Traffic() *Traffic { return s.traffic }
 
-// Alloc creates a new unplaced segment of the given size. Allocation is
-// O(NumGPMs): no per-page state exists until a mixed placement forces the
-// explicit fallback.
+// Alloc creates a new segment, striped across the GPMs: the driver's
+// default placement for shared surfaces. O(NumGPMs).
 func (s *System) Alloc(kind SegmentKind, name string, size int64) SegmentID {
 	if size < 0 {
 		panic(fmt.Sprintf("mem: negative size %d for %q", size, name))
 	}
-	nPages := int((size + s.cfg.PageSize - 1) / s.cfg.PageSize)
 	id := SegmentID(len(s.segments))
-	hist := make([]int64, s.cfg.NumGPMs+1)
-	hist[s.cfg.NumGPMs] = size
-	s.segments = append(s.segments, &Segment{
+	seg := &Segment{
 		ID: id, Kind: kind, Name: name, Size: size,
-		nPages: nPages, layout: LayoutUniform, home: Unplaced, hist: hist,
+		nPages:  int((size + s.cfg.PageSize - 1) / s.cfg.PageSize),
+		hist:    make([]int64, s.cfg.NumGPMs),
 		touched: make([]uint64, s.cfg.NumGPMs),
-	})
+	}
+	s.segments = append(s.segments, seg)
+	s.setLayout(seg, LayoutStriped, 0)
 	return id
 }
 
@@ -286,94 +275,46 @@ func (s *System) Segment(id SegmentID) *Segment {
 func (s *System) NumSegments() int { return len(s.segments) }
 
 // Place assigns every page of the segment to the given GPM, overriding any
-// previous placement. This models both the initial striped placement of the
-// framebuffer and the OO-VR PA units' pre-allocation. O(NumGPMs).
+// previous placement. This models the OO-VR PA units' pre-allocation and
+// the homing of per-GPM buffers. O(NumGPMs).
 func (s *System) Place(id SegmentID, gpm GPMID) {
 	s.checkGPM(gpm)
-	s.setUniform(s.Segment(id), gpm)
+	s.setLayout(s.Segment(id), LayoutUniform, gpm)
 }
 
 // PlaceStriped distributes the segment's pages round-robin across all GPMs,
 // the paper's baseline address mapping for shared surfaces. O(NumGPMs).
 func (s *System) PlaceStriped(id SegmentID) {
-	seg := s.Segment(id)
-	var stack [maxStackGPMs + 1]int64
-	hist := s.scratch(stack[:])
-	s.stripedFullHist(seg, hist)
-	s.swapLayout(seg, LayoutStriped, Unplaced, hist)
+	s.setLayout(s.Segment(id), LayoutStriped, 0)
 }
 
 // PlacePartitioned splits the segment into NumGPMs contiguous ranges, one
 // per GPM, the placement the distributed hardware composition unit uses for
 // the framebuffer (Section 5.3, Figure 14). O(NumGPMs).
 func (s *System) PlacePartitioned(id SegmentID) {
-	seg := s.Segment(id)
-	if seg.nPages == 0 {
-		return
-	}
-	var stack [maxStackGPMs + 1]int64
-	hist := s.scratch(stack[:])
-	s.partitionedFullHist(seg, hist)
-	s.swapLayout(seg, LayoutPartitioned, Unplaced, hist)
+	s.setLayout(s.Segment(id), LayoutPartitioned, 0)
 }
 
-// maxStackGPMs bounds the GPM count served by stack-allocated histogram
-// scratch space; larger systems fall back to heap scratch.
-const maxStackGPMs = 16
-
-// scratch returns a zeroed histogram of len NumGPMs+1, using the caller's
-// stack array when it fits.
-func (s *System) scratch(stack []int64) []int64 {
-	n := s.cfg.NumGPMs + 1
-	if n > len(stack) {
-		return make([]int64, n)
+// setLayout installs a layout (home is the GPM of LayoutUniform) and
+// rewrites the segment's home histogram, moving the per-GPM DRAM capacity
+// accounting from the old homes to the new ones.
+func (s *System) setLayout(seg *Segment, layout Layout, home GPMID) {
+	for g, b := range seg.hist {
+		s.dramUse[g] -= b
 	}
-	h := stack[:n]
-	for i := range h {
-		h[i] = 0
+	clear(seg.hist)
+	seg.layout, seg.home = layout, home
+	switch layout {
+	case LayoutUniform:
+		seg.hist[home] = seg.Size
+	case LayoutStriped:
+		s.stripedRangeHist(0, seg.Size, seg.hist)
+	case LayoutPartitioned:
+		s.partitionedRangeHist(seg, 0, seg.Size, seg.hist)
 	}
-	return h
-}
-
-// setUniform swaps the segment to LayoutUniform(gpm).
-func (s *System) setUniform(seg *Segment, gpm GPMID) {
-	var hist [maxStackGPMs + 1]int64
-	h := s.scratch(hist[:])
-	h[gpm] = seg.Size
-	s.swapLayout(seg, LayoutUniform, gpm, h)
-}
-
-// swapLayout installs a new layout whose full home histogram is hist,
-// updating the per-GPM DRAM capacity accounting by the histogram delta.
-func (s *System) swapLayout(seg *Segment, layout Layout, home GPMID, hist []int64) {
-	for g := 0; g < s.cfg.NumGPMs; g++ {
-		s.dramUse[g] += hist[g] - seg.hist[g]
+	for g, b := range seg.hist {
+		s.dramUse[g] += b
 	}
-	copy(seg.hist, hist)
-	seg.layout = layout
-	seg.home = home
-	seg.pages = nil
-}
-
-// stripedFullHist writes the whole-segment home histogram of the striped
-// layout into hist.
-func (s *System) stripedFullHist(seg *Segment, hist []int64) {
-	if seg.nPages == 0 {
-		return
-	}
-	n := s.cfg.NumGPMs
-	for g := 0; g < n; g++ {
-		hist[g] = stripedPageCount(0, seg.nPages, n, g) * s.cfg.PageSize
-	}
-	// The final page may be partial; correct its home's full-page count.
-	last := seg.nPages - 1
-	hist[last%n] += s.pageBytes(seg, last) - s.cfg.PageSize
-}
-
-// partitionedFullHist writes the whole-segment home histogram of the
-// partitioned layout into hist.
-func (s *System) partitionedFullHist(seg *Segment, hist []int64) {
-	s.partitionedRangeHist(seg, 0, seg.Size, hist)
 }
 
 // stripedPageCount returns how many pages p in [p0, p1) satisfy
@@ -389,8 +330,8 @@ func stripedPageCount(p0, p1, n, g int) int64 {
 }
 
 // stripedRangeHist accumulates into hist the per-GPM byte counts of the
-// access range [offset, offset+n) under the striped layout.
-func (s *System) stripedRangeHist(seg *Segment, offset, n int64, hist []int64) {
+// range [offset, offset+n) under the striped layout.
+func (s *System) stripedRangeHist(offset, n int64, hist []int64) {
 	p := s.cfg.PageSize
 	ng := s.cfg.NumGPMs
 	first := int(offset / p)
@@ -400,7 +341,7 @@ func (s *System) stripedRangeHist(seg *Segment, offset, n int64, hist []int64) {
 		return
 	}
 	// First page: offset to the page end (pages before the final one are
-	// always full). Last page: page start to the access end.
+	// always full). Last page: page start to the range end.
 	hist[first%ng] += int64(first+1)*p - offset
 	hist[last%ng] += offset + n - int64(last)*p
 	for g := 0; g < ng; g++ {
@@ -409,7 +350,7 @@ func (s *System) stripedRangeHist(seg *Segment, offset, n int64, hist []int64) {
 }
 
 // partitionedRangeHist accumulates into hist the per-GPM byte counts of the
-// access range [offset, offset+n) under the partitioned layout. GPM g's
+// range [offset, offset+n) under the partitioned layout. GPM g's
 // contiguous pages cover one byte interval, so this is N interval overlaps.
 func (s *System) partitionedRangeHist(seg *Segment, offset, n int64, hist []int64) {
 	per := int64(seg.pagesPerPartition()) * s.cfg.PageSize
@@ -428,77 +369,6 @@ func (s *System) partitionedRangeHist(seg *Segment, offset, n int64, hist []int6
 	}
 }
 
-// materialize degrades the segment to the explicit per-page representation.
-func (s *System) materialize(seg *Segment) {
-	if seg.layout == LayoutExplicit {
-		return
-	}
-	pages := make([]GPMID, seg.nPages)
-	for i := range pages {
-		pages[i] = seg.PageHome(i)
-	}
-	seg.pages = pages
-	seg.layout = LayoutExplicit
-	seg.home = Unplaced
-}
-
-// rehomeExplicit moves one page of an explicit-layout segment, keeping the
-// cached histogram and DRAM accounting in sync.
-func (s *System) rehomeExplicit(seg *Segment, page int, gpm GPMID) {
-	old := seg.pages[page]
-	if old == gpm {
-		return
-	}
-	size := s.pageBytes(seg, page)
-	if old == Unplaced {
-		seg.hist[s.cfg.NumGPMs] -= size
-	} else {
-		seg.hist[old] -= size
-		s.dramUse[old] -= size
-	}
-	seg.hist[gpm] += size
-	s.dramUse[gpm] += size
-	seg.pages[page] = gpm
-}
-
-// explicitRangeHist accumulates into hist the per-GPM byte counts of the
-// access range [offset, offset+n) under the explicit layout, first-touch
-// placing unplaced pages on gpm. This is the only per-page access path.
-func (s *System) explicitRangeHist(seg *Segment, gpm GPMID, offset, n int64, hist []int64) {
-	first := int(offset / s.cfg.PageSize)
-	last := int((offset + n - 1) / s.cfg.PageSize)
-	for p := first; p <= last; p++ {
-		pStart := int64(p) * s.cfg.PageSize
-		pEnd := pStart + s.pageBytes(seg, p)
-		aStart, aEnd := offset, offset+n
-		if pStart > aStart {
-			aStart = pStart
-		}
-		if pEnd < aEnd {
-			aEnd = pEnd
-		}
-		home := seg.pages[p]
-		if home == Unplaced {
-			s.rehomeExplicit(seg, p, gpm)
-			home = gpm
-		}
-		hist[home] += aEnd - aStart
-	}
-}
-
-// pageBytes returns the byte size of the given page (the last page may be
-// partial).
-func (s *System) pageBytes(seg *Segment, page int) int64 {
-	if page < seg.nPages-1 {
-		return s.cfg.PageSize
-	}
-	rem := seg.Size - int64(page)*s.cfg.PageSize
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
-}
-
 // DRAMUsed returns the bytes homed on the given GPM.
 func (s *System) DRAMUsed(gpm GPMID) int64 {
 	s.checkGPM(gpm)
@@ -513,10 +383,9 @@ func (s *System) HomedBytes(id SegmentID, gpm GPMID) int64 {
 }
 
 // Read models gpm reading n bytes starting at offset within the segment.
-// Unplaced pages are placed on the requester (first touch). The returned
-// Flow says how many bytes were local and how many crossed each link. The
-// remote cache absorbs RemoteCacheHitRate of remote bytes when this GPM has
-// read the segment before.
+// The returned Flow says how many bytes were local and how many crossed
+// each link. The remote cache absorbs RemoteCacheHitRate of remote bytes
+// when this GPM has read the segment before.
 func (s *System) Read(gpm GPMID, id SegmentID, offset, n int64) Flow {
 	return s.access(gpm, id, offset, n, true)
 }
@@ -526,9 +395,8 @@ func (s *System) ReadAll(gpm GPMID, id SegmentID) Flow {
 	return s.Read(gpm, id, 0, s.Segment(id).Size)
 }
 
-// Write models gpm writing n bytes starting at offset. Writes place
-// unplaced pages on the requester and are never absorbed by the remote
-// cache (it is a read cache).
+// Write models gpm writing n bytes starting at offset. Writes are never
+// absorbed by the remote cache (it is a read cache).
 func (s *System) Write(gpm GPMID, id SegmentID, offset, n int64) Flow {
 	return s.access(gpm, id, offset, n, false)
 }
@@ -567,31 +435,16 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 	warm := isRead && seg.touched[gpm] == s.epoch
 	flow := Flow{Requester: gpm, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
 
-	// Split the range's bytes by home GPM — closed form for the analytic
-	// layouts, page iteration only in the explicit fallback.
-	var stack [maxStackGPMs + 1]int64
-	hist := s.scratch(stack[:])
+	// Split the range's bytes by home GPM, in closed form.
+	hist := s.hist
+	clear(hist)
 	switch seg.layout {
 	case LayoutUniform:
-		if seg.home == Unplaced {
-			if offset < s.cfg.PageSize && offset+n > int64(seg.nPages-1)*s.cfg.PageSize {
-				// The access touches every page of a fresh segment: first
-				// touch homes the whole segment on the requester at once.
-				s.setUniform(seg, gpm)
-				hist[gpm] = n
-			} else {
-				s.materialize(seg)
-				s.explicitRangeHist(seg, gpm, offset, n, hist)
-			}
-		} else {
-			hist[seg.home] = n
-		}
+		hist[seg.home] = n
 	case LayoutStriped:
-		s.stripedRangeHist(seg, offset, n, hist)
+		s.stripedRangeHist(offset, n, hist)
 	case LayoutPartitioned:
 		s.partitionedRangeHist(seg, offset, n, hist)
-	default:
-		s.explicitRangeHist(seg, gpm, offset, n, hist)
 	}
 
 	for h := 0; h < s.cfg.NumGPMs; h++ {
@@ -641,9 +494,7 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
 		return s.allLocal(gpm, seg.Kind, bytes*float64(seg.hist[gpm])/float64(seg.Size))
 	}
 	flow := Flow{Requester: gpm, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
-	// Place any unplaced pages on the requester first (FT), then split the
-	// volume by the cached home byte shares.
-	s.firstTouchAll(seg, gpm)
+	// Split the volume by the cached home byte shares.
 	for h := 0; h < s.cfg.NumGPMs; h++ {
 		b := seg.hist[h]
 		if b == 0 {
@@ -660,22 +511,6 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
 	return flow
 }
 
-// firstTouchAll homes every still-unplaced page of the segment on gpm.
-func (s *System) firstTouchAll(seg *Segment, gpm GPMID) {
-	if seg.hist[s.cfg.NumGPMs] == 0 {
-		return
-	}
-	if seg.layout == LayoutUniform { // home must be Unplaced: nothing is placed
-		s.setUniform(seg, gpm)
-		return
-	}
-	for p := range seg.pages {
-		if seg.pages[p] == Unplaced {
-			s.rehomeExplicit(seg, p, gpm)
-		}
-	}
-}
-
 // Duplicate models copying the whole segment into the given GPM's DRAM (the
 // AFR scheme's separate memory spaces, and OO-VR's straggler data
 // duplication). The copy itself moves bytes over the links from each page's
@@ -684,13 +519,13 @@ func (s *System) Duplicate(id SegmentID, dst GPMID) Flow {
 	s.checkGPM(dst)
 	seg := s.Segment(id)
 	flow := Flow{Requester: dst, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
-	flow.LocalBytes = float64(seg.hist[dst] + seg.hist[s.cfg.NumGPMs])
+	flow.LocalBytes = float64(seg.hist[dst])
 	for h := 0; h < s.cfg.NumGPMs; h++ {
 		if GPMID(h) != dst && seg.hist[h] != 0 {
 			flow.RemoteBySrc[h] = float64(seg.hist[h])
 		}
 	}
-	s.setUniform(seg, dst)
+	s.setLayout(seg, LayoutUniform, dst)
 	seg.touched[dst] = s.epoch
 	s.traffic.Record(flow)
 	return flow
@@ -782,7 +617,7 @@ func (s *System) CopyTouched(g GPMID, id SegmentID) bool {
 }
 
 // HomeHistogram returns, for the given segment, how many bytes are homed on
-// each GPM (index NumGPMs holds unplaced bytes).
+// each GPM.
 func (s *System) HomeHistogram(id SegmentID) []int64 {
 	return append([]int64(nil), s.Segment(id).hist...)
 }

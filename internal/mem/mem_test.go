@@ -11,16 +11,26 @@ func newSys(t *testing.T) *System {
 	return NewSystem(Config{NumGPMs: 4, PageSize: 4096, RemoteCacheHitRate: 0.5})
 }
 
+// TestAllocPages pins that a new segment is homed at allocation: its
+// pages are striped across the GPMs and charged to their DRAM at once.
 func TestAllocPages(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 4096*3+1)
+	id := s.Alloc(KindTexture, "tex", 4096*5+1)
 	seg := s.Segment(id)
-	if seg.Pages() != 4 {
-		t.Errorf("Pages = %d, want 4", seg.Pages())
+	if seg.Pages() != 6 {
+		t.Errorf("Pages = %d, want 6", seg.Pages())
+	}
+	if seg.Layout() != LayoutStriped {
+		t.Errorf("Layout = %v, want striped", seg.Layout())
 	}
 	for i := 0; i < seg.Pages(); i++ {
-		if seg.PageHome(i) != Unplaced {
-			t.Errorf("page %d placed at alloc time", i)
+		if seg.PageHome(i) != GPMID(i%4) {
+			t.Errorf("page %d home = %d, want %d", i, seg.PageHome(i), i%4)
+		}
+	}
+	for g, want := range []int64{2 * 4096, 4096 + 1, 4096, 4096} {
+		if got := s.DRAMUsed(GPMID(g)); got != want {
+			t.Errorf("DRAMUsed(%d) = %d, want %d", g, got, want)
 		}
 	}
 	if s.NumSegments() != 1 {
@@ -28,28 +38,10 @@ func TestAllocPages(t *testing.T) {
 	}
 }
 
-func TestFirstTouchPlacesOnRequester(t *testing.T) {
-	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 8192)
-	f := s.Read(2, id, 0, 8192)
-	if f.LocalBytes != 8192 {
-		t.Errorf("first touch should be all local, got local=%v remote=%v", f.LocalBytes, f.RemoteTotal())
-	}
-	seg := s.Segment(id)
-	for i := 0; i < seg.Pages(); i++ {
-		if seg.PageHome(i) != 2 {
-			t.Errorf("page %d home = %d, want 2", i, seg.PageHome(i))
-		}
-	}
-	if s.DRAMUsed(2) != 8192 {
-		t.Errorf("DRAMUsed(2) = %d", s.DRAMUsed(2))
-	}
-}
-
 func TestRemoteReadCrossesLink(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindTexture, "tex", 4096)
-	s.Read(0, id, 0, 4096) // homed on 0
+	s.Place(id, 0)
 	f := s.Read(1, id, 0, 4096)
 	if f.LocalBytes != 0 {
 		t.Errorf("cold remote read should have no local bytes, got %v", f.LocalBytes)
@@ -65,7 +57,7 @@ func TestRemoteReadCrossesLink(t *testing.T) {
 func TestRemoteCacheAbsorbsRepeatedReads(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindTexture, "tex", 4096)
-	s.Read(0, id, 0, 4096)
+	s.Place(id, 0)
 	s.Read(1, id, 0, 4096) // cold remote: arms cache
 	f := s.Read(1, id, 0, 4096)
 	if f.RemoteBySrc[0] != 2048 {
@@ -103,15 +95,16 @@ func TestPlaceExplicit(t *testing.T) {
 func TestPlaceStriped(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindFramebuffer, "fb", 4096*8)
+	s.Place(id, 1)
 	s.PlaceStriped(id)
 	hist := s.HomeHistogram(id)
-	for g := 0; g < 4; g++ {
-		if hist[g] != 4096*2 {
-			t.Errorf("GPM %d homed %d bytes, want %d", g, hist[g], 4096*2)
-		}
+	if len(hist) != 4 {
+		t.Fatalf("histogram has %d entries, want 4", len(hist))
 	}
-	if hist[4] != 0 {
-		t.Errorf("unplaced bytes remain: %d", hist[4])
+	for g := 0; g < 4; g++ {
+		if hist[g] != 4096*2 || s.DRAMUsed(GPMID(g)) != 4096*2 {
+			t.Errorf("GPM %d homed %d bytes (DRAMUsed %d), want %d", g, hist[g], s.DRAMUsed(GPMID(g)), 4096*2)
+		}
 	}
 }
 
@@ -266,7 +259,8 @@ func TestConservationPropertyQuick(t *testing.T) {
 	}
 }
 
-// Property: DRAM usage totals always equal the placed bytes, never negative.
+// Property: DRAM usage totals always equal the segment's bytes, never
+// negative: a segment is homed from allocation on.
 func TestDRAMAccountingPropertyQuick(t *testing.T) {
 	f := func(moves []uint8) bool {
 		s := NewSystem(Config{NumGPMs: 4, PageSize: 256, RemoteCacheHitRate: 0})
@@ -281,9 +275,6 @@ func TestDRAMAccountingPropertyQuick(t *testing.T) {
 				return false
 			}
 			total += u
-		}
-		if len(moves) == 0 {
-			return total == 0
 		}
 		return total == 256*7+13
 	}

@@ -85,8 +85,8 @@ func TestSMPTaskFasterThanSequential(t *testing.T) {
 func TestDemandFetchGeneratesRemoteTraffic(t *testing.T) {
 	s := newSystem(t)
 	f := &s.Scene().Frames[0]
-	// First GPM touches the texture (first touch -> local); second GPM
-	// reading the same texture must cross a link.
+	// Textures start striped, so after GPM0 has read the texture, GPM1's
+	// read of it must still fetch the pages homed elsewhere over a link.
 	s.Run(0, wholeObjectTask(&f.Objects[0], pipeline.ModeBothSMP))
 	before := s.Mem.Traffic().RemoteByKind(mem.KindTexture)
 	s.Run(1, wholeObjectTask(&f.Objects[0], pipeline.ModeBothSMP))

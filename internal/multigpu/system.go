@@ -1,7 +1,7 @@
 // Package multigpu assembles the full NUMA-based multi-GPU system of the
 // paper's Figure 3: N GPMs (each with local DRAM behind a bandwidth-limited
 // memory controller), a full-mesh NVLink fabric, and the shared NUMA address
-// space with first-touch placement.
+// space, every allocation of which is placed before it is first accessed.
 //
 // The package is the execution substrate for all rendering schedulers: a
 // scheduler binds a scene, then submits Tasks (sets of object shares) to
@@ -283,7 +283,7 @@ func (s *System) markShipped(gi int, seg mem.SegmentID) {
 func New(opt Options, sc *scene.Scene) *System {
 	opt.Config.Validate()
 	opt.Cache.Validate()
-	if opt.OverlapFactor < 0 || opt.OverlapFactor > 1 {
+	if !(opt.OverlapFactor >= 0 && opt.OverlapFactor <= 1) {
 		panic(fmt.Sprintf("multigpu: OverlapFactor %v out of [0,1]", opt.OverlapFactor))
 	}
 	if opt.ShipOverfetch == 0 {
@@ -324,11 +324,10 @@ func New(opt Options, sc *scene.Scene) *System {
 
 	// Shared allocations. Texture contents and vertex buffers are
 	// pre-allocated in GPU memory before rendering (Section 2.2), so their
-	// pages start striped across the NUMA partitions; locality-aware
-	// schemes re-place them explicitly.
+	// pages start striped across the NUMA partitions (Alloc's placement);
+	// locality-aware schemes re-place them explicitly.
 	for _, t := range sc.Textures {
 		id := s.Mem.Alloc(mem.KindTexture, t.Name, t.Bytes)
-		s.Mem.PlaceStriped(id)
 		s.texSeg = append(s.texSeg, id)
 	}
 	// Vertex buffers are sized from the scene's allocation envelope: the
@@ -336,15 +335,12 @@ func New(opt Options, sc *scene.Scene) *System {
 	// shared across frames, so one buffer per object index suffices).
 	for i, size := range sc.VertexCapacities() {
 		vb := s.Mem.Alloc(mem.KindVertex, fmt.Sprintf("vb%04d", i), size)
-		s.Mem.PlaceStriped(vb)
 		s.vbSeg = append(s.vbSeg, vb)
 	}
 	fbBytes := int64(2 * sc.PixelsPerView() * scene.BytesPerPixel)
 	s.fbSeg = s.Mem.Alloc(mem.KindFramebuffer, "framebuffer", fbBytes)
-	s.Mem.PlaceStriped(s.fbSeg)
 	depthBytes := int64(2 * sc.PixelsPerView() * 4)
 	s.depthSeg = s.Mem.Alloc(mem.KindDepth, "depth", depthBytes)
-	s.Mem.PlaceStriped(s.depthSeg)
 	maxDraws := int64(sc.MaxObjects())
 	s.cmdSeg = s.Mem.Alloc(mem.KindCommand, "commands", 2*maxDraws*pipeline.CommandBytesPerDraw)
 	s.Mem.Place(s.cmdSeg, 0)

@@ -150,8 +150,8 @@ func init() {
 	// (Section 2.2's pre-allocated GPU memory); locality-aware schemes
 	// re-place data themselves, so the layout is a no-op.
 	RegisterLayout("striped", func(*multigpu.System) {})
-	// N contiguous shares of every shared segment — a first-touch stand-in
-	// for partition-affine workloads.
+	// N contiguous shares of every shared segment, for partition-affine
+	// workloads: each GPM homes one slice of every texture and buffer.
 	RegisterLayout("partitioned", func(sys *multigpu.System) { sys.PlaceSharedPartitioned() })
 	// Everything homed on GPM0 — the pathological single-home placement the
 	// NUMA study contrasts against.

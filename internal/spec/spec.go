@@ -320,7 +320,7 @@ func validOptions(opt multigpu.Options) (err error) {
 	}()
 	opt.Config.Validate()
 	opt.Cache.Validate()
-	if opt.OverlapFactor < 0 || opt.OverlapFactor > 1 {
+	if !(opt.OverlapFactor >= 0 && opt.OverlapFactor <= 1) {
 		return fmt.Errorf("multigpu: OverlapFactor %v out of [0,1]", opt.OverlapFactor)
 	}
 	// Resolve the topology here rather than letting multigpu.New panic

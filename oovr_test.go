@@ -154,19 +154,31 @@ func TestHardwareSweepsViaPublicAPI(t *testing.T) {
 	}
 }
 
-// TestNaNLinkBandwidthPanics pins that a NaN link bandwidth is refused when
-// the system is built. Before the NaN guards it ran: NaN hop end times lost
-// every comparison, so no link time was charged and the Metrics looked
-// finite.
+// TestNaNLinkBandwidthPanics pins that NaN options are refused when the
+// system is built. Before the NaN guards each of them ran: NaN hop end
+// times lost every comparison, so no link time was charged; a NaN
+// OverlapFactor made a Baseline run report 0 cycles; and a NaN remote-cache
+// hit rate failed only later, as a NaN DRAM reservation.
 func TestNaNLinkBandwidthPanics(t *testing.T) {
-	opt := oovr.DefaultOptions()
-	opt.Config = opt.Config.WithLinkGBs(math.NaN())
-	defer func() {
-		if recover() == nil {
-			t.Error("a NaN link bandwidth built a system")
-		}
-	}()
-	oovr.NewSystem(opt, smallScene(t, 1))
+	for _, tc := range []struct {
+		name string
+		set  func(*oovr.Options)
+	}{
+		{"link bandwidth", func(o *oovr.Options) { o.Config = o.Config.WithLinkGBs(math.NaN()) }},
+		{"overlap factor", func(o *oovr.Options) { o.OverlapFactor = math.NaN() }},
+		{"remote cache hit rate", func(o *oovr.Options) { o.RemoteCacheHitRate = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := oovr.DefaultOptions()
+			tc.set(&opt)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a NaN %s built a system", tc.name)
+				}
+			}()
+			oovr.NewSystem(opt, smallScene(t, 1))
+		})
+	}
 }
 
 func TestTSLViaPublicAPI(t *testing.T) {
