@@ -116,10 +116,9 @@ func BenchmarkSimulatorColdStart(b *testing.B) {
 }
 
 // BenchmarkFabricReserve measures the interconnect's hot path —
-// ReserveFlow with hop-level traffic accounting, called for every memory
-// flow of every task — on the paper's dedicated fullmesh (single-hop
-// routes) and on the routed switch topology (three hops through a shared
-// backplane).
+// ReserveFlow, called for every memory flow of every task — on the paper's
+// dedicated fullmesh (single-hop routes) and on the routed switch topology
+// (three hops through a shared backplane).
 func BenchmarkFabricReserve(b *testing.B) {
 	for _, name := range []string{"fullmesh", "switch"} {
 		b.Run(name, func(b *testing.B) {
@@ -128,7 +127,6 @@ func BenchmarkFabricReserve(b *testing.B) {
 				b.Fatal(err)
 			}
 			f := link.New(g, 1)
-			f.AccountHops(mem.NewTraffic(4))
 			flow := mem.Flow{Requester: 0, RemoteBySrc: []float64{0, 256, 1024, 4096}}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -306,6 +306,8 @@ var goldenLinkFingerprints = map[string]map[string]string{
 	"ring":         {"Baseline": "23d676d3b8541e3f", "OOVR": "793564658e9e2d6b"},
 	"switch":       {"Baseline": "79f4921b33dba8e8", "OOVR": "918957c02d6a1e76"},
 	"hierarchical": {"Baseline": "d141a8a33991276a", "OOVR": "4c3a862462e620c8"},
+	"mesh2d":       {"Baseline": "cac4c357ce01b94d", "OOVR": "5af847b818ebd71a"},
+	"chain":        {"Baseline": "0fa6af63f3aff190", "OOVR": "4bd60e855a403a74"},
 }
 
 // TestGoldenLinkFingerprints pins the per-link metrics digests.

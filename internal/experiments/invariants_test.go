@@ -4,8 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"oovr/internal/driver"
+	"oovr/internal/mem"
 	"oovr/internal/multigpu"
 	"oovr/internal/obs"
+	"oovr/internal/spec"
 )
 
 // TestTrafficInvariantsOverTheSpecMatrix checks the model's accounting
@@ -75,6 +78,49 @@ func TestTrafficInvariantsOverTheSpecMatrix(t *testing.T) {
 					run("timeline event %s spans [%d,%d], TotalCycles %v", e.Name, e.Start, e.End, m.TotalCycles)
 					break
 				}
+			}
+		}
+	}
+}
+
+// TestRoutedLinkBytesInvariant generalizes the full-mesh link-bytes sum to
+// the routed topologies: a logical src->dst flow occupies every physical
+// link of its route, so over the whole run
+//
+//	Σ per-link Bytes = Σ over GPM pairs s≠d of LinkBytes(s,d) × len(Route(s,d))
+//
+// within 1e-12 relative. It runs the spec matrix at 5 GPMs (an odd count,
+// so ring and mesh2d have routes of unequal length), two frames each, on
+// every routed topology family.
+func TestRoutedLinkBytesInvariant(t *testing.T) {
+	const tol = 1e-12
+	for _, topoName := range []string{"ring", "chain", "mesh2d", "switch", "hierarchical"} {
+		opt := multigpu.DefaultOptions()
+		opt.Config = opt.Config.WithGPMs(5).WithTopology(topoName)
+		for _, s := range SpecMatrix(Options{Frames: 2, System: &opt}, nil) {
+			r, err := s.Resolve()
+			if err != nil {
+				t.Fatalf("%s: %v", topoName, err)
+			}
+			layout, _ := spec.LayoutByName(r.Spec.Placement)
+			sys := multigpu.New(r.Options, r.Case.Spec.Generate(r.Case.Width, r.Case.Height, r.Spec.Frames, r.Spec.Seed))
+			layout(sys)
+			m := driver.Run(sys, r.Planner)
+			var links, routed float64
+			for _, l := range m.Links {
+				links += l.Bytes
+			}
+			g, tr := sys.Fabric.Topology(), sys.Mem.Traffic()
+			for src := 0; src < sys.NumGPMs(); src++ {
+				for dst := 0; dst < sys.NumGPMs(); dst++ {
+					if src != dst {
+						routed += tr.LinkBytes(mem.GPMID(src), mem.GPMID(dst)) * float64(len(g.Route(src, dst)))
+					}
+				}
+			}
+			if math.Abs(links-routed) > tol*math.Max(routed, 1) {
+				t.Errorf("%s, %s on %s: link bytes sum to %v, routed pair bytes %v",
+					topoName, m.Scheme, m.Workload, links, routed)
 			}
 		}
 	}

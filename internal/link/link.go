@@ -5,10 +5,11 @@
 // fabric generalizes that to any registered internal/topo topology, where a
 // logical flow is routed across shared physical links hop by hop.
 //
-// Each physical link is a FIFO bandwidth server (sim.Resource); bandwidth
-// is expressed in GB/s and converted to bytes/cycle using the GPU clock. A
-// multi-hop flow reserves its bytes on every link of its route in traversal
-// order, store-and-forward: hop k+1 starts when hop k's transfer completes,
+// Each physical link is a FIFO bandwidth server (sim.Resource), which also
+// counts the bytes the link carries; bandwidth is expressed in GB/s and
+// converted to bytes/cycle using the GPU clock. A multi-hop flow reserves
+// its bytes on every link of its route in traversal order,
+// store-and-forward: hop k+1 starts when hop k's transfer completes,
 // so shared links impose real queueing on flows that cross them. On the
 // fullmesh topology every route is a single dedicated link and the fabric
 // reproduces the paper's model byte-for-byte (the golden determinism tests
@@ -35,20 +36,12 @@ func BytesPerCycle(gbPerSec, clockGHz float64) float64 {
 // topology graph, one FIFO bandwidth server per link, plus the routing
 // tables that carry logical GPM-to-GPM flows across them.
 type Fabric struct {
-	g     *topo.Graph
-	clock float64
-	res   []*sim.Resource // by topo link ID
-	// direct[src][dst] is the resource of the dedicated physical link
-	// src->dst when the topology has one (fullmesh, and neighbour pairs of
-	// ring/chain/mesh2d), nil otherwise.
-	direct [][]*sim.Resource
+	g   *topo.Graph
+	res []*sim.Resource // by topo link ID
 	// hops[requester][src] is the src->requester route resolved to link
 	// resources — the reservation hot path walks it instead of re-resolving
 	// route IDs through the graph on every flow.
 	hops [][][]hop
-	// traffic, when attached, receives per-physical-link (hop-level) byte
-	// accounting for every reservation.
-	traffic *mem.Traffic
 	// tl, when attached, records each hop's service window as a span on
 	// the physical link's lane (observation only; never read back).
 	tl     *obs.Timeline
@@ -56,7 +49,7 @@ type Fabric struct {
 }
 
 // hop is one physical link of a resolved route: the bandwidth server plus
-// the topo link ID the hop-level traffic accounting is keyed on.
+// the topo link ID its timeline lane is keyed on.
 type hop struct {
 	res *sim.Resource
 	lid int32
@@ -68,16 +61,9 @@ func New(g *topo.Graph, clockGHz float64) *Fabric {
 		panic(fmt.Sprintf("link: invalid clock %v GHz", clockGHz))
 	}
 	n := g.NumGPMs()
-	f := &Fabric{g: g, clock: clockGHz, direct: make([][]*sim.Resource, n)}
-	for i := range f.direct {
-		f.direct[i] = make([]*sim.Resource, n)
-	}
+	f := &Fabric{g: g}
 	for _, l := range g.Links() {
-		r := sim.NewResource(l.Name, BytesPerCycle(l.GBs, clockGHz))
-		f.res = append(f.res, r)
-		if l.From < n && l.To < n {
-			f.direct[l.From][l.To] = r
-		}
+		f.res = append(f.res, sim.NewResource(l.Name, BytesPerCycle(l.GBs, clockGHz)))
 	}
 	f.hops = make([][][]hop, n)
 	for dst := 0; dst < n; dst++ {
@@ -97,30 +83,10 @@ func New(g *topo.Graph, clockGHz float64) *Fabric {
 // Topology returns the fabric's topology graph.
 func (f *Fabric) Topology() *topo.Graph { return f.g }
 
-// NumGPMs returns the GPM count.
-func (f *Fabric) NumGPMs() int { return f.g.NumGPMs() }
-
-// NumLinks returns the physical link count.
-func (f *Fabric) NumLinks() int { return len(f.res) }
-
 // Resource returns the bandwidth server of the physical link with the given
-// topo link ID.
+// topo link ID. Its TotalServed is the bytes that crossed the link: under a
+// routed topology a flow's bytes count once on every hop they occupy.
 func (f *Fabric) Resource(link int) *sim.Resource { return f.res[link] }
-
-// Link returns the dedicated physical link resource src->dst, or nil when
-// the topology routes that pair over shared links (and when src == dst).
-func (f *Fabric) Link(src, dst mem.GPMID) *sim.Resource {
-	f.check(src)
-	f.check(dst)
-	return f.direct[src][dst]
-}
-
-// AccountHops routes every subsequent reservation's per-link bytes into the
-// traffic account's hop-level counters (sizing them to this topology).
-func (f *Fabric) AccountHops(t *mem.Traffic) {
-	t.ConfigureHops(len(f.res))
-	f.traffic = t
-}
 
 // AttachTimeline records each hop reservation as a span on a per-link
 // lane (one trace process per physical link). ticksPerUs converts the
@@ -146,7 +112,6 @@ func (f *Fabric) AttachTimeline(tl *obs.Timeline, ticksPerUs float64) {
 func (f *Fabric) ReserveFlow(at sim.Time, flow mem.Flow) sim.Time {
 	end := at
 	bySrc := f.hops[flow.Requester]
-	tr := f.traffic
 	tl := f.tl
 	for src, bytes := range flow.RemoteBySrc {
 		if bytes == 0 || mem.GPMID(src) == flow.Requester {
@@ -167,37 +132,10 @@ func (f *Fabric) ReserveFlow(at sim.Time, flow mem.Flow) sim.Time {
 				tl.Span(f.tlLane[h.lid], "flow", int64(s0), int64(t),
 					obs.Arg{K: "bytes", V: int64(bytes)}, obs.Arg{K: "src", V: int64(src)})
 			}
-			if tr != nil {
-				tr.RecordHop(int(h.lid), bytes)
-			}
 		}
 		if t > end {
 			end = t
 		}
 	}
 	return end
-}
-
-// TotalBytes returns the bytes served across all physical links. Under a
-// routed topology a flow's bytes count once per hop (they really occupy
-// each link they cross).
-func (f *Fabric) TotalBytes() float64 {
-	var s float64
-	for _, r := range f.res {
-		s += r.TotalServed()
-	}
-	return s
-}
-
-// Reset clears all link state.
-func (f *Fabric) Reset() {
-	for _, r := range f.res {
-		r.Reset()
-	}
-}
-
-func (f *Fabric) check(g mem.GPMID) {
-	if g < 0 || int(g) >= f.g.NumGPMs() {
-		panic(fmt.Sprintf("link: GPM %d out of range [0,%d)", g, f.g.NumGPMs()))
-	}
 }

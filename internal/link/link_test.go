@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"oovr/internal/mem"
+	"oovr/internal/sim"
 	"oovr/internal/topo"
 )
 
@@ -21,16 +22,13 @@ func TestBytesPerCycle(t *testing.T) {
 
 func TestFabricTopology(t *testing.T) {
 	f := topoFabric(t, "", 4)
-	if f.NumGPMs() != 4 || f.Topology().Name() != "fullmesh" || f.NumLinks() != 12 {
+	if g := f.Topology(); g.NumGPMs() != 4 || g.Name() != "fullmesh" || len(g.Links()) != 12 {
 		t.Errorf("fabric identity wrong")
 	}
-	if f.Link(0, 0) != nil {
-		t.Errorf("self link should be nil")
+	if r := f.Topology().Route(0, 0); len(r) != 0 {
+		t.Errorf("self route should be empty, got %v", r)
 	}
-	if f.Link(0, 1) == nil || f.Link(1, 0) == nil {
-		t.Errorf("pair links missing")
-	}
-	if f.Link(0, 1) == f.Link(1, 0) {
+	if linkServer(t, f, 0, 1) == linkServer(t, f, 1, 0) {
 		t.Errorf("directions must be independent resources")
 	}
 }
@@ -47,17 +45,17 @@ func TestReserveFlowUsesCorrectLinks(t *testing.T) {
 	if end != 20 {
 		t.Errorf("end = %v, want 20", end)
 	}
-	if got := f.Link(0, 2).TotalServed(); got != 640 {
+	if got := linkServer(t, f, 0, 2).TotalServed(); got != 640 {
 		t.Errorf("link 0->2 served %v", got)
 	}
-	if got := f.Link(3, 2).TotalServed(); got != 1280 {
+	if got := linkServer(t, f, 3, 2).TotalServed(); got != 1280 {
 		t.Errorf("link 3->2 served %v", got)
 	}
-	if got := f.Link(1, 2).TotalServed(); got != 0 {
+	if got := linkServer(t, f, 1, 2).TotalServed(); got != 0 {
 		t.Errorf("link 1->2 served %v", got)
 	}
-	if f.TotalBytes() != 1920 {
-		t.Errorf("TotalBytes = %v", f.TotalBytes())
+	if total := servedBytes(f); total != 1920 {
+		t.Errorf("links served %v bytes in all, want 1920", total)
 	}
 }
 
@@ -79,15 +77,6 @@ func TestReserveFlowContention(t *testing.T) {
 	}
 }
 
-func TestFabricReset(t *testing.T) {
-	f := topoFabric(t, "", 2)
-	f.ReserveFlow(0, mem.Flow{Requester: 1, RemoteBySrc: []float64{640, 0}})
-	f.Reset()
-	if f.TotalBytes() != 0 {
-		t.Errorf("Reset did not clear fabric")
-	}
-}
-
 // topoFabric builds a fabric for a named topology at 64 GB/s, 1 GHz.
 func topoFabric(t *testing.T, name string, n int) *Fabric {
 	t.Helper()
@@ -98,6 +87,26 @@ func topoFabric(t *testing.T, name string, n int) *Fabric {
 	return New(g, 1)
 }
 
+// linkServer returns the bandwidth server of the physical link src->dst:
+// the one link its route crosses.
+func linkServer(t *testing.T, f *Fabric, src, dst int) *sim.Resource {
+	t.Helper()
+	r := f.Topology().Route(src, dst)
+	if len(r) != 1 {
+		t.Fatalf("%s route %d->%d crosses %d links, want 1", f.Topology().Name(), src, dst, len(r))
+	}
+	return f.Resource(r[0])
+}
+
+// servedBytes sums the bytes every physical link's server has carried.
+func servedBytes(f *Fabric) float64 {
+	var total float64
+	for _, l := range f.Topology().Links() {
+		total += f.Resource(l.ID).TotalServed()
+	}
+	return total
+}
+
 func TestMultiHopStoreAndForward(t *testing.T) {
 	// Chain 0-1-2-3: a flow 0->3 crosses three links back to back.
 	f := topoFabric(t, "chain", 4)
@@ -106,7 +115,7 @@ func TestMultiHopStoreAndForward(t *testing.T) {
 	if end != 30 {
 		t.Errorf("chain 0->3 end = %v, want 30", end)
 	}
-	if f.Link(0, 1).TotalServed() != 640 || f.Link(1, 2).TotalServed() != 640 || f.Link(2, 3).TotalServed() != 640 {
+	if linkServer(t, f, 0, 1).TotalServed() != 640 || linkServer(t, f, 1, 2).TotalServed() != 640 || linkServer(t, f, 2, 3).TotalServed() != 640 {
 		t.Errorf("hops did not each carry the flow's bytes")
 	}
 }
@@ -125,7 +134,7 @@ func TestSharedLinkContention(t *testing.T) {
 	}
 	// The second flow asked for the link at cycle 0 but waited for the
 	// first flow's second hop to drain at cycle 20.
-	if d := f.Link(1, 2).MaxQueueDelay(); d != 20 {
+	if d := linkServer(t, f, 1, 2).MaxQueueDelay(); d != 20 {
 		t.Errorf("peak queue delay on the shared link = %v, want 20", d)
 	}
 }
@@ -150,31 +159,21 @@ func TestSwitchBackplaneIsShared(t *testing.T) {
 	}
 }
 
+// TestAccountHops pins the per-link byte ledger: a 2-hop chain flow puts
+// its bytes on the server of each link it crosses, and on no other.
 func TestAccountHops(t *testing.T) {
 	f := topoFabric(t, "chain", 3)
-	tr := mem.NewTraffic(3)
-	f.AccountHops(tr)
-	if tr.NumHops() != f.NumLinks() {
-		t.Fatalf("traffic tracks %d hops, fabric has %d links", tr.NumHops(), f.NumLinks())
-	}
 	f.ReserveFlow(0, mem.Flow{Requester: 2, RemoteBySrc: []float64{640, 0, 0}})
-	var total float64
-	for i := 0; i < tr.NumHops(); i++ {
-		total += tr.HopBytes(i)
+	route := f.Topology().Route(0, 2)
+	if len(route) != 2 {
+		t.Fatalf("chain route 0->2 crosses %d links, want 2", len(route))
 	}
-	if total != 1280 { // 640 bytes on each of the two hops
-		t.Errorf("hop-level bytes = %v, want 1280", total)
-	}
-	if total != f.TotalBytes() {
-		t.Errorf("hop accounting (%v) disagrees with link resources (%v)", total, f.TotalBytes())
-	}
-}
-
-func TestSingleGPUFabricPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("single-GPM fabric did not panic on an out-of-range GPM")
+	for _, lid := range route {
+		if got := f.Resource(lid).TotalServed(); got != 640 {
+			t.Errorf("hop %s served %v bytes, want 640", f.Resource(lid).Name(), got)
 		}
-	}()
-	topoFabric(t, "", 1).Link(0, 1)
+	}
+	if total := servedBytes(f); total != 1280 {
+		t.Errorf("links served %v bytes in all, want 1280 (640 on each of the two hops)", total)
+	}
 }

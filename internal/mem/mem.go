@@ -175,6 +175,19 @@ func DefaultConfig(numGPMs int) Config {
 	}
 }
 
+// Validate panics, naming the field, unless NumGPMs and PageSize are
+// positive and RemoteCacheHitRate lies in [0,1] (a NaN rate fails).
+func (c Config) Validate() {
+	switch {
+	case c.NumGPMs <= 0:
+		panic("mem: NumGPMs must be positive")
+	case c.PageSize <= 0:
+		panic(fmt.Sprintf("mem: PageSize %d must be positive", c.PageSize))
+	case !(c.RemoteCacheHitRate >= 0 && c.RemoteCacheHitRate <= 1):
+		panic(fmt.Sprintf("mem: RemoteCacheHitRate %v out of [0,1]", c.RemoteCacheHitRate))
+	}
+}
+
 // Flow describes where the bytes of one access went. RemoteBySrc[g] is the
 // number of bytes that crossed the link from GPM g's DRAM to the requester.
 //
@@ -222,15 +235,7 @@ type System struct {
 
 // NewSystem creates a memory system for the given configuration.
 func NewSystem(cfg Config) *System {
-	if cfg.NumGPMs <= 0 {
-		panic("mem: NumGPMs must be positive")
-	}
-	if cfg.PageSize <= 0 {
-		panic("mem: PageSize must be positive")
-	}
-	if !(cfg.RemoteCacheHitRate >= 0 && cfg.RemoteCacheHitRate <= 1) {
-		panic("mem: RemoteCacheHitRate must be in [0,1]")
-	}
+	cfg.Validate()
 	return &System{
 		cfg:     cfg,
 		epoch:   copyCold + 1,

@@ -195,15 +195,6 @@ func TestTrafficByKind(t *testing.T) {
 	}
 }
 
-func TestMaxLinkBytes(t *testing.T) {
-	tr := NewTraffic(3)
-	tr.Record(Flow{Requester: 0, RemoteBySrc: []float64{0, 100, 30}, Kind: KindTexture})
-	tr.Record(Flow{Requester: 2, RemoteBySrc: []float64{40, 0, 0}, Kind: KindTexture})
-	if got := tr.MaxLinkBytes(); got != 100 {
-		t.Errorf("MaxLinkBytes = %v", got)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	names := map[SegmentKind]string{
 		KindVertex: "vertex", KindTexture: "texture", KindFramebuffer: "framebuffer",

@@ -314,7 +314,7 @@ func (s *System) Collect(scheme string) Metrics {
 			r := s.Fabric.Resource(l.ID)
 			m.Links = append(m.Links, LinkMetrics{
 				Name:           l.Name,
-				Bytes:          tr.HopBytes(l.ID),
+				Bytes:          r.TotalServed(),
 				BusyCycles:     float64(r.BusyCycles()),
 				Utilization:    r.Utilization(sim.Time(m.TotalCycles)),
 				PeakQueueDelay: float64(r.MaxQueueDelay()),

@@ -125,12 +125,21 @@ func TestShipOncePerFrame(t *testing.T) {
 	task.Color = ColorLocalStage
 	task.DepthLocal = true
 	s.Run(2, task)
-	linkBefore := s.Fabric.TotalBytes()
+	linkBefore := linkBytes(s)
 	s.Run(2, task) // same frame: already shipped and homed locally
 	// Only the command stream (homed on GPM0) may cross links again.
-	if s.Fabric.TotalBytes() > linkBefore+2*1024 {
-		t.Errorf("re-shipping within a frame moved bytes: %v -> %v", linkBefore, s.Fabric.TotalBytes())
+	if after := linkBytes(s); after > linkBefore+2*1024 {
+		t.Errorf("re-shipping within a frame moved bytes: %v -> %v", linkBefore, after)
 	}
+}
+
+// linkBytes sums the bytes every physical link's server has carried.
+func linkBytes(s *System) float64 {
+	var total float64
+	for _, l := range s.Fabric.Topology().Links() {
+		total += s.Fabric.Resource(l.ID).TotalServed()
+	}
+	return total
 }
 
 func TestPrefetchDoesNotBlockStart(t *testing.T) {

@@ -60,6 +60,33 @@ func DefaultOptions() Options {
 	}
 }
 
+// Validate panics, naming the option, on a machine the simulator cannot
+// run: an invalid Config or Cache, OverlapFactor outside [0,1], a negative
+// IssueCyclesPerDraw or ShipOverfetch (0 means 1), or memory options
+// mem.Config.Validate rejects. A NaN fails every rule.
+func (o Options) Validate() {
+	o.Config.Validate()
+	o.Cache.Validate()
+	switch {
+	case !(o.OverlapFactor >= 0 && o.OverlapFactor <= 1):
+		panic(fmt.Sprintf("multigpu: OverlapFactor %v out of [0,1]", o.OverlapFactor))
+	case !(o.IssueCyclesPerDraw >= 0):
+		panic(fmt.Sprintf("multigpu: IssueCyclesPerDraw %v must be non-negative", o.IssueCyclesPerDraw))
+	case !(o.ShipOverfetch >= 0):
+		panic(fmt.Sprintf("multigpu: ShipOverfetch %v must be non-negative", o.ShipOverfetch))
+	}
+	o.memConfig().Validate()
+}
+
+// memConfig is the memory system's share of the options.
+func (o Options) memConfig() mem.Config {
+	return mem.Config{
+		NumGPMs:            o.Config.NumGPMs,
+		PageSize:           o.PageSize,
+		RemoteCacheHitRate: o.RemoteCacheHitRate,
+	}
+}
+
 // ColorTarget selects where a task's color output lands.
 type ColorTarget int
 
@@ -281,24 +308,16 @@ func (s *System) markShipped(gi int, seg mem.SegmentID) {
 // allocated for the side-by-side stereo target and striped by default; the
 // command stream lives on GPM0 where the driver writes it.
 func New(opt Options, sc *scene.Scene) *System {
-	opt.Config.Validate()
-	opt.Cache.Validate()
-	if !(opt.OverlapFactor >= 0 && opt.OverlapFactor <= 1) {
-		panic(fmt.Sprintf("multigpu: OverlapFactor %v out of [0,1]", opt.OverlapFactor))
-	}
+	opt.Validate()
 	if opt.ShipOverfetch == 0 {
 		opt.ShipOverfetch = 1
 	}
 	n := opt.Config.NumGPMs
 	s := &System{
-		opt:   opt,
-		rates: opt.Config.GPMRates(),
-		nGPM:  n,
-		Mem: mem.NewSystem(mem.Config{
-			NumGPMs:            n,
-			PageSize:           opt.PageSize,
-			RemoteCacheHitRate: opt.RemoteCacheHitRate,
-		}),
+		opt:        opt,
+		rates:      opt.Config.GPMRates(),
+		nGPM:       n,
+		Mem:        mem.NewSystem(opt.memConfig()),
 		gpms:       make([]GPMState, n),
 		sc:         sc,
 		shipStamp:  make([][]uint64, n),
@@ -307,14 +326,13 @@ func New(opt Options, sc *scene.Scene) *System {
 	}
 	if n > 1 {
 		// The interconnect is built from the configured topology (fullmesh
-		// unless the config names another); hop-level byte accounting lands
-		// in the memory system's traffic account.
+		// unless the config names another); each physical link's FIFO
+		// server counts the bytes it carries, which Collect reports.
 		g, err := topo.Build(opt.Config.TopologyParams())
 		if err != nil {
 			panic("multigpu: " + err.Error())
 		}
 		s.Fabric = link.New(g, opt.Config.ClockGHz)
-		s.Fabric.AccountHops(s.Mem.Traffic())
 	}
 	dramRate := opt.Config.DRAMBytesPerCycle()
 	for g := 0; g < n; g++ {
@@ -427,20 +445,12 @@ func (s *System) reserveFlow(t sim.Time, f mem.Flow) sim.Time {
 	return end
 }
 
-// TaskContext carries one task through the explicit execution phases a
-// scheduling policy can observe and reorder:
-//
-//	ctx := sys.Begin(g, task)
-//	ctx.Ship()    // software data distribution (ShipTextures)
-//	ctx.Migrate() // PA-unit page pre-allocation (MigrateData)
-//	end := ctx.Execute()
-//
-// Begin pins the task's start to the GPM's availability; Ship and Migrate
-// book their transfer flows and, unless the task prefetches, push the start
-// past the transfer; Execute issues the rendering flows, charges compute
-// and stall time, and commits the GPM timeline. Run composes the phases in
-// the standard order driven by the task's flags.
-type TaskContext struct {
+// taskContext carries one task through Run's execution phases. Its start
+// begins at the GPM's availability; Ship and Migrate book their transfer
+// flows and, unless the task prefetches, push the start past the transfer;
+// Execute issues the rendering flows, charges compute and stall time, and
+// commits the GPM timeline.
+type taskContext struct {
 	sys   *System
 	gpm   mem.GPMID
 	task  Task
@@ -449,28 +459,16 @@ type TaskContext struct {
 	// texture and vertex buffer from the GPM's copy (Ship registers a copy
 	// of exactly the segments Execute reads).
 	shipped bool
-	done    bool
 	// serial identifies the task on timeline spans (assigned only while
 	// recording; 0 otherwise).
 	serial int64
-}
-
-// Begin opens a task context on GPM g. The task starts no earlier than the
-// GPM's next availability.
-func (s *System) Begin(g mem.GPMID, task Task) *TaskContext {
-	c := &TaskContext{sys: s, gpm: g, task: task, start: s.gpms[g].NextFree}
-	if s.tl != nil {
-		s.taskSerial++
-		c.serial = s.taskSerial
-	}
-	return c
 }
 
 // Ship performs the software data distribution of the sort-first/sort-last
 // frameworks: each referenced segment is copied into the GPM's DRAM, after
 // which the task's reads are local. Without Prefetch the task start moves
 // past the transfer.
-func (c *TaskContext) Ship() {
+func (c *taskContext) Ship() {
 	s, g, task := c.sys, c.gpm, &c.task
 	// The framework ships each object's texture *working set* — what
 	// the object's fragments will sample, bounded by the texture size —
@@ -539,7 +537,7 @@ func (c *TaskContext) Ship() {
 // vertex pages are re-homed into the GPM's DRAM (one NUMA copy, unlike
 // Ship). A shared segment migrates at most once per frame. Without
 // Prefetch the task start moves past the migration.
-func (c *TaskContext) Migrate() {
+func (c *taskContext) Migrate() {
 	s, g, task := c.sys, c.gpm, &c.task
 	gi := int(g)
 	migEnd := c.start
@@ -584,12 +582,8 @@ func (c *TaskContext) Migrate() {
 // Execute issues the task's rendering work — vertex/texture/depth/color/
 // command flows plus the pipelined compute — charges whatever memory time
 // the in-flight threads cannot hide, commits the GPM timeline and returns
-// the completion time. A context executes exactly once.
-func (c *TaskContext) Execute() sim.Time {
-	if c.done {
-		panic("multigpu: TaskContext executed twice")
-	}
-	c.done = true
+// the completion time.
+func (c *taskContext) Execute() sim.Time {
 	s, g, task, start := c.sys, c.gpm, &c.task, c.start
 	gi := int(g)
 	// Shipped and AFR tasks read textures and vertices from the GPM's
@@ -697,14 +691,12 @@ func (c *TaskContext) Execute() sim.Time {
 	return end
 }
 
-// Run executes a task on GPM g and returns its completion time: the
-// standard phase order, with shipping and migration driven by the task's
-// flags. Policies that need to observe or reorder the phases use Begin and
-// the TaskContext phases directly.
+// Run executes a task on GPM g and returns its completion time. The task
+// starts no earlier than the GPM's next availability and passes through
+// the phases in order: Ship and Migrate when the task's flags ask for
+// them, then Execute.
 func (s *System) Run(g mem.GPMID, task Task) sim.Time {
-	// A local context keeps the common path allocation-free (Begin's
-	// returned pointer would escape to the heap on every task).
-	c := TaskContext{sys: s, gpm: g, task: task, start: s.gpms[g].NextFree}
+	c := taskContext{sys: s, gpm: g, task: task, start: s.gpms[g].NextFree}
 	if s.tl != nil {
 		s.taskSerial++
 		c.serial = s.taskSerial

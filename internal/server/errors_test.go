@@ -16,7 +16,8 @@ const builtinSchedulers = "afr, baseline, object, ooapp, oovr, tileh, tilev"
 
 // TestUnknownNameErrors pins the answer to an unknown name on each of the
 // six named spec axes: a 400 whose body is the resolution error, byte for
-// byte, with the sorted registered alternatives.
+// byte, with the sorted registered alternatives. An out-of-range hardware
+// option is a 400 the same way, not a run that panics in a worker.
 func TestUnknownNameErrors(t *testing.T) {
 	_, ts := newTestServer(t)
 	const svc = `{"service_version":1,"nodes":[{"count":2}],"sessions":[{"workload":"DM3-640"}],` +
@@ -32,6 +33,8 @@ func TestUnknownNameErrors(t *testing.T) {
 			`spec: unknown placement layout "bogus" (registered: gpm0, partitioned, striped)`},
 		{"topology", "/run", `{"workload":{"name":"WE"},"scheduler":{"name":"oovr"},"hardware":{"Config":{"Topology":"bogus"}}}`,
 			`spec: hardware: topo: unknown topology "bogus" (registered: chain, fullmesh, hierarchical, mesh2d, ring, switch)`},
+		{"hardware option", "/run", `{"workload":{"name":"DM3-640"},"scheduler":{"name":"tilev"},"hardware":{"RemoteCacheHitRate":2}}`,
+			`spec: hardware: mem: RemoteCacheHitRate 2 out of [0,1]`},
 		{"router", "/service", svc + `,"router":{"name":"bogus"}}`,
 			`service: unknown router "bogus" (registered: least-loaded, round-robin, topology-aware)`},
 		{"motion trace", "/service", svc + `,"motion":"nope"}`,

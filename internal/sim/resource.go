@@ -19,7 +19,7 @@ type Time float64
 
 // Resource is a FIFO bandwidth server: a DRAM channel, one direction of an
 // inter-GPM link, a ROP array, or any other component that serves work at a
-// fixed rate. Reservations queue in arrival order; a reservation of amount A
+// fixed rate. Requests queue in arrival order; a reservation of amount A
 // on a resource with rate R occupies the server for A/R cycles.
 //
 // Resource deliberately has no notion of preemption or fair sharing between
@@ -32,7 +32,6 @@ type Resource struct {
 	nextFree Time
 	busy     Time    // total occupied cycles
 	total    float64 // total units served
-	count    uint64  // number of reservations
 	maxWait  Time    // longest queueing delay any reservation saw
 }
 
@@ -75,7 +74,6 @@ func (r *Resource) Reserve(at Time, amount float64) Time {
 	r.nextFree = end
 	r.busy += dur
 	r.total += amount
-	r.count++
 	return end
 }
 
@@ -87,9 +85,6 @@ func (r *Resource) BusyCycles() Time { return r.busy }
 
 // TotalServed returns the total units served.
 func (r *Resource) TotalServed() float64 { return r.total }
-
-// Reservations returns how many non-zero reservations were made.
-func (r *Resource) Reservations() uint64 { return r.count }
 
 // MaxQueueDelay returns the longest time any reservation spent queued
 // behind earlier work — the peak-congestion indicator the interconnect
@@ -107,13 +102,4 @@ func (r *Resource) Utilization(horizon Time) float64 {
 		u = 1
 	}
 	return u
-}
-
-// Reset clears all state, keeping name and rate.
-func (r *Resource) Reset() {
-	r.nextFree = 0
-	r.busy = 0
-	r.total = 0
-	r.count = 0
-	r.maxWait = 0
 }

@@ -29,9 +29,6 @@ func TestResourceFIFOQueueing(t *testing.T) {
 	if e1 != 10 || e2 != 15 || e3 != 21 {
 		t.Errorf("ends = %v %v %v", e1, e2, e3)
 	}
-	if r.Reservations() != 3 {
-		t.Errorf("Reservations = %d", r.Reservations())
-	}
 }
 
 func TestResourceZeroAmount(t *testing.T) {
@@ -41,8 +38,9 @@ func TestResourceZeroAmount(t *testing.T) {
 	if end != 20 {
 		t.Errorf("zero-amount reservation should complete at queue head: %v", end)
 	}
-	if r.Reservations() != 1 {
-		t.Errorf("zero-amount should not count as a reservation")
+	if r.BusyCycles() != 20 || r.TotalServed() != 100 {
+		t.Errorf("zero-amount reservation should not occupy the server: busy %v, served %v",
+			r.BusyCycles(), r.TotalServed())
 	}
 }
 
@@ -76,18 +74,6 @@ func TestResourceUtilization(t *testing.T) {
 	}
 	if u := r.Utilization(0); u != 0 {
 		t.Errorf("zero horizon Utilization = %v", u)
-	}
-}
-
-func TestResourceReset(t *testing.T) {
-	r := NewResource("x", 10)
-	r.Reserve(0, 100)
-	r.Reset()
-	if r.NextFree() != 0 || r.TotalServed() != 0 || r.BusyCycles() != 0 || r.Reservations() != 0 {
-		t.Errorf("Reset did not clear state: %+v", r)
-	}
-	if r.Rate() != 10 || r.Name() != "x" {
-		t.Errorf("Reset cleared identity")
 	}
 }
 

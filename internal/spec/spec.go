@@ -310,7 +310,7 @@ func (n RunSpec) ResolveWorkload() (workload.Case, error) {
 	return c, nil
 }
 
-// validOptions converts the option structs' panic-style validation into an
+// validOptions converts the options' panic-style validation into an
 // error, so a bad HTTP-submitted spec reports instead of crashing a worker.
 func validOptions(opt multigpu.Options) (err error) {
 	defer func() {
@@ -318,11 +318,7 @@ func validOptions(opt multigpu.Options) (err error) {
 			err = fmt.Errorf("%v", p)
 		}
 	}()
-	opt.Config.Validate()
-	opt.Cache.Validate()
-	if !(opt.OverlapFactor >= 0 && opt.OverlapFactor <= 1) {
-		return fmt.Errorf("multigpu: OverlapFactor %v out of [0,1]", opt.OverlapFactor)
-	}
+	opt.Validate()
 	// Resolve the topology here rather than letting multigpu.New panic
 	// inside a worker: an unknown or inconsistent topology is an input
 	// error, reported with the registered alternatives.

@@ -308,6 +308,27 @@ func TestParamRangeValidation(t *testing.T) {
 	}
 }
 
+// TestHardwareOptionValidation pins that an out-of-range memory, ship or
+// issue knob fails at Validate time with an error naming the knob, instead
+// of panicking (or silently reporting 0 cycles) inside Execute.
+func TestHardwareOptionValidation(t *testing.T) {
+	for _, c := range []struct{ hw, knob string }{
+		{`{"RemoteCacheHitRate": 2}`, "RemoteCacheHitRate"},
+		{`{"PageSize": -1}`, "PageSize"},
+		{`{"PageSize": 0}`, "PageSize"},
+		{`{"ShipOverfetch": -1}`, "ShipOverfetch"},
+		{`{"IssueCyclesPerDraw": -1e9}`, "IssueCyclesPerDraw"},
+	} {
+		s, err := Decode(strings.NewReader(`{"workload":{"name":"DM3-640"},"scheduler":{"name":"tilev"},"hardware":` + c.hw + `}`))
+		if err != nil {
+			t.Fatalf("%s: %v", c.hw, err)
+		}
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), c.knob) {
+			t.Errorf("hardware %s: Validate = %v, want an error naming %s", c.hw, err, c.knob)
+		}
+	}
+}
+
 // TestValidMiddlewareRejectsNaN pins that a NaN threshold, which passes
 // both range comparisons of a naive check, is an error rather than a
 // middleware that silently never groups.
