@@ -98,19 +98,22 @@ func BenchmarkServiceTick(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorColdStart measures the end-to-end cold cost the old
-// frame benchmark captured: scene generation, system construction and one
-// cache-cold frame.
+// BenchmarkSimulatorColdStart measures one cold run on the path every
+// /run, fleet job, figure run and benchmark operation takes: a one-frame
+// HL2-1280 OO-VR RunSpec, which streams its scene, builds the system and
+// renders one cache-cold frame.
 func BenchmarkSimulatorColdStart(b *testing.B) {
-	spec, _ := oovr.BenchmarkByAbbr("HL2")
-	sched := oovr.NewOOVR()
+	s := oovr.RunSpec{
+		Workload:  oovr.WorkloadRef{Name: "HL2-1280"},
+		Scheduler: oovr.SchedulerRef{Name: "oovr"},
+		Frames:    1,
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc := spec.Generate(1280, 1024, 1, 1)
-		sys := oovr.NewSystem(oovr.DefaultOptions(), sc)
-		m := oovr.Run(sys, sched)
-		if m.Frames != 1 {
-			b.Fatal("bad run")
+		m, err := s.Run()
+		if err != nil || m.Frames != 1 {
+			b.Fatal("bad run", err)
 		}
 	}
 }

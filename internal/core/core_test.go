@@ -276,3 +276,30 @@ func TestEngineOverheadMatchesPaper(t *testing.T) {
 		t.Errorf("published constants drifted")
 	}
 }
+
+// TestGrouperRebuildDoesNotAllocate pins that a warmed Grouper regrouping
+// every frame from scratch (NoCache) allocates nothing on any evaluation
+// case, dependency merges into closed batches included: each batch
+// reserves its members' dependents' room in the arenas when it closes.
+func TestGrouperRebuildDoesNotAllocate(t *testing.T) {
+	deps := 0
+	for _, c := range workload.Cases() {
+		sc := c.Spec.Generate(c.Width, c.Height, 1, 1)
+		f := &sc.Frames[0]
+		for i := range f.Objects {
+			if f.Objects[i].DependsOn != scene.NoDependency {
+				deps++
+			}
+		}
+		mw := NewMiddleware()
+		mw.NoCache = true
+		g := NewGrouper(mw)
+		g.GroupFrame(sc, f) // sizes the scratch and arenas
+		if allocs := testing.AllocsPerRun(10, func() { g.GroupFrame(sc, f) }); allocs != 0 {
+			t.Errorf("%s: a warmed rebuild allocates %v times", c.Name, allocs)
+		}
+	}
+	if deps == 0 {
+		t.Fatal("no case has a dependent draw; the merge path went unexercised")
+	}
+}

@@ -40,10 +40,12 @@ type groupScratch struct {
 	// Dependent objects are left out: they are never TSL candidates.
 	texStart []int32
 	texUsers []int32
+	// deps[i] counts the draws whose dependency chain passes i, and their refs.
+	deps []struct{ objs, refs int }
 	// Batches carve their Objects, Textures and objIdx from these per-frame
 	// arenas instead of allocating each. The newest batch grows at an
-	// arena's tail and is clipped when its scan ends, so a later dependency
-	// merge into it reallocates that batch's slice, never a neighbour's.
+	// arena's tail and is capped when its scan ends, after room for its
+	// members' dependents, so a dependency merge appends in place.
 	objArena []*scene.Object
 	texArena []scene.TextureID
 	idxArena []int32
@@ -135,6 +137,15 @@ func (m Middleware) groupFrame(s *groupScratch, sc *scene.Scene, f *scene.Frame,
 	for t := 2; t < nt+2; t++ {
 		s.texStart[t] += s.texStart[t-1]
 	}
+	// Dependencies point backward, so one reverse pass totals them.
+	s.deps = grow(s.deps, n)
+	clear(s.deps)
+	for i := n - 1; i >= 0; i-- {
+		if d := f.Objects[i].DependsOn; d != scene.NoDependency {
+			s.deps[d].objs += 1 + s.deps[i].objs
+			s.deps[d].refs += len(f.Objects[i].Textures) + s.deps[i].refs
+		}
+	}
 	s.texUsers = grow(s.texUsers, users)
 	for i := 0; i < n; i++ {
 		if f.Objects[i].DependsOn != scene.NoDependency {
@@ -197,11 +208,17 @@ func (m Middleware) groupFrame(s *groupScratch, sc *scene.Scene, f *scene.Frame,
 				s.pushUsers(b.Textures[k:], j, mark)
 			}
 		}
-		objOff += len(b.Objects)
-		texOff += len(b.Textures)
-		b.Objects = slices.Clip(b.Objects)
-		b.Textures = slices.Clip(b.Textures)
-		s.objIdx[id] = slices.Clip(s.objIdx[id])
+		// Members are independent: the batch's later merges are exactly
+		// their dependents, so cap its slices after room for them.
+		mo, mt := 0, 0
+		for _, i := range s.objIdx[id] {
+			mo, mt = mo+s.deps[i].objs, mt+s.deps[i].refs
+		}
+		b.Objects = b.Objects[: len(b.Objects) : len(b.Objects)+mo]
+		b.Textures = b.Textures[: len(b.Textures) : len(b.Textures)+mt]
+		s.objIdx[id] = s.objIdx[id][: len(b.Objects) : len(b.Objects)+mo]
+		objOff += cap(b.Objects)
+		texOff += cap(b.Textures)
 	}
 	s.objIdx = s.objIdx[:len(batches)]
 	return batches
@@ -280,7 +297,7 @@ func (s *groupScratch) mergePlace(b *Batch, o *scene.Object, idx int) {
 	b.Objects = append(b.Objects, o)
 	b.Triangles += o.Triangles
 	for _, t := range o.Textures {
-		if !contains(b.Textures, t) {
+		if !slices.Contains(b.Textures, t) {
 			b.Textures = append(b.Textures, t)
 			s.rootTotal[b.ID] += s.texBytes[t]
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -242,7 +243,7 @@ func TestGroupFrameMatchesReference(t *testing.T) {
 				noTex++
 			}
 			for a := range o.Textures {
-				if contains(o.Textures[:a], o.Textures[a]) {
+				if slices.Contains(o.Textures[:a], o.Textures[a]) {
 					dupTex++
 					break
 				}

@@ -17,6 +17,8 @@
 package core
 
 import (
+	"slices"
+
 	"oovr/internal/scene"
 )
 
@@ -75,7 +77,7 @@ func TSL(sc *scene.Scene, root []scene.TextureID, candidate []scene.TextureID) f
 	// (groupScratch.tslAgainstRoot).
 	var rootTotal, candTotal int64
 	for i, t := range root {
-		if contains(root[:i], t) {
+		if slices.Contains(root[:i], t) {
 			continue
 		}
 		rootTotal += sc.Texture(t).Bytes
@@ -88,7 +90,7 @@ func TSL(sc *scene.Scene, root []scene.TextureID, candidate []scene.TextureID) f
 	}
 	var num float64
 	for i, t := range root {
-		if contains(root[:i], t) || !contains(candidate, t) {
+		if slices.Contains(root[:i], t) || !slices.Contains(candidate, t) {
 			continue
 		}
 		pr := float64(sc.Texture(t).Bytes) / float64(rootTotal)
@@ -96,15 +98,6 @@ func TSL(sc *scene.Scene, root []scene.TextureID, candidate []scene.TextureID) f
 		num += pr * pn
 	}
 	return num
-}
-
-func contains(ts []scene.TextureID, t scene.TextureID) bool {
-	for _, x := range ts {
-		if x == t {
-			return true
-		}
-	}
-	return false
 }
 
 // Middleware is the OO_Middleware of Section 5.1: it consumes a frame's

@@ -265,6 +265,7 @@ func (p *oovrPlanner) PlanFrame(f *scene.Frame, fi int) driver.Plan {
 			clear(p.counters)
 		}
 		p.queues.Reset(n, p.cfg.Stats)
+		p.subs = reserve(p.subs, len(p.batches))
 		p.parts = p.parts[:0]
 		for len(p.prevAssign) < len(p.batches) {
 			p.prevAssign = append(p.prevAssign, -1)

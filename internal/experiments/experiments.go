@@ -12,6 +12,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"oovr/internal/core"
 	"oovr/internal/driver"
@@ -258,14 +259,17 @@ func (s singleGPU) Name() string { return "Single-GPU(" + s.mode.String() + ")" 
 
 // Begin implements driver.Planner.
 func (s singleGPU) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile) {
+	var parts []multigpu.TaskPart // per-run scratch, rebuilt every frame
+	subs := make([]driver.Submission, 1)
 	return driver.PlanFunc(func(f *scene.Frame, fi int) driver.Plan {
-		task := multigpu.Task{Color: multigpu.ColorStriped}
+		parts = slices.Grow(parts[:0], len(f.Objects))
 		for oi := range f.Objects {
-			task.Parts = append(task.Parts, multigpu.TaskPart{
+			parts = append(parts, multigpu.TaskPart{
 				Object: &f.Objects[oi], Mode: s.mode, GeomFrac: 1, FragFrac: 1,
 			})
 		}
-		return driver.Plan{Submissions: []driver.Submission{{GPM: 0, Task: task}}}
+		subs[0] = driver.Submission{GPM: 0, Task: multigpu.Task{Color: multigpu.ColorStriped, Parts: parts}}
+		return driver.Plan{Submissions: subs}
 	}), driver.Profile{}
 }
 

@@ -51,26 +51,22 @@ func TestRemoteAccessesDoNotAllocate(t *testing.T) {
 }
 
 // TestColdSegmentAllocBudget bounds what allocating a segment and reading
-// it cold costs on a warmed System: the Segment header and its N-entry
-// histogram and warmth vectors, plus a little slack for size-class
-// rounding and the segment table's amortized growth. The read itself
-// allocates nothing, at any GPM count.
+// it cold costs on the path multigpu.New takes: a fresh System whose table
+// is sized once by Grow, inside the measured window, then Alloc and a cold
+// ReadAll per segment. Per segment that is the Segment record and its
+// N-entry histogram and warmth entries, plus a little slack for size-class
+// rounding. The read itself allocates nothing, at any GPM count.
 func TestColdSegmentAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
 	for _, gpms := range []int{4, 16, 32} {
 		s := NewSystem(DefaultConfig(gpms))
-		coldRead := func() {
-			id := s.Alloc(KindTexture, "tex", 4*4096)
-			s.ReadAll(GPMID(int(id)%gpms), id)
-		}
-		for i := 0; i < 1000; i++ { // warm: the segment table has grown
-			coldRead()
-		}
 		const runs = 1000
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		s.Grow(runs)
 		for i := 0; i < runs; i++ {
-			coldRead()
+			id := s.Alloc(KindTexture, "tex", 4*4096)
+			s.ReadAll(GPMID(int(id)%gpms), id)
 		}
 		runtime.ReadMemStats(&after)
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs

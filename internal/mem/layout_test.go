@@ -230,9 +230,9 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 			for _, id := range ids {
 				seg := sys.Segment(id)
 				for p := 0; p < seg.Pages(); p++ {
-					if seg.PageHome(p) != ref.pages[int(id)][p] {
+					if sys.PageHome(id, p) != ref.pages[int(id)][p] {
 						t.Fatalf("trial %d %s: seg %d page %d home %d != ref %d (layout=%v)",
-							trial, when, id, p, seg.PageHome(p), ref.pages[int(id)][p], seg.Layout())
+							trial, when, id, p, sys.PageHome(id, p), ref.pages[int(id)][p], seg.Layout())
 					}
 				}
 				gotHist := sys.HomeHistogram(id)

@@ -38,7 +38,10 @@
 // reference implementation.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // GPMID identifies a GPU module. GPMs are numbered 0..N-1.
 type GPMID int
@@ -109,7 +112,7 @@ func (l Layout) String() string {
 	}
 }
 
-// Segment is one allocation.
+// Segment is one allocation. Its per-GPM state lives in System arenas.
 type Segment struct {
 	ID   SegmentID
 	Kind SegmentKind
@@ -120,12 +123,6 @@ type Segment struct {
 	nPages int
 	layout Layout
 	home   GPMID // LayoutUniform only: the shared home
-	// hist caches how many bytes are homed per GPM. Every placement
-	// rewrites it.
-	hist []int64
-	// touched[gpm] holds the System warmth epoch at which the GPM last
-	// read the segment (see System.epoch).
-	touched []uint64
 }
 
 // Pages returns the number of pages in the segment.
@@ -133,28 +130,6 @@ func (s *Segment) Pages() int { return s.nPages }
 
 // Layout returns the segment's current placement layout.
 func (s *Segment) Layout() Layout { return s.layout }
-
-// numGPMs recovers the GPM count from the cached histogram.
-func (s *Segment) numGPMs() int { return len(s.hist) }
-
-// pagesPerPartition returns the ceil(nPages/N) partition stride of the
-// partitioned layout.
-func (s *Segment) pagesPerPartition() int {
-	n := s.numGPMs()
-	return (s.nPages + n - 1) / n
-}
-
-// PageHome returns the home GPM of page i.
-func (s *Segment) PageHome(i int) GPMID {
-	switch s.layout {
-	case LayoutUniform:
-		return s.home
-	case LayoutStriped:
-		return GPMID(i % s.numGPMs())
-	default: // LayoutPartitioned
-		return GPMID(i / s.pagesPerPartition())
-	}
-}
 
 // Config parameterizes the memory system.
 type Config struct {
@@ -215,8 +190,12 @@ func (f Flow) RemoteTotal() float64 {
 // System is the NUMA memory system.
 type System struct {
 	cfg      Config
-	segments []*Segment
-	// epoch is the warmth epoch: a segment's touched[gpm] matching it means
+	segments []Segment
+	// hists[id*N+g] caches the bytes of segment id homed on GPM g (every
+	// placement rewrites them); warmth[id*N+g] is the epoch of g's last read.
+	hists  []int64
+	warmth []uint64
+	// epoch is the warmth epoch: a segment's warmth entry matching it means
 	// the GPM's remote cache is armed for the segment. ResetWarmth bumps it
 	// instead of clearing per-GPM state. It starts above copyCold.
 	epoch uint64
@@ -253,6 +232,14 @@ func (s *System) NumGPMs() int { return s.cfg.NumGPMs }
 // Traffic returns the accumulated traffic accounting.
 func (s *System) Traffic() *Traffic { return s.traffic }
 
+// Grow reserves room for n more segments, so the next n Allocs allocate
+// nothing.
+func (s *System) Grow(n int) {
+	s.segments = append(make([]Segment, 0, len(s.segments)+n), s.segments...)
+	s.hists = append(make([]int64, 0, len(s.hists)+n*s.cfg.NumGPMs), s.hists...)
+	s.warmth = append(make([]uint64, 0, len(s.warmth)+n*s.cfg.NumGPMs), s.warmth...)
+}
+
 // Alloc creates a new segment, striped across the GPMs: the driver's
 // default placement for shared surfaces. O(NumGPMs).
 func (s *System) Alloc(kind SegmentKind, name string, size int64) SegmentID {
@@ -260,20 +247,46 @@ func (s *System) Alloc(kind SegmentKind, name string, size int64) SegmentID {
 		panic(fmt.Sprintf("mem: negative size %d for %q", size, name))
 	}
 	id := SegmentID(len(s.segments))
-	seg := &Segment{
+	s.segments = append(s.segments, Segment{
 		ID: id, Kind: kind, Name: name, Size: size,
-		nPages:  int((size + s.cfg.PageSize - 1) / s.cfg.PageSize),
-		hist:    make([]int64, s.cfg.NumGPMs),
-		touched: make([]uint64, s.cfg.NumGPMs),
-	}
-	s.segments = append(s.segments, seg)
-	s.setLayout(seg, LayoutStriped, 0)
+		nPages: int((size + s.cfg.PageSize - 1) / s.cfg.PageSize),
+	})
+	// Extended in place: nothing writes past a table's length, so it is zero.
+	s.hists = slices.Grow(s.hists, s.cfg.NumGPMs)[:s.slot(id+1, 0)]
+	s.warmth = slices.Grow(s.warmth, s.cfg.NumGPMs)[:s.slot(id+1, 0)]
+	s.setLayout(&s.segments[id], LayoutStriped, 0)
 	return id
 }
 
-// Segment returns the segment with the given id.
+// Segment returns the segment with the given id. The pointer aliases the
+// segment table: it is valid until the next Alloc.
 func (s *System) Segment(id SegmentID) *Segment {
-	return s.segments[int(id)]
+	return &s.segments[int(id)]
+}
+
+// homeHist returns segment id's N-entry home histogram.
+func (s *System) homeHist(id SegmentID) []int64 { return s.hists[s.slot(id, 0):s.slot(id+1, 0)] }
+
+// slot is the index of segment id's GPM g entry in hists and warmth.
+func (s *System) slot(id SegmentID, g GPMID) int { return int(id)*s.cfg.NumGPMs + int(g) }
+
+// pagesPerPartition returns the ceil(nPages/N) partition stride of the
+// partitioned layout.
+func (s *System) pagesPerPartition(seg *Segment) int {
+	return (seg.nPages + s.cfg.NumGPMs - 1) / s.cfg.NumGPMs
+}
+
+// PageHome returns the home GPM of page i of the segment.
+func (s *System) PageHome(id SegmentID, i int) GPMID {
+	seg := s.Segment(id)
+	switch seg.layout {
+	case LayoutUniform:
+		return seg.home
+	case LayoutStriped:
+		return GPMID(i % s.cfg.NumGPMs)
+	default: // LayoutPartitioned
+		return GPMID(i / s.pagesPerPartition(seg))
+	}
 }
 
 // NumSegments returns how many segments have been allocated.
@@ -304,20 +317,21 @@ func (s *System) PlacePartitioned(id SegmentID) {
 // rewrites the segment's home histogram, moving the per-GPM DRAM capacity
 // accounting from the old homes to the new ones.
 func (s *System) setLayout(seg *Segment, layout Layout, home GPMID) {
-	for g, b := range seg.hist {
+	hist := s.homeHist(seg.ID)
+	for g, b := range hist {
 		s.dramUse[g] -= b
 	}
-	clear(seg.hist)
+	clear(hist)
 	seg.layout, seg.home = layout, home
 	switch layout {
 	case LayoutUniform:
-		seg.hist[home] = seg.Size
+		hist[home] = seg.Size
 	case LayoutStriped:
-		s.stripedRangeHist(0, seg.Size, seg.hist)
+		s.stripedRangeHist(0, seg.Size, hist)
 	case LayoutPartitioned:
-		s.partitionedRangeHist(seg, 0, seg.Size, seg.hist)
+		s.partitionedRangeHist(seg, 0, seg.Size, hist)
 	}
-	for g, b := range seg.hist {
+	for g, b := range hist {
 		s.dramUse[g] += b
 	}
 }
@@ -358,7 +372,7 @@ func (s *System) stripedRangeHist(offset, n int64, hist []int64) {
 // range [offset, offset+n) under the partitioned layout. GPM g's
 // contiguous pages cover one byte interval, so this is N interval overlaps.
 func (s *System) partitionedRangeHist(seg *Segment, offset, n int64, hist []int64) {
-	per := int64(seg.pagesPerPartition()) * s.cfg.PageSize
+	per := int64(s.pagesPerPartition(seg)) * s.cfg.PageSize
 	aEnd := offset + n
 	for g := 0; g < s.cfg.NumGPMs; g++ {
 		lo, hi := int64(g)*per, int64(g+1)*per
@@ -384,7 +398,7 @@ func (s *System) DRAMUsed(gpm GPMID) int64 {
 // without allocating (the histogram is cached).
 func (s *System) HomedBytes(id SegmentID, gpm GPMID) int64 {
 	s.checkGPM(gpm)
-	return s.Segment(id).hist[gpm]
+	return s.homeHist(id)[gpm]
 }
 
 // Read models gpm reading n bytes starting at offset within the segment.
@@ -433,11 +447,11 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 		// All-local: every byte is homed on the requester, so the flow is
 		// the access length.
 		if isRead {
-			seg.touched[gpm] = s.epoch
+			s.warmth[s.slot(id, gpm)] = s.epoch
 		}
 		return s.allLocal(gpm, seg.Kind, float64(n))
 	}
-	warm := isRead && seg.touched[gpm] == s.epoch
+	warm := isRead && s.warmth[s.slot(id, gpm)] == s.epoch
 	flow := Flow{Requester: gpm, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
 
 	// Split the range's bytes by home GPM, in closed form.
@@ -470,7 +484,7 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 		flow.RemoteBySrc[h] += remote
 	}
 	if isRead {
-		seg.touched[gpm] = s.epoch
+		s.warmth[s.slot(id, gpm)] = s.epoch
 	}
 	s.traffic.Record(flow)
 	return flow
@@ -496,12 +510,13 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
 	if seg.layout == LayoutUniform && seg.home == gpm {
 		// All-local. The share is still computed as the general path does:
 		// bytes*Size/Size is not always bytes in float64.
-		return s.allLocal(gpm, seg.Kind, bytes*float64(seg.hist[gpm])/float64(seg.Size))
+		return s.allLocal(gpm, seg.Kind, bytes*float64(s.homeHist(id)[gpm])/float64(seg.Size))
 	}
 	flow := Flow{Requester: gpm, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
 	// Split the volume by the cached home byte shares.
+	hist := s.homeHist(id)
 	for h := 0; h < s.cfg.NumGPMs; h++ {
-		b := seg.hist[h]
+		b := hist[h]
 		if b == 0 {
 			continue
 		}
@@ -524,14 +539,15 @@ func (s *System) Duplicate(id SegmentID, dst GPMID) Flow {
 	s.checkGPM(dst)
 	seg := s.Segment(id)
 	flow := Flow{Requester: dst, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
-	flow.LocalBytes = float64(seg.hist[dst])
+	hist := s.homeHist(id)
+	flow.LocalBytes = float64(hist[dst])
 	for h := 0; h < s.cfg.NumGPMs; h++ {
-		if GPMID(h) != dst && seg.hist[h] != 0 {
-			flow.RemoteBySrc[h] = float64(seg.hist[h])
+		if GPMID(h) != dst && hist[h] != 0 {
+			flow.RemoteBySrc[h] = float64(hist[h])
 		}
 	}
 	s.setLayout(seg, LayoutUniform, dst)
-	seg.touched[dst] = s.epoch
+	s.warmth[s.slot(id, dst)] = s.epoch
 	s.traffic.Record(flow)
 	return flow
 }
@@ -549,7 +565,7 @@ func (s *System) ResetWarmth() {
 // warm).
 func (s *System) Touched(gpm GPMID, id SegmentID) bool {
 	s.checkGPM(gpm)
-	return s.Segment(id).touched[gpm] == s.epoch
+	return s.warmth[s.slot(id, gpm)] == s.epoch
 }
 
 // copyCold is the warmth stamp of a registered copy that no read has
@@ -624,7 +640,7 @@ func (s *System) CopyTouched(g GPMID, id SegmentID) bool {
 // HomeHistogram returns, for the given segment, how many bytes are homed on
 // each GPM.
 func (s *System) HomeHistogram(id SegmentID) []int64 {
-	return append([]int64(nil), s.Segment(id).hist...)
+	return append([]int64(nil), s.homeHist(id)...)
 }
 
 func (s *System) checkGPM(g GPMID) {

@@ -24,8 +24,8 @@ func TestAllocPages(t *testing.T) {
 		t.Errorf("Layout = %v, want striped", seg.Layout())
 	}
 	for i := 0; i < seg.Pages(); i++ {
-		if seg.PageHome(i) != GPMID(i%4) {
-			t.Errorf("page %d home = %d, want %d", i, seg.PageHome(i), i%4)
+		if s.PageHome(id, i) != GPMID(i%4) {
+			t.Errorf("page %d home = %d, want %d", i, s.PageHome(id, i), i%4)
 		}
 	}
 	for g, want := range []int64{2 * 4096, 4096 + 1, 4096, 4096} {
@@ -112,12 +112,11 @@ func TestPlacePartitioned(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindFramebuffer, "fb", 4096*8)
 	s.PlacePartitioned(id)
-	seg := s.Segment(id)
 	// First two pages on GPM0, next two on GPM1, etc.
 	want := []GPMID{0, 0, 1, 1, 2, 2, 3, 3}
 	for i, w := range want {
-		if seg.PageHome(i) != w {
-			t.Errorf("page %d home = %d, want %d", i, seg.PageHome(i), w)
+		if s.PageHome(id, i) != w {
+			t.Errorf("page %d home = %d, want %d", i, s.PageHome(id, i), w)
 		}
 	}
 }

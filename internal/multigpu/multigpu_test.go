@@ -38,7 +38,7 @@ func TestNewSystemAllocations(t *testing.T) {
 		t.Errorf("segments = %d, want %d", s.Mem.NumSegments(), want)
 	}
 	// Command stream lives on GPM0.
-	if s.Mem.Segment(s.cmdSeg).PageHome(0) != 0 {
+	if s.Mem.PageHome(s.cmdSeg, 0) != 0 {
 		t.Errorf("commands not homed on GPM0")
 	}
 }

@@ -286,7 +286,7 @@ func padTo[T any](sl []T, i, want int, pad T) []T {
 }
 
 // numShared returns how many texture and vertex segments the scene shares
-// across GPMs.
+// across GPMs. New allocates them first, so they are ids [0, numShared).
 func (s *System) numShared() int { return len(s.texSeg) + len(s.vbSeg) }
 
 // shippedThisFrame reports whether seg was already transferred to GPM gi in
@@ -340,20 +340,22 @@ func New(opt Options, sc *scene.Scene) *System {
 		s.rop = append(s.rop, sim.NewResource(fmt.Sprintf("rop%d", g), s.rates.PixelsPerCycle))
 	}
 
+	// Vertex buffers are sized from the scene's allocation envelope: the
+	// materialized frames plus any declared streaming capacity (meshes are
+	// shared across frames, so one buffer per object index suffices).
+	vcaps := sc.VertexCapacities()
+	s.Mem.Grow(len(sc.Textures) + len(vcaps) + 3 + n) // + framebuffer, depth, commands, stages
 	// Shared allocations. Texture contents and vertex buffers are
 	// pre-allocated in GPU memory before rendering (Section 2.2), so their
 	// pages start striped across the NUMA partitions (Alloc's placement);
 	// locality-aware schemes re-place them explicitly.
-	for _, t := range sc.Textures {
-		id := s.Mem.Alloc(mem.KindTexture, t.Name, t.Bytes)
-		s.texSeg = append(s.texSeg, id)
+	s.texSeg = make([]mem.SegmentID, len(sc.Textures))
+	for i, t := range sc.Textures {
+		s.texSeg[i] = s.Mem.Alloc(mem.KindTexture, t.Name, t.Bytes)
 	}
-	// Vertex buffers are sized from the scene's allocation envelope: the
-	// materialized frames plus any declared streaming capacity (meshes are
-	// shared across frames, so one buffer per object index suffices).
-	for i, size := range sc.VertexCapacities() {
-		vb := s.Mem.Alloc(mem.KindVertex, fmt.Sprintf("vb%04d", i), size)
-		s.vbSeg = append(s.vbSeg, vb)
+	s.vbSeg = make([]mem.SegmentID, len(vcaps))
+	for i, size := range vcaps {
+		s.vbSeg[i] = s.Mem.Alloc(mem.KindVertex, fmt.Sprintf("vb%04d", i), size)
 	}
 	fbBytes := int64(2 * sc.PixelsPerView() * scene.BytesPerPixel)
 	s.fbSeg = s.Mem.Alloc(mem.KindFramebuffer, "framebuffer", fbBytes)
@@ -400,10 +402,7 @@ func (s *System) PlaceFramebufferAt(g mem.GPMID) {
 // into N contiguous per-GPM shares — a named initial layout the spec layer
 // exposes (placement swaps are free of traffic; see internal/mem).
 func (s *System) PlaceSharedPartitioned() {
-	for _, id := range s.texSeg {
-		s.Mem.PlacePartitioned(id)
-	}
-	for _, id := range s.vbSeg {
+	for id := range mem.SegmentID(s.numShared()) {
 		s.Mem.PlacePartitioned(id)
 	}
 }
@@ -411,10 +410,7 @@ func (s *System) PlaceSharedPartitioned() {
 // PlaceSharedAt homes every shared texture and vertex segment on one GPM —
 // the pathological single-home placement.
 func (s *System) PlaceSharedAt(g mem.GPMID) {
-	for _, id := range s.texSeg {
-		s.Mem.Place(id, g)
-	}
-	for _, id := range s.vbSeg {
+	for id := range mem.SegmentID(s.numShared()) {
 		s.Mem.Place(id, g)
 	}
 }
@@ -424,10 +420,7 @@ func (s *System) PlaceSharedAt(g mem.GPMID) {
 // pre-allocated per-GPM memory spaces. The copy is made at application
 // load time, so it costs capacity but no link time. Idempotent.
 func (s *System) EnsureLocalCopies(g mem.GPMID) {
-	for _, id := range s.texSeg {
-		s.Mem.Copy(id, g)
-	}
-	for _, id := range s.vbSeg {
+	for id := range mem.SegmentID(s.numShared()) {
 		s.Mem.Copy(id, g)
 	}
 }

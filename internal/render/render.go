@@ -18,6 +18,8 @@
 package render
 
 import (
+	"slices"
+
 	"oovr/internal/driver"
 	"oovr/internal/geom"
 	"oovr/internal/mem"
@@ -49,7 +51,7 @@ func (Baseline) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile
 	var subs []driver.Submission
 	var parts []multigpu.TaskPart
 	return driver.PlanFunc(func(f *scene.Frame, fi int) driver.Plan {
-		subs, parts = subs[:0], parts[:0]
+		subs, parts = subs[:0], slices.Grow(parts[:0], n*len(f.Objects)) // ≤ 1 part per object and GPM
 		if n == 1 {
 			// A single GPU keeps both views on the same PMEs, so SMP works.
 			for oi := range f.Objects {
@@ -153,7 +155,7 @@ func (p *afrPlanner) PlanFrame(f *scene.Frame, fi int) driver.Plan {
 	// The driver records this frame's commands serially before issue.
 	p.driverFree += float64(len(f.Objects))*p.cfg.DriverCyclesPerDraw +
 		2*f.FragsPerView()/1000*p.cfg.DriverCyclesPerKFrag
-	p.parts = p.parts[:0]
+	p.parts = slices.Grow(p.parts[:0], len(f.Objects))
 	for oi := range f.Objects {
 		p.parts = append(p.parts, multigpu.TaskPart{
 			Object:   &f.Objects[oi],
@@ -330,14 +332,14 @@ func (s ObjectSFR) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Prof
 			Root:        s.Root,
 			Compose:     driver.ComposeRoot,
 		}
-		parts = parts[:0]
+		parts = slices.Grow(parts[:0], len(f.Objects))
 		for oi := range f.Objects {
 			parts = append(parts, multigpu.TaskPart{
 				Object: &f.Objects[oi], Mode: pipeline.ModeSingleView,
 				GeomFrac: 1, FragFrac: 1,
 			})
 		}
-		subs = subs[:0]
+		subs = slices.Grow(subs[:0], 2*len(parts))
 		// Left and right views are separate object streams ("it still
 		// executes the objects from the left and right views separately").
 		task := 0

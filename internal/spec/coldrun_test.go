@@ -13,7 +13,8 @@ import (
 // one buffer instead of materialized, every access's flow split into one
 // reused vector instead of a per-segment cache, copies kept as residency
 // stamps instead of segments, segments homed at allocation with no slot
-// for unplaced bytes, and segment-indexed tables sized once. A
+// for unplaced bytes, segment-indexed tables sized once, and the scene,
+// segment table and plans built at their declared size. A
 // streamed run's bytes do not grow with its frame count, so 12 frames make
 // a materialized run stand out.
 func TestColdRunAllocBudget(t *testing.T) {
@@ -25,9 +26,9 @@ func TestColdRunAllocBudget(t *testing.T) {
 		scheduler string
 		measured  float64 // B/op, linux/amd64, go1.24
 	}{
-		{"afr", 520_100},
-		{"oovr", 748_700},
-		{"object", 703_000},
+		{"afr", 315_000},
+		{"oovr", 552_000},
+		{"object", 401_100},
 	} {
 		s := RunSpec{Workload: WorkloadRef{Name: "HL2-1280"}, Scheduler: SchedulerRef{Name: tc.scheduler}, Frames: 12}
 		if _, err := s.Run(); err != nil { // warm the registries and caches

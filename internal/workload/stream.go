@@ -1,9 +1,10 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"oovr/internal/geom"
 	"oovr/internal/scene"
@@ -47,9 +48,10 @@ func (sp Spec) Stream(width, height, frames int, seed int64) *Stream {
 
 	st := &Stream{spec: sp, width: width, height: height, frames: frames, rng: rng}
 	st.header = scene.Scene{
-		Name:   fmt.Sprintf("%s-%d", sp.Abbr, width),
-		Width:  width,
-		Height: height,
+		Name:     numbered(sp.Abbr+"-", 0, width),
+		Width:    width,
+		Height:   height,
+		Textures: make([]scene.Texture, 0, sp.TextureCount+sp.Draws), // pool, then privates
 	}
 
 	// Texture pool: lognormal sizes around MeanTextureKB.
@@ -64,9 +66,9 @@ func (sp Spec) Stream(width, height, frames int, seed int64) *Stream {
 		if size < 16*1024 {
 			size = 16 * 1024
 		}
-		name := fmt.Sprintf("tex%03d", i)
+		name := numbered("tex", 3, i)
 		if i < commonTex {
-			name = fmt.Sprintf("common%02d", i)
+			name = numbered("common", 2, i)
 		}
 		st.header.Textures = append(st.header.Textures, scene.Texture{ID: scene.TextureID(i), Name: name, Bytes: size})
 	}
@@ -88,7 +90,7 @@ func (sp Spec) Stream(width, height, frames int, seed int64) *Stream {
 			size = 16 * 1024
 		}
 		id := scene.TextureID(len(st.header.Textures))
-		st.header.Textures = append(st.header.Textures, scene.Texture{ID: id, Name: fmt.Sprintf("priv%04d", i), Bytes: size})
+		st.header.Textures = append(st.header.Textures, scene.Texture{ID: id, Name: numbered("priv", 4, i), Bytes: size})
 		privateTex[i] = id
 	}
 
@@ -118,7 +120,9 @@ func (sp Spec) Stream(width, height, frames int, seed int64) *Stream {
 // jitters.
 func (st *Stream) buildBaseFrame(clusterTex [][]scene.TextureID, privateTex []scene.TextureID, commonTex int) scene.Frame {
 	sp, rng, width, height := st.spec, st.rng, st.width, st.height
-	frame := scene.Frame{Index: 0}
+	frame := scene.Frame{Index: 0, Objects: make([]scene.Object, 0, sp.Draws)}
+	// One arena holds every binding: per draw a private, ≤3 picks, ≤1 common.
+	texArena := make([]scene.TextureID, 0, 5*sp.Draws)
 	jitter := 1.0
 
 	// Draw complexity weights (lognormal) for triangles and coverage.
@@ -151,7 +155,7 @@ func (st *Stream) buildBaseFrame(clusterTex [][]scene.TextureID, privateTex []sc
 		frags := totalFrags * weights[i] / weightSum
 		o := scene.Object{
 			Index:        i,
-			Name:         fmt.Sprintf("draw%04d", i),
+			Name:         numbered("draw", 4, i),
 			Triangles:    tris[i],
 			Vertices:     tris[i] * 3 * 2 / 3, // indexed meshes reuse vertices
 			FragsPerView: frags,
@@ -194,7 +198,7 @@ func (st *Stream) buildBaseFrame(clusterTex [][]scene.TextureID, privateTex []sc
 
 		// Every object samples its private material texture first, then
 		// its cluster's shared textures, then possibly a common texture.
-		o.Textures = append(o.Textures, privateTex[i])
+		o.Textures = append(texArena[len(texArena):], privateTex[i])
 		cluster := clusterOf(rng, sp, i)
 		nRefs := 1 + int(rng.ExpFloat64()*(sp.TexturesPerObject-1)+0.5)
 		if nRefs < 1 {
@@ -204,20 +208,20 @@ func (st *Stream) buildBaseFrame(clusterTex [][]scene.TextureID, privateTex []sc
 			nRefs = 3
 		}
 		pool := clusterTex[cluster]
-		seen := map[scene.TextureID]bool{}
 		for r := 0; r < nRefs && len(pool) > 0; r++ {
 			tid := pool[rng.Intn(len(pool))]
-			if !seen[tid] {
+			if !slices.Contains(o.Textures[1:], tid) { // the picks so far
 				o.Textures = append(o.Textures, tid)
-				seen[tid] = true
 			}
 		}
 		if rng.Float64() < sp.CommonTextureFrac {
 			tid := scene.TextureID(rng.Intn(commonTex))
-			if !seen[tid] {
+			if !slices.Contains(o.Textures[1:], tid) {
 				o.Textures = append(o.Textures, tid)
 			}
 		}
+		texArena = texArena[:len(texArena)+len(o.Textures)]
+		o.Textures = slices.Clip(o.Textures) // so appends never reach the next object's
 
 		if i > 0 && rng.Float64() < sp.DependencyFrac {
 			o.DependsOn = i - 1
@@ -225,6 +229,16 @@ func (st *Stream) buildBaseFrame(clusterTex [][]scene.TextureID, privateTex []sc
 		frame.Objects = append(frame.Objects, o)
 	}
 	return frame
+}
+
+// numbered is fmt.Sprintf("%s%0*d", prefix, width, i) in one allocation.
+func numbered(prefix string, width, i int) string {
+	var buf [32]byte
+	b := strconv.AppendInt(append(buf[:0], prefix...), int64(i), 10)
+	for len(b) < len(prefix)+width {
+		b = slices.Insert(b, len(prefix), '0')
+	}
+	return string(b)
 }
 
 // Header returns the bindable scene header: textures, resolution and the

@@ -1,8 +1,12 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
+
+	"oovr/internal/scene"
 )
 
 func TestBenchmarksMatchTable3(t *testing.T) {
@@ -214,5 +218,40 @@ func TestHeavyTailExists(t *testing.T) {
 	mean := float64(sumTri) / float64(len(objs))
 	if float64(maxTri) < 4*mean {
 		t.Errorf("max triangles %d not heavy-tailed vs mean %.0f", maxTri, mean)
+	}
+}
+
+// TestTextureBindingsDoNotAlias requires every object's Textures to own
+// its backing storage up to its capacity: appending to one object's
+// bindings must leave every other object's unchanged, on Generate's frames
+// and on frames streamed through NextInto (which share frame 0's
+// bindings).
+func TestTextureBindingsDoNotAlias(t *testing.T) {
+	check := func(what string, f *scene.Frame) {
+		t.Helper()
+		want := make([][]scene.TextureID, len(f.Objects))
+		for i := range f.Objects {
+			want[i] = slices.Clone(f.Objects[i].Textures)
+		}
+		for i := range f.Objects {
+			_ = append(f.Objects[i].Textures, -1)
+			for j := range f.Objects {
+				if !slices.Equal(f.Objects[j].Textures, want[j]) {
+					t.Fatalf("%s: appending to object %d's textures changed object %d's: %v, want %v",
+						what, i, j, f.Objects[j].Textures, want[j])
+				}
+			}
+		}
+	}
+	for _, c := range Cases() {
+		sc := c.Spec.Generate(c.Width, c.Height, 2, 1)
+		for fi := range sc.Frames {
+			check(fmt.Sprintf("%s Generate frame %d", c.Name, fi), &sc.Frames[fi])
+		}
+		st := c.Spec.Stream(c.Width, c.Height, 2, 1)
+		var f scene.Frame
+		for st.NextInto(&f) {
+			check(fmt.Sprintf("%s NextInto frame %d", c.Name, f.Index), &f)
+		}
 	}
 }
