@@ -81,8 +81,8 @@ func TestColdSegmentAllocBudget(t *testing.T) {
 
 // TestAllLocalAccessesMatchTheReference pins the all-local fast path: on
 // a segment homed entirely on the requester, reads, writes and proportional
-// reads return the per-page reference's flows, allocate nothing, and still
-// arm the remote cache for a later remote read. A registered copy (Copy) of
+// reads return the per-page reference's flows with a nil RemoteBySrc,
+// allocate nothing, and still arm the remote cache for a later remote read. A registered copy (Copy) of
 // a striped segment must read exactly as a segment placed on the requester
 // does: equal flows, equal Traffic and equal warmth, across a frame
 // boundary. One proportional volume is chosen so that bytes*Size/Size !=
@@ -115,11 +115,20 @@ func TestAllLocalAccessesMatchTheReference(t *testing.T) {
 			t.Errorf("%s: flow %+v, reference %+v", what, got, want)
 		}
 	}
-	check("cold read", s.ReadAll(g, id), ref.access(g, rid, 0, size, true))
-	check("warm read", s.Read(g, id, 4000, 5000), ref.access(g, rid, 4000, 5000, true))
-	check("write", s.Write(g, id, 100, size-100), ref.access(g, rid, 100, size-100, false))
-	check("proportional", s.ReadProportional(g, id, vol), ref.readProportional(g, rid, vol))
-	check("proportional > size", s.ReadProportional(g, id, 3*size), ref.readProportional(g, rid, 3*size))
+	local := func(what string, got, want Flow) {
+		t.Helper()
+		check(what, got, want)
+		if got.RemoteBySrc != nil {
+			t.Errorf("%s: all-local flow carries RemoteBySrc %v, want nil", what, got.RemoteBySrc)
+		}
+	}
+	local("cold read", s.ReadAll(g, id), ref.access(g, rid, 0, size, true))
+	local("warm read", s.Read(g, id, 4000, 5000), ref.access(g, rid, 4000, 5000, true))
+	local("write", s.Write(g, id, 100, size-100), ref.access(g, rid, 100, size-100, false))
+	local("empty read", s.Read(g, id, 100, 0), ref.access(g, rid, 100, 0, true))
+	local("proportional", s.ReadProportional(g, id, vol), ref.readProportional(g, rid, vol))
+	local("proportional > size", s.ReadProportional(g, id, 3*size), ref.readProportional(g, rid, 3*size))
+	local("zero proportional", s.ReadProportional(g, id, 0), ref.readProportional(g, rid, 0))
 	allocs := testing.AllocsPerRun(100, func() {
 		s.ReadAll(g, id)
 		s.Write(g, id, 100, size-100)
@@ -154,13 +163,13 @@ func TestAllLocalAccessesMatchTheReference(t *testing.T) {
 			copied.ResetWarmth()
 		}
 		warmth("at frame start")
-		check("copy empty read", copied.ReadCopy(g, cid, 100, 0), placed.Read(g, pid, 100, 0))
-		check("copy zero proportional", copied.ReadCopyProportional(g, cid, 0), placed.ReadProportional(g, pid, 0))
-		check("copy proportional", copied.ReadCopyProportional(g, cid, vol), placed.ReadProportional(g, pid, vol))
+		local("copy empty read", copied.ReadCopy(g, cid, 100, 0), placed.Read(g, pid, 100, 0))
+		local("copy zero proportional", copied.ReadCopyProportional(g, cid, 0), placed.ReadProportional(g, pid, 0))
+		local("copy proportional", copied.ReadCopyProportional(g, cid, vol), placed.ReadProportional(g, pid, vol))
 		warmth("before the first read")
-		check("copy read", copied.ReadCopy(g, cid, 0, size), placed.Read(g, pid, 0, size))
+		local("copy read", copied.ReadCopy(g, cid, 0, size), placed.Read(g, pid, 0, size))
 		warmth("after a read")
-		check("copy partial read", copied.ReadCopy(g, cid, 4000, 5000), placed.Read(g, pid, 4000, 5000))
+		local("copy partial read", copied.ReadCopy(g, cid, 4000, 5000), placed.Read(g, pid, 4000, 5000))
 	}
 	if !reflect.DeepEqual(copied.Traffic(), placed.Traffic()) {
 		t.Errorf("copy traffic %v, placed segment traffic %v", copied.Traffic(), placed.Traffic())

@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -19,6 +20,7 @@ type pageRefSystem struct {
 	kinds   []SegmentKind
 	touched []map[int]bool
 	dramUse []int64
+	traffic *Traffic
 }
 
 func newPageRef(cfg Config) *pageRefSystem {
@@ -26,7 +28,23 @@ func newPageRef(cfg Config) *pageRefSystem {
 	for i := range touched {
 		touched[i] = make(map[int]bool)
 	}
-	return &pageRefSystem{cfg: cfg, touched: touched, dramUse: make([]int64, cfg.NumGPMs)}
+	return &pageRefSystem{cfg: cfg, touched: touched, dramUse: make([]int64, cfg.NumGPMs), traffic: NewTraffic(cfg.NumGPMs)}
+}
+
+// record books a returned flow into the reference's traffic account as a
+// separate pass over the flow: local bytes, then each non-zero source in
+// ascending order.
+func (r *pageRefSystem) record(f Flow) Flow {
+	t := r.traffic
+	t.local[f.Requester] += f.LocalBytes
+	for src, b := range f.RemoteBySrc {
+		if b == 0 {
+			continue
+		}
+		t.link[src][f.Requester] += b
+		t.kindRemote[f.Kind] += b
+	}
+	return f
 }
 
 // alloc homes the new segment's pages striped, page by page.
@@ -124,7 +142,7 @@ func (r *pageRefSystem) access(gpm GPMID, id int, offset, n int64, isRead bool) 
 	if isRead {
 		r.touched[gpm][id] = true
 	}
-	return flow
+	return r.record(flow)
 }
 
 func (r *pageRefSystem) readProportional(gpm GPMID, id int, bytes float64) Flow {
@@ -147,7 +165,7 @@ func (r *pageRefSystem) readProportional(gpm GPMID, id int, bytes float64) Flow 
 			flow.RemoteBySrc[h] += share
 		}
 	}
-	return flow
+	return r.record(flow)
 }
 
 func (r *pageRefSystem) duplicate(id int, dst GPMID) Flow {
@@ -163,7 +181,7 @@ func (r *pageRefSystem) duplicate(id int, dst GPMID) Flow {
 		r.rehome(id, p, dst)
 	}
 	r.touched[dst][id] = true
-	return flow
+	return r.record(flow)
 }
 
 func (r *pageRefSystem) resetWarmth() {
@@ -180,16 +198,37 @@ func (r *pageRefSystem) homeHistogram(id int) []int64 {
 	return hist
 }
 
-// flowsEqual requires exact (==) equality of every field.
+// flowsEqual requires exact (==) equality of every field. A nil
+// RemoteBySrc (an all-local flow) equals a vector of zeros.
 func flowsEqual(a, b Flow) bool {
 	if a.Requester != b.Requester || a.Kind != b.Kind || a.LocalBytes != b.LocalBytes {
 		return false
 	}
-	if len(a.RemoteBySrc) != len(b.RemoteBySrc) {
+	ar, br := a.RemoteBySrc, b.RemoteBySrc
+	if ar == nil {
+		ar = make([]float64, len(br))
+	}
+	if br == nil {
+		br = make([]float64, len(ar))
+	}
+	return slices.Equal(ar, br)
+}
+
+// trafficEqual requires exact (==) equality of the two accounts' local
+// total, every GPM pair's bytes and every kind's remote bytes.
+func trafficEqual(a, b *Traffic, ng int) bool {
+	if a.TotalLocal() != b.TotalLocal() {
 		return false
 	}
-	for i := range a.RemoteBySrc {
-		if a.RemoteBySrc[i] != b.RemoteBySrc[i] {
+	for src := GPMID(0); src < GPMID(ng); src++ {
+		for dst := GPMID(0); dst < GPMID(ng); dst++ {
+			if a.LinkBytes(src, dst) != b.LinkBytes(src, dst) {
+				return false
+			}
+		}
+	}
+	for k := SegmentKind(0); k < numKinds; k++ {
+		if a.RemoteByKind(k) != b.RemoteByKind(k) {
 			return false
 		}
 	}
@@ -198,8 +237,10 @@ func flowsEqual(a, b Flow) bool {
 
 // TestLayoutEquivalenceProperty drives randomized operation sequences
 // against the analytic-layout System and the per-page reference, asserting
-// byte-identical Flows and final state for every operation. This is the
-// correctness gate of the layout rewrite.
+// byte-identical Flows, Traffic accounts and final state for every
+// operation. The reference books each flow after the fact, so this also
+// pins that the System's in-split booking adds the same values in the same
+// order. This is the correctness gate of the layout rewrite.
 func TestLayoutEquivalenceProperty(t *testing.T) {
 	// Dyadic hit rates: exactly representable, multiplication is exact, so
 	// per-page and per-GPM cache arithmetic agree bit-for-bit.
@@ -303,6 +344,10 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 			if !flowsEqual(got, want) {
 				t.Fatalf("trial %d step %d op %d (rate=%v ng=%d): flow mismatch\n got %+v\nwant %+v\nlayout=%v",
 					trial, step, op, rate, ng, got, want, sys.Segment(id).Layout())
+			}
+			if !trafficEqual(sys.Traffic(), ref.traffic, ng) {
+				t.Fatalf("trial %d step %d op %d (rate=%v ng=%d): traffic mismatch\n got %+v\nwant %+v",
+					trial, step, op, rate, ng, sys.Traffic(), ref.traffic)
 			}
 		}
 

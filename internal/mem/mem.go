@@ -23,10 +23,12 @@
 //   - LayoutPartitioned: N contiguous 1/N shares (PlacePartitioned).
 //
 // The local/remote byte split of any [offset, n) range is computed in
-// closed form — O(NumGPMs) arithmetic with zero page iteration — and the
-// Place* family are O(NumGPMs) layout swaps. Each segment also caches its
-// home histogram (bytes per GPM), rewritten on every placement, so
-// ReadProportional, Duplicate and HomeHistogram never rescan pages.
+// closed form over only the GPMs the range overlaps — no page iteration —
+// and the Place* family are O(NumGPMs) layout swaps. Each segment also
+// caches its home histogram (bytes per GPM), rewritten on every placement,
+// so ReadProportional, Duplicate and HomeHistogram never rescan pages.
+// Every access books its bytes into the Traffic account in the same pass
+// that splits them.
 //
 // All byte counts are integers, accumulated in int64 and converted to
 // float64 once per GPM, so the closed forms produce Flows byte-identical
@@ -165,12 +167,13 @@ func (c Config) Validate() {
 
 // Flow describes where the bytes of one access went. RemoteBySrc[g] is the
 // number of bytes that crossed the link from GPM g's DRAM to the requester.
+// A nil RemoteBySrc means every byte was local: the access crossed no link.
 //
-// RemoteBySrc aliases one scratch vector owned by the System, so it is
-// valid only until the next access on the same System, and must never be
-// written. Every production consumer (fabric reservation, traffic
-// accounting) reads the flow immediately; callers that need to hold one
-// across accesses must copy it.
+// A non-nil RemoteBySrc aliases one scratch vector owned by the System, so
+// it is valid only until the next access on the same System, and must
+// never be written. The production consumer (fabric reservation) reads the
+// flow immediately; callers that need to hold one across accesses must
+// copy it.
 type Flow struct {
 	Requester   GPMID
 	LocalBytes  float64
@@ -206,9 +209,10 @@ type System struct {
 	copies  [][]uint64
 	traffic *Traffic
 	dramUse []int64 // bytes homed per GPM (capacity accounting)
-	// remote is the RemoteBySrc of every returned Flow (see Flow).
+	// remote is the RemoteBySrc of every Flow with remote bytes (see Flow).
 	remote []float64
-	// hist is access's per-GPM byte split of the accessed range.
+	// hist is access's per-GPM byte split of the accessed range, valid in
+	// the window rangeHist returns.
 	hist []int64
 }
 
@@ -323,68 +327,59 @@ func (s *System) setLayout(seg *Segment, layout Layout, home GPMID) {
 	}
 	clear(hist)
 	seg.layout, seg.home = layout, home
-	switch layout {
-	case LayoutUniform:
-		hist[home] = seg.Size
-	case LayoutStriped:
-		s.stripedRangeHist(0, seg.Size, hist)
-	case LayoutPartitioned:
-		s.partitionedRangeHist(seg, 0, seg.Size, hist)
+	if seg.Size > 0 {
+		s.rangeHist(seg, 0, seg.Size, hist)
 	}
 	for g, b := range hist {
 		s.dramUse[g] += b
 	}
 }
 
-// stripedPageCount returns how many pages p in [p0, p1) satisfy
-// p mod n == g.
-func stripedPageCount(p0, p1, n, g int) int64 {
-	upTo := func(m int) int64 {
-		if m <= g {
-			return 0
-		}
-		return int64((m - g + n - 1) / n)
-	}
-	return upTo(p1) - upTo(p0)
-}
-
-// stripedRangeHist accumulates into hist the per-GPM byte counts of the
-// range [offset, offset+n) under the striped layout.
-func (s *System) stripedRangeHist(offset, n int64, hist []int64) {
+// rangeHist writes into hist the bytes of the range [offset, offset+n),
+// n > 0, homed on each GPM of the window [lo, hi] it returns, in closed
+// form. Entries outside the window are left as they are; inside it, GPMs
+// the range misses (a striped run that wraps) get 0.
+func (s *System) rangeHist(seg *Segment, offset, n int64, hist []int64) (lo, hi int) {
 	p := s.cfg.PageSize
 	ng := s.cfg.NumGPMs
-	first := int(offset / p)
-	last := int((offset + n - 1) / p)
-	if first == last {
-		hist[first%ng] += n
-		return
-	}
-	// First page: offset to the page end (pages before the final one are
-	// always full). Last page: page start to the range end.
-	hist[first%ng] += int64(first+1)*p - offset
-	hist[last%ng] += offset + n - int64(last)*p
-	for g := 0; g < ng; g++ {
-		hist[g] += stripedPageCount(first+1, last, ng, g) * p
-	}
-}
-
-// partitionedRangeHist accumulates into hist the per-GPM byte counts of the
-// range [offset, offset+n) under the partitioned layout. GPM g's
-// contiguous pages cover one byte interval, so this is N interval overlaps.
-func (s *System) partitionedRangeHist(seg *Segment, offset, n int64, hist []int64) {
-	per := int64(s.pagesPerPartition(seg)) * s.cfg.PageSize
-	aEnd := offset + n
-	for g := 0; g < s.cfg.NumGPMs; g++ {
-		lo, hi := int64(g)*per, int64(g+1)*per
-		if lo < offset {
-			lo = offset
+	switch seg.layout {
+	case LayoutUniform:
+		hist[seg.home] = n
+		return int(seg.home), int(seg.home)
+	case LayoutStriped:
+		first := int(offset / p)
+		last := int((offset + n - 1) / p)
+		lo, hi = first%ng, last%ng
+		if first == last {
+			hist[lo] = n
+			return lo, hi
 		}
-		if hi > aEnd {
-			hi = aEnd
+		// The m pages strictly inside the range are full: m/ng of them on
+		// every GPM, plus one on each GPM of the m%ng run after the first.
+		m := last - first - 1
+		if m+2 >= ng || lo > hi {
+			lo, hi = 0, ng-1
 		}
-		if hi > lo {
-			hist[g] += hi - lo
+		full := int64(m/ng) * p
+		for g := lo; g <= hi; g++ {
+			hist[g] = full
 		}
+		for k := 1; k <= m%ng; k++ {
+			hist[(first+k)%ng] += p
+		}
+		// First page: offset to the page end. Last page: page start to the
+		// range end.
+		hist[first%ng] += int64(first+1)*p - offset
+		hist[last%ng] += offset + n - int64(last)*p
+		return lo, hi
+	default: // LayoutPartitioned: GPM g's pages are one byte interval
+		per := int64(s.pagesPerPartition(seg)) * p
+		end := offset + n
+		lo, hi = int(offset/per), int((end-1)/per)
+		for g := lo; g <= hi; g++ {
+			hist[g] = min(int64(g+1)*per, end) - max(int64(g)*per, offset)
+		}
+		return lo, hi
 	}
 }
 
@@ -420,28 +415,42 @@ func (s *System) Write(gpm GPMID, id SegmentID, offset, n int64) Flow {
 	return s.access(gpm, id, offset, n, false)
 }
 
-// remoteScratch returns the System's RemoteBySrc scratch, zeroed.
-func (s *System) remoteScratch() []float64 {
-	clear(s.remote)
-	return s.remote
-}
-
 // allLocal records and returns an access served entirely from the
 // requester's DRAM: no remote part to split.
 func (s *System) allLocal(gpm GPMID, kind SegmentKind, local float64) Flow {
-	flow := Flow{Requester: gpm, LocalBytes: local, RemoteBySrc: s.remoteScratch(), Kind: kind}
-	s.traffic.Record(flow)
-	return flow
+	s.traffic.local[gpm] += local
+	return Flow{Requester: gpm, LocalBytes: local, Kind: kind}
+}
+
+// addRemote books b bytes moved from src's DRAM to the flow's requester,
+// on the flow and in the traffic account; a zero b moves nothing. The
+// first remote byte of a flow gives it the System's zeroed scratch.
+func (s *System) addRemote(f *Flow, src GPMID, b float64) {
+	if b == 0 {
+		return
+	}
+	if f.RemoteBySrc == nil {
+		clear(s.remote)
+		f.RemoteBySrc = s.remote
+	}
+	f.RemoteBySrc[src] = b
+	s.traffic.link[src][f.Requester] += b
+	s.traffic.kindRemote[f.Kind] += b
+}
+
+// checkRange panics unless [offset, offset+n) lies inside the segment.
+func checkRange(seg *Segment, offset, n int64) {
+	if offset < 0 || n < 0 || offset+n > seg.Size {
+		panic(fmt.Sprintf("mem: access [%d,%d) outside segment %d %q of size %d", offset, offset+n, seg.ID, seg.Name, seg.Size))
+	}
 }
 
 func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) Flow {
 	s.checkGPM(gpm)
 	seg := s.Segment(id)
-	if offset < 0 || n < 0 || offset+n > seg.Size {
-		panic(fmt.Sprintf("mem: access [%d,%d) outside segment %q of size %d", offset, offset+n, seg.Name, seg.Size))
-	}
+	checkRange(seg, offset, n)
 	if n == 0 {
-		return Flow{Requester: gpm, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
+		return Flow{Requester: gpm, Kind: seg.Kind}
 	}
 	if seg.layout == LayoutUniform && seg.home == gpm {
 		// All-local: every byte is homed on the requester, so the flow is
@@ -452,21 +461,12 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 		return s.allLocal(gpm, seg.Kind, float64(n))
 	}
 	warm := isRead && s.warmth[s.slot(id, gpm)] == s.epoch
-	flow := Flow{Requester: gpm, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
-
-	// Split the range's bytes by home GPM, in closed form.
+	flow := Flow{Requester: gpm, Kind: seg.Kind}
+	// Split the range's bytes by home GPM, in closed form, and book each
+	// source's share as it is computed, in ascending source order.
 	hist := s.hist
-	clear(hist)
-	switch seg.layout {
-	case LayoutUniform:
-		hist[seg.home] = n
-	case LayoutStriped:
-		s.stripedRangeHist(offset, n, hist)
-	case LayoutPartitioned:
-		s.partitionedRangeHist(seg, offset, n, hist)
-	}
-
-	for h := 0; h < s.cfg.NumGPMs; h++ {
+	lo, hi := s.rangeHist(seg, offset, n, hist)
+	for h := lo; h <= hi; h++ {
 		bytes := float64(hist[h])
 		if bytes == 0 {
 			continue
@@ -481,12 +481,12 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 			flow.LocalBytes += hit // served from the local remote-cache copy
 			remote -= hit
 		}
-		flow.RemoteBySrc[h] += remote
+		s.addRemote(&flow, GPMID(h), remote)
 	}
 	if isRead {
 		s.warmth[s.slot(id, gpm)] = s.epoch
 	}
-	s.traffic.Record(flow)
+	s.traffic.local[gpm] += flow.LocalBytes
 	return flow
 }
 
@@ -512,11 +512,9 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
 		// bytes*Size/Size is not always bytes in float64.
 		return s.allLocal(gpm, seg.Kind, bytes*float64(s.homeHist(id)[gpm])/float64(seg.Size))
 	}
-	flow := Flow{Requester: gpm, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
+	flow := Flow{Requester: gpm, Kind: seg.Kind}
 	// Split the volume by the cached home byte shares.
-	hist := s.homeHist(id)
-	for h := 0; h < s.cfg.NumGPMs; h++ {
-		b := hist[h]
+	for h, b := range s.homeHist(id) {
 		if b == 0 {
 			continue
 		}
@@ -524,10 +522,10 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
 		if GPMID(h) == gpm {
 			flow.LocalBytes += share
 		} else {
-			flow.RemoteBySrc[h] += share
+			s.addRemote(&flow, GPMID(h), share)
 		}
 	}
-	s.traffic.Record(flow)
+	s.traffic.local[gpm] += flow.LocalBytes
 	return flow
 }
 
@@ -538,17 +536,17 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
 func (s *System) Duplicate(id SegmentID, dst GPMID) Flow {
 	s.checkGPM(dst)
 	seg := s.Segment(id)
-	flow := Flow{Requester: dst, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
+	flow := Flow{Requester: dst, Kind: seg.Kind}
 	hist := s.homeHist(id)
 	flow.LocalBytes = float64(hist[dst])
-	for h := 0; h < s.cfg.NumGPMs; h++ {
-		if GPMID(h) != dst && hist[h] != 0 {
-			flow.RemoteBySrc[h] = float64(hist[h])
+	for h, b := range hist {
+		if GPMID(h) != dst {
+			s.addRemote(&flow, GPMID(h), float64(b))
 		}
 	}
 	s.setLayout(seg, LayoutUniform, dst)
 	s.warmth[s.slot(id, dst)] = s.epoch
-	s.traffic.Record(flow)
+	s.traffic.local[dst] += flow.LocalBytes
 	return flow
 }
 
@@ -580,11 +578,11 @@ const copyCold = 1
 // idempotent and reports whether the copy is new.
 func (s *System) Copy(id SegmentID, g GPMID) bool {
 	s.checkGPM(g)
-	c := s.copies[g]
-	if int(id) < len(c) && c[id] != 0 {
+	if s.HasCopy(g, id) {
 		return false
 	}
 	size := s.Segment(id).Size
+	c := s.copies[g]
 	if int(id) >= len(c) {
 		c = append(c, make([]uint64, len(s.segments)-len(c))...)
 		s.copies[g] = c
@@ -594,13 +592,19 @@ func (s *System) Copy(id SegmentID, g GPMID) bool {
 	return true
 }
 
+// HasCopy reports whether GPM g holds a copy of segment id (see Copy).
+func (s *System) HasCopy(g GPMID, id SegmentID) bool {
+	c := s.copies[g]
+	return int(id) < len(c) && c[id] != 0
+}
+
 // copyStamp returns the warmth stamp of g's copy of id and panics when g
 // holds no copy of it.
 func (s *System) copyStamp(g GPMID, id SegmentID) *uint64 {
-	if c := s.copies[g]; int(id) < len(c) && c[id] != 0 {
-		return &c[id]
+	if !s.HasCopy(g, id) {
+		panic("mem: read of a copy that was never registered")
 	}
-	panic("mem: read of a copy that was never registered")
+	return &s.copies[g][id]
 }
 
 // ReadCopy is Read on GPM g's copy of the segment: the flow a segment
@@ -608,11 +612,9 @@ func (s *System) copyStamp(g GPMID, id SegmentID) *uint64 {
 func (s *System) ReadCopy(g GPMID, id SegmentID, offset, n int64) Flow {
 	stamp := s.copyStamp(g, id)
 	seg := s.Segment(id)
-	if offset < 0 || n < 0 || offset+n > seg.Size {
-		panic(fmt.Sprintf("mem: access [%d,%d) outside segment %q of size %d", offset, offset+n, seg.Name, seg.Size))
-	}
+	checkRange(seg, offset, n)
 	if n == 0 {
-		return Flow{Requester: g, RemoteBySrc: s.remoteScratch(), Kind: seg.Kind}
+		return Flow{Requester: g, Kind: seg.Kind}
 	}
 	*stamp = s.epoch
 	return s.allLocal(g, seg.Kind, float64(n))

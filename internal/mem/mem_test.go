@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -145,12 +146,16 @@ func TestAccessRangeSplitAcrossPages(t *testing.T) {
 	}
 }
 
+// TestAccessOutOfRangePanics also pins that the panic names the segment
+// by id: names need not be unique (every vertex buffer is "vb").
 func TestAccessOutOfRangePanics(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 100)
+	s.Alloc(KindVertex, "vb", 100)
+	id := s.Alloc(KindVertex, "vb", 100)
 	defer func() {
-		if recover() == nil {
-			t.Errorf("out-of-range access did not panic")
+		msg, _ := recover().(string)
+		if want := `segment 1 "vb"`; !strings.Contains(msg, want) {
+			t.Errorf("out-of-range access panicked with %q, want a message naming %s", msg, want)
 		}
 	}()
 	s.Read(0, id, 50, 100)

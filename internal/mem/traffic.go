@@ -26,18 +26,6 @@ func NewTraffic(n int) *Traffic {
 	}
 }
 
-// Record adds a flow to the account.
-func (t *Traffic) Record(f Flow) {
-	t.local[f.Requester] += f.LocalBytes
-	for src, b := range f.RemoteBySrc {
-		if b == 0 {
-			continue
-		}
-		t.link[src][f.Requester] += b
-		t.kindRemote[f.Kind] += b
-	}
-}
-
 // TotalLocal returns local DRAM bytes summed over all GPMs.
 func (t *Traffic) TotalLocal() float64 {
 	var s float64

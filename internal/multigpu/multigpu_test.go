@@ -133,6 +133,29 @@ func TestShipOncePerFrame(t *testing.T) {
 	}
 }
 
+// TestPersistentShipSkipsResidentCopies pins the persistent-residency
+// skip: a ShipPersistent task run again on the same GPM in a later frame
+// finds every copy resident, so its Ship books no link bytes and no Ship
+// cycles, while the first run paid for both.
+func TestPersistentShipSkipsResidentCopies(t *testing.T) {
+	s := newSystem(t)
+	s.PartitionFramebuffer()
+	task := wholeObjectTask(&s.Scene().Frames[0].Objects[0], pipeline.ModeBothSMP)
+	task.ShipTextures = true
+	task.ShipPersistent = true
+	task.Color = ColorLocalStage
+	task.DepthLocal = true
+	for frame := 0; frame < 2; frame++ {
+		s.BeginFrame()
+		links, ship := linkBytes(s), s.Phases().Ship
+		s.Run(0, task)
+		dLinks, dShip := linkBytes(s)-links, s.Phases().Ship-ship
+		if first := frame == 0; first != (dLinks > 0) || first != (dShip > 0) {
+			t.Errorf("frame %d: run moved %v link bytes in %v Ship cycles", frame, dLinks, dShip)
+		}
+	}
+}
+
 // linkBytes sums the bytes every physical link's server has carried.
 func linkBytes(s *System) float64 {
 	var total float64

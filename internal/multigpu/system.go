@@ -336,8 +336,8 @@ func New(opt Options, sc *scene.Scene) *System {
 	}
 	dramRate := opt.Config.DRAMBytesPerCycle()
 	for g := 0; g < n; g++ {
-		s.dram = append(s.dram, sim.NewResource(fmt.Sprintf("dram%d", g), dramRate))
-		s.rop = append(s.rop, sim.NewResource(fmt.Sprintf("rop%d", g), s.rates.PixelsPerCycle))
+		s.dram = append(s.dram, sim.NewResource("dram", dramRate))
+		s.rop = append(s.rop, sim.NewResource("rop", s.rates.PixelsPerCycle))
 	}
 
 	// Vertex buffers are sized from the scene's allocation envelope: the
@@ -355,7 +355,7 @@ func New(opt Options, sc *scene.Scene) *System {
 	}
 	s.vbSeg = make([]mem.SegmentID, len(vcaps))
 	for i, size := range vcaps {
-		s.vbSeg[i] = s.Mem.Alloc(mem.KindVertex, fmt.Sprintf("vb%04d", i), size)
+		s.vbSeg[i] = s.Mem.Alloc(mem.KindVertex, "vb", size)
 	}
 	fbBytes := int64(2 * sc.PixelsPerView() * scene.BytesPerPixel)
 	s.fbSeg = s.Mem.Alloc(mem.KindFramebuffer, "framebuffer", fbBytes)
@@ -365,7 +365,7 @@ func New(opt Options, sc *scene.Scene) *System {
 	s.cmdSeg = s.Mem.Alloc(mem.KindCommand, "commands", 2*maxDraws*pipeline.CommandBytesPerDraw)
 	s.Mem.Place(s.cmdSeg, 0)
 	for g := 0; g < n; g++ {
-		st := s.Mem.Alloc(mem.KindFramebuffer, fmt.Sprintf("stage%d", g), fbBytes)
+		st := s.Mem.Alloc(mem.KindFramebuffer, "stage", fbBytes)
 		s.Mem.Place(st, mem.GPMID(g))
 		s.stageSeg = append(s.stageSeg, st)
 	}
@@ -459,8 +459,9 @@ type taskContext struct {
 
 // Ship performs the software data distribution of the sort-first/sort-last
 // frameworks: each referenced segment is copied into the GPM's DRAM, after
-// which the task's reads are local. Without Prefetch the task start moves
-// past the transfer.
+// which the task's reads are local. A persistent task skips every segment
+// the GPM already holds a copy of before sizing it: that copy is still
+// valid. Without Prefetch the task start moves past the transfer.
 func (c *taskContext) Ship() {
 	s, g, task := c.sys, c.gpm, &c.task
 	// The framework ships each object's texture *working set* — what
@@ -484,27 +485,20 @@ func (c *taskContext) Ship() {
 			s.shipBudget[orig] = want
 		}
 	}
+	resident := func(seg mem.SegmentID) bool { return task.ShipPersistent && s.Mem.HasCopy(g, seg) }
 	for _, p := range task.Parts {
-		// The framework distributes per *view region*: a strip covering
-		// both views ships (most of) both views' working sets even when
-		// SMP merges their shading — SMP saves compute, not data
-		// distribution.
-		views := 1.0
-		if p.Mode != pipeline.ModeSingleView {
-			views = 1.7
-		}
-		overfetch := s.opt.ShipOverfetch
-		if task.ShipExact {
-			// The OO middleware ships exactly what the batch samples,
-			// including the SMP inter-view overlap.
-			views = pipeline.ObjectMemVolumes(p.Object, p.Mode, 1, 1).FragsForTexture / p.Object.FragsPerView
-			overfetch = 1
-		}
+		want, sized := 0.0, false
 		for _, tid := range p.Object.Textures {
-			budget(s.texSeg[tid], views*p.Object.FragsPerView*s.opt.Cache.SampleBytesPerFragment*overfetch)
+			if seg := s.texSeg[tid]; !resident(seg) {
+				if !sized {
+					want, sized = s.shipTextureBytes(p, task.ShipExact), true
+				}
+				budget(seg, want)
+			}
 		}
-		vb := s.vbSeg[p.Object.Index]
-		budget(vb, float64(s.Mem.Segment(vb).Size))
+		if vb := s.vbSeg[p.Object.Index]; !resident(vb) {
+			budget(vb, float64(s.Mem.Segment(vb).Size))
+		}
 	}
 	// Reserve in segment-id order: FIFO resources book reservations in
 	// arrival order, so a stable order keeps the run's timings independent
@@ -513,7 +507,7 @@ func (c *taskContext) Ship() {
 	c.shipped = true
 	shipEnd := c.start
 	for _, orig := range ids {
-		s.ship(g, orig, s.shipBudget[orig], task.ShipPersistent, c.start, &shipEnd)
+		s.ship(g, orig, s.shipBudget[orig], c.start, &shipEnd)
 	}
 	s.shipIDs = ids[:0]
 	s.phases.Ship += shipEnd - c.start
@@ -524,6 +518,26 @@ func (c *taskContext) Ship() {
 	if !task.Prefetch {
 		c.start = shipEnd
 	}
+}
+
+// shipTextureBytes is the working set a framework ships of each texture
+// of part p: what the part's fragments will sample, times the overfetch.
+func (s *System) shipTextureBytes(p TaskPart, exact bool) float64 {
+	// The framework distributes per *view region*: a strip covering both
+	// views ships (most of) both views' working sets even when SMP merges
+	// their shading — SMP saves compute, not data distribution.
+	views := 1.0
+	if p.Mode != pipeline.ModeSingleView {
+		views = 1.7
+	}
+	overfetch := s.opt.ShipOverfetch
+	if exact {
+		// The OO middleware ships exactly what the batch samples,
+		// including the SMP inter-view overlap.
+		views = pipeline.ObjectMemVolumes(p.Object, p.Mode, 1, 1).FragsForTexture / p.Object.FragsPerView
+		overfetch = 1
+	}
+	return views * p.Object.FragsPerView * s.opt.Cache.SampleBytesPerFragment * overfetch
 }
 
 // Migrate performs OO-VR's PA-unit pre-allocation: the task's texture and
@@ -704,15 +718,13 @@ func (s *System) Run(g mem.GPMID, task Task) sim.Time {
 }
 
 // ship ensures GPM g holds a copy of orig (mem.System.Copy). The bulk
-// transfer is booked at time at and extends *end; it is skipped when the
-// copy is already valid (persistent residency from an earlier frame, or an
-// earlier ship in this frame). Copies persist across frames: their
-// capacity stays allocated.
-func (s *System) ship(g mem.GPMID, orig mem.SegmentID, budget float64, persistent bool, at sim.Time, end *sim.Time) {
+// transfer is booked at time at and extends *end; it is skipped when an
+// earlier ship in this frame made the copy valid (Ship skips persistent
+// copies itself). Copies persist across frames: their capacity stays
+// allocated.
+func (s *System) ship(g mem.GPMID, orig mem.SegmentID, budget float64, at sim.Time, end *sim.Time) {
 	gi := int(g)
-	if fresh := s.Mem.Copy(orig, g); persistent && !fresh {
-		return // content still valid from a previous frame
-	}
+	s.Mem.Copy(orig, g)
 	if s.shippedThisFrame(gi, orig) {
 		return // already transferred this frame
 	}

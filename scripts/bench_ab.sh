@@ -6,23 +6,32 @@
 #
 # For each of the five workloads BENCHMARK.json declares and each seed in
 # SEEDS it runs one pair of untraced oovrbench runs, one per tree, on the
-# same host. The side that goes first alternates from pair to pair, so a
-# drift in host speed loads both sides alike. Each tree builds its own
-# oovrbench from its own sources. Runs are appended to bench_ab/base.jsonl
-# and bench_ab/head.jsonl in the current directory, and the verdict table
-# goes to bench_ab/compare.txt.
+# same host; service_capacity runs one pair per seed in SERVICE_SEEDS. The
+# side that goes first alternates from pair to pair, so a drift in host
+# speed loads both sides alike. Each tree builds its own oovrbench from its
+# own sources. Runs are appended to bench_ab/base.jsonl and
+# bench_ab/head.jsonl in the current directory, and the verdict table goes
+# to bench_ab/compare.txt.
 #
 # Exits non-zero when a run fails or is not correct=true with failed=0, or
 # when `oovrbench compare` (run from HEAD_TREE, so with its BENCHMARK.json
 # bounds) calls any metric of any workload worse or unresolved.
 #
-# SEEDS (one pair each) and SECONDS_PER_RUN are fixed on purpose: they were
-# chosen from same-commit A/A runs, which must show no failing row, and
-# from seeded regressions, which must fail. Re-measure both before
-# changing them.
+# SEEDS, SERVICE_SEEDS (one pair each) and SECONDS_PER_RUN are fixed on
+# purpose: they were chosen from same-commit A/A runs, which must show no
+# failing row, and from seeded regressions, which must fail. Re-measure
+# both before changing them.
+#
+# service_capacity reports op_tail_ms at p99, which a neighbour's load on
+# a shared host inflates twofold or more in some runs. With 7 pairs the
+# parent's upper quartile is its second-highest run, so two such runs
+# leave the row unresolved; with 15 it is the fourth-highest. A longer run
+# would not add samples: the workload does one pass over its cells for
+# any --seconds below 18.
 set -euo pipefail
 
 SEEDS=(11 12 13 14 15 16 17) # one pair per seed
+SERVICE_SEEDS=("${SEEDS[@]}" 18 19 20 21 22 23 24 25)
 SECONDS_PER_RUN=6
 WORKLOADS=(figures service_capacity oovrd_hit oovrd_miss fleet_sweep)
 
@@ -51,16 +60,25 @@ run() {
     fi
 }
 
+# pair P WORKLOAD SEED: the P-th pair of a workload, base first when P is
+# even.
+pair() {
+    if (($1 % 2 == 0)); then
+        run base "$base" "$2" "$3"
+        run head "$head" "$2" "$3"
+    else
+        run head "$head" "$2" "$3"
+        run base "$base" "$2" "$3"
+    fi
+}
+
 for ((p = 0; p < ${#SEEDS[@]}; p++)); do
     for w in "${WORKLOADS[@]}"; do
-        if ((p % 2 == 0)); then
-            run base "$base" "$w" "${SEEDS[p]}"
-            run head "$head" "$w" "${SEEDS[p]}"
-        else
-            run head "$head" "$w" "${SEEDS[p]}"
-            run base "$base" "$w" "${SEEDS[p]}"
-        fi
+        pair "$p" "$w" "${SEEDS[p]}"
     done
+done
+for ((p = ${#SEEDS[@]}; p < ${#SERVICE_SEEDS[@]}; p++)); do
+    pair "$p" service_capacity "${SERVICE_SEEDS[p]}"
 done
 
 cd "$head"
