@@ -612,8 +612,9 @@ func (c *taskContext) Execute() sim.Time {
 		}
 	}
 	for _, p := range task.Parts {
-		work = work.Add(pipeline.ObjectWork(p.Object, p.Mode, p.GeomFrac, p.FragFrac))
-		mv := pipeline.ObjectMemVolumes(p.Object, p.Mode, p.GeomFrac, p.FragFrac)
+		pw := pipeline.ObjectWork(p.Object, p.Mode, p.GeomFrac, p.FragFrac)
+		mv := pipeline.WorkMemVolumes(p.Object, p.Mode, p.GeomFrac, pw)
+		work = work.Add(pw)
 
 		// Vertex fetch.
 		vb := s.vbSeg[p.Object.Index]

@@ -231,7 +231,13 @@ func ObjectWork(o *scene.Object, mode Mode, geomFrac, fragFrac float64) Work {
 
 // ObjectMemVolumes returns the memory volumes matching ObjectWork.
 func ObjectMemVolumes(o *scene.Object, mode Mode, geomFrac, fragFrac float64) MemVolumes {
-	w := ObjectWork(o, mode, geomFrac, fragFrac)
+	return WorkMemVolumes(o, mode, geomFrac, ObjectWork(o, mode, geomFrac, fragFrac))
+}
+
+// WorkMemVolumes returns the memory volumes of w, the work ObjectWork
+// returned for o in mode at geomFrac: a caller that needs both computes
+// the work once.
+func WorkMemVolumes(o *scene.Object, mode Mode, geomFrac float64, w Work) MemVolumes {
 	vertexReads := float64(o.VertexBytes()) * geomFrac
 	texFrags := w.Fragments
 	switch mode {

@@ -21,11 +21,23 @@
 //
 // Every /run and /service response carries X-Oovrd-Cache: hit|miss and
 // X-Oovrd-Spec-Hash: the spec's content address.
+//
+// A content address is hex(sha256(Canonical())), so a body whose own
+// SHA-256 is a cache key is that job's canonical encoding: /run, /service
+// and each /batch element look the raw body's digest up first and answer
+// a stored job of the endpoint's kind without decoding anything. The
+// kind check keeps /run from serving a ServiceSpec's bytes and /service a
+// RunSpec's. Decoding those bytes would reach the same key:
+// FuzzDecodeJobBytes (internal/spec) pins that canonical bytes decode,
+// keep their kind and re-canonicalize to themselves. Every other body
+// goes through its kind's strict decoder.
 package server
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -106,6 +118,9 @@ type entry struct {
 	done chan struct{}
 	body []byte
 	err  error
+	// service records the job kind, so a body answered by its own digest
+	// is only ever served by its kind's endpoint.
+	service bool
 }
 
 // Server is the oovrd HTTP handler.
@@ -141,14 +156,14 @@ func New(opt Options) *Server {
 		start: time.Now(),
 	}
 	s.sem = make(chan struct{}, s.opt.Workers)
-	s.mux.HandleFunc("/run", s.handleJob("POST a RunSpec", func(ctx context.Context, r io.Reader) ([]byte, string, bool, error) {
+	s.mux.HandleFunc("/run", s.handleJob("POST a RunSpec", false, func(ctx context.Context, r io.Reader) ([]byte, string, bool, error) {
 		rs, err := spec.Decode(r)
 		if err != nil {
 			return nil, "", false, err
 		}
 		return s.Result(ctx, rs)
 	}))
-	s.mux.HandleFunc("/service", s.handleJob("POST a ServiceSpec", func(ctx context.Context, r io.Reader) ([]byte, string, bool, error) {
+	s.mux.HandleFunc("/service", s.handleJob("POST a ServiceSpec", true, func(ctx context.Context, r io.Reader) ([]byte, string, bool, error) {
 		sp, err := spec.DecodeService(r)
 		if err != nil {
 			return nil, "", false, err
@@ -282,18 +297,11 @@ func (s *Server) answer(ctx context.Context, j spec.Job, hash string) (body []by
 	s.mu.Lock()
 	if e, ok := s.cache[hash]; ok {
 		s.mu.Unlock()
-		s.waitDone(e)
-		if e.err == nil {
-			// Counted only when stored bytes actually answer the
-			// submission; a follower of a failed in-flight run gets the
-			// error and lands under Errors instead.
-			s.mu.Lock()
-			s.stats.CacheHits++
-			s.mu.Unlock()
-		}
-		return e.body, true, e.err
+		body, err = s.serve(e)
+		return body, true, err
 	}
-	e := &entry{done: make(chan struct{})}
+	_, service := j.(spec.ServiceSpec)
+	e := &entry{done: make(chan struct{}), service: service}
 	s.cache[hash] = e
 	s.stats.CacheMisses++
 	s.mu.Unlock()
@@ -310,6 +318,39 @@ func (s *Server) answer(ctx context.Context, j spec.Job, hash string) (body []by
 	s.mu.Unlock()
 	close(e.done)
 	return e.body, false, e.err
+}
+
+// byDigest answers raw from the cache when raw is itself the canonical
+// encoding of a stored job of the given kind: it looks the hex SHA-256 of
+// raw up as a content address. hit is false when no such entry is stored;
+// the caller then decodes raw.
+func (s *Server) byDigest(raw []byte, service bool) (body []byte, hash string, hit bool, err error) {
+	sum := sha256.Sum256(raw)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	s.mu.Lock()
+	e, ok := s.cache[string(key[:])]
+	s.mu.Unlock()
+	if !ok || e.service != service {
+		return nil, "", false, nil
+	}
+	body, err = s.serve(e)
+	return body, string(key[:]), true, err
+}
+
+// serve answers a submission from a cache entry, waiting for its run when
+// it is still in flight.
+func (s *Server) serve(e *entry) ([]byte, error) {
+	s.waitDone(e)
+	if e.err == nil {
+		// Counted only when stored bytes actually answer the submission;
+		// a follower of a failed in-flight run gets the error and lands
+		// under Errors instead.
+		s.mu.Lock()
+		s.stats.CacheHits++
+		s.mu.Unlock()
+	}
+	return e.body, e.err
 }
 
 // waitDone blocks until e's run finishes, counting the wait when the run
@@ -438,17 +479,31 @@ func resolve(j spec.Job) (func() (encoder, error), error) {
 	return nil, fmt.Errorf("server: unknown job kind")
 }
 
-// handleJob returns the POST handler /run and /service share. answer
-// decodes one spec with its kind's strict decoder and runs it through the
-// job path; the reply carries the body and the cache headers, or an error
+// handleJob returns the POST handler /run and /service share. It reads the
+// body once, under the size bound, and answers a stored job of its kind
+// (service) by the body's own digest. Any other body goes to answer, which
+// decodes it with the kind's strict decoder and runs it through the job
+// path. The reply carries the body and the cache headers, or an error
 // element: 400 for a bad submission, 500 for a server-side failure.
-func (s *Server) handleJob(usage string, answer func(context.Context, io.Reader) ([]byte, string, bool, error)) http.HandlerFunc {
+func (s *Server) handleJob(usage string, service bool, answer func(context.Context, io.Reader) ([]byte, string, bool, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, usage, http.StatusMethodNotAllowed)
 			return
 		}
-		body, hash, hit, err := answer(r.Context(), http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		raw, rerr := readBody(http.MaxBytesReader(w, r.Body, maxSpecBytes), r.ContentLength)
+		var (
+			body []byte
+			hash string
+			hit  bool
+			err  error
+		)
+		if rerr == nil {
+			body, hash, hit, err = s.byDigest(raw, service)
+		}
+		if !hit {
+			body, hash, hit, err = answer(r.Context(), replay(raw, rerr))
+		}
 		if err != nil {
 			code := http.StatusBadRequest
 			if IsExecError(err) {
@@ -467,6 +522,31 @@ func (s *Server) handleJob(usage string, answer func(context.Context, io.Reader)
 		w.Write(body)
 	}
 }
+
+// readBody reads a whole request body into a buffer presized from its
+// declared length n (-1 when unknown), capped at maxSpecBytes.
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	var buf bytes.Buffer
+	// ReadFrom keeps MinRead bytes free for each read, so a body of the
+	// declared length fits without growing.
+	buf.Grow(int(min(max(n, 0), maxSpecBytes)) + bytes.MinRead)
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// replay reads back what readBody delivered, then the error that cut the
+// read short, so the strict decoder words an oversized body the way it
+// does when it reads the request itself.
+func replay(raw []byte, err error) io.Reader {
+	if err == nil {
+		return bytes.NewReader(raw)
+	}
+	return io.MultiReader(bytes.NewReader(raw), errReader{err})
+}
+
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // handleBatch serves POST /batch: the elements fan out across the worker
 // pool (the shared par.ForEach primitive) and the response array keeps
@@ -493,15 +573,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	out := make([]json.RawMessage, len(raw))
 	par.ForEach(s.opt.Workers, len(raw), func(i int) {
-		rs, err := spec.Decode(bytes.NewReader(raw[i]))
-		if err == nil {
-			var body []byte
-			// One disconnected batch submitter abandons all of its
-			// still-unstarted elements at once: they share its context.
-			if body, _, _, err = s.Result(r.Context(), rs); err == nil {
-				out[i] = body
-				return
+		// Each element of a -dump-spec array is canonical bytes, which a
+		// warm cache answers by their digest.
+		body, _, hit, err := s.byDigest(raw[i], false)
+		if !hit {
+			var rs spec.RunSpec
+			if rs, err = spec.Decode(bytes.NewReader(raw[i])); err == nil {
+				// One disconnected batch submitter abandons all of its
+				// still-unstarted elements at once: they share its context.
+				body, _, _, err = s.Result(r.Context(), rs)
 			}
+		}
+		if err == nil {
+			out[i] = body
+			return
 		}
 		s.countError()
 		msg, _ := json.Marshal(map[string]string{"error": err.Error()})
