@@ -84,6 +84,9 @@ func main() {
 	if *specPath != "" {
 		applyTemplate(&opt, *specPath)
 	}
+	if opt.Frames < 0 {
+		fail(fmt.Errorf("frames %d: must be positive (0: per-experiment default)", opt.Frames))
+	}
 	if *topology != "" {
 		// The flag wins over a -spec template's hardware, like the other
 		// explicit flags.

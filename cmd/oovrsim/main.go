@@ -367,11 +367,12 @@ func printLinks(m multigpu.Metrics) {
 	}
 }
 
-// dump prints the runnable spec(s) as JSON — a single indented object for
-// one run, an array for -all — ready for oovrd's /run or /batch.
+// dump prints the runnable spec(s) as JSON — one canonical object for one
+// run, an array for -all — ready for oovrd's /run or /batch. A single spec's
+// bytes are its content address, so oovrd answers a cached one by digest.
 func dump(specs []spec.RunSpec, many bool) {
 	if !many {
-		b, err := specs[0].Indent()
+		b, err := specs[0].Canonical()
 		if err != nil {
 			fail(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"oovr/internal/core"
+	"oovr/internal/multigpu"
 	"oovr/internal/spec"
 	"oovr/internal/stats"
 )
@@ -80,13 +81,8 @@ func A4TSLSweep(o Options) stats.Figure {
 			v := core.NewOOVR()
 			v.Middleware.TSLThreshold = th
 			v.Middleware.TriangleCap = cap
-			ratios := make([]float64, len(o.Cases))
-			o.forEach(len(o.Cases), func(ci int) {
-				m := o.runCase(o.Cases[ci], "oovr", oovrParams(v), o.sysOptions(), o.Frames, o.Seed)
-				ratios[ci] = base[ci] / m.AvgFrameLatency()
-			})
 			labels = append(labels, fmt.Sprintf("th%.1f/cap%d", th, cap))
-			vals = append(vals, stats.GeoMean(ratios))
+			vals = append(vals, stats.GeoMean(ratio(base, oovrLatencies(o, v))))
 		}
 	}
 	fig := stats.Figure{
@@ -99,12 +95,11 @@ func A4TSLSweep(o Options) stats.Figure {
 }
 
 func baselineLatencies(o Options) []float64 {
-	o = o.defaults()
-	base := make([]float64, len(o.Cases))
-	o.forEach(len(o.Cases), func(ci int) {
-		base[ci] = o.runCase(o.Cases[ci], "baseline", nil, o.sysOptions(), o.Frames, o.Seed).AvgFrameLatency()
-	})
-	return base
+	return each(o.perCase("baseline", nil, o.sysOptions()), multigpu.Metrics.AvgFrameLatency)
+}
+
+func oovrLatencies(o Options, v core.OOVR) []float64 {
+	return each(o.perCase("oovr", oovrParams(v), o.sysOptions()), multigpu.Metrics.AvgFrameLatency)
 }
 
 func ablationFigure(o Options, id, caption string, variants map[string]core.OOVR) stats.Figure {
@@ -112,13 +107,7 @@ func ablationFigure(o Options, id, caption string, variants map[string]core.OOVR
 	base := baselineLatencies(o)
 	fig := stats.Figure{ID: id, Caption: caption, XLabels: o.caseNames()}
 	for _, name := range stats.SortedKeys(variants) {
-		v := variants[name]
-		vals := make([]float64, len(o.Cases))
-		o.forEach(len(o.Cases), func(ci int) {
-			m := o.runCase(o.Cases[ci], "oovr", oovrParams(v), o.sysOptions(), o.Frames, o.Seed)
-			vals[ci] = base[ci] / m.AvgFrameLatency()
-		})
-		fig.AddSeries(name, vals)
+		fig.AddSeries(name, ratio(base, oovrLatencies(o, variants[name])))
 	}
 	return fig
 }

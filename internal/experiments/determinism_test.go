@@ -345,9 +345,10 @@ func TestGoldenSchedulerDeterminism(t *testing.T) {
 	if !ok {
 		t.Fatal("missing benchmark case")
 	}
+	o := Options{Frames: 4, Seed: 1, Cases: []workload.Case{c}}
 	for _, s := range ComparisonSchedulers() {
-		a := runCase(c, s, nil, multigpu.DefaultOptions(), 4, 1)
-		b := runCase(c, s, nil, multigpu.DefaultOptions(), 4, 1)
+		a := o.perCase(s, nil, multigpu.DefaultOptions())[0]
+		b := o.perCase(s, nil, multigpu.DefaultOptions())[0]
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: two identical runs diverged:\n  %+v\nvs\n  %+v", s, a, b)
 		}
@@ -355,32 +356,19 @@ func TestGoldenSchedulerDeterminism(t *testing.T) {
 }
 
 // TestParallelMatchesSerial is the harness half of the determinism
-// guarantee: a Parallel > 1 figure run must be byte-identical to the
-// serial run.
+// guarantee: a Parallel > 1 run of every figure must be byte-identical to
+// the serial run.
 func TestParallelMatchesSerial(t *testing.T) {
 	c1, _ := workload.CaseByName("DM3-640")
 	c2, _ := workload.CaseByName("HL2-1280")
-	serial := Options{Frames: 2, Seed: 1, Cases: []workload.Case{c1, c2}}
+	serial := Options{Frames: 1, Seed: 1, Cases: []workload.Case{c1, c2}}
 	parallel := serial
 	parallel.Parallel = 4
-
-	type figFn struct {
-		name string
-		fn   func(Options) interface{}
-	}
-	figs := []figFn{
-		{"E0", func(o Options) interface{} { return E0SMPValidation(o) }},
-		{"F4", func(o Options) interface{} { return F4Bandwidth(o) }},
-		{"F9", func(o Options) interface{} { return F9SFRTraffic(o) }},
-		{"F16", func(o Options) interface{} { return F16Traffic(o) }},
-		{"F18", func(o Options) interface{} { return F18GPMScaling(o) }},
-		{"BRK", func(o Options) interface{} { return TrafficBreakdown(o) }},
-	}
-	for _, f := range figs {
+	for _, f := range specFigures {
 		want := f.fn(serial)
 		got := f.fn(parallel)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: parallel run diverged from serial:\n  %+v\nvs\n  %+v", f.name, got, want)
+			t.Errorf("%s: parallel run diverged from serial:\n  %+v\nvs\n  %+v", f.id, got, want)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"oovr/internal/core"
 	"oovr/internal/driver"
 	"oovr/internal/multigpu"
+	"oovr/internal/par"
 	"oovr/internal/pipeline"
 	"oovr/internal/scene"
 	"oovr/internal/service"
@@ -102,34 +103,54 @@ func caseSpec(c workload.Case, scheduler string, params json.RawMessage, sysOpt 
 	}
 }
 
-// runCase renders one benchmark case under one scheduling policy and
-// system option set, resolved and executed through the spec layer (the
-// frame-driver execution core underneath is unchanged).
-func runCase(c workload.Case, scheduler string, params json.RawMessage, sysOpt multigpu.Options, frames int, seed int64) multigpu.Metrics {
-	m, err := caseSpec(c, scheduler, params, sysOpt, frames, seed).Run()
-	if err != nil {
-		// The harness's names and params are static; a failure here is a
-		// programming error, not an input error.
-		panic(err)
+// perCase renders every case of o under one scheduler, factory params and
+// system option set, at o.Frames and o.Seed, and returns the Metrics by
+// case index. It is the figures' one execution funnel: o.Runner (a fleet, a
+// recorder) when set, the in-process spec layer otherwise. The cases spread
+// across o.Parallel workers; each binds its own multigpu.System — workload
+// generation and the simulator share no mutable state across cases — and
+// lands at its own index, so any Parallel value produces output identical
+// to a serial run. A failure panics: the harness submits only specs it
+// built itself, so the remaining causes (fleet quarantine, integrity
+// mismatch, a dead coordinator) all invalidate the figure.
+func (o Options) perCase(scheduler string, params json.RawMessage, sysOpt multigpu.Options) []multigpu.Metrics {
+	run := o.Runner
+	if run == nil {
+		run = spec.RunSpec.Run
 	}
-	return m
+	ms := make([]multigpu.Metrics, len(o.Cases))
+	par.ForEach(o.Parallel, len(o.Cases), func(ci int) {
+		m, err := run(caseSpec(o.Cases[ci], scheduler, params, sysOpt, o.Frames, o.Seed))
+		if err != nil {
+			panic(err)
+		}
+		ms[ci] = m
+	})
+	return ms
 }
 
-// runCase is the figures' execution funnel: local spec-layer execution by
-// default, or o.Runner (a fleet, a recorder) when set. A Runner failure is
-// fatal for the same reason a local one is — the harness submits only
-// specs it built itself, so the remaining causes (fleet quarantine,
-// integrity mismatch, a dead coordinator) all invalidate the figure.
-func (o Options) runCase(c workload.Case, scheduler string, params json.RawMessage, sysOpt multigpu.Options, frames int, seed int64) multigpu.Metrics {
-	if o.Runner == nil {
-		return runCase(c, scheduler, params, sysOpt, frames, seed)
+// each reads one metric off every run.
+func each(ms []multigpu.Metrics, metric func(multigpu.Metrics) float64) []float64 {
+	out := make([]float64, len(ms))
+	for i, m := range ms {
+		out[i] = metric(m)
 	}
-	m, err := o.Runner(caseSpec(c, scheduler, params, sysOpt, frames, seed))
-	if err != nil {
-		panic(err)
-	}
-	return m
+	return out
 }
+
+// ratio divides num by den index by index. It is plain division, unlike
+// stats.Normalize: a zero base (no inter-GPM bytes on a one-GPM template)
+// prints as Inf or NaN instead of panicking.
+func ratio(num, den []float64) []float64 {
+	out := make([]float64, len(num))
+	for i := range num {
+		out[i] = num[i] / den[i]
+	}
+	return out
+}
+
+func totalCycles(m multigpu.Metrics) float64   { return m.TotalCycles }
+func interGPMBytes(m multigpu.Metrics) float64 { return m.InterGPMBytes }
 
 // plannerLabel resolves a registered scheduler to its figure label.
 func plannerLabel(name string) string {
@@ -210,25 +231,20 @@ func E0SMPValidation(o Options) stats.Figure {
 	sysOpt := o.sysOptions()
 	sysOpt.Config = sysOpt.Config.WithGPMs(1)
 
-	labels := append(o.caseNames(), "Sponza", "SanMiguel")
-	fig := stats.Figure{
-		ID:      "Section 3 (SMP validation)",
-		Caption: "single-GPU speedup of SMP stereo over sequential stereo (paper: 1.27x)",
-		XLabels: labels,
-	}
-	cases := append([]workload.Case(nil), o.Cases...)
+	o.Cases = append([]workload.Case(nil), o.Cases...)
 	for _, name := range []string{"Sponza", "SanMiguel"} {
 		sp := workload.ValidationSpec(name)
 		r := sp.Resolutions[0]
-		cases = append(cases, workload.Case{Name: name, Spec: sp, Width: r[0], Height: r[1]})
+		o.Cases = append(o.Cases, workload.Case{Name: name, Spec: sp, Width: r[0], Height: r[1]})
 	}
-	speedups := make([]float64, len(cases))
-	o.forEach(len(cases), func(ci int) {
-		seq := o.runCase(cases[ci], "single", json.RawMessage(`{"Mode": "sequential"}`), sysOpt, o.Frames, o.Seed)
-		smp := o.runCase(cases[ci], "single", json.RawMessage(`{"Mode": "smp"}`), sysOpt, o.Frames, o.Seed)
-		speedups[ci] = seq.TotalCycles / smp.TotalCycles
-	})
-	fig.AddSeries("SMP speedup", speedups)
+	fig := stats.Figure{
+		ID:      "Section 3 (SMP validation)",
+		Caption: "single-GPU speedup of SMP stereo over sequential stereo (paper: 1.27x)",
+		XLabels: o.caseNames(),
+	}
+	seq := o.perCase("single", json.RawMessage(`{"Mode": "sequential"}`), sysOpt)
+	smp := o.perCase("single", json.RawMessage(`{"Mode": "smp"}`), sysOpt)
+	fig.AddSeries("SMP speedup", ratio(each(seq, totalCycles), each(smp, totalCycles)))
 	return fig
 }
 
@@ -284,19 +300,15 @@ func F4Bandwidth(o Options) stats.Figure {
 		XLabels: o.caseNames(),
 	}
 	bws := []float64{1024, 256, 128, 64, 32}
-	ref := make([]float64, len(o.Cases))
-	for bi, bw := range bws {
+	var ref []float64
+	for _, bw := range bws {
 		sysOpt := o.sysOptions()
 		sysOpt.Config = sysOpt.Config.WithLinkGBs(bw)
-		vals := make([]float64, len(o.Cases))
-		o.forEach(len(o.Cases), func(ci int) {
-			m := o.runCase(o.Cases[ci], "baseline", nil, sysOpt, o.Frames, o.Seed)
-			if bi == 0 {
-				ref[ci] = m.TotalCycles
-			}
-			vals[ci] = ref[ci] / m.TotalCycles
-		})
-		fig.AddSeries(bwLabel(bw), vals)
+		cycles := each(o.perCase("baseline", nil, sysOpt), totalCycles)
+		if ref == nil {
+			ref = cycles
+		}
+		fig.AddSeries(bwLabel(bw), ratio(ref, cycles))
 	}
 	return fig
 }
@@ -323,16 +335,11 @@ func F7AFR(o Options) stats.Figure {
 		Caption: "AFR vs baseline: overall performance (paper 1.67x) and single-frame latency (paper 1.59x)",
 		XLabels: o.caseNames(),
 	}
-	perf := make([]float64, len(o.Cases))
-	lat := make([]float64, len(o.Cases))
-	o.forEach(len(o.Cases), func(ci int) {
-		base := o.runCase(o.Cases[ci], "baseline", nil, o.sysOptions(), o.Frames, o.Seed)
-		afr := o.runCase(o.Cases[ci], "afr", nil, o.sysOptions(), o.Frames, o.Seed)
-		perf[ci] = base.FPSCycles() / afr.FPSCycles()
-		lat[ci] = afr.AvgFrameLatency() / base.AvgFrameLatency()
-	})
-	fig.AddSeries("Overall performance", perf)
-	fig.AddSeries("Single frame latency", lat)
+	base := o.perCase("baseline", nil, o.sysOptions())
+	afr := o.perCase("afr", nil, o.sysOptions())
+	fps, lat := multigpu.Metrics.FPSCycles, multigpu.Metrics.AvgFrameLatency
+	fig.AddSeries("Overall performance", ratio(each(base, fps), each(afr, fps)))
+	fig.AddSeries("Single frame latency", ratio(each(afr, lat), each(base, lat)))
 	return fig
 }
 
@@ -346,17 +353,9 @@ func F8SFRPerformance(o Options) stats.Figure {
 		Caption: "SFR performance normalized to baseline (paper: V 1.28x, H 1.03x, Object 1.60x)",
 		XLabels: o.caseNames(),
 	}
-	schemes := []string{"tilev", "tileh", "object"}
-	base := make([]float64, len(o.Cases))
-	o.forEach(len(o.Cases), func(ci int) {
-		base[ci] = o.runCase(o.Cases[ci], "baseline", nil, o.sysOptions(), o.Frames, o.Seed).FPSCycles()
-	})
-	for _, s := range schemes {
-		vals := make([]float64, len(o.Cases))
-		o.forEach(len(o.Cases), func(ci int) {
-			vals[ci] = base[ci] / o.runCase(o.Cases[ci], s, nil, o.sysOptions(), o.Frames, o.Seed).FPSCycles()
-		})
-		fig.AddSeries(plannerLabel(s), vals)
+	base := each(o.perCase("baseline", nil, o.sysOptions()), multigpu.Metrics.FPSCycles)
+	for _, s := range []string{"tilev", "tileh", "object"} {
+		fig.AddSeries(plannerLabel(s), ratio(base, each(o.perCase(s, nil, o.sysOptions()), multigpu.Metrics.FPSCycles)))
 	}
 	return fig
 }
@@ -371,17 +370,9 @@ func F9SFRTraffic(o Options) stats.Figure {
 		Caption: "SFR inter-GPM traffic normalized to baseline (paper: V 1.50x, H 1.44x, Object 0.60x)",
 		XLabels: o.caseNames(),
 	}
-	schemes := []string{"tilev", "tileh", "object"}
-	base := make([]float64, len(o.Cases))
-	o.forEach(len(o.Cases), func(ci int) {
-		base[ci] = o.runCase(o.Cases[ci], "baseline", nil, o.sysOptions(), o.Frames, o.Seed).InterGPMBytes
-	})
-	for _, s := range schemes {
-		vals := make([]float64, len(o.Cases))
-		o.forEach(len(o.Cases), func(ci int) {
-			vals[ci] = o.runCase(o.Cases[ci], s, nil, o.sysOptions(), o.Frames, o.Seed).InterGPMBytes / base[ci]
-		})
-		fig.AddSeries(plannerLabel(s), vals)
+	base := each(o.perCase("baseline", nil, o.sysOptions()), interGPMBytes)
+	for _, s := range []string{"tilev", "tileh", "object"} {
+		fig.AddSeries(plannerLabel(s), ratio(each(o.perCase(s, nil, o.sysOptions()), interGPMBytes), base))
 	}
 	return fig
 }
@@ -395,11 +386,7 @@ func F10Imbalance(o Options) stats.Figure {
 		Caption: "object-level SFR best-to-worst GPM busy ratio (paper: 1.2-2.4)",
 		XLabels: o.caseNames(),
 	}
-	vals := make([]float64, len(o.Cases))
-	o.forEach(len(o.Cases), func(ci int) {
-		vals[ci] = o.runCase(o.Cases[ci], "object", nil, o.sysOptions(), o.Frames, o.Seed).BestToWorstBusyRatio()
-	})
-	fig.AddSeries("Best-to-worst ratio", vals)
+	fig.AddSeries("Best-to-worst ratio", each(o.perCase("object", nil, o.sysOptions()), multigpu.Metrics.BestToWorstBusyRatio))
 	return fig
 }
 
@@ -414,16 +401,9 @@ func F15Speedup(o Options) stats.Figure {
 		Caption: "single-frame speedup over baseline (paper: OO_APP ~1.99x, OOVR ~2.58x)",
 		XLabels: o.caseNames(),
 	}
-	base := make([]float64, len(o.Cases))
-	o.forEach(len(o.Cases), func(ci int) {
-		base[ci] = o.runCase(o.Cases[ci], "baseline", nil, o.sysOptions(), o.Frames, o.Seed).AvgFrameLatency()
-	})
+	base := baselineLatencies(o)
 	addNormalized := func(name, sched string, sysOpt multigpu.Options) {
-		vals := make([]float64, len(o.Cases))
-		o.forEach(len(o.Cases), func(ci int) {
-			vals[ci] = base[ci] / o.runCase(o.Cases[ci], sched, nil, sysOpt, o.Frames, o.Seed).AvgFrameLatency()
-		})
-		fig.AddSeries(name, vals)
+		fig.AddSeries(name, ratio(base, each(o.perCase(sched, nil, sysOpt), multigpu.Metrics.AvgFrameLatency)))
 	}
 	addNormalized("Object-Level", "object", o.sysOptions())
 	addNormalized("Frame-Level", "afr", o.sysOptions())
@@ -445,17 +425,10 @@ func F16Traffic(o Options) stats.Figure {
 		Caption: "inter-GPM traffic normalized to baseline (paper: Object 0.60x, OOVR 0.24x)",
 		XLabels: o.caseNames(),
 	}
-	base := make([]float64, len(o.Cases))
-	o.forEach(len(o.Cases), func(ci int) {
-		base[ci] = o.runCase(o.Cases[ci], "baseline", nil, o.sysOptions(), o.Frames, o.Seed).InterGPMBytes
-	})
+	base := each(o.perCase("baseline", nil, o.sysOptions()), interGPMBytes)
 	fig.AddSeries("Baseline", stats.Normalize(base, base))
 	for _, s := range []string{"object", "oovr"} {
-		vals := make([]float64, len(o.Cases))
-		o.forEach(len(o.Cases), func(ci int) {
-			vals[ci] = o.runCase(o.Cases[ci], s, nil, o.sysOptions(), o.Frames, o.Seed).InterGPMBytes / base[ci]
-		})
-		fig.AddSeries(plannerLabel(s), vals)
+		fig.AddSeries(plannerLabel(s), ratio(each(o.perCase(s, nil, o.sysOptions()), interGPMBytes), base))
 	}
 	return fig
 }
@@ -474,21 +447,13 @@ func F17BandwidthScaling(o Options) stats.Figure {
 	// Reference: baseline at 64 GB/s, averaged over cases.
 	refOpt := o.sysOptions()
 	refOpt.Config = refOpt.Config.WithLinkGBs(64)
-	ref := make([]float64, len(o.Cases))
-	o.forEach(len(o.Cases), func(ci int) {
-		ref[ci] = o.runCase(o.Cases[ci], "baseline", nil, refOpt, o.Frames, o.Seed).TotalCycles
-	})
+	ref := each(o.perCase("baseline", nil, refOpt), totalCycles)
 	for _, s := range []string{"baseline", "object", "oovr"} {
 		vals := make([]float64, len(bws))
 		for bi, bw := range bws {
 			sysOpt := o.sysOptions()
 			sysOpt.Config = sysOpt.Config.WithLinkGBs(bw)
-			ratios := make([]float64, len(o.Cases))
-			o.forEach(len(o.Cases), func(ci int) {
-				m := o.runCase(o.Cases[ci], s, nil, sysOpt, o.Frames, o.Seed)
-				ratios[ci] = ref[ci] / m.TotalCycles
-			})
-			vals[bi] = stats.GeoMean(ratios)
+			vals[bi] = stats.GeoMean(ratio(ref, each(o.perCase(s, nil, sysOpt), totalCycles)))
 		}
 		fig.AddSeries(plannerLabel(s), vals)
 	}
@@ -509,21 +474,13 @@ func F18GPMScaling(o Options) stats.Figure {
 	// Single-GPU reference per case (SMP rendering on one GPM).
 	oneOpt := o.sysOptions()
 	oneOpt.Config = oneOpt.Config.WithGPMs(1)
-	ref := make([]float64, len(o.Cases))
-	o.forEach(len(o.Cases), func(ci int) {
-		ref[ci] = o.runCase(o.Cases[ci], "single", nil, oneOpt, o.Frames, o.Seed).TotalCycles
-	})
+	ref := each(o.perCase("single", nil, oneOpt), totalCycles)
 	for _, s := range []string{"baseline", "object", "oovr"} {
 		vals := make([]float64, len(counts))
 		for ni, n := range counts {
 			sysOpt := o.sysOptions()
 			sysOpt.Config = sysOpt.Config.WithGPMs(n)
-			ratios := make([]float64, len(o.Cases))
-			o.forEach(len(o.Cases), func(ci int) {
-				m := o.runCase(o.Cases[ci], s, nil, sysOpt, o.Frames, o.Seed)
-				ratios[ci] = ref[ci] / m.TotalCycles
-			})
-			vals[ni] = stats.GeoMean(ratios)
+			vals[ni] = stats.GeoMean(ratio(ref, each(o.perCase(s, nil, sysOpt), totalCycles)))
 		}
 		fig.AddSeries(plannerLabel(s), vals)
 	}
@@ -554,12 +511,8 @@ func TrafficBreakdown(o Options) stats.Figure {
 		Caption: "OO-VR residual inter-GPM bytes by class (fraction of scheme total)",
 		XLabels: []string{"texture", "vertex", "depth", "composition", "command"},
 	}
-	ms := make([]multigpu.Metrics, len(o.Cases))
-	o.forEach(len(o.Cases), func(ci int) {
-		ms[ci] = o.runCase(o.Cases[ci], "oovr", nil, o.sysOptions(), o.Frames, o.Seed)
-	})
 	var sums [5]float64
-	for _, m := range ms {
+	for _, m := range o.perCase("oovr", nil, o.sysOptions()) {
 		tot := m.InterGPMBytes
 		if tot == 0 {
 			continue

@@ -2,10 +2,38 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"oovr/internal/multigpu"
+	"oovr/internal/spec"
+	"oovr/internal/stats"
 	"oovr/internal/workload"
 )
+
+// specFigures are the figures that run RunSpecs, in the order oovrfigures
+// prints them: every experiment but FS and the tables.
+var specFigures = []struct {
+	id string
+	fn func(Options) stats.Figure
+}{
+	{"E0", E0SMPValidation},
+	{"F4", F4Bandwidth},
+	{"F7", F7AFR},
+	{"F8", F8SFRPerformance},
+	{"F9", F9SFRTraffic},
+	{"F10", F10Imbalance},
+	{"F15", F15Speedup},
+	{"F16", F16Traffic},
+	{"F17", F17BandwidthScaling},
+	{"F18", F18GPMScaling},
+	{"FT", FTopology},
+	{"BRK", TrafficBreakdown},
+	{"A1", A1NoBatching},
+	{"A2", A2NoPredictor},
+	{"A3", A3NoDHC},
+	{"A4", A4TSLSweep},
+}
 
 // fastOptions keeps harness tests quick: one small case, two frames.
 func fastOptions() Options {
@@ -223,5 +251,50 @@ func TestA4SweepCoversPaperConstant(t *testing.T) {
 func TestBwLabel(t *testing.T) {
 	if bwLabel(1024) != "1TB/s" || bwLabel(64) != "64GB/s" {
 		t.Errorf("bwLabel wrong: %s %s", bwLabel(1024), bwLabel(64))
+	}
+}
+
+// TestHarnessRunCounts pins how many runs each figure requests at default
+// Options, and how many of them are distinct RunSpecs, through a Runner that
+// counts content addresses and simulates nothing. The whole cycle's 985 runs
+// (661 distinct) are the op count of the figures benchmark workload.
+func TestHarnessRunCounts(t *testing.T) {
+	want := map[string][2]int{ // id: runs, distinct
+		"E0": {22, 22}, "F4": {45, 45}, "F7": {18, 18}, "F8": {36, 36},
+		"F9": {36, 36}, "F10": {9, 9}, "F15": {54, 54}, "F16": {27, 27},
+		"F17": {117, 108}, "F18": {117, 117}, "FT": {270, 270}, "BRK": {9, 9},
+		"A1": {27, 27}, "A2": {27, 27}, "A3": {27, 27}, "A4": {144, 144},
+	}
+	fixed := multigpu.Metrics{
+		TotalCycles: 1, Frames: 1, FrameLatencies: []float64{1},
+		GPMBusyCycles: []float64{1, 1}, InterGPMBytes: 1,
+	}
+	var mu sync.Mutex
+	var runs int
+	var figure map[string]bool
+	all := map[string]bool{}
+	o := Options{Runner: func(rs spec.RunSpec) (multigpu.Metrics, error) {
+		h, err := rs.Hash()
+		if err != nil {
+			return multigpu.Metrics{}, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		runs++
+		figure[h] = true
+		all[h] = true
+		return fixed, nil
+	}}
+	total := 0
+	for _, f := range specFigures {
+		runs, figure = 0, map[string]bool{}
+		f.fn(o)
+		if got := [2]int{runs, len(figure)}; got != want[f.id] {
+			t.Errorf("%s: %d runs, %d distinct; want %d, %d", f.id, got[0], got[1], want[f.id][0], want[f.id][1])
+		}
+		total += runs
+	}
+	if total != 985 || len(all) != 661 {
+		t.Errorf("whole cycle: %d runs, %d distinct; want 985, 661", total, len(all))
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"strconv"
 
+	"oovr/internal/par"
 	"oovr/internal/service"
 	"oovr/internal/spec"
 	"oovr/internal/stats"
@@ -43,11 +44,11 @@ func fsSpec(scheduler string, seed int64) spec.ServiceSpec {
 	}
 }
 
-// runService is the serving analogue of runCase: in-process service.Run by
+// runService is the serving analogue of perCase: in-process service.Run by
 // default, or o.ServiceRunner (a fleet) when set. Reports are
 // content-addressed per cell, so a remote runner returns byte-identical
 // cells to a local one, and a failure invalidates the figure the same way a
-// runCase failure does.
+// perCase failure does.
 func (o Options) runService(sp spec.ServiceSpec) service.Report {
 	var rep service.Report
 	var err error
@@ -85,7 +86,7 @@ func FSCapacity(o Options) stats.Figure {
 	}
 	scheds := fsServiceSchedulers()
 	reports := make([]service.Report, len(scheds))
-	o.forEach(len(scheds), func(si int) {
+	par.ForEach(o.Parallel, len(scheds), func(si int) {
 		reports[si] = o.runService(fsSpec(scheds[si], o.Seed))
 	})
 	lambdas := fsLambdas()

@@ -36,16 +36,11 @@ func FTopology(o Options) stats.Figure {
 		for bi, bw := range bws {
 			sysOpt := o.sysOptions()
 			sysOpt.Config = sysOpt.Config.WithTopology(tn).WithLinkGBs(bw)
-			ratios := make([]float64, len(o.Cases))
-			peaks := make([]float64, len(o.Cases))
-			o.forEach(len(o.Cases), func(ci int) {
-				base := o.runCase(o.Cases[ci], "baseline", nil, sysOpt, o.Frames, o.Seed)
-				vr := o.runCase(o.Cases[ci], "oovr", nil, sysOpt, o.Frames, o.Seed)
-				ratios[ci] = base.AvgFrameLatency() / vr.AvgFrameLatency()
-				peaks[ci] = peakLinkUtil(vr)
-			})
-			vals[bi] = stats.GeoMean(ratios)
-			occs[bi] = stats.Mean(peaks)
+			base := o.perCase("baseline", nil, sysOpt)
+			vr := o.perCase("oovr", nil, sysOpt)
+			lat := multigpu.Metrics.AvgFrameLatency
+			vals[bi] = stats.GeoMean(ratio(each(base, lat), each(vr, lat)))
+			occs[bi] = stats.Mean(each(vr, peakLinkUtil))
 		}
 		fig.AddSeries(tn, vals)
 		// The hottest link's occupancy under OO-VR explains the speedup

@@ -406,17 +406,3 @@ func EncodeArray[J Job](specs []J) ([]byte, error) {
 	buf.WriteString("]\n")
 	return buf.Bytes(), nil
 }
-
-// Indent returns the canonical encoding re-indented for humans (-dump-spec
-// output). The bytes differ from Canonical only in whitespace.
-func (s RunSpec) Indent() ([]byte, error) {
-	c, err := s.Canonical()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, c, "", "  "); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
