@@ -20,10 +20,10 @@
 // underneath. -spec uses a stored RunSpec as the run template — its
 // hardware options, frames, seed and (when it names one) its workload
 // drive the selected experiments, with explicit flags still winning.
-// -dump-spec prints the job matrix for the experiments -exp selected (the
-// schemes each figure evaluates, over the selected cases, as a JSON array
-// of RunSpecs) and exits; POST it to the oovrd job server's /batch
-// endpoint to compute the figures' raw metrics remotely.
+// -dump-spec prints exactly the runs the selected figures make (every
+// distinct RunSpec, in first-run order, as a JSON array) and exits; POST it
+// to the oovrd job server's /batch endpoint to compute the figures' raw
+// metrics remotely.
 //
 // -parallel spreads independent simulation cases across N worker
 // goroutines (default: all CPUs). Each case binds its own simulator
@@ -45,7 +45,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 
 	"oovr/internal/experiments"
@@ -54,7 +53,6 @@ import (
 	"oovr/internal/multigpu"
 	"oovr/internal/service"
 	"oovr/internal/spec"
-	"oovr/internal/stats"
 	"oovr/internal/topo"
 	"oovr/internal/workload"
 )
@@ -67,7 +65,7 @@ func main() {
 	parallel := flag.Int("parallel", runtime.NumCPU(), "simulation worker goroutines (output is identical for any value)")
 	topology := flag.String("topology", "", "run the experiments on this registered interconnect topology (default fullmesh)")
 	specPath := flag.String("spec", "", "RunSpec file used as the experiment template (hardware, frames, seed, workload)")
-	dumpSpec := flag.Bool("dump-spec", false, "print the scheduler-by-case job matrix as a RunSpec array and exit")
+	dumpSpec := flag.Bool("dump-spec", false, "print the runs the selected figures make as a RunSpec array and exit")
 	fleetURL := flag.String("fleet", "", "execute every simulation via the fleet coordinator at this base URL")
 	flag.Parse()
 
@@ -100,65 +98,52 @@ func main() {
 		}
 		opt.System = &sys
 	}
-	emit := func(f stats.Figure) {
-		if *csv {
-			fmt.Print(f.CSV())
-		} else {
-			fmt.Println(f.Render())
-		}
-	}
-	fig := func(run func(experiments.Options) stats.Figure) func() {
-		return func() { emit(run(opt)) }
-	}
-	// Every experiment id in print order; -exp selects from this table and
-	// is checked against it.
-	exps := []struct {
-		id  string
-		run func()
-	}{
-		{"T1", printTable1},
-		{"T2", printTable2},
-		{"T3", printTable3},
-		{"E0", fig(experiments.E0SMPValidation)},
-		{"F4", fig(experiments.F4Bandwidth)},
-		{"F7", fig(experiments.F7AFR)},
-		{"F8", fig(experiments.F8SFRPerformance)},
-		{"F9", fig(experiments.F9SFRTraffic)},
-		{"F10", fig(experiments.F10Imbalance)},
-		{"F15", fig(experiments.F15Speedup)},
-		{"F16", fig(experiments.F16Traffic)},
-		{"F17", fig(experiments.F17BandwidthScaling)},
-		{"F18", fig(experiments.F18GPMScaling)},
-		{"FT", fig(experiments.FTopology)},
-		{"FS", fig(experiments.FSCapacity)},
-		{"O1", func() { emit(experiments.O1Overhead()) }},
-		{"BRK", fig(experiments.TrafficBreakdown)},
-		{"A1", fig(experiments.A1NoBatching)},
-		{"A2", fig(experiments.A2NoPredictor)},
-		{"A3", fig(experiments.A3NoDHC)},
-		{"A4", fig(experiments.A4TSLSweep)},
-	}
-	var ids []string
+	// The tables, then the figures of experiments.Experiments, in print
+	// order; -exp selects from these ids and is checked against them.
+	tables := []func(){printTable1, printTable2, printTable3}
+	ids := []string{"T1", "T2", "T3"}
+	exps := experiments.Experiments()
 	for _, e := range exps {
-		ids = append(ids, e.id)
+		ids = append(ids, e.ID)
 	}
-	sort.Strings(ids)
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exp, ",") {
 		id := strings.ToUpper(strings.TrimSpace(e))
-		if _, ok := slices.BinarySearch(ids, id); !ok && id != "ALL" {
-			fail(fmt.Errorf("-exp: unknown experiment id %q (valid: all, %s)", e, strings.Join(ids, ", ")))
+		if !slices.Contains(ids, id) && id != "ALL" {
+			fail(fmt.Errorf("-exp: unknown experiment id %q (valid: all, %s)", e, strings.Join(slices.Sorted(slices.Values(ids)), ", ")))
 		}
 		want[id] = true
 	}
-	all := want["ALL"]
+	var figs []experiments.Experiment
+	for _, e := range exps {
+		if want["ALL"] || want[e.ID] {
+			figs = append(figs, e)
+		}
+	}
 	if *dumpSpec {
-		dumpMatrix(opt, want, all)
+		// Exactly the runs the selected figures make, one canonical
+		// RunSpec per line, wrapped as a JSON array for oovrd's /batch.
+		jobs := experiments.Jobs(opt, figs)
+		if len(jobs) == 0 {
+			fail(fmt.Errorf("-dump-spec: the selected experiments run no RunSpecs"))
+		}
+		b, err := spec.EncodeArray(jobs)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Print(string(b))
 		return
 	}
-	for _, e := range exps {
-		if all || want[e.id] {
-			e.run()
+	for i, table := range tables {
+		if want["ALL"] || want[ids[i]] {
+			table()
+		}
+	}
+	for _, e := range figs {
+		if f := e.Run(opt); *csv {
+			fmt.Print(f.CSV())
+		} else {
+			fmt.Println(f.Render())
 		}
 	}
 	if flag.NArg() > 0 {
@@ -190,7 +175,6 @@ func applyTemplate(opt *experiments.Options, path string) {
 	}
 	// The harness has no per-run placement knob; refuse a template that
 	// declares one rather than silently running every figure striped.
-	// (stream is ignored legitimately: metrics are identical either way.)
 	if n.Placement != "striped" {
 		fail(fmt.Errorf("-spec template placement %q is not supported by the harness (figures run striped)", n.Placement))
 	}
@@ -216,34 +200,6 @@ func applyTemplate(opt *experiments.Options, path string) {
 		}
 		opt.Cases = []workload.Case{c}
 	}
-}
-
-// dumpMatrix prints the job list for the selected experiments — the union
-// of their scheduler sets (experiments.FigureSchedulers) over the selected
-// cases — one canonical RunSpec per line, wrapped as a JSON array for
-// oovrd's /batch. With -exp all it covers the seven comparison schemes.
-func dumpMatrix(opt experiments.Options, want map[string]bool, all bool) {
-	var scheds []string
-	if !all {
-		seen := map[string]bool{}
-		for id := range want {
-			for _, s := range experiments.FigureSchedulers(id) {
-				if !seen[s] {
-					seen[s] = true
-					scheds = append(scheds, s)
-				}
-			}
-		}
-		sort.Strings(scheds)
-		if len(scheds) == 0 {
-			fail(fmt.Errorf("-dump-spec: the selected experiments run no flat scheduler-by-case matrix"))
-		}
-	}
-	b, err := spec.EncodeArray(experiments.SpecMatrix(opt, scheds))
-	if err != nil {
-		fail(err)
-	}
-	fmt.Print(string(b))
 }
 
 func fail(err error) {

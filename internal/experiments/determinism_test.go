@@ -356,19 +356,24 @@ func TestGoldenSchedulerDeterminism(t *testing.T) {
 }
 
 // TestParallelMatchesSerial is the harness half of the determinism
-// guarantee: a Parallel > 1 run of every figure must be byte-identical to
-// the serial run.
+// guarantee: a Parallel > 1 run of every RunSpec figure must be
+// byte-identical to the serial run. FS (whose serving sweep
+// TestServiceSerialParallelIdentical covers) and O1 (which simulates
+// nothing) are skipped.
 func TestParallelMatchesSerial(t *testing.T) {
 	c1, _ := workload.CaseByName("DM3-640")
 	c2, _ := workload.CaseByName("HL2-1280")
 	serial := Options{Frames: 1, Seed: 1, Cases: []workload.Case{c1, c2}}
 	parallel := serial
 	parallel.Parallel = 4
-	for _, f := range specFigures {
-		want := f.fn(serial)
-		got := f.fn(parallel)
+	for _, e := range Experiments() {
+		if e.ID == "FS" || e.ID == "O1" {
+			continue
+		}
+		want := e.Run(serial)
+		got := e.Run(parallel)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: parallel run diverged from serial:\n  %+v\nvs\n  %+v", f.id, got, want)
+			t.Errorf("%s: parallel run diverged from serial:\n  %+v\nvs\n  %+v", e.ID, got, want)
 		}
 	}
 }

@@ -12,14 +12,10 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 
 	"oovr/internal/core"
-	"oovr/internal/driver"
 	"oovr/internal/multigpu"
 	"oovr/internal/par"
-	"oovr/internal/pipeline"
-	"oovr/internal/scene"
 	"oovr/internal/service"
 	"oovr/internal/spec"
 	"oovr/internal/stats"
@@ -55,6 +51,72 @@ type Options struct {
 	// instead of in-process service.Run. Reports are content-addressed, so
 	// either path yields byte-identical figures.
 	ServiceRunner func(spec.ServiceSpec) (service.Report, error)
+}
+
+// Experiment is one evaluation figure: the id cmd/oovrfigures selects it
+// by, and the function that computes it.
+type Experiment struct {
+	ID  string
+	Run func(Options) stats.Figure
+}
+
+// Experiments returns every figure of the evaluation in print order: the
+// one list cmd/oovrfigures prints and checks -exp against.
+func Experiments() []Experiment {
+	return []Experiment{
+		{"E0", E0SMPValidation},
+		{"F4", F4Bandwidth},
+		{"F7", F7AFR},
+		{"F8", F8SFRPerformance},
+		{"F9", F9SFRTraffic},
+		{"F10", F10Imbalance},
+		{"F15", F15Speedup},
+		{"F16", F16Traffic},
+		{"F17", F17BandwidthScaling},
+		{"F18", F18GPMScaling},
+		{"FT", FTopology},
+		{"FS", FSCapacity},
+		{"O1", func(Options) stats.Figure { return O1Overhead() }},
+		{"BRK", TrafficBreakdown},
+		{"A1", A1NoBatching},
+		{"A2", A2NoPredictor},
+		{"A3", A3NoDHC},
+		{"A4", A4TSLSweep},
+	}
+}
+
+// Jobs lists the RunSpecs the given experiments run under o, distinct and
+// in first-run order. It runs each figure once, serially, through a Runner
+// that records each spec and answers placeholder Metrics, and a
+// ServiceRunner that answers empty cells: nothing is simulated.
+func Jobs(o Options, exps []Experiment) []spec.RunSpec {
+	placeholder := multigpu.Metrics{TotalCycles: 1, Frames: 1, FrameLatencies: []float64{1}}
+	seen := map[string]bool{}
+	var out []spec.RunSpec
+	o.Parallel = 1
+	o.Runner = func(rs spec.RunSpec) (multigpu.Metrics, error) {
+		h, err := rs.Hash()
+		if err != nil {
+			return multigpu.Metrics{}, err
+		}
+		if !seen[h] {
+			seen[h] = true
+			out = append(out, rs)
+		}
+		return placeholder, nil
+	}
+	o.ServiceRunner = emptyCells
+	for _, e := range exps {
+		e.Run(o)
+	}
+	return out
+}
+
+// emptyCells answers a ServiceSpec with one zero-valued cell per sweep
+// point and simulates nothing.
+func emptyCells(sp spec.ServiceSpec) (service.Report, error) {
+	cells, err := service.CellSpecs(sp)
+	return service.Report{Cells: make([]service.CellReport, len(cells))}, err
 }
 
 // Defaults fills unset fields.
@@ -138,9 +200,9 @@ func each(ms []multigpu.Metrics, metric func(multigpu.Metrics) float64) []float6
 	return out
 }
 
-// ratio divides num by den index by index. It is plain division, unlike
-// stats.Normalize: a zero base (no inter-GPM bytes on a one-GPM template)
-// prints as Inf or NaN instead of panicking.
+// ratio divides num by den index by index. It is plain division: a zero
+// base (no inter-GPM bytes on a one-GPM template) prints as Inf or NaN
+// instead of panicking.
 func ratio(num, den []float64) []float64 {
 	out := make([]float64, len(num))
 	for i := range num {
@@ -162,52 +224,17 @@ func plannerLabel(name string) string {
 }
 
 // ComparisonSchedulers are the seven evaluated schemes in the figures'
-// order — the default scope of SpecMatrix (deliberately not the whole
-// registry: the "single" validation vehicle and user-registered policies
-// only enter a matrix when asked for by name).
+// order, SpecMatrix's default scope. The built-in "single" validation
+// vehicle and user-registered policies enter a matrix only when named.
 func ComparisonSchedulers() []string {
 	return []string{"baseline", "afr", "tilev", "tileh", "object", "ooapp", "oovr"}
 }
 
-// FigureSchedulers returns the scheme set a case-level experiment
-// evaluates, for scoping a -dump-spec job matrix; it lives beside the
-// figure functions so a changed figure updates its matrix in the same
-// file. Nil means the experiment runs no flat scheduler-by-case matrix:
-// the tables (T1-T3, O1) simulate nothing, E0's validation sweep
-// (paired SMP/sequential modes on single-GPU hardware over extra scenes)
-// is not expressible this way, and FS submits ServiceSpecs rather than
-// RunSpecs (its job list is service.CellSpecs over the fsSpec grid). Two documented approximations: the
-// hardware sweeps (F4/F17/F18, and FT's topology x bandwidth grid) report
-// their scheme set evaluated at the caller's template hardware only, and
-// the ablations (A1-A4) list their
-// default-configured schemes — the parameter variants (disabled
-// mechanisms, threshold/cap sweeps) stay inside the figure functions.
-func FigureSchedulers(id string) []string {
-	return map[string][]string{
-		"F4":  {"baseline"},
-		"F7":  {"baseline", "afr"},
-		"F8":  {"baseline", "tilev", "tileh", "object"},
-		"F9":  {"baseline", "tilev", "tileh", "object"},
-		"F10": {"object"},
-		"F15": {"baseline", "object", "afr", "ooapp", "oovr"},
-		"F16": {"baseline", "object", "oovr"},
-		"F17": {"baseline", "object", "oovr"},
-		"F18": {"baseline", "object", "oovr"},
-		"FT":  {"baseline", "oovr"},
-		"BRK": {"oovr"},
-		"A1":  {"baseline", "oovr"},
-		"A2":  {"baseline", "oovr"},
-		"A3":  {"baseline", "oovr"},
-		"A4":  {"baseline", "oovr"},
-	}[id]
-}
-
-// SpecMatrix enumerates the harness's standing job list as RunSpecs: every
-// named scheduler (default configuration) over every case of o, at o's
-// frames/seed/system options. cmd/oovrfigures -dump-spec emits it, and a
-// POST of the encoded array to oovrd's /batch endpoint computes the raw
-// per-scheme metrics the comparison figures normalize (see
-// FigureSchedulers for what the matrix approximates per experiment).
+// SpecMatrix enumerates a flat scheduler-by-case job list as RunSpecs:
+// every named scheduler (default configuration) over every case of o, at
+// o's frames/seed/system options. It is the standing matrix the fleet
+// smoke test and the benchmark's oovrd workloads submit; the runs a figure
+// makes are Jobs.
 func SpecMatrix(o Options, schedulers []string) []spec.RunSpec {
 	o = o.defaults()
 	if len(schedulers) == 0 {
@@ -231,12 +258,9 @@ func E0SMPValidation(o Options) stats.Figure {
 	sysOpt := o.sysOptions()
 	sysOpt.Config = sysOpt.Config.WithGPMs(1)
 
-	o.Cases = append([]workload.Case(nil), o.Cases...)
-	for _, name := range []string{"Sponza", "SanMiguel"} {
-		sp := workload.ValidationSpec(name)
-		r := sp.Resolutions[0]
-		o.Cases = append(o.Cases, workload.Case{Name: name, Spec: sp, Width: r[0], Height: r[1]})
-	}
+	sponza, _ := spec.WorkloadByName("Sponza")
+	sanMiguel, _ := spec.WorkloadByName("SanMiguel")
+	o.Cases = append(o.Cases[:len(o.Cases):len(o.Cases)], sponza, sanMiguel)
 	fig := stats.Figure{
 		ID:      "Section 3 (SMP validation)",
 		Caption: "single-GPU speedup of SMP stereo over sequential stereo (paper: 1.27x)",
@@ -246,47 +270,6 @@ func E0SMPValidation(o Options) stats.Figure {
 	smp := o.perCase("single", json.RawMessage(`{"Mode": "smp"}`), sysOpt)
 	fig.AddSeries("SMP speedup", ratio(each(seq, totalCycles), each(smp, totalCycles)))
 	return fig
-}
-
-// singleGPU renders every object in one task on GPM0 with the given stereo
-// mode — the Section 3 validation vehicle. It registers like any other
-// policy ("single", Mode: smp|sequential), so validation runs are
-// expressible as RunSpecs too.
-type singleGPU struct{ mode pipeline.Mode }
-
-func init() {
-	spec.RegisterPlanner("single", func(params json.RawMessage) (driver.Planner, error) {
-		p := struct{ Mode string }{Mode: "smp"}
-		if err := spec.DecodeParams(params, &p); err != nil {
-			return nil, err
-		}
-		switch p.Mode {
-		case "smp":
-			return singleGPU{mode: pipeline.ModeBothSMP}, nil
-		case "sequential":
-			return singleGPU{mode: pipeline.ModeBothSequential}, nil
-		default:
-			return nil, fmt.Errorf("single: unknown Mode %q (smp, sequential)", p.Mode)
-		}
-	})
-}
-
-func (s singleGPU) Name() string { return "Single-GPU(" + s.mode.String() + ")" }
-
-// Begin implements driver.Planner.
-func (s singleGPU) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile) {
-	var parts []multigpu.TaskPart // per-run scratch, rebuilt every frame
-	subs := make([]driver.Submission, 1)
-	return driver.PlanFunc(func(f *scene.Frame, fi int) driver.Plan {
-		parts = slices.Grow(parts[:0], len(f.Objects))
-		for oi := range f.Objects {
-			parts = append(parts, multigpu.TaskPart{
-				Object: &f.Objects[oi], Mode: s.mode, GeomFrac: 1, FragFrac: 1,
-			})
-		}
-		subs[0] = driver.Submission{GPM: 0, Task: multigpu.Task{Color: multigpu.ColorStriped, Parts: parts}}
-		return driver.Plan{Submissions: subs}
-	}), driver.Profile{}
 }
 
 // F4Bandwidth reproduces Figure 4: baseline performance as the inter-GPM
@@ -426,7 +409,7 @@ func F16Traffic(o Options) stats.Figure {
 		XLabels: o.caseNames(),
 	}
 	base := each(o.perCase("baseline", nil, o.sysOptions()), interGPMBytes)
-	fig.AddSeries("Baseline", stats.Normalize(base, base))
+	fig.AddSeries("Baseline", ratio(base, base))
 	for _, s := range []string{"object", "oovr"} {
 		fig.AddSeries(plannerLabel(s), ratio(each(o.perCase(s, nil, o.sysOptions()), interGPMBytes), base))
 	}

@@ -1,39 +1,14 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"oovr/internal/multigpu"
 	"oovr/internal/spec"
-	"oovr/internal/stats"
 	"oovr/internal/workload"
 )
-
-// specFigures are the figures that run RunSpecs, in the order oovrfigures
-// prints them: every experiment but FS and the tables.
-var specFigures = []struct {
-	id string
-	fn func(Options) stats.Figure
-}{
-	{"E0", E0SMPValidation},
-	{"F4", F4Bandwidth},
-	{"F7", F7AFR},
-	{"F8", F8SFRPerformance},
-	{"F9", F9SFRTraffic},
-	{"F10", F10Imbalance},
-	{"F15", F15Speedup},
-	{"F16", F16Traffic},
-	{"F17", F17BandwidthScaling},
-	{"F18", F18GPMScaling},
-	{"FT", FTopology},
-	{"BRK", TrafficBreakdown},
-	{"A1", A1NoBatching},
-	{"A2", A2NoPredictor},
-	{"A3", A3NoDHC},
-	{"A4", A4TSLSweep},
-}
 
 // fastOptions keeps harness tests quick: one small case, two frames.
 func fastOptions() Options {
@@ -257,44 +232,116 @@ func TestBwLabel(t *testing.T) {
 // TestHarnessRunCounts pins how many runs each figure requests at default
 // Options, and how many of them are distinct RunSpecs, through a Runner that
 // counts content addresses and simulates nothing. The whole cycle's 985 runs
-// (661 distinct) are the op count of the figures benchmark workload.
+// (661 distinct) are the op count of the figures benchmark workload; FS
+// submits ServiceSpecs and O1 simulates nothing, so both make no RunSpec
+// run.
 func TestHarnessRunCounts(t *testing.T) {
 	want := map[string][2]int{ // id: runs, distinct
 		"E0": {22, 22}, "F4": {45, 45}, "F7": {18, 18}, "F8": {36, 36},
 		"F9": {36, 36}, "F10": {9, 9}, "F15": {54, 54}, "F16": {27, 27},
-		"F17": {117, 108}, "F18": {117, 117}, "FT": {270, 270}, "BRK": {9, 9},
-		"A1": {27, 27}, "A2": {27, 27}, "A3": {27, 27}, "A4": {144, 144},
+		"F17": {117, 108}, "F18": {117, 117}, "FT": {270, 270}, "FS": {0, 0},
+		"O1": {0, 0}, "BRK": {9, 9}, "A1": {27, 27}, "A2": {27, 27},
+		"A3": {27, 27}, "A4": {144, 144},
 	}
-	fixed := multigpu.Metrics{
-		TotalCycles: 1, Frames: 1, FrameLatencies: []float64{1},
-		GPMBusyCycles: []float64{1, 1}, InterGPMBytes: 1,
-	}
-	var mu sync.Mutex
 	var runs int
 	var figure map[string]bool
 	all := map[string]bool{}
-	o := Options{Runner: func(rs spec.RunSpec) (multigpu.Metrics, error) {
-		h, err := rs.Hash()
-		if err != nil {
-			return multigpu.Metrics{}, err
-		}
-		mu.Lock()
-		defer mu.Unlock()
+	o := recordingOptions(t, func(h string) {
 		runs++
 		figure[h] = true
 		all[h] = true
-		return fixed, nil
-	}}
+	})
 	total := 0
-	for _, f := range specFigures {
+	for _, e := range Experiments() {
 		runs, figure = 0, map[string]bool{}
-		f.fn(o)
-		if got := [2]int{runs, len(figure)}; got != want[f.id] {
-			t.Errorf("%s: %d runs, %d distinct; want %d, %d", f.id, got[0], got[1], want[f.id][0], want[f.id][1])
+		e.Run(o)
+		if got := [2]int{runs, len(figure)}; got != want[e.ID] {
+			t.Errorf("%s: %d runs, %d distinct; want %d, %d", e.ID, got[0], got[1], want[e.ID][0], want[e.ID][1])
 		}
 		total += runs
 	}
 	if total != 985 || len(all) != 661 {
 		t.Errorf("whole cycle: %d runs, %d distinct; want 985, 661", total, len(all))
+	}
+	if n := len(Jobs(Options{}, Experiments())); n != 661 {
+		t.Errorf("Jobs over every experiment: %d specs, want the cycle's 661 distinct", n)
+	}
+}
+
+// recordingOptions returns default (serial) Options whose Runner hands
+// each run's content address to record and answers fixed Metrics; the
+// ServiceRunner answers empty cells. Nothing is simulated.
+func recordingOptions(t *testing.T, record func(hash string)) Options {
+	fixed := multigpu.Metrics{
+		TotalCycles: 1, Frames: 1, FrameLatencies: []float64{1},
+		GPMBusyCycles: []float64{1, 1}, InterGPMBytes: 1,
+	}
+	return Options{
+		Runner: func(rs spec.RunSpec) (multigpu.Metrics, error) {
+			h, err := rs.Hash()
+			if err != nil {
+				t.Error(err)
+				return multigpu.Metrics{}, err
+			}
+			record(h)
+			return fixed, nil
+		},
+		ServiceRunner: emptyCells,
+	}
+}
+
+// TestJobsAreTheFiguresRuns pins what -dump-spec prints: for every
+// experiment, Jobs returns exactly the distinct specs a figure run hands
+// its Runner, in first-run order, whatever Parallel the caller asked for.
+func TestJobsAreTheFiguresRuns(t *testing.T) {
+	for _, e := range Experiments() {
+		var order []string
+		seen := map[string]bool{}
+		o := recordingOptions(t, func(h string) {
+			if !seen[h] {
+				seen[h] = true
+				order = append(order, h)
+			}
+		})
+		e.Run(o)
+
+		o.Parallel = 8
+		jobs := Jobs(o, []Experiment{e})
+		got := make([]string, len(jobs))
+		for i, rs := range jobs {
+			h, err := rs.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = h
+		}
+		if !slices.Equal(got, order) {
+			t.Errorf("%s: Jobs lists %d specs, the figure runs %d distinct (or in another order)", e.ID, len(got), len(order))
+		}
+	}
+}
+
+// TestExperimentsSurviveDegenerateMetrics runs every experiment through a
+// Runner whose runs move no inter-GPM byte (a one-GPM template) and a
+// ServiceRunner whose cells are empty: each figure prints Inf or NaN where
+// it divides by zero, and none panics.
+func TestExperimentsSurviveDegenerateMetrics(t *testing.T) {
+	local := multigpu.Metrics{
+		TotalCycles: 1000, Frames: 2, FrameLatencies: []float64{500, 500},
+		GPMBusyCycles: []float64{900},
+	}
+	o := Options{
+		Runner:        func(spec.RunSpec) (multigpu.Metrics, error) { return local, nil },
+		ServiceRunner: emptyCells,
+	}
+	for _, e := range Experiments() {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s panicked: %v", e.ID, r)
+				}
+			}()
+			e.Run(o)
+		}()
 	}
 }

@@ -7,7 +7,9 @@
 //   - TileV / TileH: tile-level split frame rendering with vertical and
 //     horizontal screen strips (Section 4.2);
 //   - ObjectSFR: object-level (sort-last) split frame rendering with
-//     round-robin distribution and master-node composition (Section 4.3).
+//     round-robin distribution and master-node composition (Section 4.3);
+//   - SingleGPU: one GPM rendering both views, with or without SMP — the
+//     Section 3 validation vehicle.
 //
 // Every scheme is a pure-policy driver.Planner: it emits per-frame Plans
 // (task submissions + composition + framebuffer placement) and the
@@ -364,5 +366,30 @@ func (s ObjectSFR) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Prof
 		}
 		plan.Submissions = subs
 		return plan
+	}), driver.Profile{}
+}
+
+// SingleGPU renders every object of a frame in one task on GPM0 with the
+// given stereo mode: the single-GPU vehicle of the Section 3 validation,
+// SMP stereo (ModeBothSMP) against rendering the two views one after the
+// other (ModeBothSequential).
+type SingleGPU struct{ Mode pipeline.Mode }
+
+// Name implements driver.Planner.
+func (s SingleGPU) Name() string { return "Single-GPU(" + s.Mode.String() + ")" }
+
+// Begin implements driver.Planner.
+func (s SingleGPU) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile) {
+	var parts []multigpu.TaskPart // per-run scratch, rebuilt every frame
+	subs := make([]driver.Submission, 1)
+	return driver.PlanFunc(func(f *scene.Frame, fi int) driver.Plan {
+		parts = slices.Grow(parts[:0], len(f.Objects))
+		for oi := range f.Objects {
+			parts = append(parts, multigpu.TaskPart{
+				Object: &f.Objects[oi], Mode: s.Mode, GeomFrac: 1, FragFrac: 1,
+			})
+		}
+		subs[0] = driver.Submission{GPM: 0, Task: multigpu.Task{Color: multigpu.ColorStriped, Parts: parts}}
+		return driver.Plan{Submissions: subs}
 	}), driver.Profile{}
 }

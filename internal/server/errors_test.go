@@ -12,7 +12,7 @@ import (
 
 // builtinSchedulers is the registered-scheduler list the unknown-scheduler
 // error carries when no test has registered a planner of its own.
-const builtinSchedulers = "afr, baseline, object, ooapp, oovr, tileh, tilev"
+const builtinSchedulers = "afr, baseline, object, ooapp, oovr, single, tileh, tilev"
 
 // TestUnknownNameErrors pins the answer to an unknown name on each of the
 // six named spec axes: a 400 whose body is the resolution error, byte for

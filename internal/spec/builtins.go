@@ -8,13 +8,15 @@ import (
 	"oovr/internal/driver"
 	"oovr/internal/mem"
 	"oovr/internal/multigpu"
+	"oovr/internal/pipeline"
 	"oovr/internal/render"
 	"oovr/internal/workload"
 )
 
 // The built-in components register at package init: the seven evaluated
 // scheduling schemes (under the names cmd/oovrsim has always accepted, with
-// their historical spellings as aliases), the paper's nine benchmark cases
+// their historical spellings as aliases) plus the Section 3 single-GPU
+// validation vehicle, the paper's nine benchmark cases
 // plus the two VRWorks validation scenes, and the initial shared-data
 // placement layouts.
 
@@ -136,6 +138,20 @@ func init() {
 		v.DisableStragglerSplit = p.DisableStragglerSplit
 		return v, nil
 	}, "oo-vr")
+	RegisterPlanner("single", func(params json.RawMessage) (driver.Planner, error) {
+		p := struct{ Mode string }{Mode: "smp"}
+		if err := DecodeParams(params, &p); err != nil {
+			return nil, err
+		}
+		switch p.Mode {
+		case "smp":
+			return render.SingleGPU{Mode: pipeline.ModeBothSMP}, nil
+		case "sequential":
+			return render.SingleGPU{Mode: pipeline.ModeBothSequential}, nil
+		default:
+			return nil, fmt.Errorf("single: unknown Mode %q (smp, sequential)", p.Mode)
+		}
+	})
 
 	for _, c := range workload.Cases() {
 		RegisterWorkload(c.Name, c)

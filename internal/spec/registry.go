@@ -10,8 +10,8 @@
 // shape of production schedulers:
 //
 //   - planners: scheduling policies (driver.Planner factories taking JSON
-//     params) — the seven built-in schemes register at init, user policies
-//     via RegisterPlanner;
+//     params) — the seven evaluated schemes and the "single" validation
+//     vehicle register at init, user policies via RegisterPlanner;
 //   - workloads: benchmark cases (the paper's nine plus the VRWorks
 //     validation scenes) via RegisterWorkload;
 //   - layouts: initial NUMA placements for the shared texture/vertex pool

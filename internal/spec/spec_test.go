@@ -13,6 +13,7 @@ import (
 	"oovr/internal/core"
 	"oovr/internal/driver"
 	"oovr/internal/multigpu"
+	"oovr/internal/pipeline"
 	"oovr/internal/render"
 	"oovr/internal/workload"
 )
@@ -28,12 +29,13 @@ func imperativePlanners() map[string]driver.Planner {
 		"object":   render.ObjectSFR{},
 		"ooapp":    core.NewOOApp(),
 		"oovr":     core.NewOOVR(),
+		"single":   render.SingleGPU{Mode: pipeline.ModeBothSMP},
 	}
 }
 
 // TestSpecMatchesImperative is the tentpole equivalence guarantee: a
 // RunSpec-driven run produces byte-identical Metrics to the equivalent
-// imperative oovr.* calls, for all seven registered schedulers.
+// imperative oovr.* calls, for every built-in scheduler.
 func TestSpecMatchesImperative(t *testing.T) {
 	c, ok := workload.CaseByName("DM3-640")
 	if !ok {
@@ -382,6 +384,29 @@ func TestSchedulerParamsApply(t *testing.T) {
 	}
 	if v.Middleware.TriangleCap != core.NewMiddleware().TriangleCap {
 		t.Errorf("unset oovr param lost its default: %+v", v)
+	}
+}
+
+// TestSingleIsBuiltIn pins that the Section 3 validation vehicle resolves
+// wherever package spec is linked, the experiment harness or not: oovrd and
+// its fleet workers never link internal/experiments, yet they must run the
+// E0 and F18 jobs oovrfigures -dump-spec prints.
+func TestSingleIsBuiltIn(t *testing.T) {
+	for params, want := range map[string]pipeline.Mode{
+		``:                      pipeline.ModeBothSMP,
+		`{"Mode":"smp"}`:        pipeline.ModeBothSMP,
+		`{"Mode":"sequential"}`: pipeline.ModeBothSequential,
+	} {
+		p, err := NewPlanner("single", json.RawMessage(params))
+		if err != nil {
+			t.Fatalf("single %s: %v", params, err)
+		}
+		if got, ok := p.(render.SingleGPU); !ok || got.Mode != want {
+			t.Errorf("single %s resolved to %#v, want mode %v", params, p, want)
+		}
+	}
+	if _, err := NewPlanner("single", json.RawMessage(`{"Mode":"stereo"}`)); err == nil {
+		t.Error("single accepted an unknown Mode")
 	}
 }
 

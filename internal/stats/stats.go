@@ -123,21 +123,6 @@ func (f *Figure) CSV() string {
 	return b.String()
 }
 
-// Normalize returns values divided element-wise by base.
-func Normalize(values, base []float64) []float64 {
-	if len(values) != len(base) {
-		panic(fmt.Sprintf("stats: normalize length mismatch %d vs %d", len(values), len(base)))
-	}
-	out := make([]float64, len(values))
-	for i := range values {
-		if base[i] == 0 {
-			panic(fmt.Sprintf("stats: normalize by zero at %d", i))
-		}
-		out[i] = values[i] / base[i]
-	}
-	return out
-}
-
 // SortedKeys returns the sorted keys of a string-keyed map, for
 // deterministic iteration in reports.
 func SortedKeys[V any](m map[string]V) []string {

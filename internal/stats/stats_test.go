@@ -67,28 +67,6 @@ func TestFigureRenderAndCSV(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 9}, []float64{4, 3})
-	if got[0] != 0.5 || got[1] != 3 {
-		t.Errorf("Normalize = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("zero base did not panic")
-		}
-	}()
-	Normalize([]float64{1}, []float64{0})
-}
-
-func TestNormalizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("length mismatch did not panic")
-		}
-	}()
-	Normalize([]float64{1, 2}, []float64{1})
-}
-
 func TestSortedKeys(t *testing.T) {
 	m := map[string]int{"b": 1, "a": 2, "c": 3}
 	got := SortedKeys(m)

@@ -281,8 +281,9 @@ type (
 
 // RegisterPlanner adds a named scheduling policy (plus aliases) to the
 // registry, making it addressable from RunSpecs, cmd/oovrsim -scheme and
-// the oovrd job server. The seven built-in schemes are pre-registered as
-// baseline, afr, tilev, tileh, object, ooapp and oovr.
+// the oovrd job server. The seven evaluated schemes are pre-registered as
+// baseline, afr, tilev, tileh, object, ooapp and oovr, beside the Section 3
+// single-GPU validation vehicle, single.
 func RegisterPlanner(name string, f PlannerFactory, aliases ...string) {
 	spec.RegisterPlanner(name, f, aliases...)
 }
