@@ -101,7 +101,9 @@ func BenchmarkServiceTick(b *testing.B) {
 // BenchmarkSimulatorColdStart measures one cold run on the path every
 // /run, fleet job, figure run and benchmark operation takes: a one-frame
 // HL2-1280 OO-VR RunSpec, which streams its scene, builds the system and
-// renders one cache-cold frame.
+// renders one cache-cold frame. The scene prefix (header and frame 0) is
+// a process-cache hit after the first iteration, as it is for every run
+// of a figure after the first of its case.
 func BenchmarkSimulatorColdStart(b *testing.B) {
 	s := oovr.RunSpec{
 		Workload:  oovr.WorkloadRef{Name: "HL2-1280"},

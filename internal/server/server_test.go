@@ -284,6 +284,25 @@ func TestRejections(t *testing.T) {
 			t.Errorf("unknown field %s accepted: HTTP %d", field, resp.StatusCode)
 		}
 	}
+	// Inline recipes the generator cannot build: each must be a 400 that
+	// names the field, not a 500 from a panicking run.
+	for _, tc := range []struct {
+		field string
+		edit  func(*spec.RunSpec)
+	}{
+		{"Clusters", func(s *spec.RunSpec) { s.Workload.Inline.Clusters = 0 }},
+		{"MeanTriangles", func(s *spec.RunSpec) { s.Workload.Inline.MeanTriangles = -5 }},
+		{"Overdraw", func(s *spec.RunSpec) { s.Workload.Inline.Overdraw = -1 }},
+		{"resolution", func(s *spec.RunSpec) { s.Workload.Width = -640 }},
+	} {
+		sp := workload.Benchmarks()[0]
+		s := spec.RunSpec{Workload: spec.WorkloadRef{Name: "bad", Inline: &sp}, Scheduler: spec.SchedulerRef{Name: "oovr"}, Frames: 1}
+		tc.edit(&s)
+		resp, body := postSpec(t, ts.URL, s)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.field) {
+			t.Errorf("bad %s: HTTP %d %s, want a 400 naming the field", tc.field, resp.StatusCode, body)
+		}
+	}
 	// Wrong method.
 	resp, err := http.Get(ts.URL + "/run")
 	if err != nil {

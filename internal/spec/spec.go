@@ -289,22 +289,28 @@ func (s RunSpec) Resolve() (*Run, error) {
 // ResolveWorkload produces the evaluation case at the spec's resolution
 // without touching the other components — callers that only need the
 // workload (the harness's -spec template) stay usable with specs naming
-// schedulers this binary never registered.
+// schedulers this binary never registered. An inline recipe the generator
+// cannot build (workload.Spec.Validate) and a non-positive resolution are
+// errors here, before any stream is opened.
 func (n RunSpec) ResolveWorkload() (workload.Case, error) {
 	w := n.Workload
+	var c workload.Case
 	if w.Inline != nil {
-		if w.Inline.Draws <= 0 {
-			return workload.Case{}, fmt.Errorf("spec: inline workload %q has no draws", w.Name)
+		if err := w.Inline.Validate(); err != nil {
+			return workload.Case{}, fmt.Errorf("spec: inline workload %q: %w", w.Name, err)
 		}
-		name := w.Name
-		if name == "" {
-			name = w.Inline.Abbr
+		c = workload.Case{Name: w.Name, Spec: *w.Inline}
+		if c.Name == "" {
+			c.Name = w.Inline.Abbr
 		}
-		return workload.Case{Name: name, Spec: *w.Inline, Width: w.Width, Height: w.Height}, nil
+	} else {
+		var ok bool
+		if c, ok = WorkloadByName(w.Name); !ok {
+			return workload.Case{}, workloads.Unknown(w.Name)
+		}
 	}
-	c, ok := WorkloadByName(w.Name)
-	if !ok {
-		return workload.Case{}, workloads.Unknown(w.Name)
+	if w.Width <= 0 || w.Height <= 0 {
+		return workload.Case{}, fmt.Errorf("spec: workload %q resolution %dx%d must be positive", c.Name, w.Width, w.Height)
 	}
 	c.Width, c.Height = w.Width, w.Height
 	return c, nil

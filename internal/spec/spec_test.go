@@ -340,6 +340,48 @@ func TestValidMiddlewareRejectsNaN(t *testing.T) {
 	}
 }
 
+// TestInlineRecipeValidation requires Resolve to reject, by field name,
+// an inline recipe the generator would divide by zero, take the log of a
+// negative or scale by a non-finite number with, and a non-positive
+// resolution; every built-in recipe validates.
+func TestInlineRecipeValidation(t *testing.T) {
+	for _, sp := range append(workload.Benchmarks(), workload.ValidationSpec("Sponza"), workload.ValidationSpec("SanMiguel")) {
+		if err := sp.Validate(); err != nil {
+			t.Errorf("built-in %s: %v", sp.Abbr, err)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		edit  func(*workload.Spec)
+	}{
+		{"Draws", func(sp *workload.Spec) { sp.Draws = 0 }},
+		{"TextureCount", func(sp *workload.Spec) { sp.TextureCount = -1 }},
+		{"Clusters", func(sp *workload.Spec) { sp.Clusters = 0 }},
+		{"Clusters", func(sp *workload.Spec) { sp.Clusters = -1 }},
+		{"MeanTriangles", func(sp *workload.Spec) { sp.MeanTriangles = -5 }},
+		{"MeanTriangles", func(sp *workload.Spec) { sp.MeanTriangles = nan }},
+		{"TriSigma", func(sp *workload.Spec) { sp.TriSigma = inf }},
+		{"Overdraw", func(sp *workload.Spec) { sp.Overdraw = -1 }},
+		{"Overdraw", func(sp *workload.Spec) { sp.Overdraw = 0 }},
+		{"MeanTextureKB", func(sp *workload.Spec) { sp.MeanTextureKB = nan }},
+		{"PrivateTexKB", func(sp *workload.Spec) { sp.PrivateTexKB = -1 }},
+		{"TexSigma", func(sp *workload.Spec) { sp.TexSigma = -0.5 }},
+		{"TexturesPerObject", func(sp *workload.Spec) { sp.TexturesPerObject = -inf }},
+	} {
+		sp := workload.Benchmarks()[0]
+		tc.edit(&sp)
+		s := RunSpec{Workload: WorkloadRef{Name: "bad", Inline: &sp}, Scheduler: SchedulerRef{Name: "oovr"}}
+		if _, err := s.Resolve(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("inline recipe with a bad %s: Resolve error %v, want one naming the field", tc.field, err)
+		}
+	}
+	s := RunSpec{Workload: WorkloadRef{Name: "DM3-640", Width: -640}, Scheduler: SchedulerRef{Name: "oovr"}}
+	if _, err := s.Resolve(); err == nil || !strings.Contains(err.Error(), "resolution") {
+		t.Errorf("negative width: Resolve error %v, want one naming the resolution", err)
+	}
+}
+
 // TestPartialResolutionOverride pins that overriding one dimension keeps
 // it: the other defaults from the case, and the content address differs
 // from the unmodified spec (the cache must not alias them).

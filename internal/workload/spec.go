@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"oovr/internal/scene"
@@ -61,6 +62,46 @@ type Spec struct {
 	// DependencyFrac is the fraction of objects that depend on the previous
 	// object (programmer-defined blending order, Section 5.1).
 	DependencyFrac float64
+}
+
+// Validate reports the first field the generator cannot build a scene
+// from, by name: a count it divides by, a mean it takes the log of, or a
+// spread or scale it multiplies by. A zero mean is valid (its log is -Inf,
+// which clamps every draw to the minimum size); a zero Overdraw is not,
+// because bounds are sized by dividing by it. Every built-in recipe is
+// valid; an inline one is checked before it reaches Stream.
+func (sp Spec) Validate() error {
+	for _, c := range []struct {
+		field string
+		n     int
+		min   int
+	}{{"Draws", sp.Draws, 1}, {"TextureCount", sp.TextureCount, 0}, {"Clusters", sp.Clusters, 1}} {
+		if c.n < c.min {
+			return fmt.Errorf("%s must be at least %d, got %d", c.field, c.min, c.n)
+		}
+	}
+	for _, c := range []struct {
+		field    string
+		v        float64
+		positive bool
+	}{
+		{"MeanTriangles", sp.MeanTriangles, false},
+		{"TriSigma", sp.TriSigma, false},
+		{"Overdraw", sp.Overdraw, true},
+		{"MeanTextureKB", sp.MeanTextureKB, false},
+		{"PrivateTexKB", sp.PrivateTexKB, false},
+		{"TexSigma", sp.TexSigma, false},
+		{"TexturesPerObject", sp.TexturesPerObject, false},
+	} {
+		if math.IsNaN(c.v) || math.IsInf(c.v, 0) || c.v < 0 || c.positive && c.v == 0 {
+			want := "non-negative"
+			if c.positive {
+				want = "positive"
+			}
+			return fmt.Errorf("%s must be finite and %s, got %v", c.field, want, c.v)
+		}
+	}
+	return nil
 }
 
 // Benchmarks returns the five Table 3 specs in the paper's order.

@@ -11,23 +11,28 @@ import (
 )
 
 // Stream generates a benchmark's frames one at a time, so a scene never
-// needs full materialization: the constructor synthesizes the texture pool
-// and the object set (frame 0), and every Next call derives the following
-// camera-jittered frame on demand. Header returns the bindable scene
-// header — textures, resolution and the declared allocation Capacity, no
-// frames — which is what a streaming rendering session (driver.Open +
-// SubmitFrame) binds its system to.
+// needs full materialization: the prefix — the texture pool and the object
+// set (frame 0) — is synthesized once, and every Next call derives the
+// following camera-jittered frame on demand. Header returns the bindable
+// scene header — textures, resolution and the declared allocation
+// Capacity, no frames — which is what a streaming rendering session
+// (driver.Open + SubmitFrame) binds its system to.
+//
+// Streams opened with the same recipe, resolution and seed share one
+// prefix from a bounded process cache: the header's texture names and
+// frame 0's objects, names and texture-binding arena. What stays per
+// stream is the PRNG, the frame counter and everything handed out: Header
+// returns a fresh copy, and NextInto copies each frame's objects into the
+// caller's buffer. An object's Textures still point into the shared
+// arena, capped so appending reallocates; the bindings are read-only.
 //
 // Generate is Stream drained to completion, so a streamed run sees exactly
 // the frames a batch run sees: same PRNG, same draw order, same jitter.
 type Stream struct {
-	spec          Spec
-	width, height int
-	frames        int // <= 0 means unbounded
-	rng           *rand.Rand
-	header        scene.Scene
-	base          scene.Frame
-	next          int
+	frames int // <= 0 means unbounded
+	rng    *rand.Rand
+	pre    *prefix
+	next   int
 
 	// Motion, when set, drives the per-frame camera pan (dx, dy in pixels)
 	// instead of the generator's random walk — the hook head-motion traces
@@ -41,13 +46,32 @@ type Stream struct {
 // streams without bound (the multi-user serving scenario); otherwise the
 // stream ends after the given count. The same (spec, resolution, frames,
 // seed) prefix always yields identical frames. Stream validates the header
-// and frame 0 (Scene.Validate) and panics on a malformed recipe; every
-// later frame is valid by construction.
+// and frame 0 (Scene.Validate) when it builds them and panics on a
+// malformed recipe; every later frame is valid by construction. An open
+// whose prefix is cached builds nothing: it seeds a fresh source and
+// advances it past the draws the build consumed.
 func (sp Spec) Stream(width, height, frames int, seed int64) *Stream {
-	rng := rand.New(rand.NewSource(seed ^ int64(len(sp.Abbr))*7919 ^ int64(width)*31 ^ int64(height)*17))
+	src := rand.NewSource(seed ^ int64(len(sp.Abbr))*7919 ^ int64(width)*31 ^ int64(height)*17).(rand.Source64)
+	k := keyOf(sp, width, height, seed)
+	p := prefixes.get(k)
+	if p != nil {
+		for range p.draws {
+			src.Uint64()
+		}
+	} else {
+		p = sp.buildPrefix(width, height, src)
+		prefixes.put(k, p)
+	}
+	return &Stream{frames: frames, rng: rand.New(src), pre: p}
+}
 
-	st := &Stream{spec: sp, width: width, height: height, frames: frames, rng: rng}
-	st.header = scene.Scene{
+// buildPrefix synthesizes the header and frame 0 from src and records how
+// many steps it drew.
+func (sp Spec) buildPrefix(width, height int, src rand.Source64) *prefix {
+	cs := &countingSource{Source64: src}
+	rng := rand.New(cs)
+	p := &prefix{}
+	p.header = scene.Scene{
 		Name:     numbered(sp.Abbr+"-", 0, width),
 		Width:    width,
 		Height:   height,
@@ -70,7 +94,7 @@ func (sp Spec) Stream(width, height, frames int, seed int64) *Stream {
 		if i < commonTex {
 			name = numbered("common", 2, i)
 		}
-		st.header.Textures = append(st.header.Textures, scene.Texture{ID: scene.TextureID(i), Name: name, Bytes: size})
+		p.header.Textures = append(p.header.Textures, scene.Texture{ID: scene.TextureID(i), Name: name, Bytes: size})
 	}
 
 	// Cluster membership: the non-common textures are divided round-robin
@@ -89,8 +113,8 @@ func (sp Spec) Stream(width, height, frames int, seed int64) *Stream {
 		if size < 16*1024 {
 			size = 16 * 1024
 		}
-		id := scene.TextureID(len(st.header.Textures))
-		st.header.Textures = append(st.header.Textures, scene.Texture{ID: id, Name: numbered("priv", 4, i), Bytes: size})
+		id := scene.TextureID(len(p.header.Textures))
+		p.header.Textures = append(p.header.Textures, scene.Texture{ID: id, Name: numbered("priv", 4, i), Bytes: size})
 		privateTex[i] = id
 	}
 
@@ -98,28 +122,29 @@ func (sp Spec) Stream(width, height, frames int, seed int64) *Stream {
 	// and textures every frame. Subsequent frames are camera-jittered
 	// copies (fragment counts scale a little, bounds pan slightly); the
 	// draw list, texture bindings and dependencies stay fixed.
-	st.base = st.buildBaseFrame(clusterTex, privateTex, commonTex)
+	p.base = sp.buildBaseFrame(rng, width, height, clusterTex, privateTex, commonTex)
 
 	// The allocation envelope: the object set is frame-invariant except
 	// for fragment counts and bounds, so frame 0 declares it exactly.
-	vcaps := make([]int64, len(st.base.Objects))
-	for i := range st.base.Objects {
-		vcaps[i] = st.base.Objects[i].VertexBytes()
+	vcaps := make([]int64, len(p.base.Objects))
+	for i := range p.base.Objects {
+		vcaps[i] = p.base.Objects[i].VertexBytes()
 	}
-	st.header.Capacity = scene.Capacity{MaxObjects: len(st.base.Objects), VertexBytes: vcaps}
+	p.header.Capacity = scene.Capacity{MaxObjects: len(p.base.Objects), VertexBytes: vcaps}
 
 	// Later frames only rescale clamped fragment counts and shift bounds,
 	// so checking the header with frame 0 covers every frame of the stream.
-	v := st.header
-	v.Frames = []scene.Frame{st.base}
+	v := p.header
+	v.Frames = []scene.Frame{p.base}
 	v.Validate()
-	return st
+	p.draws = cs.n
+	p.weight = len(p.header.Textures) + len(p.base.Objects)
+	return p
 }
 
 // buildBaseFrame synthesizes frame 0 — the draw list every later frame
 // jitters.
-func (st *Stream) buildBaseFrame(clusterTex [][]scene.TextureID, privateTex []scene.TextureID, commonTex int) scene.Frame {
-	sp, rng, width, height := st.spec, st.rng, st.width, st.height
+func (sp Spec) buildBaseFrame(rng *rand.Rand, width, height int, clusterTex [][]scene.TextureID, privateTex []scene.TextureID, commonTex int) scene.Frame {
 	frame := scene.Frame{Index: 0, Objects: make([]scene.Object, 0, sp.Draws)}
 	// One arena holds every binding: per draw a private, ≤3 picks, ≤1 common.
 	texArena := make([]scene.TextureID, 0, 5*sp.Draws)
@@ -247,10 +272,10 @@ func numbered(prefix string, width, i int) string {
 // an independent copy — mutating one header never leaks into the stream or
 // into headers handed out earlier.
 func (st *Stream) Header() *scene.Scene {
-	h := st.header
+	h := st.pre.header
 	h.Frames = nil
-	h.Textures = append([]scene.Texture(nil), st.header.Textures...)
-	h.Capacity.VertexBytes = append([]int64(nil), st.header.Capacity.VertexBytes...)
+	h.Textures = append([]scene.Texture(nil), h.Textures...)
+	h.Capacity.VertexBytes = append([]int64(nil), h.Capacity.VertexBytes...)
 	return &h
 }
 
@@ -275,14 +300,15 @@ func (st *Stream) NextInto(f *scene.Frame) bool {
 	}
 	fi := st.next
 	st.next++
-	n := len(st.base.Objects)
+	base := st.pre.base.Objects
+	n := len(base)
 	if cap(f.Objects) < n {
 		f.Objects = make([]scene.Object, n)
 	}
 	f.Objects = f.Objects[:n]
 	f.Index = fi
 	if fi == 0 {
-		copy(f.Objects, st.base.Objects)
+		copy(f.Objects, base)
 		return true
 	}
 	jitter := 1 + 0.05*st.rng.NormFloat64()
@@ -296,9 +322,9 @@ func (st *Stream) NextInto(f *scene.Frame) bool {
 		dx = st.rng.NormFloat64() * 4
 		dy = st.rng.NormFloat64() * 2
 	}
-	viewRect := geom.AABB{Max: geom.Vec2{X: float64(st.width), Y: float64(st.height)}}
-	for oi := range st.base.Objects {
-		o := st.base.Objects[oi] // copy
+	viewRect := geom.AABB{Max: geom.Vec2{X: float64(st.pre.header.Width), Y: float64(st.pre.header.Height)}}
+	for oi := range base {
+		o := base[oi] // copy
 		o.FragsPerView *= jitter * (1 + 0.03*st.rng.NormFloat64())
 		if o.FragsPerView < 0 {
 			o.FragsPerView = 0

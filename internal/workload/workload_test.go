@@ -227,31 +227,72 @@ func TestHeavyTailExists(t *testing.T) {
 // and on frames streamed through NextInto (which share frame 0's
 // bindings).
 func TestTextureBindingsDoNotAlias(t *testing.T) {
-	check := func(what string, f *scene.Frame) {
-		t.Helper()
-		want := make([][]scene.TextureID, len(f.Objects))
-		for i := range f.Objects {
-			want[i] = slices.Clone(f.Objects[i].Textures)
-		}
-		for i := range f.Objects {
-			_ = append(f.Objects[i].Textures, -1)
-			for j := range f.Objects {
-				if !slices.Equal(f.Objects[j].Textures, want[j]) {
-					t.Fatalf("%s: appending to object %d's textures changed object %d's: %v, want %v",
-						what, i, j, f.Objects[j].Textures, want[j])
-				}
-			}
-		}
-	}
 	for _, c := range Cases() {
 		sc := c.Spec.Generate(c.Width, c.Height, 2, 1)
 		for fi := range sc.Frames {
-			check(fmt.Sprintf("%s Generate frame %d", c.Name, fi), &sc.Frames[fi])
+			checkAppendsDoNotAlias(t, fmt.Sprintf("%s Generate frame %d", c.Name, fi), &sc.Frames[fi])
 		}
 		st := c.Spec.Stream(c.Width, c.Height, 2, 1)
 		var f scene.Frame
 		for st.NextInto(&f) {
-			check(fmt.Sprintf("%s NextInto frame %d", c.Name, f.Index), &f)
+			checkAppendsDoNotAlias(t, fmt.Sprintf("%s NextInto frame %d", c.Name, f.Index), &f)
+		}
+	}
+}
+
+func checkAppendsDoNotAlias(t *testing.T, what string, f *scene.Frame) {
+	t.Helper()
+	want := make([][]scene.TextureID, len(f.Objects))
+	for i := range f.Objects {
+		want[i] = slices.Clone(f.Objects[i].Textures)
+	}
+	for i := range f.Objects {
+		_ = append(f.Objects[i].Textures, -1)
+		for j := range f.Objects {
+			if !slices.Equal(f.Objects[j].Textures, want[j]) {
+				t.Fatalf("%s: appending to object %d's textures changed object %d's: %v, want %v",
+					what, i, j, f.Objects[j].Textures, want[j])
+			}
+		}
+	}
+}
+
+// TestStreamsSharingAPrefixDoNotAlias opens two streams of each case that
+// share one cached prefix. Appending to one stream's bindings and editing
+// its frames' objects and header must leave the other stream's frames and
+// header, and the cached frame 0, unchanged.
+func TestStreamsSharingAPrefixDoNotAlias(t *testing.T) {
+	for _, c := range Cases() {
+		resetPrefixes()
+		a := c.Spec.Stream(c.Width, c.Height, 3, 1)
+		b := c.Spec.Stream(c.Width, c.Height, 3, 1)
+		pre := cached(c.Spec, c.Width, c.Height, 1)
+		if pre == nil || a.pre != pre || b.pre != pre {
+			t.Fatalf("%s: the two streams do not share the cached prefix", c.Name)
+		}
+		base := slices.Clone(pre.base.Objects)
+		for i := range base {
+			base[i].Textures = slices.Clone(base[i].Textures)
+		}
+		_, wantB := drain(c.Spec.Stream(c.Width, c.Height, 3, 1))
+		wantH := b.Header()
+
+		ha := a.Header()
+		ha.Textures[0].Name, ha.Capacity.VertexBytes[0] = "edited", -1
+		var f scene.Frame
+		for a.NextInto(&f) {
+			checkAppendsDoNotAlias(t, fmt.Sprintf("%s stream a frame %d", c.Name, f.Index), &f)
+			for i := range f.Objects {
+				o := &f.Objects[i]
+				o.Textures = append(o.Textures, -2)
+				o.Name, o.Triangles, o.FragsPerView = "edited", -1, -1
+			}
+		}
+		if h, got := drain(b); !reflect.DeepEqual(got, wantB) || !reflect.DeepEqual(h, wantH) {
+			t.Errorf("%s: editing stream a's frames or header changed stream b's", c.Name)
+		}
+		if !reflect.DeepEqual(pre.base.Objects, base) {
+			t.Errorf("%s: editing stream a's frames changed the cached frame 0", c.Name)
 		}
 	}
 }
