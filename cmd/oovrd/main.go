@@ -9,7 +9,7 @@
 // workers drain. A worker is the same binary in pull mode:
 //
 //	oovrd [-addr :8037] [-workers N] [-cache 4096] [-lease 15s] [-drain 15s]
-//	oovrd -worker -coordinator http://host:8037 [-name w1]
+//	oovrd -worker -coordinator http://host:8037 [-name w1] [-cache 4096]
 //	      [-chaos crash=P,stall=P,corrupt=P,seed=N]
 //
 // Both roles drain gracefully on SIGINT/SIGTERM: the server stops
@@ -56,8 +56,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8037", "listen address")
-	workers := flag.Int("workers", runtime.NumCPU(), "concurrent simulations (the worker pool bound)")
-	cache := flag.Int("cache", 4096, "max cached results (negative disables the cache)")
+	workers := flag.Int("workers", runtime.NumCPU(), "concurrent simulations (the worker pool bound; server only)")
+	cache := flag.Int("cache", 4096, "max cached results (positive)")
 	lease := flag.Duration("lease", 15*time.Second, "fleet lease TTL before an unrenewed spec re-queues")
 	drain := flag.Duration("drain", 15*time.Second, "shutdown deadline for in-flight requests")
 	workerMode := flag.Bool("worker", false, "run as a fleet worker pulling leased specs instead of serving")
@@ -75,17 +75,27 @@ func main() {
 		go serveDebug(*debugAddr)
 	}
 
+	if *cache <= 0 {
+		fmt.Fprintf(os.Stderr, "-cache %d: must be positive\n", *cache)
+		os.Exit(2)
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *workerMode {
+		// A worker serves one lease at a time, so its executor needs one
+		// slot.
+		if set["workers"] {
+			fmt.Fprintln(os.Stderr, "-workers applies to the server; a worker runs one lease at a time")
+			os.Exit(2)
+		}
 		// The obs listener is opt-in for workers: only an explicit -addr
 		// serves /metrics and /healthz, so a fleet of workers on one host
 		// never fights over the default port.
 		obsAddr := ""
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "addr" {
-				obsAddr = *addr
-			}
-		})
-		if err := runWorker(ctx, *coordinator, *name, *chaosFlag, *workers, *cache, obsAddr); err != nil {
+		if set["addr"] {
+			obsAddr = *addr
+		}
+		if err := runWorker(ctx, *coordinator, *name, *chaosFlag, *cache, obsAddr); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -171,7 +181,7 @@ func serve(ctx context.Context, addr string, workers, cache int, lease, drain ti
 // through the same single-flight content-addressed machinery the HTTP
 // endpoints use — an identical spec leased twice (or arriving later over
 // /run) shares one execution and one cached body.
-func runWorker(ctx context.Context, coordinator, name, chaosFlag string, workers, cache int, obsAddr string) error {
+func runWorker(ctx context.Context, coordinator, name, chaosFlag string, cache int, obsAddr string) error {
 	if coordinator == "" {
 		return fmt.Errorf("-worker needs -coordinator URL")
 	}
@@ -184,7 +194,7 @@ func runWorker(ctx context.Context, coordinator, name, chaosFlag string, workers
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	reg := obs.NewRegistry()
-	exec := server.New(server.Options{Workers: workers, CacheEntries: cache, Metrics: reg, Role: "worker"})
+	exec := server.New(server.Options{Workers: 1, CacheEntries: cache, Metrics: reg, Role: "worker"})
 	run := func(j spec.Job) ([]byte, error) {
 		body, _, _, err := exec.Job(context.Background(), j)
 		if err != nil && !server.IsExecError(err) {
@@ -217,6 +227,6 @@ func runWorker(ctx context.Context, coordinator, name, chaosFlag string, workers
 		}()
 		fmt.Printf("oovrd worker metrics on %s\n", obsAddr)
 	}
-	fmt.Printf("oovrd worker %s pulling from %s (%d slots, chaos %q)\n", name, coordinator, workers, chaosFlag)
+	fmt.Printf("oovrd worker %s pulling from %s (chaos %q)\n", name, coordinator, chaosFlag)
 	return w.Run(ctx)
 }

@@ -93,7 +93,7 @@ func main() {
 			sys = *opt.System
 		}
 		sys.Config = sys.Config.WithTopology(*topology)
-		if err := topo.Validate(sys.Config.TopologyParams()); err != nil {
+		if _, err := topo.Build(sys.Config.TopologyParams()); err != nil {
 			fail(err)
 		}
 		opt.System = &sys

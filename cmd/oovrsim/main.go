@@ -46,6 +46,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -204,7 +205,7 @@ func main() {
 		return
 	}
 	if *timelinePath != "" {
-		if err := writeTimeline(*timelinePath, runs[0].Timeline.EncodeTraceEvents()); err != nil {
+		if err := writeTimeline(os.Stdout, *timelinePath, runs[0].Timeline); err != nil {
 			fail(err)
 		}
 	}
@@ -213,38 +214,49 @@ func main() {
 	if *verbose {
 		if *fleetURL == "" {
 			printPhases(runs[0].Phases)
-			printUtilization(runs[0].Timeline)
+			printUtilization(os.Stdout, runs[0].Timeline)
 		}
 		printLinks(ms[0])
 	}
 }
 
-// writeTimeline stores an encoded trace-event document and prints where
-// it went plus its fingerprint (what the golden smoke test pins).
-func writeTimeline(path string, enc []byte) error {
+// writeTimeline stores the recording as a trace-event document and prints
+// where it went plus its fingerprint (what the golden smoke test pins),
+// and how many of the oldest events the full ring overwrote, if any.
+func writeTimeline(w io.Writer, path string, tl *obs.Timeline) error {
+	enc := tl.EncodeTraceEvents()
 	if err := os.WriteFile(path, enc, 0o644); err != nil {
 		return err
 	}
 	sum := sha256.Sum256(enc)
-	fmt.Printf("timeline:          %s (%d bytes, sha256 %s)\n", path, len(enc), hex.EncodeToString(sum[:])[:16])
+	fmt.Fprintf(w, "timeline:          %s (%d bytes, sha256 %s%s)\n", path, len(enc), hex.EncodeToString(sum[:])[:16], dropped(tl))
 	return nil
+}
+
+// dropped is the note a truncated recording carries: empty when the ring
+// kept every event.
+func dropped(tl *obs.Timeline) string {
+	if n := tl.Dropped(); n > 0 {
+		return fmt.Sprintf(", %d oldest events dropped", n)
+	}
+	return ""
 }
 
 // printUtilization renders the derived sim-time occupancy: each lane's
 // busy fraction over 8 windows of the recorded horizon. Lanes that never
 // carried a span are omitted.
-func printUtilization(tl *obs.Timeline) {
+func printUtilization(w io.Writer, tl *obs.Timeline) {
 	utils, horizon := tl.Utilization(8)
 	if len(utils) == 0 {
 		return
 	}
-	fmt.Printf("sim-time occupancy (8 windows over %.0f µs):\n", horizon)
+	fmt.Fprintf(w, "sim-time occupancy (8 windows over %.0f µs%s):\n", horizon, dropped(tl))
 	for _, u := range utils {
-		fmt.Printf("  %-16s", u.Proc+"/"+u.Lane)
+		fmt.Fprintf(w, "  %-16s", u.Proc+"/"+u.Lane)
 		for _, b := range u.Busy {
-			fmt.Printf(" %3.0f%%", 100*b)
+			fmt.Fprintf(w, " %3.0f%%", 100*b)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
@@ -326,7 +338,7 @@ func recordCell(sp spec.ServiceSpec, path string) (service.Report, error) {
 	c.AttachTimeline(tl)
 	for c.Step() {
 	}
-	if err := writeTimeline(path, tl.EncodeTraceEvents()); err != nil {
+	if err := writeTimeline(os.Stdout, path, tl); err != nil {
 		return service.Report{}, err
 	}
 	return service.NewReport(sp, []service.CellReport{c.Report()})

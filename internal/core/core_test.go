@@ -15,7 +15,9 @@ func sceneWith(textures []scene.Texture, objs []scene.Object) *scene.Scene {
 		Textures: textures,
 		Frames:   []scene.Frame{{Index: 0, Objects: objs}},
 	}
-	s.Validate()
+	if err := s.Validate(); err != nil {
+		panic(err)
+	}
 	return s
 }
 

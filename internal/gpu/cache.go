@@ -1,5 +1,7 @@
 package gpu
 
+import "errors"
+
 // CacheModel is the transaction-level stand-in for the two-level cache
 // hierarchy. Instead of simulating individual lines it answers the only
 // question the NUMA study needs: of the bytes a rendering task *samples*,
@@ -52,12 +54,13 @@ func (c CacheModel) TextureFetchBytes(texBytes int64, frags float64, warm bool) 
 	return want
 }
 
-// Validate panics on out-of-range parameters.
-func (c CacheModel) Validate() {
+// Validate returns an error naming the first out-of-range parameter.
+func (c CacheModel) Validate() error {
 	if c.ReuseMissFactor < 0 || c.ReuseMissFactor > 1 {
-		panic("gpu: ReuseMissFactor must be in [0,1]")
+		return errors.New("gpu: ReuseMissFactor must be in [0,1]")
 	}
 	if c.SampleBytesPerFragment <= 0 {
-		panic("gpu: SampleBytesPerFragment must be positive")
+		return errors.New("gpu: SampleBytesPerFragment must be positive")
 	}
+	return nil
 }

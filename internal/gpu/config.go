@@ -7,7 +7,11 @@
 // engine, ROPs, and a memory-side L2 in front of the local DRAM partition.
 package gpu
 
-import "oovr/internal/topo"
+import (
+	"errors"
+
+	"oovr/internal/topo"
+)
 
 // Config is the machine configuration, defaulting to the paper's Table 2.
 type Config struct {
@@ -179,31 +183,25 @@ func (c Config) TopologyParams() topo.Params {
 	}
 }
 
-// Validate panics if the configuration is not usable.
-func (c Config) Validate() {
+// Validate returns an error naming the first unusable field. The
+// interconnect (topology name, link bandwidth, shape parameters) is
+// topo.Build's to check: TopologyParams feeds it.
+func (c Config) Validate() error {
 	switch {
 	case c.ClockGHz <= 0:
-		panic("gpu: ClockGHz must be positive")
+		return errors.New("gpu: ClockGHz must be positive")
 	case c.NumGPMs <= 0:
-		panic("gpu: NumGPMs must be positive")
+		return errors.New("gpu: NumGPMs must be positive")
 	case c.SMsPerGPM <= 0 || c.ShaderCoresPerSM <= 0:
-		panic("gpu: SM configuration must be positive")
+		return errors.New("gpu: SM configuration must be positive")
 	case c.ROPsPerGPM <= 0 || c.PixelsPerROPPerCycle <= 0:
-		panic("gpu: ROP configuration must be positive")
+		return errors.New("gpu: ROP configuration must be positive")
 	case c.LocalDRAMGBs <= 0:
-		panic("gpu: LocalDRAMGBs must be positive")
-	case c.NumGPMs > 1 && c.InterGPMLinkGBs <= 0:
-		panic("gpu: InterGPMLinkGBs must be positive for multi-GPM systems")
+		return errors.New("gpu: LocalDRAMGBs must be positive")
 	case c.VertexShaderCycles <= 0 || c.FragmentShaderCycles <= 0:
-		panic("gpu: shader cycle costs must be positive")
+		return errors.New("gpu: shader cycle costs must be positive")
 	case c.SMPCyclesPerTriangle <= 0 || c.TrianglesPerCyclePerRaster <= 0 || c.RasterFragsPerCycle <= 0:
-		panic("gpu: fixed-function rates must be positive")
-	case c.TopologyMeshCols < 0 || c.TopologyPackageSize < 0 ||
-		c.TopologyTrunkGBs < 0 || c.TopologyBackplaneGBs < 0:
-		// The topology *name* resolves against the internal/topo registry
-		// when the fabric is built (and at spec resolve time), where an
-		// unknown name reports the registered alternatives as an error
-		// instead of a panic; only the numeric knobs are checked here.
-		panic("gpu: topology parameters must be non-negative")
+		return errors.New("gpu: fixed-function rates must be positive")
 	}
+	return nil
 }

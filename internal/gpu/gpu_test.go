@@ -1,8 +1,11 @@
 package gpu
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"oovr/internal/topo"
 )
 
 func TestTable2ConfigMatchesPaper(t *testing.T) {
@@ -43,7 +46,9 @@ func TestTable2ConfigMatchesPaper(t *testing.T) {
 	if c.LocalDRAMGBs != 1024 {
 		t.Errorf("DRAM = %v GB/s, Table 2 says 1 TB/s", c.LocalDRAMGBs)
 	}
-	c.Validate() // must not panic
+	if err := c.Validate(); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestGPMRatesDerivation(t *testing.T) {
@@ -86,35 +91,45 @@ func TestWithGPMsAndLink(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadConfigs pins that Validate names each rule's
+// field. The interconnect rules (link bandwidth, shape parameters) are
+// topo.Build's.
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	cases := []func(*Config){
-		func(c *Config) { c.ClockGHz = 0 },
-		func(c *Config) { c.NumGPMs = 0 },
-		func(c *Config) { c.SMsPerGPM = 0 },
-		func(c *Config) { c.ROPsPerGPM = 0 },
-		func(c *Config) { c.LocalDRAMGBs = 0 },
-		func(c *Config) { c.InterGPMLinkGBs = 0 },
-		func(c *Config) { c.VertexShaderCycles = 0 },
-		func(c *Config) { c.RasterFragsPerCycle = 0 },
+	cases := []struct {
+		want   string
+		mutate func(*Config)
+	}{
+		{"gpu: ClockGHz must be positive", func(c *Config) { c.ClockGHz = 0 }},
+		{"gpu: NumGPMs must be positive", func(c *Config) { c.NumGPMs = 0 }},
+		{"gpu: SM configuration must be positive", func(c *Config) { c.SMsPerGPM = 0 }},
+		{"gpu: ROP configuration must be positive", func(c *Config) { c.ROPsPerGPM = 0 }},
+		{"gpu: LocalDRAMGBs must be positive", func(c *Config) { c.LocalDRAMGBs = 0 }},
+		{"gpu: shader cycle costs must be positive", func(c *Config) { c.VertexShaderCycles = 0 }},
+		{"gpu: fixed-function rates must be positive", func(c *Config) { c.RasterFragsPerCycle = 0 }},
 	}
-	for i, mutate := range cases {
+	for _, tc := range cases {
 		c := Table2Config()
-		mutate(&c)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: Validate did not panic", i)
-				}
-			}()
-			c.Validate()
-		}()
+		tc.mutate(&c)
+		if err := c.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("Validate = %v, want %s", err, tc.want)
+		}
+	}
+	c := Table2Config()
+	c.InterGPMLinkGBs = 0
+	if _, err := topo.Build(c.TopologyParams()); err == nil {
+		t.Error("a multi-GPM config without link bandwidth built a topology")
 	}
 }
 
 func TestSingleGPMNeedsNoLink(t *testing.T) {
 	c := Table2Config().WithGPMs(1)
 	c.InterGPMLinkGBs = 0
-	c.Validate() // must not panic: a single GPM has no links
+	if err := c.Validate(); err != nil {
+		t.Error(err)
+	}
+	if _, err := topo.Build(c.TopologyParams()); err != nil {
+		t.Errorf("a single GPM has no links: %v", err)
+	}
 }
 
 func TestCacheModelColdStream(t *testing.T) {
@@ -142,12 +157,9 @@ func TestCacheModelWarmReuse(t *testing.T) {
 
 func TestCacheModelValidate(t *testing.T) {
 	bad := CacheModel{ReuseMissFactor: 2, SampleBytesPerFragment: 8}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("Validate accepted ReuseMissFactor > 1")
-		}
-	}()
-	bad.Validate()
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "ReuseMissFactor") {
+		t.Errorf("Validate = %v, want an error naming ReuseMissFactor", err)
+	}
 }
 
 // Property: warm fetches never exceed cold fetches, and fetches are always

@@ -41,6 +41,7 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 )
@@ -152,17 +153,18 @@ func DefaultConfig(numGPMs int) Config {
 	}
 }
 
-// Validate panics, naming the field, unless NumGPMs and PageSize are
-// positive and RemoteCacheHitRate lies in [0,1] (a NaN rate fails).
-func (c Config) Validate() {
+// Validate returns an error naming the field unless NumGPMs and PageSize
+// are positive and RemoteCacheHitRate lies in [0,1] (a NaN rate fails).
+func (c Config) Validate() error {
 	switch {
 	case c.NumGPMs <= 0:
-		panic("mem: NumGPMs must be positive")
+		return errors.New("mem: NumGPMs must be positive")
 	case c.PageSize <= 0:
-		panic(fmt.Sprintf("mem: PageSize %d must be positive", c.PageSize))
+		return fmt.Errorf("mem: PageSize %d must be positive", c.PageSize)
 	case !(c.RemoteCacheHitRate >= 0 && c.RemoteCacheHitRate <= 1):
-		panic(fmt.Sprintf("mem: RemoteCacheHitRate %v out of [0,1]", c.RemoteCacheHitRate))
+		return fmt.Errorf("mem: RemoteCacheHitRate %v out of [0,1]", c.RemoteCacheHitRate)
 	}
+	return nil
 }
 
 // Flow describes where the bytes of one access went. RemoteBySrc[g] is the
@@ -216,9 +218,12 @@ type System struct {
 	hist []int64
 }
 
-// NewSystem creates a memory system for the given configuration.
+// NewSystem creates a memory system for the given configuration. It
+// panics with Validate's error on an invalid one.
 func NewSystem(cfg Config) *System {
-	cfg.Validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	return &System{
 		cfg:     cfg,
 		epoch:   copyCold + 1,

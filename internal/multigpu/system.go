@@ -60,22 +60,27 @@ func DefaultOptions() Options {
 	}
 }
 
-// Validate panics, naming the option, on a machine the simulator cannot
+// Validate returns an error naming the first option the simulator cannot
 // run: an invalid Config or Cache, OverlapFactor outside [0,1], a negative
 // IssueCyclesPerDraw or ShipOverfetch (0 means 1), or memory options
-// mem.Config.Validate rejects. A NaN fails every rule.
-func (o Options) Validate() {
-	o.Config.Validate()
-	o.Cache.Validate()
+// mem.Config.Validate rejects. A NaN fails every rule. The interconnect is
+// topo.Build's to check.
+func (o Options) Validate() error {
+	if err := o.Config.Validate(); err != nil {
+		return err
+	}
+	if err := o.Cache.Validate(); err != nil {
+		return err
+	}
 	switch {
 	case !(o.OverlapFactor >= 0 && o.OverlapFactor <= 1):
-		panic(fmt.Sprintf("multigpu: OverlapFactor %v out of [0,1]", o.OverlapFactor))
+		return fmt.Errorf("multigpu: OverlapFactor %v out of [0,1]", o.OverlapFactor)
 	case !(o.IssueCyclesPerDraw >= 0):
-		panic(fmt.Sprintf("multigpu: IssueCyclesPerDraw %v must be non-negative", o.IssueCyclesPerDraw))
+		return fmt.Errorf("multigpu: IssueCyclesPerDraw %v must be non-negative", o.IssueCyclesPerDraw)
 	case !(o.ShipOverfetch >= 0):
-		panic(fmt.Sprintf("multigpu: ShipOverfetch %v must be non-negative", o.ShipOverfetch))
+		return fmt.Errorf("multigpu: ShipOverfetch %v must be non-negative", o.ShipOverfetch)
 	}
-	o.memConfig().Validate()
+	return o.memConfig().Validate()
 }
 
 // memConfig is the memory system's share of the options.
@@ -306,9 +311,12 @@ func (s *System) markShipped(gi int, seg mem.SegmentID) {
 
 // New binds a system to a scene. The framebuffer and depth surfaces are
 // allocated for the side-by-side stereo target and striped by default; the
-// command stream lives on GPM0 where the driver writes it.
+// command stream lives on GPM0 where the driver writes it. New panics on
+// options Validate or topo.Build rejects.
 func New(opt Options, sc *scene.Scene) *System {
-	opt.Validate()
+	if err := opt.Validate(); err != nil {
+		panic(err)
+	}
 	if opt.ShipOverfetch == 0 {
 		opt.ShipOverfetch = 1
 	}

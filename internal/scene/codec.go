@@ -124,20 +124,8 @@ func Decode(r io.Reader) (*Scene, error) {
 		}
 		s.Frames = append(s.Frames, frame)
 	}
-	if err := validateErr(s); err != nil {
-		return nil, err
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("scene: invalid trace: %w", err)
 	}
 	return s, nil
-}
-
-// validateErr runs Validate but converts its panic into an error, for
-// untrusted input paths.
-func validateErr(s *Scene) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("scene: invalid trace: %v", r)
-		}
-	}()
-	s.Validate()
-	return nil
 }

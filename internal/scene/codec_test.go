@@ -10,7 +10,9 @@ import (
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s := validScene()
 	s.Frames[0].Objects[2].DependsOn = 0
-	s.Validate()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := s.Encode(&buf); err != nil {
 		t.Fatalf("Encode: %v", err)

@@ -181,50 +181,51 @@ func (s *Scene) TotalTextureBytes() int64 {
 	return b
 }
 
-// Validate checks internal consistency and panics with a descriptive
-// message on the first violation. Generators call this before returning a
-// scene.
-func (s *Scene) Validate() {
+// Validate checks internal consistency and returns an error describing
+// the first violation. Generators panic on it before returning a scene;
+// Decode returns it.
+func (s *Scene) Validate() error {
 	if s.Width <= 0 || s.Height <= 0 {
-		panic(fmt.Sprintf("scene %q: bad resolution %dx%d", s.Name, s.Width, s.Height))
+		return fmt.Errorf("scene %q: bad resolution %dx%d", s.Name, s.Width, s.Height)
 	}
 	for ti, t := range s.Textures {
 		if int(t.ID) != ti {
-			panic(fmt.Sprintf("scene %q: texture %d has id %d", s.Name, ti, t.ID))
+			return fmt.Errorf("scene %q: texture %d has id %d", s.Name, ti, t.ID)
 		}
 		if t.Bytes <= 0 {
-			panic(fmt.Sprintf("scene %q: texture %q has size %d", s.Name, t.Name, t.Bytes))
+			return fmt.Errorf("scene %q: texture %q has size %d", s.Name, t.Name, t.Bytes)
 		}
 	}
 	for fi := range s.Frames {
 		f := &s.Frames[fi]
 		if f.Index != fi {
-			panic(fmt.Sprintf("scene %q: frame %d has index %d", s.Name, fi, f.Index))
+			return fmt.Errorf("scene %q: frame %d has index %d", s.Name, fi, f.Index)
 		}
 		for oi := range f.Objects {
 			o := &f.Objects[oi]
 			if o.Index != oi {
-				panic(fmt.Sprintf("scene %q frame %d: object %d has index %d", s.Name, fi, oi, o.Index))
+				return fmt.Errorf("scene %q frame %d: object %d has index %d", s.Name, fi, oi, o.Index)
 			}
 			if o.Triangles <= 0 || o.Vertices <= 0 {
-				panic(fmt.Sprintf("scene %q frame %d obj %d: empty geometry", s.Name, fi, oi))
+				return fmt.Errorf("scene %q frame %d obj %d: empty geometry", s.Name, fi, oi)
 			}
 			if o.FragsPerView < 0 {
-				panic(fmt.Sprintf("scene %q frame %d obj %d: negative fragments", s.Name, fi, oi))
+				return fmt.Errorf("scene %q frame %d obj %d: negative fragments", s.Name, fi, oi)
 			}
 			if len(o.Textures) == 0 {
-				panic(fmt.Sprintf("scene %q frame %d obj %d: no textures", s.Name, fi, oi))
+				return fmt.Errorf("scene %q frame %d obj %d: no textures", s.Name, fi, oi)
 			}
 			for _, tid := range o.Textures {
 				if int(tid) < 0 || int(tid) >= len(s.Textures) {
-					panic(fmt.Sprintf("scene %q frame %d obj %d: texture %d out of range", s.Name, fi, oi, tid))
+					return fmt.Errorf("scene %q frame %d obj %d: texture %d out of range", s.Name, fi, oi, tid)
 				}
 			}
 			if o.DependsOn != NoDependency && (o.DependsOn < 0 || o.DependsOn >= oi) {
-				panic(fmt.Sprintf("scene %q frame %d obj %d: dependency %d not earlier", s.Name, fi, oi, o.DependsOn))
+				return fmt.Errorf("scene %q frame %d obj %d: dependency %d not earlier", s.Name, fi, oi, o.DependsOn)
 			}
 		}
 	}
+	return nil
 }
 
 // SharingStats summarizes the texture-sharing structure of a frame — the

@@ -1,6 +1,8 @@
 package scene
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"oovr/internal/geom"
@@ -33,7 +35,9 @@ func validScene() *Scene {
 			},
 		},
 	}
-	s.Validate()
+	if err := s.Validate(); err != nil {
+		panic(err)
+	}
 	return s
 }
 
@@ -125,38 +129,52 @@ func TestSharingStats(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesBadScenes pins one contract per scene rule: Validate
+// returns an error naming the violation, and Decode of the encoded scene
+// fails with that same text. Ids and indices are positional in the
+// encoding, so those three rules cannot reach Decode.
 func TestValidateCatchesBadScenes(t *testing.T) {
 	mutations := []struct {
-		name   string
-		mutate func(*Scene)
+		want    string
+		mutate  func(*Scene)
+		encoded bool
 	}{
-		{"bad resolution", func(s *Scene) { s.Width = 0 }},
-		{"texture id mismatch", func(s *Scene) { s.Textures[1].ID = 5 }},
-		{"empty texture", func(s *Scene) { s.Textures[0].Bytes = 0 }},
-		{"frame index", func(s *Scene) { s.Frames[0].Index = 3 }},
-		{"object index", func(s *Scene) { s.Frames[0].Objects[1].Index = 9 }},
-		{"no triangles", func(s *Scene) { s.Frames[0].Objects[0].Triangles = 0 }},
-		{"negative frags", func(s *Scene) { s.Frames[0].Objects[0].FragsPerView = -1 }},
-		{"no textures", func(s *Scene) { s.Frames[0].Objects[0].Textures = nil }},
-		{"texture out of range", func(s *Scene) { s.Frames[0].Objects[0].Textures = []TextureID{99} }},
-		{"forward dependency", func(s *Scene) { s.Frames[0].Objects[0].DependsOn = 2 }},
+		{`scene "test": bad resolution 0x480`, func(s *Scene) { s.Width = 0 }, true},
+		{`scene "test": texture 1 has id 5`, func(s *Scene) { s.Textures[1].ID = 5 }, false},
+		{`scene "test": texture "stone" has size 0`, func(s *Scene) { s.Textures[0].Bytes = 0 }, true},
+		{`scene "test": frame 0 has index 3`, func(s *Scene) { s.Frames[0].Index = 3 }, false},
+		{`scene "test" frame 0: object 1 has index 9`, func(s *Scene) { s.Frames[0].Objects[1].Index = 9 }, false},
+		{`scene "test" frame 0 obj 0: empty geometry`, func(s *Scene) { s.Frames[0].Objects[0].Triangles = 0 }, true},
+		{`scene "test" frame 0 obj 0: negative fragments`, func(s *Scene) { s.Frames[0].Objects[0].FragsPerView = -1 }, true},
+		{`scene "test" frame 0 obj 0: no textures`, func(s *Scene) { s.Frames[0].Objects[0].Textures = nil }, true},
+		{`scene "test" frame 0 obj 0: texture 99 out of range`, func(s *Scene) { s.Frames[0].Objects[0].Textures = []TextureID{99} }, true},
+		{`scene "test" frame 0 obj 0: dependency 2 not earlier`, func(s *Scene) { s.Frames[0].Objects[0].DependsOn = 2 }, true},
 	}
 	for _, m := range mutations {
 		s := validScene()
 		m.mutate(s)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Validate did not panic", m.name)
-				}
-			}()
-			s.Validate()
-		}()
+		err := s.Validate()
+		if err == nil || err.Error() != m.want {
+			t.Errorf("Validate = %v, want %s", err, m.want)
+			continue
+		}
+		if !m.encoded {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := s.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(&buf); err == nil || !strings.HasSuffix(err.Error(), ": "+m.want) {
+			t.Errorf("Decode = %v, want Validate's text %s", err, m.want)
+		}
 	}
 }
 
 func TestValidDependencyAccepted(t *testing.T) {
 	s := validScene()
 	s.Frames[0].Objects[2].DependsOn = 0
-	s.Validate() // must not panic
+	if err := s.Validate(); err != nil {
+		t.Error(err)
+	}
 }

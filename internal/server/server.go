@@ -65,7 +65,7 @@ type Options struct {
 	// harness's Parallel option uses (0 = all CPUs).
 	Workers int
 	// CacheEntries bounds the result cache; the oldest entry is evicted
-	// past it (0 = 4096, negative = caching disabled).
+	// past it (0 or negative = 4096).
 	CacheEntries int
 	// Metrics, when non-nil, is the registry the server registers its
 	// instruments in and serves at GET /metrics. oovrd passes one shared
@@ -81,7 +81,7 @@ func (o Options) defaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
-	if o.CacheEntries == 0 {
+	if o.CacheEntries <= 0 {
 		o.CacheEntries = 4096
 	}
 	if o.Role == "" {
@@ -284,16 +284,6 @@ func (s *Server) Result(ctx context.Context, rs spec.RunSpec) (body []byte, hash
 // answer serves a hashed job from stored bytes or executes it, once for
 // every concurrent submitter of the same address (single-flight).
 func (s *Server) answer(ctx context.Context, j spec.Job, hash string) (body []byte, hit bool, err error) {
-	// A server without a cache executes every submission, each counted as
-	// a miss.
-	if s.opt.CacheEntries < 0 {
-		s.mu.Lock()
-		s.stats.CacheMisses++
-		s.mu.Unlock()
-		body, err = s.execute(ctx, j)
-		return body, false, err
-	}
-
 	s.mu.Lock()
 	if e, ok := s.cache[hash]; ok {
 		s.mu.Unlock()

@@ -294,6 +294,16 @@ func TestRejections(t *testing.T) {
 		{"MeanTriangles", func(s *spec.RunSpec) { s.Workload.Inline.MeanTriangles = -5 }},
 		{"Overdraw", func(s *spec.RunSpec) { s.Workload.Inline.Overdraw = -1 }},
 		{"resolution", func(s *spec.RunSpec) { s.Workload.Width = -640 }},
+		// Finite recipe values past the bounds that keep sizes in int64.
+		{"MeanTriangles", func(s *spec.RunSpec) { s.Workload.Inline.MeanTriangles = 1e300 }},
+		{"TriSigma", func(s *spec.RunSpec) { s.Workload.Inline.TriSigma = 1e300 }},
+		{"MeanTextureKB", func(s *spec.RunSpec) { s.Workload.Inline.MeanTextureKB = 1e300 }},
+		// The smallest positive link bandwidth halves to a 0 GB/s trunk.
+		{"trunk", func(s *spec.RunSpec) {
+			o := multigpu.DefaultOptions()
+			o.Config.Topology, o.Config.InterGPMLinkGBs = "hierarchical", 5e-324
+			s.Hardware = &o
+		}},
 	} {
 		sp := workload.Benchmarks()[0]
 		s := spec.RunSpec{Workload: spec.WorkloadRef{Name: "bad", Inline: &sp}, Scheduler: spec.SchedulerRef{Name: "oovr"}, Frames: 1}

@@ -195,14 +195,6 @@ func canonicalJSON(raw json.RawMessage) (json.RawMessage, error) {
 	return json.Marshal(v)
 }
 
-// Validate resolves every named component and checks the run knobs,
-// without running anything. Unknown component names report the sorted
-// registered alternatives.
-func (s RunSpec) Validate() error {
-	_, err := s.Resolve()
-	return err
-}
-
 // ValidateHardware checks the spec's hardware options alone — for callers
 // (the harness's -spec template) that use a stored spec's machine without
 // resolving its scheduler, which may not be registered in their binary.
@@ -316,22 +308,15 @@ func (n RunSpec) ResolveWorkload() (workload.Case, error) {
 	return c, nil
 }
 
-// validOptions converts the options' panic-style validation into an
-// error, so a bad HTTP-submitted spec reports instead of crashing a worker.
-func validOptions(opt multigpu.Options) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%v", p)
-		}
-	}()
-	opt.Validate()
-	// Resolve the topology here rather than letting multigpu.New panic
-	// inside a worker: an unknown or inconsistent topology is an input
-	// error, reported with the registered alternatives.
-	if err := topo.Validate(opt.Config.TopologyParams()); err != nil {
+// validOptions checks the options, then builds the topology they name:
+// an unknown or inconsistent interconnect is an input error here, reported
+// with the registered alternatives, rather than a panic in multigpu.New.
+func validOptions(opt multigpu.Options) error {
+	if err := opt.Validate(); err != nil {
 		return err
 	}
-	return nil
+	_, err := topo.Build(opt.Config.TopologyParams())
+	return err
 }
 
 // Execute runs the resolved simulation and collects its metrics — byte

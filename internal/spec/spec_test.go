@@ -281,7 +281,7 @@ func TestUnknownComponentErrors(t *testing.T) {
 	}
 }
 
-// TestParamRangeValidation pins that out-of-range params fail at Validate
+// TestParamRangeValidation pins that out-of-range params fail at Resolve
 // time with an error instead of panicking mid-simulation.
 func TestParamRangeValidation(t *testing.T) {
 	bad := []SchedulerRef{
@@ -295,7 +295,7 @@ func TestParamRangeValidation(t *testing.T) {
 	}
 	for _, sref := range bad {
 		rs := RunSpec{Workload: WorkloadRef{Name: "WE"}, Scheduler: sref}
-		if err := rs.Validate(); err == nil {
+		if _, err := rs.Resolve(); err == nil {
 			t.Errorf("%s params %s validated", sref.Name, sref.Params)
 		}
 	}
@@ -305,13 +305,13 @@ func TestParamRangeValidation(t *testing.T) {
 	ok := RunSpec{Workload: WorkloadRef{Name: "WE"},
 		Scheduler: SchedulerRef{Name: "object", Params: json.RawMessage(`{"Root": 7}`)},
 		Hardware:  &opt}
-	if err := ok.Validate(); err != nil {
+	if _, err := ok.Resolve(); err != nil {
 		t.Errorf("in-range Root rejected: %v", err)
 	}
 }
 
 // TestHardwareOptionValidation pins that an out-of-range memory, ship or
-// issue knob fails at Validate time with an error naming the knob, instead
+// issue knob fails at Resolve time with an error naming the knob, instead
 // of panicking (or silently reporting 0 cycles) inside Execute.
 func TestHardwareOptionValidation(t *testing.T) {
 	for _, c := range []struct{ hw, knob string }{
@@ -325,8 +325,8 @@ func TestHardwareOptionValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.hw, err)
 		}
-		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), c.knob) {
-			t.Errorf("hardware %s: Validate = %v, want an error naming %s", c.hw, err, c.knob)
+		if _, err := s.Resolve(); err == nil || !strings.Contains(err.Error(), c.knob) {
+			t.Errorf("hardware %s: Resolve = %v, want an error naming %s", c.hw, err, c.knob)
 		}
 	}
 }
@@ -342,8 +342,9 @@ func TestValidMiddlewareRejectsNaN(t *testing.T) {
 
 // TestInlineRecipeValidation requires Resolve to reject, by field name,
 // an inline recipe the generator would divide by zero, take the log of a
-// negative or scale by a non-finite number with, and a non-positive
-// resolution; every built-in recipe validates.
+// negative, scale by a non-finite number or size past int64 with, and a
+// non-positive resolution; every built-in recipe validates, and one at
+// every bound runs.
 func TestInlineRecipeValidation(t *testing.T) {
 	for _, sp := range append(workload.Benchmarks(), workload.ValidationSpec("Sponza"), workload.ValidationSpec("SanMiguel")) {
 		if err := sp.Validate(); err != nil {
@@ -368,6 +369,12 @@ func TestInlineRecipeValidation(t *testing.T) {
 		{"PrivateTexKB", func(sp *workload.Spec) { sp.PrivateTexKB = -1 }},
 		{"TexSigma", func(sp *workload.Spec) { sp.TexSigma = -0.5 }},
 		{"TexturesPerObject", func(sp *workload.Spec) { sp.TexturesPerObject = -inf }},
+		// Finite but past the bounds that keep sizes within int64.
+		{"MeanTriangles", func(sp *workload.Spec) { sp.MeanTriangles = 1e300 }},
+		{"TriSigma", func(sp *workload.Spec) { sp.TriSigma = 1e300 }},
+		{"MeanTextureKB", func(sp *workload.Spec) { sp.MeanTextureKB = 1e300 }},
+		{"PrivateTexKB", func(sp *workload.Spec) { sp.PrivateTexKB = 1e5 + 1 }},
+		{"TexSigma", func(sp *workload.Spec) { sp.TexSigma = 1.61 }},
 	} {
 		sp := workload.Benchmarks()[0]
 		tc.edit(&sp)
@@ -379,6 +386,17 @@ func TestInlineRecipeValidation(t *testing.T) {
 	s := RunSpec{Workload: WorkloadRef{Name: "DM3-640", Width: -640}, Scheduler: SchedulerRef{Name: "oovr"}}
 	if _, err := s.Resolve(); err == nil || !strings.Contains(err.Error(), "resolution") {
 		t.Errorf("negative width: Resolve error %v, want one naming the resolution", err)
+	}
+	// A recipe at every bound resolves and runs.
+	edge := workload.Benchmarks()[0]
+	edge.MeanTriangles, edge.TriSigma, edge.TexSigma = 1e6, 1.6, 1.6
+	edge.MeanTextureKB, edge.PrivateTexKB = 1e5, 1e5
+	r, err := RunSpec{Workload: WorkloadRef{Name: "edge", Inline: &edge}, Scheduler: SchedulerRef{Name: "oovr"}, Frames: 2}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := r.Execute(); !(m.TotalCycles > 0) || math.IsInf(m.TotalCycles, 0) {
+		t.Errorf("a recipe at the bounds ran %v cycles", m.TotalCycles)
 	}
 }
 

@@ -86,8 +86,9 @@ func TestTopologyAliasCanonicalizes(t *testing.T) {
 // both the full resolve and the hardware-only validation path.
 func TestUnknownTopologyRejected(t *testing.T) {
 	s := topoSpec("torus9d")
+	_, resolveErr := s.Resolve()
 	for name, err := range map[string]error{
-		"Validate":         s.Validate(),
+		"Resolve":          resolveErr,
 		"ValidateHardware": s.ValidateHardware(),
 	} {
 		if err == nil {
@@ -100,7 +101,7 @@ func TestUnknownTopologyRejected(t *testing.T) {
 	// Bad numeric topology parameters are input errors too.
 	bad := topoSpec("mesh2d")
 	bad.Hardware.Config.TopologyMeshCols = -3
-	if err := bad.Validate(); err == nil {
+	if _, err := bad.Resolve(); err == nil {
 		t.Error("negative MeshCols accepted")
 	}
 }
@@ -170,6 +171,27 @@ func TestTopologySpecExecutes(t *testing.T) {
 	for i := 1; i < len(ring.Links); i++ {
 		if ring.Links[i-1].Name >= ring.Links[i].Name {
 			t.Fatalf("link metrics not sorted by name: %q before %q", ring.Links[i-1].Name, ring.Links[i].Name)
+		}
+	}
+}
+
+// TestLinkErrorsComeFromBuild pins that topo.Build is the one check of the
+// interconnect: a multi-GPM machine without link bandwidth and a
+// hierarchical one whose default trunk (half the link) underflows to 0 are
+// Resolve errors carrying Build's text.
+func TestLinkErrorsComeFromBuild(t *testing.T) {
+	for _, c := range []struct{ hw, want string }{
+		{`{"Config":{"InterGPMLinkGBs":0}}`,
+			"spec: hardware: topo: LinkGBs 0 must be positive for multi-GPM systems"},
+		{`{"Config":{"Topology":"hierarchical","InterGPMLinkGBs":5e-324}}`,
+			`spec: hardware: topo: link "trunk0->1" bandwidth 0 must be positive`},
+	} {
+		s, err := Decode(strings.NewReader(`{"workload":{"name":"DM3-640"},"scheduler":{"name":"oovr"},"hardware":` + c.hw + `}`))
+		if err != nil {
+			t.Fatalf("%s: %v", c.hw, err)
+		}
+		if _, err := s.Resolve(); err == nil || err.Error() != c.want {
+			t.Errorf("hardware %s: Resolve = %v, want %s", c.hw, err, c.want)
 		}
 	}
 }

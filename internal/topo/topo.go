@@ -211,18 +211,10 @@ func CanonicalParams(p Params) Params {
 	return p
 }
 
-// Validate checks the Params without building: the name must be registered
-// and the numeric parameters in range. It is the resolve-time check the spec
-// layer runs so a bad HTTP-submitted spec errors instead of panicking inside
-// a worker.
-func Validate(p Params) error {
-	_, err := Build(p)
-	return err
-}
-
-// Build resolves the named topology and constructs its graph. Every GPM
-// pair must end up connected; a builder producing a partitioned fabric is
-// rejected here rather than deadlocking a simulation.
+// Build resolves the named topology and constructs its graph. Every link
+// must be valid and every GPM pair connected; a builder producing a bad
+// link or a partitioned fabric is rejected here rather than failing a
+// simulation.
 func Build(p Params) (*Graph, error) {
 	name := p.Name
 	if name == "" {
@@ -249,6 +241,9 @@ func Build(p Params) (*Graph, error) {
 		if err := build(gb, p); err != nil {
 			return nil, err
 		}
+		if gb.err != nil {
+			return nil, gb.err
+		}
 	}
 	g := gb.g
 	if err := g.computeRoutes(); err != nil {
@@ -259,7 +254,10 @@ func Build(p Params) (*Graph, error) {
 
 // GraphBuilder accumulates nodes and links during Build; builders receive
 // it with the GPM nodes already created.
-type GraphBuilder struct{ g *Graph }
+type GraphBuilder struct {
+	g   *Graph
+	err error // the first bad link AddLink was given
+}
 
 // AddNode adds an internal (non-GPM) node and returns its index.
 func (gb *GraphBuilder) AddNode(name string) int {
@@ -267,13 +265,16 @@ func (gb *GraphBuilder) AddNode(name string) int {
 	return len(gb.g.nodes) - 1
 }
 
-// AddLink adds a directed link and returns its ID.
+// AddLink adds a directed link and returns its ID. The first self-link or
+// non-positive bandwidth it is given becomes Build's error: a bandwidth
+// derived from a valid LinkGBs can still underflow to 0.
 func (gb *GraphBuilder) AddLink(name string, from, to int, gbs float64) int {
-	if from == to {
-		panic(fmt.Sprintf("topo: self-link %q on node %d", name, from))
-	}
-	if !(gbs > 0) {
-		panic(fmt.Sprintf("topo: link %q bandwidth %v must be positive", name, gbs))
+	switch {
+	case gb.err != nil:
+	case from == to:
+		gb.err = fmt.Errorf("topo: self-link %q on node %d", name, from)
+	case !(gbs > 0):
+		gb.err = fmt.Errorf("topo: link %q bandwidth %v must be positive", name, gbs)
 	}
 	id := len(gb.g.links)
 	gb.g.links = append(gb.g.links, Link{ID: id, Name: name, From: from, To: to, GBs: gbs})

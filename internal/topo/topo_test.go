@@ -204,15 +204,32 @@ func TestValidation(t *testing.T) {
 		{Name: "mesh2d", NumGPMs: 4, LinkGBs: 64, MeshCols: -2},
 	}
 	for _, p := range cases {
-		if err := Validate(p); err == nil {
-			t.Errorf("Validate(%+v) accepted an invalid configuration", p)
+		if _, err := Build(p); err == nil {
+			t.Errorf("Build(%+v) accepted an invalid configuration", p)
 		}
 	}
-	if err := Validate(Params{NumGPMs: 1}); err != nil {
-		t.Errorf("single-GPM params should validate (no links needed): %v", err)
+	if _, err := Build(Params{NumGPMs: 1}); err != nil {
+		t.Errorf("single-GPM params should build (no links needed): %v", err)
 	}
-	if err := Validate(Params{Name: "Crossbar", NumGPMs: 8, LinkGBs: 32}); err != nil {
-		t.Errorf("alias + case variant should validate: %v", err)
+	if _, err := Build(Params{Name: "Crossbar", NumGPMs: 8, LinkGBs: 32}); err != nil {
+		t.Errorf("alias + case variant should build: %v", err)
+	}
+}
+
+// TestBadLinkIsBuildError pins that a link AddLink cannot add is Build's
+// error, not a panic: the smallest positive LinkGBs halves to a 0 GB/s
+// default trunk, and a builder's self-link is reported by name.
+func TestBadLinkIsBuildError(t *testing.T) {
+	_, err := Build(Params{Name: "hierarchical", NumGPMs: 4, LinkGBs: 5e-324})
+	if err == nil || !strings.Contains(err.Error(), `link "trunk0->1" bandwidth 0 must be positive`) {
+		t.Errorf("underflowed trunk: Build error %v, want one naming the trunk link", err)
+	}
+	gb := &GraphBuilder{g: &Graph{}}
+	gb.AddNode("a")
+	gb.AddLink("loop", 0, 0, 64)
+	gb.AddLink("zero", 0, 0, 0)
+	if gb.err == nil || gb.err.Error() != `topo: self-link "loop" on node 0` {
+		t.Errorf("AddLink recorded %v, want the first bad link, the self-link", gb.err)
 	}
 }
 

@@ -64,9 +64,35 @@ type Spec struct {
 	DependencyFrac float64
 }
 
+// The generator draws triangle counts and texture sizes as mean·F with
+// the lognormal factor F = exp(z·σ − σ²/2), z a rand.NormFloat64 draw, and
+// converts them to int and int64. These bounds keep every such product in
+// range whatever z is drawn:
+//
+//   - |z| < maxNorm: NormFloat64's ziggurat returns at most its tail start
+//     rn ≈ 3.443 plus x = −ln(U)/rn, and a nonzero Float64 U is at least
+//     2^−63, so |z| ≤ 3.443 + 63·ln 2/3.443 ≈ 16.13. (Only two successive
+//     Float64 draws of exactly 0 make z infinite.)
+//   - σ ≤ maxSigma = 1.6: F grows with σ below maxNorm, so F ≤
+//     e^(16.2·1.6−1.28) ≈ 5.0e10.
+//   - MeanTriangles ≤ 1e6: Triangles ≤ 5.0e16, the Vertices product 6·t ≤
+//     3.0e17 and VertexBytes 64·t ≤ 3.2e18, below MaxInt64 ≈ 9.22e18.
+//   - MeanTextureKB, PrivateTexKB ≤ 1e5: a texture's bytes ≤ 1e5·1024·F ≤
+//     5.1e18.
+//
+// The bounds are per object and per texture; sums over a recipe's draws
+// and textures are not bounded here.
+const (
+	maxNorm          = 16.2
+	maxSigma         = 1.6
+	maxMeanTriangles = 1e6
+	maxTextureKB     = 1e5
+)
+
 // Validate reports the first field the generator cannot build a scene
-// from, by name: a count it divides by, a mean it takes the log of, or a
-// spread or scale it multiplies by. A zero mean is valid (its log is -Inf,
+// from, by name: a count it divides by, a mean it takes the log of, a
+// spread or scale it multiplies by, or a mean or spread above the bounds
+// that keep sizes within int64. A zero mean is valid (its log is -Inf,
 // which clamps every draw to the minimum size); a zero Overdraw is not,
 // because bounds are sized by dividing by it. Every built-in recipe is
 // valid; an inline one is checked before it reaches Stream.
@@ -84,14 +110,15 @@ func (sp Spec) Validate() error {
 		field    string
 		v        float64
 		positive bool
+		max      float64
 	}{
-		{"MeanTriangles", sp.MeanTriangles, false},
-		{"TriSigma", sp.TriSigma, false},
-		{"Overdraw", sp.Overdraw, true},
-		{"MeanTextureKB", sp.MeanTextureKB, false},
-		{"PrivateTexKB", sp.PrivateTexKB, false},
-		{"TexSigma", sp.TexSigma, false},
-		{"TexturesPerObject", sp.TexturesPerObject, false},
+		{"MeanTriangles", sp.MeanTriangles, false, maxMeanTriangles},
+		{"TriSigma", sp.TriSigma, false, maxSigma},
+		{"Overdraw", sp.Overdraw, true, math.MaxFloat64},
+		{"MeanTextureKB", sp.MeanTextureKB, false, maxTextureKB},
+		{"PrivateTexKB", sp.PrivateTexKB, false, maxTextureKB},
+		{"TexSigma", sp.TexSigma, false, maxSigma},
+		{"TexturesPerObject", sp.TexturesPerObject, false, math.MaxFloat64},
 	} {
 		if math.IsNaN(c.v) || math.IsInf(c.v, 0) || c.v < 0 || c.positive && c.v == 0 {
 			want := "non-negative"
@@ -99,6 +126,9 @@ func (sp Spec) Validate() error {
 				want = "positive"
 			}
 			return fmt.Errorf("%s must be finite and %s, got %v", c.field, want, c.v)
+		}
+		if c.v > c.max {
+			return fmt.Errorf("%s must be at most %g, got %g", c.field, c.max, c.v)
 		}
 	}
 	return nil
@@ -223,7 +253,9 @@ func (sp Spec) Generate(width, height, frames int, seed int64) *scene.Scene {
 		}
 		s.Frames = append(s.Frames, *f)
 	}
-	s.Validate()
+	if err := s.Validate(); err != nil {
+		panic(err)
+	}
 	return s
 }
 

@@ -136,7 +136,9 @@ func (sp Spec) buildPrefix(width, height int, src rand.Source64) *prefix {
 	// so checking the header with frame 0 covers every frame of the stream.
 	v := p.header
 	v.Frames = []scene.Frame{p.base}
-	v.Validate()
+	if err := v.Validate(); err != nil {
+		panic(err)
+	}
 	p.draws = cs.n
 	p.weight = len(p.header.Textures) + len(p.base.Objects)
 	return p

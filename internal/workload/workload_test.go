@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -90,7 +91,9 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateMatchesSpecShape(t *testing.T) {
 	for _, cs := range Cases() {
 		sc := cs.Spec.Generate(cs.Width, cs.Height, 2, 1)
-		sc.Validate()
+		if err := sc.Validate(); err != nil {
+			t.Fatal(err)
+		}
 		if len(sc.Frames) != 2 {
 			t.Errorf("%s: frames = %d", cs.Name, len(sc.Frames))
 		}
@@ -189,7 +192,9 @@ func TestValidationSpecs(t *testing.T) {
 	for _, name := range []string{"Sponza", "SanMiguel"} {
 		sp := ValidationSpec(name)
 		sc := sp.Generate(1280, 1024, 1, 1)
-		sc.Validate()
+		if err := sc.Validate(); err != nil {
+			t.Fatal(err)
+		}
 		if len(sc.Frames[0].Objects) != sp.Draws {
 			t.Errorf("%s: draws mismatch", name)
 		}
@@ -293,6 +298,34 @@ func TestStreamsSharingAPrefixDoNotAlias(t *testing.T) {
 		}
 		if !reflect.DeepEqual(pre.base.Objects, base) {
 			t.Errorf("%s: editing stream a's frames changed the cached frame 0", c.Name)
+		}
+	}
+}
+
+// TestRecipeBoundsKeepSizesInRange re-derives Validate's bounds: the
+// largest NormFloat64 stays under maxNorm, and at every bound the largest
+// triangle count's VertexBytes and the largest texture fit in int64.
+func TestRecipeBoundsKeepSizesInRange(t *testing.T) {
+	const rn = 3.442619855899 // math/rand's ziggurat tail start
+	if z := rn + 63*math.Ln2/rn; z >= maxNorm {
+		t.Errorf("NormFloat64 can reach %v, past maxNorm %v", z, float64(maxNorm))
+	}
+	f := math.Exp(maxNorm*maxSigma - maxSigma*maxSigma/2)
+	if vb := maxMeanTriangles * f * 2 * scene.BytesPerVertex; vb >= math.MaxInt64 {
+		t.Errorf("VertexBytes can reach %g", vb)
+	}
+	if b := maxTextureKB * 1024 * f; b >= math.MaxInt64 {
+		t.Errorf("a texture can reach %g bytes", b)
+	}
+	edge := Benchmarks()[0]
+	edge.MeanTriangles, edge.TriSigma, edge.TexSigma = maxMeanTriangles, maxSigma, maxSigma
+	edge.MeanTextureKB, edge.PrivateTexKB = maxTextureKB, maxTextureKB
+	if err := edge.Validate(); err != nil {
+		t.Errorf("a recipe at the bounds: %v", err)
+	}
+	for _, c := range Cases() {
+		if err := c.Spec.Validate(); err != nil {
+			t.Errorf("built-in %s: %v", c.Name, err)
 		}
 	}
 }

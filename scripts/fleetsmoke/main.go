@@ -73,13 +73,13 @@ func main() {
 	waitUp(ctx, url+"/stats")
 	log.Printf("coordinator up on %s", url)
 
-	w1 := start(ctx, *bin, "-worker", "-coordinator", url, "-name", "w1", "-workers", "2")
+	w1 := start(ctx, *bin, "-worker", "-coordinator", url, "-name", "w1")
 	defer w1.Process.Kill()
-	w2 := start(ctx, *bin, "-worker", "-coordinator", url, "-name", "w2", "-workers", "2")
+	w2 := start(ctx, *bin, "-worker", "-coordinator", url, "-name", "w2")
 	defer w2.Process.Kill()
 	// w3 stalls on every lease: it keeps heartbeating but delivers late,
 	// so the coordinator must speculatively re-issue its specs.
-	w3 := start(ctx, *bin, "-worker", "-coordinator", url, "-name", "w3", "-workers", "1",
+	w3 := start(ctx, *bin, "-worker", "-coordinator", url, "-name", "w3",
 		"-chaos", "stall=1,seed=7")
 	defer w3.Process.Kill()
 
