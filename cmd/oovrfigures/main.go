@@ -51,6 +51,7 @@ import (
 	"oovr/internal/fleet"
 	"oovr/internal/gpu"
 	"oovr/internal/multigpu"
+	"oovr/internal/registry"
 	"oovr/internal/service"
 	"oovr/internal/spec"
 	"oovr/internal/topo"
@@ -82,8 +83,9 @@ func main() {
 	if *specPath != "" {
 		applyTemplate(&opt, *specPath)
 	}
-	if opt.Frames < 0 {
-		fail(fmt.Errorf("frames %d: must be positive (0: per-experiment default)", opt.Frames))
+	// 0 selects each experiment's default.
+	if err := registry.Check("oovrfigures", registry.In("frames", float64(opt.Frames), 0, multigpu.MaxFrames)); err != nil {
+		fail(err)
 	}
 	if *topology != "" {
 		// The flag wins over a -spec template's hardware, like the other
@@ -170,7 +172,7 @@ func applyTemplate(opt *experiments.Options, path string) {
 	if err != nil {
 		fail(err)
 	}
-	if err := s.ValidateHardware(); err != nil {
+	if err := spec.ValidateOptions(*n.Hardware); err != nil {
 		fail(err)
 	}
 	// The harness has no per-run placement knob; refuse a template that

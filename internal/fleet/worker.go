@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -56,8 +57,9 @@ type Worker struct {
 	// StallFor is how long a chaos stall sits on a finished lease while
 	// still heartbeating (default 3s; tests shrink it).
 	StallFor time.Duration
-	// RPCBackoff paces coordinator RPC retries; IdleBackoff paces polling
-	// an empty queue. Both default to 100ms..5s with jitter.
+	// RPCBackoff paces coordinator RPC retries (default 100ms..5s with
+	// jitter); IdleBackoff paces polling an empty queue (default
+	// 100ms..2s, never above half the last lease TTL).
 	RPCBackoff  *Backoff
 	IdleBackoff *Backoff
 	// HTTP overrides the transport (default http.DefaultClient).
@@ -117,6 +119,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	tries := map[string]int{} // per-spec dispatch count, keys the chaos decisions
 	idle := 0
+	// A straggler is re-issued from StragglerAfter (4 lease TTLs by
+	// default) until its worker delivers, maybe a TTL later: an idle
+	// worker polls at least every half TTL so as not to sleep through it.
+	maxIdle := time.Duration(math.MaxInt64)
 	for ctx.Err() == nil {
 		g, err := w.lease(ctx)
 		if err != nil {
@@ -128,10 +134,11 @@ func (w *Worker) Run(ctx context.Context) error {
 		if g == nil {
 			idle++
 			w.Stats.IdleSleeps.Add(1)
-			sleep(ctx, w.IdleBackoff.Delay(idle-1))
+			sleep(ctx, min(w.IdleBackoff.Delay(idle-1), maxIdle))
 			continue
 		}
 		idle = 0
+		maxIdle = max(time.Duration(g.TTLMs)*time.Millisecond/2, time.Millisecond)
 		tries[g.Hash]++
 		w.Stats.Leases.Add(1)
 		w.serve(ctx, g, tries[g.Hash]-1)

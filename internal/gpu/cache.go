@@ -1,6 +1,6 @@
 package gpu
 
-import "errors"
+import "oovr/internal/registry"
 
 // CacheModel is the transaction-level stand-in for the two-level cache
 // hierarchy. Instead of simulating individual lines it answers the only
@@ -54,13 +54,9 @@ func (c CacheModel) TextureFetchBytes(texBytes int64, frags float64, warm bool) 
 	return want
 }
 
-// Validate returns an error naming the first out-of-range parameter.
+// Validate returns an error naming the first parameter outside its domain.
 func (c CacheModel) Validate() error {
-	if c.ReuseMissFactor < 0 || c.ReuseMissFactor > 1 {
-		return errors.New("gpu: ReuseMissFactor must be in [0,1]")
-	}
-	if c.SampleBytesPerFragment <= 0 {
-		return errors.New("gpu: SampleBytesPerFragment must be positive")
-	}
-	return nil
+	return registry.Check("gpu",
+		registry.In("ReuseMissFactor", c.ReuseMissFactor, 0, 1),
+		registry.In("SampleBytesPerFragment", c.SampleBytesPerFragment, minRate, maxRate))
 }

@@ -8,8 +8,7 @@
 package gpu
 
 import (
-	"errors"
-
+	"oovr/internal/registry"
 	"oovr/internal/topo"
 )
 
@@ -183,25 +182,35 @@ func (c Config) TopologyParams() topo.Params {
 	}
 }
 
-// Validate returns an error naming the first unusable field. The
-// interconnect (topology name, link bandwidth, shape parameters) is
-// topo.Build's to check: TopologyParams feeds it.
+// The domains of the machine's numbers, above every value in use.
+const (
+	minGHz, maxGHz   = 1e-3, 1e3 // ClockGHz
+	minGBs, maxGBs   = 1e-3, 1e6 // every bandwidth, GB/s
+	maxUnits         = 1 << 12   // SMs, cores, ROPs, pixels per ROP per cycle
+	minRate, maxRate = 1e-3, 1e6 // per-item costs (cycles, bytes) and per-cycle rates
+)
+
+// Validate returns an error naming the first field outside its domain. A
+// topology bandwidth of 0 selects its default; a link bandwidth of 0 suits
+// one GPM, which has no link, and topo.Build rejects it elsewhere. Build
+// checks what only it can know: the name, each derived link, connectivity.
 func (c Config) Validate() error {
-	switch {
-	case c.ClockGHz <= 0:
-		return errors.New("gpu: ClockGHz must be positive")
-	case c.NumGPMs <= 0:
-		return errors.New("gpu: NumGPMs must be positive")
-	case c.SMsPerGPM <= 0 || c.ShaderCoresPerSM <= 0:
-		return errors.New("gpu: SM configuration must be positive")
-	case c.ROPsPerGPM <= 0 || c.PixelsPerROPPerCycle <= 0:
-		return errors.New("gpu: ROP configuration must be positive")
-	case c.LocalDRAMGBs <= 0:
-		return errors.New("gpu: LocalDRAMGBs must be positive")
-	case c.VertexShaderCycles <= 0 || c.FragmentShaderCycles <= 0:
-		return errors.New("gpu: shader cycle costs must be positive")
-	case c.SMPCyclesPerTriangle <= 0 || c.TrianglesPerCyclePerRaster <= 0 || c.RasterFragsPerCycle <= 0:
-		return errors.New("gpu: fixed-function rates must be positive")
-	}
-	return nil
+	return registry.Check("gpu",
+		registry.In("ClockGHz", c.ClockGHz, minGHz, maxGHz),
+		registry.In("NumGPMs", float64(c.NumGPMs), 1, registry.MaxGPMs),
+		registry.In("SMsPerGPM", float64(c.SMsPerGPM), 1, maxUnits),
+		registry.In("ShaderCoresPerSM", float64(c.ShaderCoresPerSM), 1, maxUnits),
+		registry.In("ROPsPerGPM", float64(c.ROPsPerGPM), 1, maxUnits),
+		registry.In("PixelsPerROPPerCycle", float64(c.PixelsPerROPPerCycle), 1, maxUnits),
+		registry.Optional("InterGPMLinkGBs", c.InterGPMLinkGBs, minGBs, maxGBs),
+		registry.In("LocalDRAMGBs", c.LocalDRAMGBs, minGBs, maxGBs),
+		registry.In("TopologyMeshCols", float64(c.TopologyMeshCols), 0, registry.MaxGPMs),
+		registry.In("TopologyPackageSize", float64(c.TopologyPackageSize), 0, registry.MaxGPMs),
+		registry.Optional("TopologyTrunkGBs", c.TopologyTrunkGBs, minGBs, maxGBs),
+		registry.Optional("TopologyBackplaneGBs", c.TopologyBackplaneGBs, minGBs, maxGBs),
+		registry.In("VertexShaderCycles", c.VertexShaderCycles, minRate, maxRate),
+		registry.In("FragmentShaderCycles", c.FragmentShaderCycles, minRate, maxRate),
+		registry.In("SMPCyclesPerTriangle", c.SMPCyclesPerTriangle, minRate, maxRate),
+		registry.In("TrianglesPerCyclePerRaster", c.TrianglesPerCyclePerRaster, minRate, maxRate),
+		registry.In("RasterFragsPerCycle", c.RasterFragsPerCycle, minRate, maxRate))
 }

@@ -99,13 +99,20 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		want   string
 		mutate func(*Config)
 	}{
-		{"gpu: ClockGHz must be positive", func(c *Config) { c.ClockGHz = 0 }},
-		{"gpu: NumGPMs must be positive", func(c *Config) { c.NumGPMs = 0 }},
-		{"gpu: SM configuration must be positive", func(c *Config) { c.SMsPerGPM = 0 }},
-		{"gpu: ROP configuration must be positive", func(c *Config) { c.ROPsPerGPM = 0 }},
-		{"gpu: LocalDRAMGBs must be positive", func(c *Config) { c.LocalDRAMGBs = 0 }},
-		{"gpu: shader cycle costs must be positive", func(c *Config) { c.VertexShaderCycles = 0 }},
-		{"gpu: fixed-function rates must be positive", func(c *Config) { c.RasterFragsPerCycle = 0 }},
+		{"gpu: ClockGHz 0 out of [0.001,1000]", func(c *Config) { c.ClockGHz = 0 }},
+		{"gpu: ClockGHz 1e-320 out of [0.001,1000]", func(c *Config) { c.ClockGHz = 1e-320 }},
+		{"gpu: NumGPMs 0 out of [1,64]", func(c *Config) { c.NumGPMs = 0 }},
+		{"gpu: NumGPMs 4096 out of [1,64]", func(c *Config) { c.NumGPMs = 4096 }},
+		{"gpu: SMsPerGPM 0 out of [1,4096]", func(c *Config) { c.SMsPerGPM = 0 }},
+		{"gpu: ROPsPerGPM 0 out of [1,4096]", func(c *Config) { c.ROPsPerGPM = 0 }},
+		{"gpu: LocalDRAMGBs 0 out of [0.001,1e+06]", func(c *Config) { c.LocalDRAMGBs = 0 }},
+		{"gpu: VertexShaderCycles 0 out of [0.001,1e+06]", func(c *Config) { c.VertexShaderCycles = 0 }},
+		{"gpu: RasterFragsPerCycle 0 out of [0.001,1e+06]", func(c *Config) { c.RasterFragsPerCycle = 0 }},
+		// The interconnect's numbers, which topo.Build no longer checks.
+		{"gpu: InterGPMLinkGBs 5e-324 out of [0.001,1e+06]", func(c *Config) { c.InterGPMLinkGBs = 5e-324 }},
+		{"gpu: TopologyMeshCols -2 out of [0,64]", func(c *Config) { c.Topology, c.TopologyMeshCols = "mesh2d", -2 }},
+		{"gpu: TopologyTrunkGBs -1 out of [0.001,1e+06]", func(c *Config) { c.TopologyTrunkGBs = -1 }},
+		{"gpu: TopologyTrunkGBs 1e-320 out of [0.001,1e+06]", func(c *Config) { c.TopologyTrunkGBs = 1e-320 }},
 	}
 	for _, tc := range cases {
 		c := Table2Config()
@@ -114,7 +121,13 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 			t.Errorf("Validate = %v, want %s", err, tc.want)
 		}
 	}
+	// A zero topology bandwidth selects its default.
 	c := Table2Config()
+	c.Topology = "hierarchical"
+	if err := c.Validate(); err != nil {
+		t.Errorf("default trunk: %v", err)
+	}
+	c = Table2Config()
 	c.InterGPMLinkGBs = 0
 	if _, err := topo.Build(c.TopologyParams()); err == nil {
 		t.Error("a multi-GPM config without link bandwidth built a topology")

@@ -41,9 +41,10 @@
 package mem
 
 import (
-	"errors"
 	"fmt"
 	"slices"
+
+	"oovr/internal/registry"
 )
 
 // GPMID identifies a GPU module. GPMs are numbered 0..N-1.
@@ -153,18 +154,12 @@ func DefaultConfig(numGPMs int) Config {
 	}
 }
 
-// Validate returns an error naming the field unless NumGPMs and PageSize
-// are positive and RemoteCacheHitRate lies in [0,1] (a NaN rate fails).
+// Validate returns an error naming the first field outside its domain.
 func (c Config) Validate() error {
-	switch {
-	case c.NumGPMs <= 0:
-		return errors.New("mem: NumGPMs must be positive")
-	case c.PageSize <= 0:
-		return fmt.Errorf("mem: PageSize %d must be positive", c.PageSize)
-	case !(c.RemoteCacheHitRate >= 0 && c.RemoteCacheHitRate <= 1):
-		return fmt.Errorf("mem: RemoteCacheHitRate %v out of [0,1]", c.RemoteCacheHitRate)
-	}
-	return nil
+	return registry.Check("mem",
+		registry.In("NumGPMs", float64(c.NumGPMs), 1, registry.MaxGPMs),
+		registry.In("PageSize", float64(c.PageSize), 1, 1e9),
+		registry.In("RemoteCacheHitRate", c.RemoteCacheHitRate, 0, 1))
 }
 
 // Flow describes where the bytes of one access went. RemoteBySrc[g] is the

@@ -141,15 +141,15 @@ func (s *System) EndFrame() sim.Time {
 	return end
 }
 
-// maxReservedFrames bounds ReserveFrames: frame counts arrive unbounded
-// from submitted specs, so a larger stream grows its storage as it goes.
-const maxReservedFrames = 1 << 16
+// MaxFrames bounds ReserveFrames and is the most frames a spec may run;
+// a longer stream built in code grows its storage as it goes.
+const MaxFrames = 1 << 16
 
 // ReserveFrames pre-allocates latency storage for n more frames, so a
 // frame loop that knows its stream length appends without growing. It
-// reserves nothing when n exceeds maxReservedFrames.
+// reserves nothing when n exceeds MaxFrames.
 func (s *System) ReserveFrames(n int) {
-	if n > maxReservedFrames {
+	if n > MaxFrames {
 		return
 	}
 	if free := cap(s.frameLatency) - len(s.frameLatency); free < n {

@@ -18,6 +18,7 @@ import (
 	"oovr/internal/mem"
 	"oovr/internal/obs"
 	"oovr/internal/pipeline"
+	"oovr/internal/registry"
 	"oovr/internal/scene"
 	"oovr/internal/sim"
 	"oovr/internal/topo"
@@ -60,11 +61,10 @@ func DefaultOptions() Options {
 	}
 }
 
-// Validate returns an error naming the first option the simulator cannot
-// run: an invalid Config or Cache, OverlapFactor outside [0,1], a negative
-// IssueCyclesPerDraw or ShipOverfetch (0 means 1), or memory options
-// mem.Config.Validate rejects. A NaN fails every rule. The interconnect is
-// topo.Build's to check.
+// Validate returns an error naming the first option outside its domain:
+// the Config's, the Cache's, then these options' own (ShipOverfetch 0
+// means 1), then the memory system's. The interconnect's name, links and
+// connectivity are topo.Build's to check.
 func (o Options) Validate() error {
 	if err := o.Config.Validate(); err != nil {
 		return err
@@ -72,13 +72,11 @@ func (o Options) Validate() error {
 	if err := o.Cache.Validate(); err != nil {
 		return err
 	}
-	switch {
-	case !(o.OverlapFactor >= 0 && o.OverlapFactor <= 1):
-		return fmt.Errorf("multigpu: OverlapFactor %v out of [0,1]", o.OverlapFactor)
-	case !(o.IssueCyclesPerDraw >= 0):
-		return fmt.Errorf("multigpu: IssueCyclesPerDraw %v must be non-negative", o.IssueCyclesPerDraw)
-	case !(o.ShipOverfetch >= 0):
-		return fmt.Errorf("multigpu: ShipOverfetch %v must be non-negative", o.ShipOverfetch)
+	if err := registry.Check("multigpu",
+		registry.In("OverlapFactor", o.OverlapFactor, 0, 1),
+		registry.In("IssueCyclesPerDraw", o.IssueCyclesPerDraw, 0, 1e6),
+		registry.In("ShipOverfetch", o.ShipOverfetch, 0, 1e3)); err != nil {
+		return err
 	}
 	return o.memConfig().Validate()
 }

@@ -24,19 +24,19 @@ func TestValidationContract(t *testing.T) {
 		want string
 		edit func(*Options)
 	}{
-		{"gpu: ClockGHz must be positive", func(o *Options) { o.Config.ClockGHz = 0 }},
-		{"gpu: NumGPMs must be positive", func(o *Options) { o.Config.NumGPMs = 0 }},
-		{"gpu: SM configuration must be positive", func(o *Options) { o.Config.ShaderCoresPerSM = 0 }},
-		{"gpu: ROP configuration must be positive", func(o *Options) { o.Config.PixelsPerROPPerCycle = 0 }},
-		{"gpu: LocalDRAMGBs must be positive", func(o *Options) { o.Config.LocalDRAMGBs = -1 }},
-		{"gpu: shader cycle costs must be positive", func(o *Options) { o.Config.FragmentShaderCycles = 0 }},
-		{"gpu: fixed-function rates must be positive", func(o *Options) { o.Config.SMPCyclesPerTriangle = 0 }},
-		{"gpu: ReuseMissFactor must be in [0,1]", func(o *Options) { o.Cache.ReuseMissFactor = 2 }},
-		{"gpu: SampleBytesPerFragment must be positive", func(o *Options) { o.Cache.SampleBytesPerFragment = 0 }},
+		{"gpu: ClockGHz 0 out of [0.001,1000]", func(o *Options) { o.Config.ClockGHz = 0 }},
+		{"gpu: NumGPMs 0 out of [1,64]", func(o *Options) { o.Config.NumGPMs = 0 }},
+		{"gpu: ShaderCoresPerSM 0 out of [1,4096]", func(o *Options) { o.Config.ShaderCoresPerSM = 0 }},
+		{"gpu: PixelsPerROPPerCycle 0 out of [1,4096]", func(o *Options) { o.Config.PixelsPerROPPerCycle = 0 }},
+		{"gpu: LocalDRAMGBs -1 out of [0.001,1e+06]", func(o *Options) { o.Config.LocalDRAMGBs = -1 }},
+		{"gpu: FragmentShaderCycles 0 out of [0.001,1e+06]", func(o *Options) { o.Config.FragmentShaderCycles = 0 }},
+		{"gpu: SMPCyclesPerTriangle 0 out of [0.001,1e+06]", func(o *Options) { o.Config.SMPCyclesPerTriangle = 0 }},
+		{"gpu: ReuseMissFactor 2 out of [0,1]", func(o *Options) { o.Cache.ReuseMissFactor = 2 }},
+		{"gpu: SampleBytesPerFragment 0 out of [0.001,1e+06]", func(o *Options) { o.Cache.SampleBytesPerFragment = 0 }},
 		{"multigpu: OverlapFactor 1.5 out of [0,1]", func(o *Options) { o.OverlapFactor = 1.5 }},
-		{"multigpu: IssueCyclesPerDraw -1 must be non-negative", func(o *Options) { o.IssueCyclesPerDraw = -1 }},
-		{"multigpu: ShipOverfetch -1 must be non-negative", func(o *Options) { o.ShipOverfetch = -1 }},
-		{"mem: PageSize 0 must be positive", func(o *Options) { o.PageSize = 0 }},
+		{"multigpu: IssueCyclesPerDraw -1 out of [0,1e+06]", func(o *Options) { o.IssueCyclesPerDraw = -1 }},
+		{"multigpu: ShipOverfetch -1 out of [0,1000]", func(o *Options) { o.ShipOverfetch = -1 }},
+		{"mem: PageSize 0 out of [1,1e+09]", func(o *Options) { o.PageSize = 0 }},
 		{"mem: RemoteCacheHitRate 2 out of [0,1]", func(o *Options) { o.RemoteCacheHitRate = 2 }},
 	} {
 		o := DefaultOptions()
@@ -55,7 +55,7 @@ func TestValidationContract(t *testing.T) {
 		}
 	}
 	// The memory system's own GPM count, which Options never leaves zero.
-	const want = "mem: NumGPMs must be positive"
+	const want = "mem: NumGPMs 0 out of [1,64]"
 	cfg := mem.DefaultConfig(0)
 	if err := cfg.Validate(); err == nil || err.Error() != want {
 		t.Errorf("mem.Config.Validate = %v, want %s", err, want)
@@ -63,15 +63,14 @@ func TestValidationContract(t *testing.T) {
 	if got := panicText(func() { mem.NewSystem(cfg) }); got != want {
 		t.Errorf("mem.NewSystem panicked with %q, want %q", got, want)
 	}
-	// The interconnect is topo.Build's to check: Validate passes a
-	// multi-GPM machine without link bandwidth, and New panics with
-	// Build's error.
+	// A multi-GPM machine without link bandwidth passes Validate (0 is the
+	// single-GPM value) and New panics with topo.Build's per-link error.
 	o := DefaultOptions()
 	o.Config.InterGPMLinkGBs = 0
 	if err := o.Validate(); err != nil {
 		t.Errorf("Validate checked the interconnect: %v", err)
 	}
-	if got, want := panicText(func() { New(o, sc) }), "multigpu: topo: LinkGBs 0 must be positive for multi-GPM systems"; got != want {
+	if got, want := panicText(func() { New(o, sc) }), `multigpu: topo: link "link0->1" bandwidth 0 must be positive`; got != want {
 		t.Errorf("New panicked with %q, want %q", got, want)
 	}
 }

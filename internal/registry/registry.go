@@ -1,11 +1,11 @@
-// Package registry is the name table behind every named axis of a spec:
-// schedulers, workloads and placement layouts (internal/spec), interconnect
-// topologies (internal/topo), serving routers (internal/service) and
-// head-motion traces (internal/workload). One Table holds one axis; it
-// resolves a submitted spelling to its value, rewrites aliases and case
-// variants to the primary name so identical runs share one content
-// address, lists the primaries for the listing endpoints, and formats the
-// unknown-name error every submission surface reports.
+// Package registry holds the domain of every axis of a spec, named or
+// numeric. A named axis (schedulers, workloads and layouts in
+// internal/spec, topologies in internal/topo, routers in internal/service,
+// motion traces in internal/workload) is one Table: it resolves a
+// submitted spelling, rewrites aliases and case variants to the primary
+// name so identical runs share one content address, lists the primaries,
+// and formats the unknown-name error. A numeric field is one Bound, and
+// every Validate hands its Bounds to Check: one rule, one message.
 package registry
 
 import (
@@ -111,4 +111,39 @@ func (t *Table[V]) Names() []string {
 func (t *Table[V]) Unknown(name string) error {
 	return fmt.Errorf("%s: unknown %s %q (registered: %s)",
 		t.pkg, t.kind, name, strings.Join(t.Names(), ", "))
+}
+
+// MaxGPMs is the largest GPM count a machine may have: topo.Build routes
+// every GPM pair, about cubic work (a 64-GPM full mesh takes ~4 ms).
+const MaxGPMs = 64
+
+// Bound is one numeric field's domain: V must be finite, with Lo ≤ V ≤ Hi
+// (finite bounds). A positive quantity's Lo is a positive constant in the
+// model's units, so a denormal cannot turn a rate into +Inf.
+type Bound struct {
+	Field  string
+	V      float64
+	Lo, Hi float64
+}
+
+// In states that field's value v must lie in [lo, hi].
+func In(field string, v, lo, hi float64) Bound { return Bound{Field: field, V: v, Lo: lo, Hi: hi} }
+
+// Optional is In for a knob whose 0 selects a default: 0 passes too.
+func Optional(field string, v, lo, hi float64) Bound {
+	if v == 0 {
+		lo = 0
+	}
+	return In(field, v, lo, hi)
+}
+
+// Check returns an error naming the first bound outside its range, NaN
+// included, prefixed by pkg. It allocates only the error.
+func Check(pkg string, bs ...Bound) error {
+	for i := range bs {
+		if b := &bs[i]; !(b.V >= b.Lo && b.V <= b.Hi) { // NaN fails both
+			return fmt.Errorf("%s: %s %v out of [%v,%v]", pkg, b.Field, b.V, b.Lo, b.Hi)
+		}
+	}
+	return nil
 }

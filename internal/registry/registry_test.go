@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -85,5 +87,31 @@ func TestNamesSortedPrimaryOnly(t *testing.T) {
 	want := `pkg: unknown thing "nope" (registered: Alpha, mid, zeta)`
 	if err := tb.Unknown("nope"); err == nil || err.Error() != want {
 		t.Errorf("Unknown(nope) = %v, want %q", err, want)
+	}
+}
+
+// TestCheck pins the one numeric rule: NaN, ±Inf, a denormal below a
+// positive Lo, and either side of the range fail with an error naming the
+// field; the bounds themselves pass; and a passing check allocates nothing.
+func TestCheck(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 5e-324,
+		math.Nextafter(1e-3, 0), math.Nextafter(1e3, math.Inf(1))} {
+		err := Check("pkg", In("Ok", 1, 0, 1), In("Rate", v, 1e-3, 1e3))
+		if err == nil || !strings.HasPrefix(err.Error(), "pkg: Rate ") {
+			t.Errorf("Rate %v: Check = %v, want an error naming Rate", v, err)
+		}
+	}
+	if err := Check("pkg", In("Rate", 1e-3, 1e-3, 1e3), In("Rate", 1e3, 1e-3, 1e3)); err != nil {
+		t.Errorf("the bounds themselves: %v", err)
+	}
+	const want = "pkg: NumGPMs 4096 out of [1,64]"
+	if err := Check("pkg", In("NumGPMs", 4096, 1, MaxGPMs)); err == nil || err.Error() != want {
+		t.Errorf("Check = %v, want %s", err, want)
+	}
+	v := 0.5
+	if n := testing.AllocsPerRun(100, func() {
+		_ = Check("pkg", In("A", v, 0, 1), In("B", v, 1e-3, 1e3), In("C", v, 0, 1))
+	}); n != 0 {
+		t.Errorf("a passing Check allocated %v times", n)
 	}
 }

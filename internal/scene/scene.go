@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"oovr/internal/geom"
+	"oovr/internal/registry"
 )
 
 // BytesPerVertex is the size of one application-issued vertex (position,
@@ -209,8 +210,8 @@ func (s *Scene) Validate() error {
 			if o.Triangles <= 0 || o.Vertices <= 0 {
 				return fmt.Errorf("scene %q frame %d obj %d: empty geometry", s.Name, fi, oi)
 			}
-			if o.FragsPerView < 0 {
-				return fmt.Errorf("scene %q frame %d obj %d: negative fragments", s.Name, fi, oi)
+			if err := registry.Check("scene", registry.In("FragsPerView", o.FragsPerView, 0, 1e12)); err != nil {
+				return fmt.Errorf("scene %q frame %d obj %d: %w", s.Name, fi, oi, err)
 			}
 			if len(o.Textures) == 0 {
 				return fmt.Errorf("scene %q frame %d obj %d: no textures", s.Name, fi, oi)

@@ -145,7 +145,7 @@ func TestValidateCatchesBadScenes(t *testing.T) {
 		{`scene "test": frame 0 has index 3`, func(s *Scene) { s.Frames[0].Index = 3 }, false},
 		{`scene "test" frame 0: object 1 has index 9`, func(s *Scene) { s.Frames[0].Objects[1].Index = 9 }, false},
 		{`scene "test" frame 0 obj 0: empty geometry`, func(s *Scene) { s.Frames[0].Objects[0].Triangles = 0 }, true},
-		{`scene "test" frame 0 obj 0: negative fragments`, func(s *Scene) { s.Frames[0].Objects[0].FragsPerView = -1 }, true},
+		{`scene "test" frame 0 obj 0: scene: FragsPerView -1 out of [0,1e+12]`, func(s *Scene) { s.Frames[0].Objects[0].FragsPerView = -1 }, true},
 		{`scene "test" frame 0 obj 0: no textures`, func(s *Scene) { s.Frames[0].Objects[0].Textures = nil }, true},
 		{`scene "test" frame 0 obj 0: texture 99 out of range`, func(s *Scene) { s.Frames[0].Objects[0].Textures = []TextureID{99} }, true},
 		{`scene "test" frame 0 obj 0: dependency 2 not earlier`, func(s *Scene) { s.Frames[0].Objects[0].DependsOn = 2 }, true},

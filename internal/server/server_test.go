@@ -293,13 +293,14 @@ func TestRejections(t *testing.T) {
 		{"Clusters", func(s *spec.RunSpec) { s.Workload.Inline.Clusters = 0 }},
 		{"MeanTriangles", func(s *spec.RunSpec) { s.Workload.Inline.MeanTriangles = -5 }},
 		{"Overdraw", func(s *spec.RunSpec) { s.Workload.Inline.Overdraw = -1 }},
-		{"resolution", func(s *spec.RunSpec) { s.Workload.Width = -640 }},
+		{"width", func(s *spec.RunSpec) { s.Workload.Width = -640 }},
 		// Finite recipe values past the bounds that keep sizes in int64.
 		{"MeanTriangles", func(s *spec.RunSpec) { s.Workload.Inline.MeanTriangles = 1e300 }},
 		{"TriSigma", func(s *spec.RunSpec) { s.Workload.Inline.TriSigma = 1e300 }},
 		{"MeanTextureKB", func(s *spec.RunSpec) { s.Workload.Inline.MeanTextureKB = 1e300 }},
-		// The smallest positive link bandwidth halves to a 0 GB/s trunk.
-		{"trunk", func(s *spec.RunSpec) {
+		// The smallest positive link bandwidth, which would halve to a
+		// 0 GB/s trunk, is outside the link's domain.
+		{"InterGPMLinkGBs", func(s *spec.RunSpec) {
 			o := multigpu.DefaultOptions()
 			o.Config.Topology, o.Config.InterGPMLinkGBs = "hierarchical", 5e-324
 			s.Hardware = &o
@@ -321,6 +322,47 @@ func TestRejections(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /run: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestOutOfDomainIsAFastRejection pins that a number outside its domain
+// is a 400 naming the field, decided before a pool slot is taken (the
+// pool stays saturated throughout) and in under a millisecond, the best of
+// five tries, without -race: nothing runs before the check.
+func TestOutOfDomainIsAFastRejection(t *testing.T) {
+	s := New(Options{Workers: 1, CacheEntries: 16})
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	wide := multigpu.DefaultOptions()
+	wide.Config.NumGPMs = 4096
+	huge := workload.Benchmarks()[0]
+	huge.MeanTriangles = 1e300
+	base := spec.RunSpec{Workload: spec.WorkloadRef{Name: "DM3-640"}, Scheduler: spec.SchedulerRef{Name: "oovr"}}
+	gpms, frames, recipe := base, base, base
+	gpms.Hardware = &wide
+	frames.Frames = 1e9
+	recipe.Workload = spec.WorkloadRef{Name: "huge", Inline: &huge}
+	for _, c := range []struct {
+		field string
+		rs    spec.RunSpec
+	}{{"NumGPMs", gpms}, {"frames", frames}, {"MeanTriangles", recipe}} {
+		body, err := json.Marshal(c.rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := time.Hour
+		for range 5 {
+			rec := httptest.NewRecorder()
+			t0 := time.Now()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
+			best = min(best, time.Since(t0))
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.field) {
+				t.Fatalf("%s out of its domain: HTTP %d %s, want a 400 naming it", c.field, rec.Code, rec.Body)
+			}
+		}
+		if best >= time.Millisecond && !raceEnabled { // -race slows decoding ~15x
+			t.Errorf("%s out of its domain took %v at best, want under 1 ms", c.field, best)
+		}
 	}
 }
 

@@ -263,11 +263,6 @@ func OpenCell(s spec.ServiceSpec) (*Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Planner construction is validated once here; each session gets its
-	// own instance at admission (planners carry per-run state).
-	if _, err := spec.NewPlanner(n.Scheduler.Name, n.Scheduler.Params); err != nil {
-		return nil, err
-	}
 	c := &Cell{sp: n, router: router, periodMs: 1000 / n.RefreshHz, deadline: n.DeadlineMs}
 	for gi, g := range n.Nodes {
 		opts := *g.Hardware

@@ -9,6 +9,7 @@ import (
 	"oovr/internal/mem"
 	"oovr/internal/multigpu"
 	"oovr/internal/pipeline"
+	"oovr/internal/registry"
 	"oovr/internal/render"
 	"oovr/internal/workload"
 )
@@ -53,17 +54,7 @@ type OOVRParams struct {
 	DisableStragglerSplit bool
 }
 
-// validMiddleware range-checks the TSL knobs at resolve time, so a bad
-// spec errors instead of panicking mid-simulation.
-func validMiddleware(threshold float64, cap int) error {
-	if !(threshold >= 0 && threshold <= 1) { // NaN fails every comparison
-		return fmt.Errorf("TSLThreshold %v out of [0,1]", threshold)
-	}
-	if cap < 1 {
-		return fmt.Errorf("TriangleCap %d must be positive", cap)
-	}
-	return nil
-}
+const maxTriangleCap = 1e6 // the TSL batch cap; the ablation's largest is 16,384
 
 func init() {
 	RegisterPlanner("baseline", func(params json.RawMessage) (driver.Planner, error) {
@@ -78,8 +69,10 @@ func init() {
 		if err := DecodeParams(params, &p); err != nil {
 			return nil, err
 		}
-		if p.DriverCyclesPerDraw < 0 || p.DriverCyclesPerKFrag < 0 {
-			return nil, fmt.Errorf("driver cycle costs must be non-negative")
+		if err := registry.Check("afr",
+			registry.In("DriverCyclesPerDraw", p.DriverCyclesPerDraw, 0, 1e6),
+			registry.In("DriverCyclesPerKFrag", p.DriverCyclesPerKFrag, 0, 1e6)); err != nil {
+			return nil, err
 		}
 		return render.AFR(p), nil
 	}, "frame", "frame-level")
@@ -100,8 +93,8 @@ func init() {
 		if err := DecodeParams(params, &p); err != nil {
 			return nil, err
 		}
-		if p.Root < 0 {
-			return nil, fmt.Errorf("Root %d must be non-negative", p.Root)
+		if err := registry.Check("object", registry.In("Root", float64(p.Root), 0, registry.MaxGPMs-1)); err != nil {
+			return nil, err
 		}
 		return render.ObjectSFR{Root: mem.GPMID(p.Root)}, nil
 	}, "object-level")
@@ -111,11 +104,11 @@ func init() {
 		if err := DecodeParams(params, &p); err != nil {
 			return nil, err
 		}
-		if err := validMiddleware(p.TSLThreshold, p.TriangleCap); err != nil {
+		if err := registry.Check("ooapp",
+			registry.In("TSLThreshold", p.TSLThreshold, 0, 1),
+			registry.In("TriangleCap", float64(p.TriangleCap), 1, maxTriangleCap),
+			registry.In("Root", float64(p.Root), 0, registry.MaxGPMs-1)); err != nil {
 			return nil, err
-		}
-		if p.Root < 0 {
-			return nil, fmt.Errorf("Root %d must be non-negative", p.Root)
 		}
 		a := core.NewOOApp()
 		a.Middleware = core.Middleware{TSLThreshold: p.TSLThreshold, TriangleCap: p.TriangleCap}
@@ -128,7 +121,9 @@ func init() {
 		if err := DecodeParams(params, &p); err != nil {
 			return nil, err
 		}
-		if err := validMiddleware(p.TSLThreshold, p.TriangleCap); err != nil {
+		if err := registry.Check("oovr",
+			registry.In("TSLThreshold", p.TSLThreshold, 0, 1),
+			registry.In("TriangleCap", float64(p.TriangleCap), 1, maxTriangleCap)); err != nil {
 			return nil, err
 		}
 		v := core.NewOOVR()

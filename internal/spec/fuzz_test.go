@@ -101,3 +101,48 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 	})
 }
+
+// FuzzResolveAndRun feeds outside bytes through the whole miss path of a
+// RunSpec: decode, Resolve, and, when Resolve accepts the spec, one frame
+// of execution. Properties: nothing panics, and the Result encodes, so no
+// accepted number can reach a NaN or an infinity. Resolve sees the
+// submitted frame count; only the run is cut to one frame.
+//
+// The seed corpus in testdata/fuzz/FuzzResolveAndRun holds the seven
+// RunSpec seeds of FuzzDecodeJobBytes; the added seeds are out-of-domain
+// numbers that once resolved. Run it longer with
+//
+//	go test -run '^$' -fuzz FuzzResolveAndRun -fuzztime 10s ./internal/spec
+func FuzzResolveAndRun(f *testing.F) {
+	const inline = `"inline":{"Abbr":"HUGE","Draws":191,"MeanTriangles":1e300,"TriSigma":1.6,"Overdraw":2.6,` +
+		`"TextureCount":60,"MeanTextureKB":640,"PrivateTexKB":512,"TexSigma":0.9,"Clusters":12,` +
+		`"TexturesPerObject":2.0,"CommonTextureFrac":0.35,"DependencyFrac":0.06}`
+	for _, s := range []string{
+		`{"workload":{"name":"DM3-640"},"scheduler":{"name":"oovr"},"hardware":{"Config":{"ClockGHz":1e-320}}}`,
+		`{"workload":{"name":"DM3-640"},"scheduler":{"name":"oovr"},"hardware":{"Config":{"Topology":"hierarchical","TopologyTrunkGBs":1e-320}}}`,
+		`{"workload":{"name":"huge","width":640,"height":480,` + inline + `},"scheduler":{"name":"oovr"}}`,
+		`{"workload":{"name":"DM3-640"},"scheduler":{"name":"oovr"},"frames":1000000000}`,
+		`{"workload":{"name":"DM3-640"},"scheduler":{"name":"oovr"},"hardware":{"Config":{"NumGPMs":4096}}}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		job, err := DecodeJobBytes(b)
+		rs, ok := job.(RunSpec)
+		if err != nil || !ok {
+			return
+		}
+		r, err := rs.Resolve()
+		if err != nil {
+			return
+		}
+		r.Spec.Frames = 1
+		res, err := NewResult(r.Spec, r.Execute())
+		if err != nil {
+			t.Fatalf("an executed spec has no Result: %v", err)
+		}
+		if _, err := res.Encode(); err != nil {
+			t.Fatalf("the Result of an accepted spec does not encode: %v\n%s", err, b)
+		}
+	})
+}

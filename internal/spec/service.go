@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"oovr/internal/multigpu"
+	"oovr/internal/registry"
 	"oovr/internal/workload"
 )
 
@@ -228,7 +230,9 @@ func (s ServiceSpec) Normalized() (ServiceSpec, error) {
 
 // Validate checks everything the spec layer can resolve without running:
 // schema version, cluster shape, hardware, workload mix, trace, placement,
-// scheduler, and the rate/SLO knobs. The router name resolves against
+// scheduler, and the rate/SLO knobs, each number within its domain. A
+// cell draws its arrivals up front, so lambda × horizon_ms ≤ 1e8 caps it
+// at about 10^5 expected sessions. The router name resolves against
 // internal/service's registry at run time (the dependency points that way),
 // so an unknown router reports there, with the registered alternatives.
 func (s ServiceSpec) Validate() error {
@@ -239,26 +243,28 @@ func (s ServiceSpec) Validate() error {
 	if n.ServiceVersion != ServiceVersion {
 		return fmt.Errorf("spec: unsupported service version %d (this build speaks %d)", n.ServiceVersion, ServiceVersion)
 	}
+	p, err := NewPlanner(n.Scheduler.Name, n.Scheduler.Params)
+	if err != nil {
+		return err
+	}
 	for gi, g := range n.Nodes {
-		if g.Count <= 0 {
-			return fmt.Errorf("spec: node group %d: count must be positive, got %d", gi, g.Count)
+		if err := registry.Check("spec", registry.In("nodes.count", float64(g.Count), 1, maxNodes)); err != nil {
+			return err
 		}
-		if err := validOptions(*g.Hardware); err != nil {
+		if err := ValidateOptions(*g.Hardware); err != nil {
 			return fmt.Errorf("spec: node group %d hardware: %w", gi, err)
 		}
-	}
-	if len(n.NodeSweep) > 0 {
-		if len(n.Nodes) != 1 {
-			return fmt.Errorf("spec: node_sweep requires exactly one node group, got %d", len(n.Nodes))
-		}
-		for _, c := range n.NodeSweep {
-			if c <= 0 {
-				return fmt.Errorf("spec: node_sweep entry must be positive, got %d", c)
-			}
+		if err := rootInside(n.Scheduler.Name, p, g.Hardware.Config.NumGPMs); err != nil {
+			return err
 		}
 	}
-	if _, ok := planners.Lookup(n.Scheduler.Name); !ok {
-		return planners.Unknown(n.Scheduler.Name)
+	if len(n.NodeSweep) > 0 && len(n.Nodes) != 1 {
+		return fmt.Errorf("spec: node_sweep requires exactly one node group, got %d", len(n.Nodes))
+	}
+	for _, c := range n.NodeSweep {
+		if err := registry.Check("spec", registry.In("node_sweep", float64(c), 1, maxNodes)); err != nil {
+			return err
+		}
 	}
 	if _, ok := layouts.Lookup(n.Placement); !ok {
 		return layouts.Unknown(n.Placement)
@@ -267,29 +273,28 @@ func (s ServiceSpec) Validate() error {
 		if _, ok := WorkloadByName(m.Workload); !ok {
 			return workloads.Unknown(m.Workload)
 		}
-		if m.Weight < 0 {
-			return fmt.Errorf("spec: session mix %q weight must be positive, got %g", m.Workload, m.Weight)
+		if err := registry.Check("spec", registry.In("sessions.weight", m.Weight, 0, 1e6)); err != nil {
+			return err
 		}
 	}
 	if _, ok := workload.TraceByName(n.Motion); !ok {
 		return fmt.Errorf("spec: unknown motion trace %q (registered: %v)", n.Motion, workload.TraceNames())
 	}
-	for _, lam := range n.LambdaSweep {
-		if lam < 0 {
-			return fmt.Errorf("spec: lambda must be non-negative, got %g", lam)
-		}
+	if err := registry.Check("spec",
+		registry.In("mean_frames", n.MeanFrames, 1, 1e9),
+		registry.In("refresh_hz", n.RefreshHz, 1, 1e3),
+		registry.In("deadline_ms", n.DeadlineMs, 1e-3, 1e6),
+		registry.In("horizon_ms", n.HorizonMs, 1e-3, 1e7),
+		registry.In("max_sessions_per_node", float64(n.MaxSessionsPerNode), 1, 1<<16)); err != nil {
+		return err
 	}
-	if n.MeanFrames < 1 {
-		return fmt.Errorf("spec: mean_frames must be at least 1, got %g", n.MeanFrames)
-	}
-	if n.RefreshHz <= 0 || n.DeadlineMs <= 0 || n.HorizonMs <= 0 {
-		return fmt.Errorf("spec: refresh_hz, deadline_ms and horizon_ms must be positive")
-	}
-	if n.MaxSessionsPerNode <= 0 {
-		return fmt.Errorf("spec: max_sessions_per_node must be positive, got %d", n.MaxSessionsPerNode)
-	}
-	return nil
+	// Normalized sweeps are never empty; min and max carry any NaN.
+	lo, hi := slices.Min(n.LambdaSweep), slices.Max(n.LambdaSweep)
+	return registry.Check("spec", registry.In("lambda_sweep", lo, 0, 1e6),
+		registry.In("lambda_sweep", hi, 0, 1e6), registry.In("lambda × horizon_ms", hi*n.HorizonMs, 0, 1e8))
 }
+
+const maxNodes = 1 << 10 // a cluster's node count
 
 // Canonical returns the spec's canonical encoding: the normalized spec,
 // compact, with fixed field order.

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,11 @@ func TestServiceSpecValidateErrors(t *testing.T) {
 		{"multi-group sweep", ServiceSpec{Nodes: []NodeGroup{{Count: 1}, {Count: 2}}, NodeSweep: []int{2}}, "exactly one node group"},
 		{"negative lambda", ServiceSpec{LambdaSweep: []float64{-1}}, "lambda"},
 		{"zero count", ServiceSpec{Nodes: []NodeGroup{{Count: 0}}}, "count"},
+		// Planner params resolve here, not in the run (a 500 once).
+		{"bad params", ServiceSpec{Scheduler: SchedulerRef{Name: "oovr", Params: json.RawMessage(`{"TSLThreshold":2}`)}}, "TSLThreshold"},
+		{"root outside the nodes", ServiceSpec{Scheduler: SchedulerRef{Name: "object", Params: json.RawMessage(`{"Root":7}`)}}, "Root 7 outside the 4-GPM system"},
+		{"denormal horizon", ServiceSpec{HorizonMs: 1e-320}, "horizon_ms"},
+		{"too many arrivals", ServiceSpec{LambdaSweep: []float64{1e6}, HorizonMs: 1e7}, "lambda × horizon_ms"},
 	}
 	for _, c := range cases {
 		if err := c.s.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {

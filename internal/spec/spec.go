@@ -13,6 +13,7 @@ import (
 	"oovr/internal/mem"
 	"oovr/internal/multigpu"
 	"oovr/internal/obs"
+	"oovr/internal/registry"
 	"oovr/internal/render"
 	"oovr/internal/scene"
 	"oovr/internal/topo"
@@ -195,20 +196,6 @@ func canonicalJSON(raw json.RawMessage) (json.RawMessage, error) {
 	return json.Marshal(v)
 }
 
-// ValidateHardware checks the spec's hardware options alone — for callers
-// (the harness's -spec template) that use a stored spec's machine without
-// resolving its scheduler, which may not be registered in their binary.
-func (s RunSpec) ValidateHardware() error {
-	n, err := s.Normalized()
-	if err != nil {
-		return err
-	}
-	if err := validOptions(*n.Hardware); err != nil {
-		return fmt.Errorf("spec: hardware: %w", err)
-	}
-	return nil
-}
-
 // Run is a resolved, ready-to-execute spec.
 type Run struct {
 	// Spec is the normalized spec the run was resolved from.
@@ -242,8 +229,8 @@ func (s RunSpec) Resolve() (*Run, error) {
 	if n.Version != CurrentVersion {
 		return nil, fmt.Errorf("spec: unsupported version %d (this build speaks %d)", n.Version, CurrentVersion)
 	}
-	if n.Frames < 0 {
-		return nil, fmt.Errorf("spec: frames must be positive, got %d", n.Frames)
+	if err := registry.Check("spec", registry.In("frames", float64(n.Frames), 1, multigpu.MaxFrames)); err != nil {
+		return nil, err
 	}
 	c, err := n.ResolveWorkload()
 	if err != nil {
@@ -257,13 +244,19 @@ func (s RunSpec) Resolve() (*Run, error) {
 	if !ok {
 		return nil, layouts.Unknown(n.Placement)
 	}
-	if err := validOptions(*n.Hardware); err != nil {
+	if err := ValidateOptions(*n.Hardware); err != nil {
 		return nil, fmt.Errorf("spec: hardware: %w", err)
 	}
-	// The built-in master-node policies must name a GPM the resolved
-	// hardware actually has; the cross-check lives here because planner
-	// factories never see the hardware config.
-	nGPM := n.Hardware.Config.NumGPMs
+	if err := rootInside(n.Scheduler.Name, p, n.Hardware.Config.NumGPMs); err != nil {
+		return nil, err
+	}
+	return &Run{Spec: n, Case: c, Planner: p, Options: *n.Hardware, layout: layout}, nil
+}
+
+// rootInside checks that a built-in master-node policy names a GPM of an
+// nGPM machine; planner factories never see the hardware, so the
+// cross-check lives here.
+func rootInside(scheduler string, p driver.Planner, nGPM int) error {
 	var root mem.GPMID = -1
 	switch pl := p.(type) {
 	case render.ObjectSFR:
@@ -272,18 +265,19 @@ func (s RunSpec) Resolve() (*Run, error) {
 		root = pl.Root
 	}
 	if int(root) >= nGPM {
-		return nil, fmt.Errorf("spec: scheduler %q Root %d outside the %d-GPM system",
-			n.Scheduler.Name, root, nGPM)
+		return fmt.Errorf("spec: scheduler %q Root %d outside the %d-GPM system", scheduler, root, nGPM)
 	}
-	return &Run{Spec: n, Case: c, Planner: p, Options: *n.Hardware, layout: layout}, nil
+	return nil
 }
+
+const maxPixels = 1 << 14 // each per-eye dimension; Table 3's largest is 1600
 
 // ResolveWorkload produces the evaluation case at the spec's resolution
 // without touching the other components — callers that only need the
 // workload (the harness's -spec template) stay usable with specs naming
 // schedulers this binary never registered. An inline recipe the generator
-// cannot build (workload.Spec.Validate) and a non-positive resolution are
-// errors here, before any stream is opened.
+// cannot build (workload.Spec.Validate) and a resolution outside
+// [1, maxPixels] are errors here, before any stream is opened.
 func (n RunSpec) ResolveWorkload() (workload.Case, error) {
 	w := n.Workload
 	var c workload.Case
@@ -301,17 +295,21 @@ func (n RunSpec) ResolveWorkload() (workload.Case, error) {
 			return workload.Case{}, workloads.Unknown(w.Name)
 		}
 	}
-	if w.Width <= 0 || w.Height <= 0 {
-		return workload.Case{}, fmt.Errorf("spec: workload %q resolution %dx%d must be positive", c.Name, w.Width, w.Height)
+	if err := registry.Check("spec",
+		registry.In("width", float64(w.Width), 1, maxPixels),
+		registry.In("height", float64(w.Height), 1, maxPixels)); err != nil {
+		return workload.Case{}, err
 	}
 	c.Width, c.Height = w.Width, w.Height
 	return c, nil
 }
 
-// validOptions checks the options, then builds the topology they name:
-// an unknown or inconsistent interconnect is an input error here, reported
-// with the registered alternatives, rather than a panic in multigpu.New.
-func validOptions(opt multigpu.Options) error {
+// ValidateOptions checks hardware options as Resolve does: their domains,
+// then the topology they name, built, so an unknown or inconsistent
+// interconnect is an input error (with the registered alternatives) rather
+// than a panic in multigpu.New. The harness's -spec template uses a
+// spec's machine this way without resolving its scheduler.
+func ValidateOptions(opt multigpu.Options) error {
 	if err := opt.Validate(); err != nil {
 		return err
 	}

@@ -83,13 +83,13 @@ func TestTopologyAliasCanonicalizes(t *testing.T) {
 
 // TestUnknownTopologyRejected pins the resolve-time validation: an unknown
 // topology errors (no panic) and reports the registered alternatives, on
-// both the full resolve and the hardware-only validation path.
+// both the full resolve and the options-only validation path.
 func TestUnknownTopologyRejected(t *testing.T) {
 	s := topoSpec("torus9d")
 	_, resolveErr := s.Resolve()
 	for name, err := range map[string]error{
-		"Resolve":          resolveErr,
-		"ValidateHardware": s.ValidateHardware(),
+		"Resolve":         resolveErr,
+		"ValidateOptions": ValidateOptions(*s.Hardware),
 	} {
 		if err == nil {
 			t.Fatalf("%s accepted an unknown topology", name)
@@ -175,16 +175,21 @@ func TestTopologySpecExecutes(t *testing.T) {
 	}
 }
 
-// TestLinkErrorsComeFromBuild pins that topo.Build is the one check of the
-// interconnect: a multi-GPM machine without link bandwidth and a
-// hierarchical one whose default trunk (half the link) underflows to 0 are
-// Resolve errors carrying Build's text.
+// TestLinkErrorsComeFromBuild pins where each interconnect error comes
+// from: a bandwidth outside its domain is the Config's error, named by
+// field, before topo.Build derives a link from it (a denormal link would
+// halve to a 0 GB/s default trunk); a multi-GPM machine without link
+// bandwidth and an unknown topology are Build's.
 func TestLinkErrorsComeFromBuild(t *testing.T) {
 	for _, c := range []struct{ hw, want string }{
 		{`{"Config":{"InterGPMLinkGBs":0}}`,
-			"spec: hardware: topo: LinkGBs 0 must be positive for multi-GPM systems"},
+			`spec: hardware: topo: link "link0->1" bandwidth 0 must be positive`},
 		{`{"Config":{"Topology":"hierarchical","InterGPMLinkGBs":5e-324}}`,
-			`spec: hardware: topo: link "trunk0->1" bandwidth 0 must be positive`},
+			"spec: hardware: gpu: InterGPMLinkGBs 5e-324 out of [0.001,1e+06]"},
+		{`{"Config":{"Topology":"hierarchical","TopologyTrunkGBs":1e-320}}`,
+			"spec: hardware: gpu: TopologyTrunkGBs 1e-320 out of [0.001,1e+06]"},
+		{`{"Config":{"Topology":"warp"}}`,
+			`spec: hardware: topo: unknown topology "warp" (registered: chain, fullmesh, hierarchical, mesh2d, ring, switch)`},
 	} {
 		s, err := Decode(strings.NewReader(`{"workload":{"name":"DM3-640"},"scheduler":{"name":"oovr"},"hardware":` + c.hw + `}`))
 		if err != nil {

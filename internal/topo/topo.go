@@ -56,10 +56,10 @@ const Default = "fullmesh"
 type Params struct {
 	// Name is the registered topology name ("" means fullmesh).
 	Name string
-	// NumGPMs is the GPM count (must be positive).
+	// NumGPMs is the GPM count, 1 to registry.MaxGPMs.
 	NumGPMs int
 	// LinkGBs is the per-direction bandwidth of a GPM-attached link, GB/s
-	// (Table 2: 64). Must be positive when NumGPMs > 1.
+	// (Table 2: 64). It is unused at one GPM.
 	LinkGBs float64
 	// MeshCols is mesh2d's column count (0 = the squarest grid; wider than
 	// NumGPMs = one row).
@@ -214,7 +214,8 @@ func CanonicalParams(p Params) Params {
 // Build resolves the named topology and constructs its graph. Every link
 // must be valid and every GPM pair connected; a builder producing a bad
 // link or a partitioned fabric is rejected here rather than failing a
-// simulation.
+// simulation. The parameters' domains are gpu.Config.Validate's, which
+// every caller runs first.
 func Build(p Params) (*Graph, error) {
 	name := p.Name
 	if name == "" {
@@ -223,15 +224,6 @@ func Build(p Params) (*Graph, error) {
 	build, ok := builders.Lookup(name)
 	if !ok {
 		return nil, builders.Unknown(name)
-	}
-	if p.NumGPMs <= 0 {
-		return nil, fmt.Errorf("topo: NumGPMs %d must be positive", p.NumGPMs)
-	}
-	if p.NumGPMs > 1 && !(p.LinkGBs > 0) {
-		return nil, fmt.Errorf("topo: LinkGBs %v must be positive for multi-GPM systems", p.LinkGBs)
-	}
-	if p.MeshCols < 0 || p.PackageSize < 0 || p.TrunkGBs < 0 || p.BackplaneGBs < 0 {
-		return nil, fmt.Errorf("topo: topology parameters must be non-negative")
 	}
 	gb := &GraphBuilder{g: &Graph{name: CanonicalName(name), numGPMs: p.NumGPMs}}
 	for i := 0; i < p.NumGPMs; i++ {

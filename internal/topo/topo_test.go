@@ -196,12 +196,12 @@ func TestAliasesAndCanonicalNames(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
+	// The parameters' domains are gpu.Config.Validate's; Build rejects
+	// what only it can know: the name, a bad link, a cut fabric.
 	cases := []Params{
 		{Name: "warp", NumGPMs: 4, LinkGBs: 64}, // unknown name
-		{Name: "ring", NumGPMs: 0, LinkGBs: 64}, // no GPMs
-		{Name: "ring", NumGPMs: 4},              // no bandwidth
-		{Name: "ring", NumGPMs: 4, LinkGBs: 64, TrunkGBs: -1},
-		{Name: "mesh2d", NumGPMs: 4, LinkGBs: 64, MeshCols: -2},
+		{Name: "ring", NumGPMs: 4},              // no bandwidth: 0 GB/s links
+		{Name: "switch", NumGPMs: 4, LinkGBs: 64, BackplaneGBs: -1},
 	}
 	for _, p := range cases {
 		if _, err := Build(p); err == nil {

@@ -11,9 +11,9 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
+	"oovr/internal/registry"
 	"oovr/internal/scene"
 )
 
@@ -64,74 +64,45 @@ type Spec struct {
 	DependencyFrac float64
 }
 
+// Validate reports, by name, the first field outside its domain. Counts
+// stay within what the prefix cache holds (2^16 objects plus textures); a
+// count it divides by is at least 1; Overdraw, which bounds are sized by
+// dividing by, is at least 0.01; fractions lie in [0,1]. A zero mean is
+// valid (its log is -Inf, which clamps every draw to the minimum size).
+//
 // The generator draws triangle counts and texture sizes as mean·F with
 // the lognormal factor F = exp(z·σ − σ²/2), z a rand.NormFloat64 draw, and
-// converts them to int and int64. These bounds keep every such product in
-// range whatever z is drawn:
+// converts them to int and int64. The bounds on the means and spreads keep
+// every such product in range whatever z is drawn:
 //
-//   - |z| < maxNorm: NormFloat64's ziggurat returns at most its tail start
+//   - |z| < 16.2: NormFloat64's ziggurat returns at most its tail start
 //     rn ≈ 3.443 plus x = −ln(U)/rn, and a nonzero Float64 U is at least
 //     2^−63, so |z| ≤ 3.443 + 63·ln 2/3.443 ≈ 16.13. (Only two successive
 //     Float64 draws of exactly 0 make z infinite.)
-//   - σ ≤ maxSigma = 1.6: F grows with σ below maxNorm, so F ≤
-//     e^(16.2·1.6−1.28) ≈ 5.0e10.
+//   - σ ≤ 1.6: F grows with σ below 16.2, so F ≤ e^(16.2·1.6−1.28) ≈
+//     5.0e10.
 //   - MeanTriangles ≤ 1e6: Triangles ≤ 5.0e16, the Vertices product 6·t ≤
 //     3.0e17 and VertexBytes 64·t ≤ 3.2e18, below MaxInt64 ≈ 9.22e18.
 //   - MeanTextureKB, PrivateTexKB ≤ 1e5: a texture's bytes ≤ 1e5·1024·F ≤
 //     5.1e18.
 //
 // The bounds are per object and per texture; sums over a recipe's draws
-// and textures are not bounded here.
-const (
-	maxNorm          = 16.2
-	maxSigma         = 1.6
-	maxMeanTriangles = 1e6
-	maxTextureKB     = 1e5
-)
-
-// Validate reports the first field the generator cannot build a scene
-// from, by name: a count it divides by, a mean it takes the log of, a
-// spread or scale it multiplies by, or a mean or spread above the bounds
-// that keep sizes within int64. A zero mean is valid (its log is -Inf,
-// which clamps every draw to the minimum size); a zero Overdraw is not,
-// because bounds are sized by dividing by it. Every built-in recipe is
-// valid; an inline one is checked before it reaches Stream.
+// and textures are not bounded here. Every built-in recipe is valid; an
+// inline one is checked before it reaches Stream.
 func (sp Spec) Validate() error {
-	for _, c := range []struct {
-		field string
-		n     int
-		min   int
-	}{{"Draws", sp.Draws, 1}, {"TextureCount", sp.TextureCount, 0}, {"Clusters", sp.Clusters, 1}} {
-		if c.n < c.min {
-			return fmt.Errorf("%s must be at least %d, got %d", c.field, c.min, c.n)
-		}
-	}
-	for _, c := range []struct {
-		field    string
-		v        float64
-		positive bool
-		max      float64
-	}{
-		{"MeanTriangles", sp.MeanTriangles, false, maxMeanTriangles},
-		{"TriSigma", sp.TriSigma, false, maxSigma},
-		{"Overdraw", sp.Overdraw, true, math.MaxFloat64},
-		{"MeanTextureKB", sp.MeanTextureKB, false, maxTextureKB},
-		{"PrivateTexKB", sp.PrivateTexKB, false, maxTextureKB},
-		{"TexSigma", sp.TexSigma, false, maxSigma},
-		{"TexturesPerObject", sp.TexturesPerObject, false, math.MaxFloat64},
-	} {
-		if math.IsNaN(c.v) || math.IsInf(c.v, 0) || c.v < 0 || c.positive && c.v == 0 {
-			want := "non-negative"
-			if c.positive {
-				want = "positive"
-			}
-			return fmt.Errorf("%s must be finite and %s, got %v", c.field, want, c.v)
-		}
-		if c.v > c.max {
-			return fmt.Errorf("%s must be at most %g, got %g", c.field, c.max, c.v)
-		}
-	}
-	return nil
+	return registry.Check("workload",
+		registry.In("Draws", float64(sp.Draws), 1, 1<<16),
+		registry.In("TextureCount", float64(sp.TextureCount), 0, 1<<16),
+		registry.In("Clusters", float64(sp.Clusters), 1, 1<<16),
+		registry.In("MeanTriangles", sp.MeanTriangles, 0, 1e6),
+		registry.In("TriSigma", sp.TriSigma, 0, 1.6),
+		registry.In("Overdraw", sp.Overdraw, 0.01, 100),
+		registry.In("MeanTextureKB", sp.MeanTextureKB, 0, 1e5),
+		registry.In("PrivateTexKB", sp.PrivateTexKB, 0, 1e5),
+		registry.In("TexSigma", sp.TexSigma, 0, 1.6),
+		registry.In("TexturesPerObject", sp.TexturesPerObject, 0, 16),
+		registry.In("CommonTextureFrac", sp.CommonTextureFrac, 0, 1),
+		registry.In("DependencyFrac", sp.DependencyFrac, 0, 1))
 }
 
 // Benchmarks returns the five Table 3 specs in the paper's order.

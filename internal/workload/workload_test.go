@@ -302,13 +302,38 @@ func TestStreamsSharingAPrefixDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestRecipeBoundsKeepSizesInRange re-derives Validate's bounds: the
-// largest NormFloat64 stays under maxNorm, and at every bound the largest
-// triangle count's VertexBytes and the largest texture fit in int64.
+// TestRecipeBoundsKeepSizesInRange re-derives Validate's bounds, as its
+// error reports them: the largest NormFloat64 stays under maxNorm, and at
+// every bound the largest triangle count's VertexBytes and the largest
+// texture fit in int64.
 func TestRecipeBoundsKeepSizesInRange(t *testing.T) {
 	const rn = 3.442619855899 // math/rand's ziggurat tail start
+	const maxNorm = 16.2      // Validate's doc derives the bounds from it
 	if z := rn + 63*math.Ln2/rn; z >= maxNorm {
 		t.Errorf("NormFloat64 can reach %v, past maxNorm %v", z, float64(maxNorm))
+	}
+	// hi sets a field to +Inf and reads the upper bound the error names.
+	hi := func(field string, set func(*Spec, float64)) float64 {
+		sp := Benchmarks()[0]
+		set(&sp, math.Inf(1))
+		var v, lo, h float64
+		err := sp.Validate()
+		if err == nil {
+			t.Fatalf("%s +Inf validated", field)
+		}
+		if _, e := fmt.Sscanf(err.Error(), "workload: "+field+" %g out of [%g,%g]", &v, &lo, &h); e != nil {
+			t.Fatalf("%s: cannot read the bound from %q: %v", field, err, e)
+		}
+		return h
+	}
+	maxSigma := hi("TriSigma", func(sp *Spec, v float64) { sp.TriSigma = v })
+	if s := hi("TexSigma", func(sp *Spec, v float64) { sp.TexSigma = v }); s != maxSigma {
+		t.Errorf("TexSigma bound %v, TriSigma bound %v: the derivation assumes one", s, maxSigma)
+	}
+	maxMeanTriangles := hi("MeanTriangles", func(sp *Spec, v float64) { sp.MeanTriangles = v })
+	maxTextureKB := hi("MeanTextureKB", func(sp *Spec, v float64) { sp.MeanTextureKB = v })
+	if kb := hi("PrivateTexKB", func(sp *Spec, v float64) { sp.PrivateTexKB = v }); kb > maxTextureKB {
+		maxTextureKB = kb
 	}
 	f := math.Exp(maxNorm*maxSigma - maxSigma*maxSigma/2)
 	if vb := maxMeanTriangles * f * 2 * scene.BytesPerVertex; vb >= math.MaxInt64 {
