@@ -261,10 +261,10 @@ func printUtilization(w io.Writer, tl *obs.Timeline) {
 }
 
 // printPhases renders the run's frame-phase cycle breakdown: where the
-// simulated time went — data distribution, pre-allocation, rendering, and
-// the composition excess beyond rendering.
+// simulated time went — data distribution, rendering, and the composition
+// excess beyond rendering.
 func printPhases(p multigpu.PhaseCycles) {
-	total := float64(p.Ship + p.Migrate + p.Execute + p.Compose)
+	total := float64(p.Ship + p.Execute + p.Compose)
 	if total == 0 {
 		total = 1 // all-zero breakdown prints 0.0% rows, not NaN
 	}
@@ -273,7 +273,6 @@ func printPhases(p multigpu.PhaseCycles) {
 		fmt.Printf("  %-12s %14.0f %6.1f%%\n", name, v, 100*v/total)
 	}
 	row("ship", float64(p.Ship))
-	row("migrate", float64(p.Migrate))
 	row("execute", float64(p.Execute))
 	row("compose", float64(p.Compose))
 }

@@ -51,7 +51,7 @@ func (a OOApp) Begin(sys *multigpu.System) (driver.FramePlanner, driver.Profile)
 		parts = parts[:0]
 		for bi := range batches {
 			g := mem.GPMID(bi % n)
-			task := batchTask(&parts, &batches[bi], false, false)
+			task := batchTask(&parts, &batches[bi], false)
 			// Software-only data placement: the middleware copies exactly
 			// the batch's working set to its round-robin GPM; the mapping
 			// is stable across frames. Without hardware PA units the copy
@@ -222,7 +222,7 @@ type oovrPlanner struct {
 	// prevAssign remembers where each batch ran last frame (-1 when it has
 	// not run yet): the PA units' pre-allocated data sits in that GPM's
 	// DRAM, so the engine prefers it whenever the predicted availability is
-	// close, avoiding needless re-migration.
+	// close, avoiding a needless re-ship.
 	prevAssign []int32
 
 	// Per-frame dispatch state. The engine's view of each GPM: predicted
@@ -324,7 +324,7 @@ func (p *oovrPlanner) PlanFrame(f *scene.Frame, fi int) driver.Plan {
 			// next batch is planned.
 			g := p.bi % n
 			p.prevAssign[p.bi] = int32(g)
-			task := batchTask(&p.parts, b, false, false)
+			task := batchTask(&p.parts, b, false)
 			// PA units copy the batch's exact working set ahead of time.
 			task.ShipTextures = true
 			task.ShipPersistent = true
@@ -375,7 +375,7 @@ func (p *oovrPlanner) PlanFrame(f *scene.Frame, fi int) driver.Plan {
 			}
 		}
 		p.prevAssign[p.bi] = int32(g)
-		task := batchTask(&p.parts, b, false, true)
+		task := batchTask(&p.parts, b, true)
 		// PA units copy the batch's exact working set ahead of time.
 		task.ShipTextures = true
 		task.ShipPersistent = true
@@ -421,15 +421,14 @@ func (p *oovrPlanner) TaskDone(fi int, sub *driver.Submission, start, end sim.Ti
 }
 
 // batchTask builds the multi-view SMP task for a whole batch, carving its
-// part list from the caller's arena. migrate turns on PA-unit
-// pre-allocation; prefetch overlaps it with the previous batch (only
-// available once the engine is calibrated and assigning ahead).
-func batchTask(arena *[]multigpu.TaskPart, b *Batch, migrate, prefetch bool) multigpu.Task {
+// part list from the caller's arena. prefetch overlaps the batch's data
+// shipping with the previous batch (only available once the engine is
+// calibrated and assigning ahead).
+func batchTask(arena *[]multigpu.TaskPart, b *Batch, prefetch bool) multigpu.Task {
 	return multigpu.Task{
-		Color:       multigpu.ColorLocalStage,
-		MigrateData: migrate,
-		Prefetch:    prefetch,
-		Parts:       appendParts(arena, b, 1),
+		Color:    multigpu.ColorLocalStage,
+		Prefetch: prefetch,
+		Parts:    appendParts(arena, b, 1),
 	}
 }
 

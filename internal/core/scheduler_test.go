@@ -202,7 +202,7 @@ func TestBatchTaskShapes(t *testing.T) {
 	batches := NewMiddleware().GroupFrame(sc, &sc.Frames[0])
 	b := &batches[0]
 	var arena []multigpu.TaskPart
-	task := batchTask(&arena, b, false, true)
+	task := batchTask(&arena, b, true)
 	if len(task.Parts) != len(b.Objects) {
 		t.Errorf("batchTask parts = %d, want %d", len(task.Parts), len(b.Objects))
 	}

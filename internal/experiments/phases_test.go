@@ -23,7 +23,7 @@ func TestPhaseBucketsCoverTheRun(t *testing.T) {
 	sys := multigpu.New(multigpu.DefaultOptions(), sc)
 	driver.Run(sys, core.NewOOVR())
 	p := sys.Phases()
-	if p.Ship < 0 || p.Migrate < 0 || p.Execute < 0 || p.Compose < 0 {
+	if p.Ship < 0 || p.Execute < 0 || p.Compose < 0 {
 		t.Fatalf("negative phase bucket: %+v", p)
 	}
 	if p.Execute == 0 {
@@ -32,7 +32,7 @@ func TestPhaseBucketsCoverTheRun(t *testing.T) {
 	if p.Ship == 0 {
 		t.Error("ship bucket empty: OO-VR distributes object data every frame")
 	}
-	names := []string{"ship", "migrate", "execute", "compose"}
+	names := []string{"ship", "execute", "compose"}
 	b, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 )
 
 // TestRemoteAccessesDoNotAllocate pins the scratch contract on Flow: every
-// access that splits bytes across GPMs — Read, Write, ReadProportional and
-// Duplicate on striped and partitioned segments — writes its RemoteBySrc
+// access that splits bytes across GPMs — Read, Write and ReadProportional
+// on striped and partitioned segments — writes its RemoteBySrc
 // and its byte split into the System's reused vectors, and neither an
 // access nor a re-placement allocates, at any GPM count. Each access must
 // carry remote bytes, or the all-local path would be measured instead.
@@ -38,7 +38,6 @@ func TestRemoteAccessesDoNotAllocate(t *testing.T) {
 					remote("warm read", s.Read(g, id, 100, size-200))
 					remote("write", s.Write(g, id, 100, size-100))
 					remote("proportional", s.ReadProportional(g, id, 3*float64(size)))
-					remote("duplicate", s.Duplicate(id, g))
 					place()
 				}
 				s.ResetWarmth()

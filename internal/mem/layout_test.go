@@ -168,22 +168,6 @@ func (r *pageRefSystem) readProportional(gpm GPMID, id int, bytes float64) Flow 
 	return r.record(flow)
 }
 
-func (r *pageRefSystem) duplicate(id int, dst GPMID) Flow {
-	flow := Flow{Requester: dst, RemoteBySrc: make([]float64, r.cfg.NumGPMs), Kind: r.kinds[id]}
-	for p := range r.pages[id] {
-		bytes := float64(r.pageBytes(id, p))
-		home := r.pages[id][p]
-		if home == dst {
-			flow.LocalBytes += bytes
-		} else {
-			flow.RemoteBySrc[home] += bytes
-		}
-		r.rehome(id, p, dst)
-	}
-	r.touched[dst][id] = true
-	return r.record(flow)
-}
-
 func (r *pageRefSystem) resetWarmth() {
 	for g := range r.touched {
 		r.touched[g] = make(map[int]bool)
@@ -305,7 +289,7 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 			g := GPMID(rng.Intn(ng))
 			size := sizes[int(id)]
 			var got, want Flow
-			op := rng.Intn(9)
+			op := rng.Intn(8)
 			switch op {
 			case 0:
 				sys.Place(id, g)
@@ -317,13 +301,10 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 				sys.PlacePartitioned(id)
 				ref.placePartitioned(int(id))
 			case 3:
-				got = sys.Duplicate(id, g)
-				want = ref.duplicate(int(id), g)
-			case 4:
 				vol := float64(rng.Intn(1 << 20))
 				got = sys.ReadProportional(g, id, vol)
 				want = ref.readProportional(g, int(id), vol)
-			case 5:
+			case 4:
 				sys.ResetWarmth()
 				ref.resetWarmth()
 			default: // reads and writes dominate the mix, as in real runs
@@ -375,8 +356,8 @@ func TestAnalyticLayoutsStayAnalytic(t *testing.T) {
 		t.Fatalf("layout after partitioned reads = %v, want partitioned", got)
 	}
 	s.Place(id, 2)
-	s.Duplicate(id, 3)
+	s.Read(3, id, 0, 4096*1000)
 	if got := s.Segment(id).Layout(); got != LayoutUniform {
-		t.Fatalf("layout after place/duplicate = %v, want uniform", got)
+		t.Fatalf("layout after uniform reads = %v, want uniform", got)
 	}
 }

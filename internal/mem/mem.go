@@ -18,7 +18,7 @@
 // Every placement is one of three layouts, so a segment stores a layout
 // descriptor instead of a per-page home array:
 //
-//   - LayoutUniform: every page homed on one GPM (Place, Duplicate);
+//   - LayoutUniform: every page homed on one GPM (Place);
 //   - LayoutStriped: page i homed on GPM i mod N (Alloc, PlaceStriped);
 //   - LayoutPartitioned: N contiguous 1/N shares (PlacePartitioned).
 //
@@ -26,7 +26,7 @@
 // closed form over only the GPMs the range overlaps — no page iteration —
 // and the Place* family are O(NumGPMs) layout swaps. Each segment also
 // caches its home histogram (bytes per GPM), rewritten on every placement,
-// so ReadProportional, Duplicate and HomeHistogram never rescan pages.
+// so ReadProportional and HomeHistogram never rescan pages.
 // Every access books its bytes into the Traffic account in the same pass
 // that splits them.
 //
@@ -389,13 +389,6 @@ func (s *System) DRAMUsed(gpm GPMID) int64 {
 	return s.dramUse[gpm]
 }
 
-// HomedBytes returns how many bytes of the segment are homed on the GPM,
-// without allocating (the histogram is cached).
-func (s *System) HomedBytes(id SegmentID, gpm GPMID) int64 {
-	s.checkGPM(gpm)
-	return s.homeHist(id)[gpm]
-}
-
 // Read models gpm reading n bytes starting at offset within the segment.
 // The returned Flow says how many bytes were local and how many crossed
 // each link. The remote cache absorbs RemoteCacheHitRate of remote bytes
@@ -526,27 +519,6 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
 		}
 	}
 	s.traffic.local[gpm] += flow.LocalBytes
-	return flow
-}
-
-// Duplicate models copying the whole segment into the given GPM's DRAM (the
-// AFR scheme's separate memory spaces, and OO-VR's straggler data
-// duplication). The copy itself moves bytes over the links from each page's
-// current home; afterwards the pages are homed on dst.
-func (s *System) Duplicate(id SegmentID, dst GPMID) Flow {
-	s.checkGPM(dst)
-	seg := s.Segment(id)
-	flow := Flow{Requester: dst, Kind: seg.Kind}
-	hist := s.homeHist(id)
-	flow.LocalBytes = float64(hist[dst])
-	for h, b := range hist {
-		if GPMID(h) != dst {
-			s.addRemote(&flow, GPMID(h), float64(b))
-		}
-	}
-	s.setLayout(seg, LayoutUniform, dst)
-	s.warmth[s.slot(id, dst)] = s.epoch
-	s.traffic.local[dst] += flow.LocalBytes
 	return flow
 }
 

@@ -161,24 +161,6 @@ func TestAccessOutOfRangePanics(t *testing.T) {
 	s.Read(0, id, 50, 100)
 }
 
-func TestDuplicateMovesHomeAndCountsLinkBytes(t *testing.T) {
-	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 8192)
-	s.Place(id, 0)
-	f := s.Duplicate(id, 2)
-	if f.RemoteBySrc[0] != 8192 {
-		t.Errorf("duplicate should stream the whole segment: %v", f.RemoteBySrc[0])
-	}
-	// After duplication the segment is local to GPM 2.
-	f2 := s.Read(2, id, 0, 8192)
-	if f2.RemoteTotal() != 0 {
-		t.Errorf("post-duplicate read should be local, remote=%v", f2.RemoteTotal())
-	}
-	if s.DRAMUsed(0) != 0 || s.DRAMUsed(2) != 8192 {
-		t.Errorf("home accounting wrong: used0=%d used2=%d", s.DRAMUsed(0), s.DRAMUsed(2))
-	}
-}
-
 func TestTrafficByKind(t *testing.T) {
 	s := newSys(t)
 	tex := s.Alloc(KindTexture, "tex", 4096)

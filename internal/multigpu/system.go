@@ -129,24 +129,18 @@ type Task struct {
 	// mappings move with the camera, so tile renderers must re-ship every
 	// frame. Ignored unless ShipTextures is set.
 	ShipPersistent bool
-	// MigrateData makes the PA (pre-allocation) units move the task's
-	// texture and vertex pages into this GPM's DRAM before rendering
-	// (OO-VR, Section 5.2). Unlike ShipTextures this re-homes the pages —
-	// the NUMA space keeps one copy — so a batch that lands on the same GPM
-	// next frame pays nothing.
-	MigrateData bool
 	// ShipExact ships exactly the working set the task will sample (the
 	// OO-VR programming model knows each batch's textures and views), with
 	// no sort-first overfetch. Implies nothing unless ShipTextures is set.
 	ShipExact bool
 	// Prefetch overlaps the shipping with earlier work instead of blocking
 	// the task start (OO-VR's PA units pre-allocate while the previous
-	// batch renders, Section 5.2).
+	// batch renders, Section 5.2). Ignored unless ShipTextures is set.
 	Prefetch bool
 	// UseLocalCopies makes Execute read textures and vertices from this
 	// GPM's private copies (AFR's separate memory spaces; see
-	// EnsureLocalCopies) instead of the shared pool. Ship and Migrate act
-	// on the shared segments either way.
+	// EnsureLocalCopies) instead of the shared pool. Ship copies from the
+	// shared segments either way.
 	UseLocalCopies bool
 	// SharedL2 models the single-programming-model baseline: all GPMs form
 	// one logical GPU whose L2 slices are address-interleaved, so every
@@ -165,7 +159,6 @@ type Task struct {
 type GPMState struct {
 	NextFree sim.Time
 	Busy     sim.Time
-	Tasks    int
 	// StagedPixels accumulates pixels written to the local staging buffer
 	// since the last composition.
 	StagedPixels float64
@@ -196,13 +189,7 @@ type System struct {
 	//
 	// shipStamp[g][seg] == frameEpoch when seg has been transferred to GPM g
 	// in the current frame (sort-first frameworks re-distribute per frame).
-	shipStamp [][]uint64
-	// claimStamp[seg] == frameEpoch when a PA unit migrated seg this frame;
-	// claimOwner[seg] is the GPM whose batch claimed it. A shared texture
-	// migrates at most once per frame so that batches on other GPMs do not
-	// ping-pong it (they demand-fetch).
-	claimStamp []uint64
-	claimOwner []mem.GPMID
+	shipStamp  [][]uint64
 	frameEpoch uint64
 
 	// Ship's working state: per-segment working-set budgets stamped by
@@ -226,20 +213,18 @@ type System struct {
 	// recorder is fed values the simulation already computed and nothing
 	// reads it back. Disabled (nil) it costs one branch per phase, which
 	// the 0 allocs/op frame gate covers.
-	tl                            *obs.Timeline
-	tlShip, tlMig, tlExec, tlComp []obs.LaneID
-	taskSerial                    int64
+	tl                     *obs.Timeline
+	tlShip, tlExec, tlComp []obs.LaneID
+	taskSerial             int64
 }
 
 // PhaseCycles breaks a run's simulated time into the frame phases: data
-// distribution (Ship), PA-unit pre-allocation (Migrate), rendering
-// (Execute — compute plus unhidden memory stall), and the cycles by which
+// distribution (Ship), rendering (Execute — compute plus unhidden memory stall), and the cycles by which
 // composition extended frames beyond rendering (Compose; composition
 // overlaps rendering, so only its excess counts). Strictly observational:
 // nothing reads it back into the simulation.
 type PhaseCycles struct {
 	Ship    sim.Time `json:"ship"`
-	Migrate sim.Time `json:"migrate"`
 	Execute sim.Time `json:"execute"`
 	Compose sim.Time `json:"compose"`
 }
@@ -248,7 +233,7 @@ type PhaseCycles struct {
 func (s *System) Phases() PhaseCycles { return s.phases }
 
 // AttachTimeline starts recording per-task phase spans into tl: one
-// trace process per GPM with ship/migrate/execute/compose lanes, plus
+// trace process per GPM with ship/execute/compose lanes, plus
 // per-link flow lanes on the fabric. Lane time is simulated cycles;
 // ClockGHz*1000 cycles make a microsecond. Attach before the first
 // frame so lane registration order (and thus the exported byte stream)
@@ -262,7 +247,6 @@ func (s *System) AttachTimeline(tl *obs.Timeline) {
 	for g := 0; g < s.nGPM; g++ {
 		proc := fmt.Sprintf("gpm%d", g)
 		s.tlShip = append(s.tlShip, tl.AddLane(proc, "ship", ticks))
-		s.tlMig = append(s.tlMig, tl.AddLane(proc, "migrate", ticks))
 		s.tlExec = append(s.tlExec, tl.AddLane(proc, "execute", ticks))
 		s.tlComp = append(s.tlComp, tl.AddLane(proc, "compose", ticks))
 	}
@@ -291,21 +275,6 @@ func padTo[T any](sl []T, i, want int, pad T) []T {
 // numShared returns how many texture and vertex segments the scene shares
 // across GPMs. New allocates them first, so they are ids [0, numShared).
 func (s *System) numShared() int { return len(s.texSeg) + len(s.vbSeg) }
-
-// shippedThisFrame reports whether seg was already transferred to GPM gi in
-// the current frame.
-func (s *System) shippedThisFrame(gi int, seg mem.SegmentID) bool {
-	st := s.shipStamp[gi]
-	return int(seg) < len(st) && st[seg] == s.frameEpoch
-}
-
-// markShipped records seg as transferred to GPM gi this frame.
-func (s *System) markShipped(gi int, seg mem.SegmentID) {
-	if int(seg) >= len(s.shipStamp[gi]) {
-		s.shipStamp[gi] = padTo(s.shipStamp[gi], int(seg), s.numShared(), 0)
-	}
-	s.shipStamp[gi][seg] = s.frameEpoch
-}
 
 // New binds a system to a scene. The framebuffer and depth surfaces are
 // allocated for the side-by-side stereo target and striped by default; the
@@ -445,8 +414,8 @@ func (s *System) reserveFlow(t sim.Time, f mem.Flow) sim.Time {
 }
 
 // taskContext carries one task through Run's execution phases. Its start
-// begins at the GPM's availability; Ship and Migrate book their transfer
-// flows and, unless the task prefetches, push the start past the transfer;
+// begins at the GPM's availability; Ship books its transfer flows and,
+// unless the task prefetches, pushes the start past the transfer;
 // Execute issues the rendering flows, charges compute and stall time, and
 // commits the GPM timeline.
 type taskContext struct {
@@ -544,52 +513,6 @@ func (s *System) shipTextureBytes(p TaskPart, exact bool) float64 {
 		overfetch = 1
 	}
 	return views * p.Object.FragsPerView * s.opt.Cache.SampleBytesPerFragment * overfetch
-}
-
-// Migrate performs OO-VR's PA-unit pre-allocation: the task's texture and
-// vertex pages are re-homed into the GPM's DRAM (one NUMA copy, unlike
-// Ship). A shared segment migrates at most once per frame. Without
-// Prefetch the task start moves past the migration.
-func (c *taskContext) Migrate() {
-	s, g, task := c.sys, c.gpm, &c.task
-	gi := int(g)
-	migEnd := c.start
-	migrate := func(seg mem.SegmentID) {
-		if s.shippedThisFrame(gi, seg) {
-			return
-		}
-		s.markShipped(gi, seg)
-		if int(seg) < len(s.claimStamp) && s.claimStamp[seg] == s.frameEpoch && s.claimOwner[seg] != g {
-			return // another GPM's batch owns it this frame
-		}
-		if int(seg) >= len(s.claimStamp) {
-			s.claimStamp = padTo(s.claimStamp, int(seg), s.numShared(), 0)
-			s.claimOwner = padTo(s.claimOwner, int(seg), s.numShared(), 0)
-		}
-		s.claimStamp[seg] = s.frameEpoch
-		s.claimOwner[seg] = g
-		if s.fullyHomedAt(seg, g) {
-			return // already local: pre-allocation is free
-		}
-		flow := s.Mem.Duplicate(seg, g)
-		if e := s.reserveFlow(c.start, flow); e > migEnd {
-			migEnd = e
-		}
-	}
-	for _, p := range task.Parts {
-		for _, tid := range p.Object.Textures {
-			migrate(s.texSeg[tid])
-		}
-		migrate(s.vbSeg[p.Object.Index])
-	}
-	s.phases.Migrate += migEnd - c.start
-	if s.tl != nil && migEnd > c.start {
-		s.tl.Span(s.tlMig[g], "migrate", int64(c.start), int64(migEnd),
-			obs.Arg{K: "task", V: c.serial}, obs.Arg{})
-	}
-	if !task.Prefetch {
-		c.start = migEnd
-	}
 }
 
 // Execute issues the task's rendering work — vertex/texture/depth/color/
@@ -696,7 +619,6 @@ func (c *taskContext) Execute() sim.Time {
 	end := start + sim.Time(compute+stall)
 	s.gpms[gi].Busy += end - start
 	s.gpms[gi].NextFree = end
-	s.gpms[gi].Tasks++
 	s.phases.Execute += end - start
 	if s.tl != nil {
 		s.tl.Span(s.tlExec[gi], "execute", int64(start), int64(end),
@@ -707,8 +629,8 @@ func (c *taskContext) Execute() sim.Time {
 
 // Run executes a task on GPM g and returns its completion time. The task
 // starts no earlier than the GPM's next availability and passes through
-// the phases in order: Ship and Migrate when the task's flags ask for
-// them, then Execute.
+// the phases in order: Ship when the task's flags ask for it, then
+// Execute.
 func (s *System) Run(g mem.GPMID, task Task) sim.Time {
 	c := taskContext{sys: s, gpm: g, task: task, start: s.gpms[g].NextFree}
 	if s.tl != nil {
@@ -717,9 +639,6 @@ func (s *System) Run(g mem.GPMID, task Task) sim.Time {
 	}
 	if task.ShipTextures {
 		c.Ship()
-	}
-	if task.MigrateData {
-		c.Migrate()
 	}
 	return c.Execute()
 }
@@ -730,12 +649,16 @@ func (s *System) Run(g mem.GPMID, task Task) sim.Time {
 // copies itself). Copies persist across frames: their capacity stays
 // allocated.
 func (s *System) ship(g mem.GPMID, orig mem.SegmentID, budget float64, at sim.Time, end *sim.Time) {
-	gi := int(g)
 	s.Mem.Copy(orig, g)
-	if s.shippedThisFrame(gi, orig) {
+	st := s.shipStamp[g]
+	if int(orig) < len(st) && st[orig] == s.frameEpoch {
 		return // already transferred this frame
 	}
-	s.markShipped(gi, orig)
+	if int(orig) >= len(st) {
+		st = padTo(st, int(orig), s.numShared(), 0)
+		s.shipStamp[g] = st
+	}
+	st[orig] = s.frameEpoch
 	size := float64(s.Mem.Segment(orig).Size)
 	if budget > size {
 		budget = size
@@ -744,11 +667,6 @@ func (s *System) ship(g mem.GPMID, orig mem.SegmentID, budget float64, at sim.Ti
 	if e := s.reserveFlow(at, flow); e > *end {
 		*end = e
 	}
-}
-
-// fullyHomedAt reports whether every byte of the segment lives on g.
-func (s *System) fullyHomedAt(seg mem.SegmentID, g mem.GPMID) bool {
-	return s.Mem.HomedBytes(seg, g) == s.Mem.Segment(seg).Size
 }
 
 // partitionRange clamps an access of length ln into GPM g's 1/N contiguous

@@ -7,8 +7,8 @@ import (
 
 // TestColdRunAllocBudget bounds the bytes one cold RunSpec.Run allocates:
 // HL2-1280, 12 frames, seed 1, under AFR (a private copy of every texture
-// and vertex buffer per GPM), OO-VR (shipped copies and migrated batches)
-// and object-level SFR (shipped copies only). Each budget is the measured
+// and vertex buffer per GPM), OO-VR (exact, persistent shipped copies)
+// and object-level SFR (re-shipped copies). Each budget is the measured
 // bytes/op plus 10%. It pins the cold-path cuts: frames streamed through
 // one buffer instead of materialized, every access's flow split into one
 // reused vector instead of a per-segment cache, copies kept as residency
