@@ -47,7 +47,7 @@ func TestEveryOutsideNumberHasOneDomain(t *testing.T) {
 			t.Fatalf("FS %s: %v", sched, err)
 		}
 		for _, c := range cells {
-			if err := c.Validate(); err != nil {
+			if _, err := c.Resolve(); err != nil {
 				t.Errorf("FS %s cell: %v", sched, err)
 			}
 		}
@@ -98,7 +98,8 @@ func TestEveryOutsideNumberHasOneDomain(t *testing.T) {
 				Sessions: []spec.SessionMix{{Workload: "DM3-640", Weight: 1}}, LambdaSweep: []float64{16},
 				MeanFrames: 30, RefreshHz: 90, DeadlineMs: 0.2, HorizonMs: 300, MaxSessionsPerNode: 64}
 			set(&s, v)
-			return s.Validate()
+			_, err := s.Resolve()
+			return err
 		}}
 	}
 	maxSessions := svc("max_sessions_per_node", true, func(s *spec.ServiceSpec, v float64) { s.MaxSessionsPerNode = int(v) })
@@ -109,8 +110,14 @@ func TestEveryOutsideNumberHasOneDomain(t *testing.T) {
 		hwInt("NumGPMs", func(o *multigpu.Options, v int) { o.Config.NumGPMs = v }),
 		hwInt("SMsPerGPM", func(o *multigpu.Options, v int) { o.Config.SMsPerGPM = v }),
 		hwInt("ShaderCoresPerSM", func(o *multigpu.Options, v int) { o.Config.ShaderCoresPerSM = v }),
+		hwInt("L1KBPerSM", func(o *multigpu.Options, v int) { o.Config.L1KBPerSM = v }),
+		hwInt("TextureUnitsPerSM", func(o *multigpu.Options, v int) { o.Config.TextureUnitsPerSM = v }),
+		hwInt("AnisotropicFiltering", func(o *multigpu.Options, v int) { o.Config.AnisotropicFiltering = v }),
+		hwInt("RasterTileSize", func(o *multigpu.Options, v int) { o.Config.RasterTileSize = v }),
 		hwInt("ROPsPerGPM", func(o *multigpu.Options, v int) { o.Config.ROPsPerGPM = v }),
 		hwInt("PixelsPerROPPerCycle", func(o *multigpu.Options, v int) { o.Config.PixelsPerROPPerCycle = v }),
+		hwInt("L2MBTotal", func(o *multigpu.Options, v int) { o.Config.L2MBTotal = v }),
+		hwInt("L2Ways", func(o *multigpu.Options, v int) { o.Config.L2Ways = v }),
 		hw("InterGPMLinkGBs", func(o *multigpu.Options, v float64) { o.Config.InterGPMLinkGBs = v }),
 		hw("LocalDRAMGBs", func(o *multigpu.Options, v float64) { o.Config.LocalDRAMGBs = v }),
 		hwInt("TopologyMeshCols", func(o *multigpu.Options, v int) { o.Config.TopologyMeshCols = v }),
@@ -204,7 +211,7 @@ func TestEveryOutsideNumberHasOneDomain(t *testing.T) {
 	// up front.
 	s := fsSpec("oovr", 1)
 	s.NodeSweep, s.LambdaSweep, s.HorizonMs = nil, []float64{1e6}, 1e7
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "lambda × horizon_ms ") {
+	if _, err := s.Resolve(); err == nil || !strings.Contains(err.Error(), "lambda × horizon_ms ") {
 		t.Errorf("10^10 expected arrivals: %v, want an error naming lambda × horizon_ms", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"oovr/internal/mem"
 	"oovr/internal/multigpu"
 	"oovr/internal/obs"
-	"oovr/internal/spec"
 )
 
 // TestTrafficInvariantsOverTheSpecMatrix checks the model's accounting
@@ -102,9 +101,8 @@ func TestRoutedLinkBytesInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", topoName, err)
 			}
-			layout, _ := spec.LayoutByName(r.Spec.Placement)
 			sys := multigpu.New(r.Options, r.Case.Spec.Generate(r.Case.Width, r.Case.Height, r.Spec.Frames, r.Spec.Seed))
-			layout(sys)
+			r.Layout(sys)
 			m := driver.Run(sys, r.Planner)
 			var links, routed float64
 			for _, l := range m.Links {

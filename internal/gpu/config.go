@@ -186,7 +186,7 @@ func (c Config) TopologyParams() topo.Params {
 const (
 	minGHz, maxGHz   = 1e-3, 1e3 // ClockGHz
 	minGBs, maxGBs   = 1e-3, 1e6 // every bandwidth, GB/s
-	maxUnits         = 1 << 12   // SMs, cores, ROPs, pixels per ROP per cycle
+	maxUnits         = 1 << 12   // unit counts and sizes: SMs, cores, caches, taps, tiles, ROPs
 	minRate, maxRate = 1e-3, 1e6 // per-item costs (cycles, bytes) and per-cycle rates
 )
 
@@ -200,8 +200,14 @@ func (c Config) Validate() error {
 		registry.In("NumGPMs", float64(c.NumGPMs), 1, registry.MaxGPMs),
 		registry.In("SMsPerGPM", float64(c.SMsPerGPM), 1, maxUnits),
 		registry.In("ShaderCoresPerSM", float64(c.ShaderCoresPerSM), 1, maxUnits),
+		registry.In("L1KBPerSM", float64(c.L1KBPerSM), 1, maxUnits),
+		registry.In("TextureUnitsPerSM", float64(c.TextureUnitsPerSM), 1, maxUnits),
+		registry.In("AnisotropicFiltering", float64(c.AnisotropicFiltering), 1, maxUnits),
+		registry.In("RasterTileSize", float64(c.RasterTileSize), 1, maxUnits),
 		registry.In("ROPsPerGPM", float64(c.ROPsPerGPM), 1, maxUnits),
 		registry.In("PixelsPerROPPerCycle", float64(c.PixelsPerROPPerCycle), 1, maxUnits),
+		registry.In("L2MBTotal", float64(c.L2MBTotal), 1, maxUnits),
+		registry.In("L2Ways", float64(c.L2Ways), 1, maxUnits),
 		registry.Optional("InterGPMLinkGBs", c.InterGPMLinkGBs, minGBs, maxGBs),
 		registry.In("LocalDRAMGBs", c.LocalDRAMGBs, minGBs, maxGBs),
 		registry.In("TopologyMeshCols", float64(c.TopologyMeshCols), 0, registry.MaxGPMs),

@@ -454,17 +454,14 @@ func resolve(j spec.Job) (func() (encoder, error), error) {
 		}
 		return func() (encoder, error) { return spec.NewResult(run.Spec, run.Execute()) }, nil
 	case spec.ServiceSpec:
-		n, err := j.Normalized()
+		res, err := j.Resolve()
 		if err != nil {
 			return nil, err
 		}
-		if err := n.Validate(); err != nil {
+		if _, err := service.NewRouter(res.Spec.Router.Name, res.Spec.Router.Params); err != nil {
 			return nil, err
 		}
-		if _, err := service.NewRouter(n.Router.Name, n.Router.Params); err != nil {
-			return nil, err
-		}
-		return func() (encoder, error) { return service.Run(n, service.RunOptions{}) }, nil
+		return func() (encoder, error) { return service.Run(res.Spec, service.RunOptions{}) }, nil
 	}
 	return nil, fmt.Errorf("server: unknown job kind")
 }

@@ -51,13 +51,11 @@ const evictAfterDrops = 30
 // standalone single-cell ServiceSpec in row-major order (node counts outer,
 // rates inner). A single-cell spec expands to itself.
 func CellSpecs(s spec.ServiceSpec) ([]spec.ServiceSpec, error) {
-	n, err := s.Normalized()
+	res, err := s.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
+	n := res.Spec
 	clusters := [][]spec.NodeGroup{n.Nodes}
 	if len(n.NodeSweep) > 0 {
 		clusters = nil
@@ -184,7 +182,7 @@ type session struct {
 // incremental surface exists so steady-state per-event cost is measurable
 // (BenchmarkServiceTick) and stays allocation-free.
 type Cell struct {
-	sp      spec.ServiceSpec
+	res     *spec.ServiceRun
 	router  Router
 	groups  []group
 	nodes   []node
@@ -248,13 +246,11 @@ type group struct {
 // specs (NodeSweep or a multi-point LambdaSweep) are refused — expand them
 // with CellSpecs first.
 func OpenCell(s spec.ServiceSpec) (*Cell, error) {
-	n, err := s.Normalized()
+	res, err := s.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
+	n := res.Spec
 	if len(n.NodeSweep) > 0 || len(n.LambdaSweep) != 1 {
 		return nil, fmt.Errorf("service: spec is a sweep (%d node counts x %d rates); expand with CellSpecs",
 			max(1, len(n.NodeSweep)), len(n.LambdaSweep))
@@ -263,7 +259,11 @@ func OpenCell(s spec.ServiceSpec) (*Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cell{sp: n, router: router, periodMs: 1000 / n.RefreshHz, deadline: n.DeadlineMs}
+	seed, err := n.CellSeed()
+	if err != nil {
+		return nil, err
+	}
+	c := &Cell{res: res, router: router, periodMs: 1000 / n.RefreshHz, deadline: n.DeadlineMs}
 	for gi, g := range n.Nodes {
 		opts := *g.Hardware
 		graph, err := topo.Build(opts.Config.TopologyParams())
@@ -291,7 +291,7 @@ func OpenCell(s spec.ServiceSpec) (*Cell, error) {
 	c.rep.Lambda = n.LambdaSweep[0]
 	c.rep.NodeSessions = make([]int, len(c.nodes))
 	c.rep.NodeUtilization = make([]float64, len(c.nodes))
-	c.drawArrivals()
+	c.drawArrivals(seed)
 	// Seed the heap with the first arrival; later arrivals enter as their
 	// predecessors are processed, keeping the heap small.
 	if len(c.arrives) > 0 {
@@ -321,40 +321,35 @@ func meanHops(g *topo.Graph) float64 {
 
 // drawArrivals fixes the whole arrival process up front: instants from the
 // Poisson process, and each session's mix draw, duration and stream seed.
-// The RNG seeds from the cell spec's content address, so the same cell
-// produces the same arrivals wherever it runs.
-func (c *Cell) drawArrivals() {
-	seed, err := c.sp.CellSeed()
-	if err != nil {
-		// Normalized specs always canonicalize; this cannot happen past
-		// OpenCell's validation.
-		panic(err)
-	}
+// The RNG seeds from the cell spec's content address (CellSeed), so the
+// same cell produces the same arrivals wherever it runs.
+func (c *Cell) drawArrivals(seed int64) {
+	sp := &c.res.Spec
 	rng := rand.New(rand.NewSource(seed))
-	lambda := c.sp.LambdaSweep[0]
+	lambda := sp.LambdaSweep[0]
 	if lambda <= 0 {
 		return
 	}
 	var weightSum float64
-	for _, m := range c.sp.Sessions {
+	for _, m := range sp.Sessions {
 		weightSum += m.Weight
 	}
 	t := 0.0
 	for {
 		t += rng.ExpFloat64() / lambda * 1000
-		if t >= c.sp.HorizonMs {
+		if t >= sp.HorizonMs {
 			return
 		}
 		mix := 0
 		w := rng.Float64() * weightSum
-		for i, m := range c.sp.Sessions {
-			if w < m.Weight || i == len(c.sp.Sessions)-1 {
+		for i, m := range sp.Sessions {
+			if w < m.Weight || i == len(sp.Sessions)-1 {
 				mix = i
 				break
 			}
 			w -= m.Weight
 		}
-		frames := 1 + int(rng.ExpFloat64()*(c.sp.MeanFrames-1)+0.5)
+		frames := 1 + int(rng.ExpFloat64()*(sp.MeanFrames-1)+0.5)
 		c.arrives = append(c.arrives, arrival{t: t, mix: mix, frames: frames, seed: rng.Int63()})
 	}
 }
@@ -447,31 +442,16 @@ func (c *Cell) arrive(idx int, t float64) {
 		c.views[i].Admitted = c.nodes[i].admitted
 	}
 	pick := c.router.Route(c.rep.Arrivals-1, c.views)
-	if pick < 0 || pick >= len(c.nodes) || c.nodes[pick].active >= c.sp.MaxSessionsPerNode {
+	if pick < 0 || pick >= len(c.nodes) || c.nodes[pick].active >= c.res.Spec.MaxSessionsPerNode {
 		c.rep.Rejected++
 		if c.tl != nil {
 			c.tl.Instant(c.tlAdm, "reject", usTicks(t), obs.Arg{})
 		}
 		return
 	}
-	mix := c.sp.Sessions[a.mix]
-	wc, ok := spec.WorkloadByName(mix.Workload)
-	if !ok {
-		// Validated at OpenCell; unreachable.
-		panic("service: unregistered workload " + mix.Workload)
-	}
-	trace, _ := workload.TraceByName(c.sp.Motion)
-	st := wc.Spec.Stream(wc.Width, wc.Height, a.frames, a.seed)
-	st.Motion = workload.ReplayMotion(trace)
 	gr := &c.groups[c.nodes[pick].group]
-	sys := multigpu.New(gr.opts, st.Header())
-	layout, _ := spec.LayoutByName(c.sp.Placement)
-	layout(sys)
-	sys.ReserveFrames(a.frames)
-	planner, err := spec.NewPlanner(c.sp.Scheduler.Name, c.sp.Scheduler.Params)
-	if err != nil {
-		panic(err) // validated at OpenCell
-	}
+	run := spec.Run{Case: c.res.Cases[a.mix], Planner: c.res.Planner, Options: gr.opts, Layout: c.res.Layout}
+	st, _, ses := run.Open(a.frames, a.seed, c.res.Motion)
 
 	var s *session
 	var si int32
@@ -489,7 +469,7 @@ func (c *Cell) arrive(idx int, t float64) {
 		frames:    a.frames,
 		due0:      t,
 		cyclesPMs: gr.cyclesPMs,
-		ses:       driver.Open(sys, planner),
+		ses:       ses,
 		stream:    st,
 		frame:     s.frame, // keep recycled storage
 	}
@@ -591,13 +571,14 @@ func (c *Cell) endSession(s *session, si int32, completed bool) {
 // the event heap.
 func (c *Cell) Report() CellReport {
 	rep := c.rep
-	rep.P50Ms = percentile(c.latencies, 0.50)
-	rep.P95Ms = percentile(c.latencies, 0.95)
-	rep.P99Ms = percentile(c.latencies, 0.99)
-	for _, l := range c.latencies {
-		if l > rep.MaxMs {
-			rep.MaxMs = l
-		}
+	// One sorted copy serves the three percentiles and the max.
+	sorted := slices.Clone(c.latencies)
+	slices.Sort(sorted)
+	if n := len(sorted); n > 0 {
+		rep.P50Ms = sorted[rank(n, 0.50)]
+		rep.P95Ms = sorted[rank(n, 0.95)]
+		rep.P99Ms = sorted[rank(n, 0.99)]
+		rep.MaxMs = max(sorted[n-1], 0)
 	}
 	if c.makespan > 0 {
 		for i := range rep.NodeUtilization {
@@ -609,21 +590,8 @@ func (c *Cell) Report() CellReport {
 	return rep
 }
 
-// percentile is the nearest-rank percentile of an unsorted sample (the
-// sample is copied, not mutated).
-func percentile(sample []float64, q float64) float64 {
-	n := len(sample)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), sample...)
-	slices.Sort(sorted)
-	rank := int(math.Ceil(q*float64(n))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= n {
-		rank = n - 1
-	}
-	return sorted[rank]
+// rank is the index of the nearest-rank q-percentile in a sorted sample of
+// n > 0 values.
+func rank(n int, q float64) int {
+	return min(max(int(math.Ceil(q*float64(n)))-1, 0), n-1)
 }

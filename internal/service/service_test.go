@@ -2,10 +2,14 @@ package service
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"oovr/internal/driver"
 	"oovr/internal/obs"
+	"oovr/internal/render"
 	"oovr/internal/spec"
 )
 
@@ -113,6 +117,42 @@ func TestServiceGoldenFingerprint(t *testing.T) {
 	const want = "a9ce00c20c6b5edd547a8b34219bc8728c76714b684806894b3f10c7b5ee76c5"
 	if sum != want {
 		t.Errorf("service report fingerprint changed:\n  got  %s\n  want %s", sum, want)
+	}
+}
+
+// plannerBuilds counts the "counting-baseline" factory's calls.
+var plannerBuilds atomic.Int64
+
+func init() {
+	spec.RegisterPlanner("counting-baseline", func(json.RawMessage) (driver.Planner, error) {
+		plannerBuilds.Add(1)
+		return render.Baseline{}, nil
+	})
+}
+
+// TestCellBuildsOnePlanner pins that a cell resolves its spec once: every
+// admitted session opens with the planner OpenCell built, so one RunCell
+// calls the factory once however many sessions it admits.
+func TestCellBuildsOnePlanner(t *testing.T) {
+	plannerBuilds.Store(0)
+	rep, err := RunCell(spec.ServiceSpec{
+		ServiceVersion: 1,
+		Nodes:          []spec.NodeGroup{{Count: 1}},
+		Scheduler:      spec.SchedulerRef{Name: "counting-baseline"},
+		Sessions:       []spec.SessionMix{{Workload: "DM3-640"}},
+		Lambda:         40,
+		MeanFrames:     2,
+		HorizonMs:      300,
+		Seed:           3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Admitted < 2 {
+		t.Fatalf("cell admitted %d sessions, want several", rep.Admitted)
+	}
+	if got := plannerBuilds.Load(); got != 1 {
+		t.Errorf("RunCell admitting %d sessions built the planner %d times, want 1", rep.Admitted, got)
 	}
 }
 

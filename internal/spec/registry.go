@@ -96,10 +96,6 @@ func RegisterLayout(name string, f LayoutFunc) {
 	layouts.Register(name, f)
 }
 
-// LayoutByName resolves a registered placement layout — the service layer
-// applies the named layout to every node it binds.
-func LayoutByName(name string) (LayoutFunc, bool) { return layouts.Lookup(name) }
-
 // LayoutNames returns the sorted names of all registered layouts.
 func LayoutNames() []string { return layouts.Names() }
 

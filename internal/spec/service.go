@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 
+	"oovr/internal/driver"
 	"oovr/internal/multigpu"
 	"oovr/internal/registry"
 	"oovr/internal/workload"
@@ -228,57 +229,79 @@ func (s ServiceSpec) Normalized() (ServiceSpec, error) {
 	return n, nil
 }
 
-// Validate checks everything the spec layer can resolve without running:
-// schema version, cluster shape, hardware, workload mix, trace, placement,
-// scheduler, and the rate/SLO knobs, each number within its domain. A
-// cell draws its arrivals up front, so lambda × horizon_ms ≤ 1e8 caps it
-// at about 10^5 expected sessions. The router name resolves against
-// internal/service's registry at run time (the dependency points that way),
-// so an unknown router reports there, with the registered alternatives.
-func (s ServiceSpec) Validate() error {
+// ServiceRun is a resolved ServiceSpec: the normalized spec plus what its
+// sessions open with. A session pairs one node group's hardware with one
+// mix's case into a Run at admission, so resolving stays linear in node
+// groups plus session mixes.
+type ServiceRun struct {
+	// Spec is the normalized spec the service was resolved from.
+	Spec ServiceSpec
+	// Planner is the scheduling policy every session runs under.
+	Planner driver.Planner
+	// Layout is the initial shared-data placement applied to every node.
+	Layout LayoutFunc
+	// Cases holds the resolved workload of each Spec.Sessions entry.
+	Cases []workload.Case
+	// Motion replays the named head-motion trace into every session's
+	// stream.
+	Motion func(fi int) (dx, dy float64)
+}
+
+// Resolve normalizes the spec once, checks everything the spec layer can
+// resolve without running — schema version, cluster shape, hardware,
+// workload mix, trace, placement, scheduler, and the rate/SLO knobs, each
+// number within its domain — and resolves its components. A cell draws its
+// arrivals up front, so lambda × horizon_ms ≤ 1e8 caps it at about 10^5
+// expected sessions. The router name resolves against internal/service's
+// registry at run time (the dependency points that way), so an unknown
+// router reports there, with the registered alternatives.
+func (s ServiceSpec) Resolve() (*ServiceRun, error) {
 	n, err := s.Normalized()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if n.ServiceVersion != ServiceVersion {
-		return fmt.Errorf("spec: unsupported service version %d (this build speaks %d)", n.ServiceVersion, ServiceVersion)
+		return nil, fmt.Errorf("spec: unsupported service version %d (this build speaks %d)", n.ServiceVersion, ServiceVersion)
 	}
 	p, err := NewPlanner(n.Scheduler.Name, n.Scheduler.Params)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for gi, g := range n.Nodes {
 		if err := registry.Check("spec", registry.In("nodes.count", float64(g.Count), 1, maxNodes)); err != nil {
-			return err
+			return nil, err
 		}
 		if err := ValidateOptions(*g.Hardware); err != nil {
-			return fmt.Errorf("spec: node group %d hardware: %w", gi, err)
+			return nil, fmt.Errorf("spec: node group %d hardware: %w", gi, err)
 		}
 		if err := rootInside(n.Scheduler.Name, p, g.Hardware.Config.NumGPMs); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if len(n.NodeSweep) > 0 && len(n.Nodes) != 1 {
-		return fmt.Errorf("spec: node_sweep requires exactly one node group, got %d", len(n.Nodes))
+		return nil, fmt.Errorf("spec: node_sweep requires exactly one node group, got %d", len(n.Nodes))
 	}
 	for _, c := range n.NodeSweep {
 		if err := registry.Check("spec", registry.In("node_sweep", float64(c), 1, maxNodes)); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	if _, ok := layouts.Lookup(n.Placement); !ok {
-		return layouts.Unknown(n.Placement)
+	layout, ok := layouts.Lookup(n.Placement)
+	if !ok {
+		return nil, layouts.Unknown(n.Placement)
 	}
-	for _, m := range n.Sessions {
-		if _, ok := WorkloadByName(m.Workload); !ok {
-			return workloads.Unknown(m.Workload)
+	cases := make([]workload.Case, len(n.Sessions))
+	for i, m := range n.Sessions {
+		if cases[i], ok = WorkloadByName(m.Workload); !ok {
+			return nil, workloads.Unknown(m.Workload)
 		}
 		if err := registry.Check("spec", registry.In("sessions.weight", m.Weight, 0, 1e6)); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	if _, ok := workload.TraceByName(n.Motion); !ok {
-		return fmt.Errorf("spec: unknown motion trace %q (registered: %v)", n.Motion, workload.TraceNames())
+	trace, ok := workload.TraceByName(n.Motion)
+	if !ok {
+		return nil, fmt.Errorf("spec: unknown motion trace %q (registered: %v)", n.Motion, workload.TraceNames())
 	}
 	if err := registry.Check("spec",
 		registry.In("mean_frames", n.MeanFrames, 1, 1e9),
@@ -286,12 +309,15 @@ func (s ServiceSpec) Validate() error {
 		registry.In("deadline_ms", n.DeadlineMs, 1e-3, 1e6),
 		registry.In("horizon_ms", n.HorizonMs, 1e-3, 1e7),
 		registry.In("max_sessions_per_node", float64(n.MaxSessionsPerNode), 1, 1<<16)); err != nil {
-		return err
+		return nil, err
 	}
 	// Normalized sweeps are never empty; min and max carry any NaN.
 	lo, hi := slices.Min(n.LambdaSweep), slices.Max(n.LambdaSweep)
-	return registry.Check("spec", registry.In("lambda_sweep", lo, 0, 1e6),
-		registry.In("lambda_sweep", hi, 0, 1e6), registry.In("lambda × horizon_ms", hi*n.HorizonMs, 0, 1e8))
+	if err := registry.Check("spec", registry.In("lambda_sweep", lo, 0, 1e6),
+		registry.In("lambda_sweep", hi, 0, 1e6), registry.In("lambda × horizon_ms", hi*n.HorizonMs, 0, 1e8)); err != nil {
+		return nil, err
+	}
+	return &ServiceRun{Spec: n, Planner: p, Layout: layout, Cases: cases, Motion: trace.Replay()}, nil
 }
 
 const maxNodes = 1 << 10 // a cluster's node count

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
+
+	"oovr/internal/multigpu"
 )
 
 func TestServiceSpecNormalizeDefaults(t *testing.T) {
@@ -33,7 +36,7 @@ func TestServiceSpecNormalizeDefaults(t *testing.T) {
 	if n.Router.Name != "least-loaded" || n.Motion != "hmd-pan" || n.Seed != 1 {
 		t.Errorf("router=%q motion=%q seed=%d", n.Router.Name, n.Motion, n.Seed)
 	}
-	if err := n.Validate(); err != nil {
+	if _, err := n.Resolve(); err != nil {
 		t.Errorf("normalized default spec invalid: %v", err)
 	}
 }
@@ -60,7 +63,9 @@ func TestServiceSpecHashStable(t *testing.T) {
 	}
 }
 
-func TestServiceSpecValidateErrors(t *testing.T) {
+func TestServiceSpecResolveErrors(t *testing.T) {
+	badL2 := multigpu.DefaultOptions()
+	badL2.Config.L2Ways = -5
 	cases := []struct {
 		name string
 		s    ServiceSpec
@@ -78,11 +83,34 @@ func TestServiceSpecValidateErrors(t *testing.T) {
 		{"root outside the nodes", ServiceSpec{Scheduler: SchedulerRef{Name: "object", Params: json.RawMessage(`{"Root":7}`)}}, "Root 7 outside the 4-GPM system"},
 		{"denormal horizon", ServiceSpec{HorizonMs: 1e-320}, "horizon_ms"},
 		{"too many arrivals", ServiceSpec{LambdaSweep: []float64{1e6}, HorizonMs: 1e7}, "lambda × horizon_ms"},
+		{"bad hardware in group 1", ServiceSpec{Nodes: []NodeGroup{{Count: 1}, {Count: 1, Hardware: &badL2}}}, "node group 1 hardware: gpu: L2Ways -5"},
 	}
 	for _, c := range cases {
-		if err := c.s.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := c.s.Resolve(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want error containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestServiceResolveIsLinear guards the linear-work rule: a body near the
+// size bound carries thousands of node groups and session mixes, and
+// resolving must not pair them up.
+func TestServiceResolveIsLinear(t *testing.T) {
+	s := ServiceSpec{ServiceVersion: ServiceVersion}
+	for i := 0; i < 1000; i++ {
+		s.Nodes = append(s.Nodes, NodeGroup{Count: 1})
+		s.Sessions = append(s.Sessions, SessionMix{Workload: "DM3-640"})
+	}
+	t0 := time.Now()
+	r, err := s.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(t0); d > time.Second/2 {
+		t.Errorf("resolving 1,000 groups x 1,000 mixes took %v, want well under a second", d)
+	}
+	if len(r.Cases) != 1000 {
+		t.Errorf("resolved %d cases, want one per mix", len(r.Cases))
 	}
 }
 

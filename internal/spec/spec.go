@@ -215,8 +215,8 @@ type Run struct {
 	// execution trace. Observational, like Phases: it never enters the
 	// canonical Result encoding.
 	Timeline *obs.Timeline
-
-	layout LayoutFunc
+	// Layout is the resolved initial shared-data placement.
+	Layout LayoutFunc
 }
 
 // Resolve normalizes and validates the spec and resolves its components
@@ -250,7 +250,7 @@ func (s RunSpec) Resolve() (*Run, error) {
 	if err := rootInside(n.Scheduler.Name, p, n.Hardware.Config.NumGPMs); err != nil {
 		return nil, err
 	}
-	return &Run{Spec: n, Case: c, Planner: p, Options: *n.Hardware, layout: layout}, nil
+	return &Run{Spec: n, Case: c, Planner: p, Options: *n.Hardware, Layout: layout}, nil
 }
 
 // rootInside checks that a built-in master-node policy names a GPM of an
@@ -317,19 +317,30 @@ func ValidateOptions(opt multigpu.Options) error {
 	return err
 }
 
+// Open assembles one streaming session of the resolved run — the steps a
+// run and every serving session share: the workload stream (frames long,
+// seeded by seed, its camera panned by motion when non-nil), a system bound
+// to the stream's scene with the Timeline attached and the Layout applied,
+// and a driver session reserved for frames.
+func (r *Run) Open(frames int, seed int64, motion func(fi int) (dx, dy float64)) (*workload.Stream, *multigpu.System, *driver.Session) {
+	c := r.Case
+	st := c.Spec.Stream(c.Width, c.Height, frames, seed)
+	st.Motion = motion
+	sys := multigpu.New(r.Options, st.Header())
+	sys.AttachTimeline(r.Timeline)
+	r.Layout(sys)
+	ses := driver.Open(sys, r.Planner)
+	sys.ReserveFrames(frames)
+	return st, sys, ses
+}
+
 // Execute runs the resolved simulation and collects its metrics — byte
 // identical to the equivalent imperative construction (the spec tests pin
 // this for every registered scheduler). Frames stream through one reused
-// buffer into a driver.Session, so a run holds one frame at a time
-// whatever its frame count.
+// buffer into the session Open assembles, so a run holds one frame at a
+// time whatever its frame count.
 func (r *Run) Execute() multigpu.Metrics {
-	c := r.Case
-	st := c.Spec.Stream(c.Width, c.Height, r.Spec.Frames, r.Spec.Seed)
-	sys := multigpu.New(r.Options, st.Header())
-	sys.AttachTimeline(r.Timeline)
-	r.layout(sys)
-	ses := driver.Open(sys, r.Planner)
-	sys.ReserveFrames(r.Spec.Frames)
+	st, sys, ses := r.Open(r.Spec.Frames, r.Spec.Seed, nil)
 	var f scene.Frame
 	for st.NextInto(&f) {
 		ses.SubmitFrame(&f)

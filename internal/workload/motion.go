@@ -11,7 +11,7 @@ import (
 
 // Trace is a recorded head-motion pan sequence: per-frame camera deltas in
 // screen pixels, one row per 90 Hz frame. Streams replay it through
-// ReplayMotion, which plugs into Stream.Motion — the head pose then comes
+// Replay, which plugs into Stream.Motion — the head pose then comes
 // from a real recording instead of the generator's synthetic random walk,
 // so temporal coherence between consecutive frames matches what an HMD
 // actually produces.
@@ -42,10 +42,6 @@ func (t Trace) Replay() func(fi int) (dx, dy float64) {
 		return t.DX[i], t.DY[i]
 	}
 }
-
-// ReplayMotion is the free-function spelling of Trace.Replay, the shape the
-// Stream.Motion field documents.
-func ReplayMotion(t Trace) func(fi int) (dx, dy float64) { return t.Replay() }
 
 // ParseTrace reads a pan trace from CSV text: a "dx,dy" header, one
 // "dx,dy" float row per frame, '#' comment lines ignored.

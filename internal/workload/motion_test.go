@@ -40,7 +40,7 @@ func TestReplayMotionDeterministic(t *testing.T) {
 
 	open := func() *Stream {
 		st := sp.Stream(640, 320, 8, 42)
-		st.Motion = ReplayMotion(trace)
+		st.Motion = trace.Replay()
 		return st
 	}
 	d1 := streamDigest(open(), 8)
@@ -59,7 +59,7 @@ func TestReplayMotionDeterministic(t *testing.T) {
 // recording replay it from the start.
 func TestReplayWraps(t *testing.T) {
 	tr := Trace{Name: "t", DX: []float64{1, 2, 3}, DY: []float64{4, 5, 6}}
-	m := ReplayMotion(tr)
+	m := tr.Replay()
 	for _, c := range []struct {
 		fi     int
 		dx, dy float64

@@ -382,7 +382,7 @@ func RegisteredMotionTraces() []string { return workload.TraceNames() }
 // head pose then follows the recording instead of a synthetic random walk,
 // byte-identically on every replay.
 func ReplayMotion(t MotionTrace) func(frame int) (dx, dy float64) {
-	return workload.ReplayMotion(t)
+	return t.Replay()
 }
 
 // Experiments.
