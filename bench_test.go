@@ -1,8 +1,10 @@
 package oovr_test
 
 // Microbenchmarks of the simulator's layers, for profiling: the warm frame
-// loop, the serving-simulator tick, a cold start, fabric reservation and
-// TSL grouping. They are not a gate. Allocation budgets are ordinary tests
+// loop under OO-VR and under Baseline (whose accesses are striped across
+// every GPM, so it stresses the one-pass split and fabric booking most),
+// the serving-simulator tick, a cold start, the fabric's per-source
+// reservation and TSL grouping. They are not a gate. Allocation budgets are ordinary tests
 // (TestSteadyStateOOVRSessionDoesNotAllocate,
 // TestSteadyStateServiceTickDoesNotAllocate, TestColdRunAllocBudget), and
 // speed is judged end to end by scripts/bench_ab.sh, a same-host A/B of
@@ -38,6 +40,36 @@ func BenchmarkSimulatorFrame(b *testing.B) {
 	ses := oovr.Open(sys, oovr.NewOOVR())
 	var f scene.Frame
 	for i := 0; i < 8; i++ {
+		if !st.NextInto(&f) {
+			b.Fatal("stream ended")
+		}
+		ses.SubmitFrame(&f)
+	}
+	sys.ReserveFrames(b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !st.NextInto(&f) {
+			b.Fatal("stream ended")
+		}
+		ses.SubmitFrame(&f)
+	}
+}
+
+// BenchmarkBaselineFrame measures one steady-state 4-GPM Baseline frame on
+// HL2-1280, the costliest planner of the figure runs: every texture sample
+// of its shared striped L2 is split across all four GPMs and booked on the
+// links, so this is the memory split and fabric booking under the heaviest
+// load. Warm-up frames run before the timer starts;
+// TestSteadyStateBaselineSessionDoesNotAllocate pins this loop at zero
+// allocations.
+func BenchmarkBaselineFrame(b *testing.B) {
+	spec, _ := oovr.BenchmarkByAbbr("HL2")
+	st := spec.Stream(1280, 1024, 0, 1)
+	sys := oovr.NewSystem(oovr.DefaultOptions(), st.Header())
+	ses := oovr.Open(sys, oovr.Baseline{})
+	var f scene.Frame
+	for i := 0; i < 4; i++ {
 		if !st.NextInto(&f) {
 			b.Fatal("stream ended")
 		}
@@ -120,10 +152,12 @@ func BenchmarkSimulatorColdStart(b *testing.B) {
 	}
 }
 
-// BenchmarkFabricReserve measures the interconnect's hot path —
-// ReserveFlow, called for every memory flow of every task — on the paper's
-// dedicated fullmesh (single-hop routes) and on the routed switch topology
-// (three hops through a shared backplane).
+// BenchmarkFabricReserve measures the interconnect's hot path — the
+// per-source Reserve the memory system calls for each remote share of
+// every access — on the paper's dedicated fullmesh (single-hop routes) and
+// on the routed switch topology (three hops through a shared backplane).
+// Each op is one access of GPM 0 with remote bytes from the three other
+// GPMs, booked in ascending source order.
 func BenchmarkFabricReserve(b *testing.B) {
 	for _, name := range []string{"fullmesh", "switch"} {
 		b.Run(name, func(b *testing.B) {
@@ -132,14 +166,18 @@ func BenchmarkFabricReserve(b *testing.B) {
 				b.Fatal(err)
 			}
 			f := link.New(g, 1)
-			flow := mem.Flow{Requester: 0, RemoteBySrc: []float64{0, 256, 1024, 4096}}
+			bySrc := []float64{0, 256, 1024, 4096}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var at sim.Time
 			for i := 0; i < b.N; i++ {
-				// Feed each flow in at the previous one's completion so the
-				// FIFO queues stay shallow and steady.
-				at = f.ReserveFlow(at, flow)
+				// Feed each access in at the previous one's completion so
+				// the FIFO queues stay shallow and steady.
+				end := at
+				for src := 1; src < len(bySrc); src++ {
+					end = max(end, f.Reserve(at, mem.GPMID(src), 0, bySrc[src]))
+				}
+				at = end
 			}
 		})
 	}

@@ -172,7 +172,7 @@ func applyTemplate(opt *experiments.Options, path string) {
 	if err != nil {
 		fail(err)
 	}
-	if err := spec.ValidateOptions(*n.Hardware); err != nil {
+	if _, err := n.Hardware.Interconnect(); err != nil {
 		fail(err)
 	}
 	// The harness has no per-run placement knob; refuse a template that

@@ -38,9 +38,9 @@ func BytesPerCycle(gbPerSec, clockGHz float64) float64 {
 type Fabric struct {
 	g   *topo.Graph
 	res []*sim.Resource // by topo link ID
-	// hops[requester][src] is the src->requester route resolved to link
-	// resources — the reservation hot path walks it instead of re-resolving
-	// route IDs through the graph on every flow.
+	// hops[dst][src] is the src->dst route resolved to link resources —
+	// the reservation hot path walks it instead of re-resolving route IDs
+	// through the graph on every reservation.
 	hops [][][]hop
 	// tl, when attached, records each hop's service window as a span on
 	// the physical link's lane (observation only; never read back).
@@ -102,40 +102,30 @@ func (f *Fabric) AttachTimeline(tl *obs.Timeline, ticksPerUs float64) {
 	}
 }
 
-// ReserveFlow queues the remote portions of a memory flow onto the physical
-// links that carry them, starting at time at, and returns the time the last
-// byte arrives. Each source's bytes traverse the route source->requester
-// store-and-forward: the reservation on hop k+1 begins when hop k
-// completes, so congestion on a shared early hop delays every later one.
-// Flows with no remote bytes complete immediately at at; when n is 1 there
-// are no links and the result is always at.
-func (f *Fabric) ReserveFlow(at sim.Time, flow mem.Flow) sim.Time {
-	end := at
-	bySrc := f.hops[flow.Requester]
+// Reserve books bytes moved from src's DRAM to dst on the physical links
+// of the src->dst route, starting at time at, and returns the time the
+// last byte arrives. The bytes traverse the route store-and-forward: the
+// reservation on hop k+1 begins when hop k completes, so congestion on a
+// shared early hop delays every later one. Reserve implements mem.Links:
+// the memory system calls it once per source GPM of an access, in
+// ascending source order, with bytes > 0 and src != dst.
+func (f *Fabric) Reserve(at sim.Time, src, dst mem.GPMID, bytes float64) sim.Time {
+	t := at
 	tl := f.tl
-	for src, bytes := range flow.RemoteBySrc {
-		if bytes == 0 || mem.GPMID(src) == flow.Requester {
-			continue
-		}
-		t := at
-		for _, h := range bySrc[src] {
-			s0 := t
-			if tl != nil {
-				// The FIFO queue may defer service: the span shows the
-				// window the link actually carried these bytes.
-				if nf := h.res.NextFree(); nf > s0 {
-					s0 = nf
-				}
-			}
-			t = h.res.Reserve(t, bytes)
-			if tl != nil && t > s0 {
-				tl.Span(f.tlLane[h.lid], "flow", int64(s0), int64(t),
-					obs.Arg{K: "bytes", V: int64(bytes)}, obs.Arg{K: "src", V: int64(src)})
+	for _, h := range f.hops[dst][src] {
+		s0 := t
+		if tl != nil {
+			// The FIFO queue may defer service: the span shows the
+			// window the link actually carried these bytes.
+			if nf := h.res.NextFree(); nf > s0 {
+				s0 = nf
 			}
 		}
-		if t > end {
-			end = t
+		t = h.res.Reserve(t, bytes)
+		if tl != nil && t > s0 {
+			tl.Span(f.tlLane[h.lid], "flow", int64(s0), int64(t),
+				obs.Arg{K: "bytes", V: int64(bytes)}, obs.Arg{K: "src", V: int64(src)})
 		}
 	}
-	return end
+	return t
 }

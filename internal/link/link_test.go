@@ -3,7 +3,6 @@ package link
 import (
 	"testing"
 
-	"oovr/internal/mem"
 	"oovr/internal/sim"
 	"oovr/internal/topo"
 )
@@ -33,13 +32,10 @@ func TestFabricTopology(t *testing.T) {
 	}
 }
 
-func TestReserveFlowUsesCorrectLinks(t *testing.T) {
+func TestReserveUsesCorrectLinks(t *testing.T) {
 	f := topoFabric(t, "", 4)
-	flow := mem.Flow{
-		Requester:   2,
-		RemoteBySrc: []float64{640, 0, 0, 1280},
-	}
-	end := f.ReserveFlow(0, flow)
+	// GPM 2 reads 640 bytes from GPM 0 and 1280 from GPM 3 at once.
+	end := max(f.Reserve(0, 0, 2, 640), f.Reserve(0, 3, 2, 1280))
 	// 1280 bytes over the 3->2 link at 64 B/cycle = 20 cycles (the slower of
 	// the two parallel transfers).
 	if end != 20 {
@@ -59,19 +55,10 @@ func TestReserveFlowUsesCorrectLinks(t *testing.T) {
 	}
 }
 
-func TestReserveFlowEmpty(t *testing.T) {
+func TestReserveContention(t *testing.T) {
 	f := topoFabric(t, "", 2)
-	flow := mem.Flow{Requester: 0, RemoteBySrc: []float64{0, 0}}
-	if end := f.ReserveFlow(42, flow); end != 42 {
-		t.Errorf("empty flow end = %v", end)
-	}
-}
-
-func TestReserveFlowContention(t *testing.T) {
-	f := topoFabric(t, "", 2)
-	flow := mem.Flow{Requester: 1, RemoteBySrc: []float64{6400, 0}}
-	e1 := f.ReserveFlow(0, flow) // 100 cycles
-	e2 := f.ReserveFlow(0, flow) // queued behind: 200
+	e1 := f.Reserve(0, 0, 1, 6400) // 100 cycles
+	e2 := f.Reserve(0, 0, 1, 6400) // queued behind: 200
 	if e1 != 100 || e2 != 200 {
 		t.Errorf("contention ends = %v, %v", e1, e2)
 	}
@@ -110,7 +97,7 @@ func servedBytes(f *Fabric) float64 {
 func TestMultiHopStoreAndForward(t *testing.T) {
 	// Chain 0-1-2-3: a flow 0->3 crosses three links back to back.
 	f := topoFabric(t, "chain", 4)
-	end := f.ReserveFlow(0, mem.Flow{Requester: 3, RemoteBySrc: []float64{640, 0, 0, 0}})
+	end := f.Reserve(0, 0, 3, 640)
 	// 640 bytes at 64 B/cycle = 10 cycles per hop, three hops serialized.
 	if end != 30 {
 		t.Errorf("chain 0->3 end = %v, want 30", end)
@@ -123,11 +110,11 @@ func TestMultiHopStoreAndForward(t *testing.T) {
 func TestSharedLinkContention(t *testing.T) {
 	// Chain: flows 0->2 and 1->2 share link 1->2; the second queues.
 	f := topoFabric(t, "chain", 3)
-	e1 := f.ReserveFlow(0, mem.Flow{Requester: 2, RemoteBySrc: []float64{640, 0, 0}})
+	e1 := f.Reserve(0, 0, 2, 640)
 	if e1 != 20 { // two 10-cycle hops
 		t.Fatalf("0->2 end = %v, want 20", e1)
 	}
-	e2 := f.ReserveFlow(0, mem.Flow{Requester: 2, RemoteBySrc: []float64{0, 640, 0}})
+	e2 := f.Reserve(0, 1, 2, 640)
 	// 1->2 is busy until cycle 20 serving the first flow's second hop.
 	if e2 != 30 {
 		t.Errorf("1->2 end = %v, want 30 (queued behind the routed flow)", e2)
@@ -147,8 +134,8 @@ func TestSwitchBackplaneIsShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := New(g, 1)
-	e1 := f.ReserveFlow(0, mem.Flow{Requester: 1, RemoteBySrc: []float64{640, 0, 0, 0}})
-	e2 := f.ReserveFlow(0, mem.Flow{Requester: 3, RemoteBySrc: []float64{0, 0, 640, 0}})
+	e1 := f.Reserve(0, 0, 1, 640)
+	e2 := f.Reserve(0, 2, 3, 640)
 	// Each flow: up 10 + backplane 10 + down 10 = 30 uncontended; the
 	// second flow's backplane hop queues behind the first's.
 	if e1 != 30 {
@@ -163,7 +150,7 @@ func TestSwitchBackplaneIsShared(t *testing.T) {
 // its bytes on the server of each link it crosses, and on no other.
 func TestAccountHops(t *testing.T) {
 	f := topoFabric(t, "chain", 3)
-	f.ReserveFlow(0, mem.Flow{Requester: 2, RemoteBySrc: []float64{640, 0, 0}})
+	f.Reserve(0, 0, 2, 640)
 	route := f.Topology().Route(0, 2)
 	if len(route) != 2 {
 		t.Fatalf("chain route 0->2 crosses %d links, want 2", len(route))

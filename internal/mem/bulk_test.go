@@ -10,7 +10,7 @@ func TestReadProportionalSplitsByHomeShares(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindTexture, "tex", 4096*4)
 	s.PlaceStriped(id) // one page per GPM
-	f := s.ReadProportional(0, id, 8000)
+	f := readProportional(t, s, 0, id, 8000)
 	if !nearly(f.LocalBytes, 2000) {
 		t.Errorf("local share = %v, want 2000", f.LocalBytes)
 	}
@@ -27,7 +27,7 @@ func TestReadProportionalVolumeMayExceedSize(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindTexture, "tex", 4096)
 	s.Place(id, 1)
-	f := s.ReadProportional(0, id, 1<<20)
+	f := readProportional(t, s, 0, id, 1<<20)
 	if f.RemoteBySrc[1] != 1<<20 {
 		t.Errorf("oversized proportional read = %v, want %v", f.RemoteBySrc[1], 1<<20)
 	}
@@ -36,7 +36,7 @@ func TestReadProportionalVolumeMayExceedSize(t *testing.T) {
 func TestReadProportionalZeroAndNegative(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindTexture, "tex", 4096)
-	f := s.ReadProportional(0, id, 0)
+	f := readProportional(t, s, 0, id, 0)
 	if f.LocalBytes != 0 || f.RemoteTotal() != 0 {
 		t.Errorf("zero read moved bytes: %+v", f)
 	}
@@ -45,7 +45,7 @@ func TestReadProportionalZeroAndNegative(t *testing.T) {
 			t.Errorf("negative proportional read did not panic")
 		}
 	}()
-	s.ReadProportional(0, id, -1)
+	readProportional(t, s, 0, id, -1)
 }
 
 func TestReadProportionalManyGPMs(t *testing.T) {
@@ -53,7 +53,7 @@ func TestReadProportionalManyGPMs(t *testing.T) {
 	s := NewSystem(Config{NumGPMs: 20, PageSize: 512, RemoteCacheHitRate: 0})
 	id := s.Alloc(KindTexture, "tex", 512*20)
 	s.PlaceStriped(id)
-	f := s.ReadProportional(0, id, 2000)
+	f := readProportional(t, s, 0, id, 2000)
 	total := f.LocalBytes + f.RemoteTotal()
 	if !nearly(total, 2000) {
 		t.Errorf("proportional read conservation broken: %v", total)
@@ -72,7 +72,7 @@ func TestReadProportionalConservationQuick(t *testing.T) {
 		case 2:
 			s.Place(id, GPMID(home%4))
 		}
-		flow := s.ReadProportional(1, id, float64(vol))
+		flow := readProportional(t, s, 1, id, float64(vol))
 		return math.Abs(flow.LocalBytes+flow.RemoteTotal()-float64(vol)) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

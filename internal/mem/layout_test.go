@@ -302,7 +302,7 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 				ref.placePartitioned(int(id))
 			case 3:
 				vol := float64(rng.Intn(1 << 20))
-				got = sys.ReadProportional(g, id, vol)
+				got = readProportional(t, sys, g, id, vol)
 				want = ref.readProportional(g, int(id), vol)
 			case 4:
 				sys.ResetWarmth()
@@ -315,10 +315,10 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 				}
 				isRead := rng.Intn(3) > 0
 				if isRead {
-					got = sys.Read(g, id, off, n)
+					got = read(t, sys, g, id, off, n)
 					want = ref.access(g, int(id), off, n, true)
 				} else {
-					got = sys.Write(g, id, off, n)
+					got = write(t, sys, g, id, off, n)
 					want = ref.access(g, int(id), off, n, false)
 				}
 			}
@@ -345,18 +345,18 @@ func TestAnalyticLayoutsStayAnalytic(t *testing.T) {
 	if got := s.Segment(id).Layout(); got != LayoutStriped {
 		t.Fatalf("fresh segment layout = %v, want striped", got)
 	}
-	s.Read(1, id, 123, 4096*700)
-	s.ReadProportional(2, id, 1e9)
+	read(t, s, 1, id, 123, 4096*700)
+	readProportional(t, s, 2, id, 1e9)
 	if got := s.Segment(id).Layout(); got != LayoutStriped {
 		t.Fatalf("layout after striped reads = %v, want striped", got)
 	}
 	s.PlacePartitioned(id)
-	s.Read(3, id, 4096*200, 4096*600)
+	read(t, s, 3, id, 4096*200, 4096*600)
 	if got := s.Segment(id).Layout(); got != LayoutPartitioned {
 		t.Fatalf("layout after partitioned reads = %v, want partitioned", got)
 	}
 	s.Place(id, 2)
-	s.Read(3, id, 0, 4096*1000)
+	read(t, s, 3, id, 0, 4096*1000)
 	if got := s.Segment(id).Layout(); got != LayoutUniform {
 		t.Fatalf("layout after uniform reads = %v, want uniform", got)
 	}

@@ -27,11 +27,18 @@
 // and the Place* family are O(NumGPMs) layout swaps. Each segment also
 // caches its home histogram (bytes per GPM), rewritten on every placement,
 // so ReadProportional and HomeHistogram never rescan pages.
-// Every access books its bytes into the Traffic account in the same pass
-// that splits them.
+//
+// # One pass per access
+//
+// Every access books its bytes in the same pass that splits them: each
+// source GPM's remote share goes into the Traffic account and onto the
+// interconnect (the Links the caller passes, link.Fabric in a simulated
+// machine) as it is computed, in ascending source order. The access
+// returns the requester's local bytes and the time the last remote byte
+// arrives; the caller books the local bytes on the requester's DRAM.
 //
 // All byte counts are integers, accumulated in int64 and converted to
-// float64 once per GPM, so the closed forms produce Flows byte-identical
+// float64 once per GPM, so the closed forms produce splits byte-identical
 // to summing the per-page contributions (integer sums below 2^53 are exact
 // in float64). The remote-cache scaling is applied once per source GPM
 // instead of once per page; for dyadic hit rates (0.5 is the paper's
@@ -45,6 +52,7 @@ import (
 	"slices"
 
 	"oovr/internal/registry"
+	"oovr/internal/sim"
 )
 
 // GPMID identifies a GPU module. GPMs are numbered 0..N-1.
@@ -162,29 +170,11 @@ func (c Config) Validate() error {
 		registry.In("RemoteCacheHitRate", c.RemoteCacheHitRate, 0, 1))
 }
 
-// Flow describes where the bytes of one access went. RemoteBySrc[g] is the
-// number of bytes that crossed the link from GPM g's DRAM to the requester.
-// A nil RemoteBySrc means every byte was local: the access crossed no link.
-//
-// A non-nil RemoteBySrc aliases one scratch vector owned by the System, so
-// it is valid only until the next access on the same System, and must
-// never be written. The production consumer (fabric reservation) reads the
-// flow immediately; callers that need to hold one across accesses must
-// copy it.
-type Flow struct {
-	Requester   GPMID
-	LocalBytes  float64
-	RemoteBySrc []float64
-	Kind        SegmentKind
-}
-
-// RemoteTotal returns the total remote bytes of the flow.
-func (f Flow) RemoteTotal() float64 {
-	var t float64
-	for _, b := range f.RemoteBySrc {
-		t += b
-	}
-	return t
+// Links carries remote bytes between GPMs: the interconnect an access's
+// remote shares cross. Reserve books b > 0 bytes moved from src's DRAM to
+// dst, starting at at, and returns the time the last byte arrives.
+type Links interface {
+	Reserve(at sim.Time, src, dst GPMID, b float64) sim.Time
 }
 
 // System is the NUMA memory system.
@@ -206,8 +196,6 @@ type System struct {
 	copies  [][]uint64
 	traffic *Traffic
 	dramUse []int64 // bytes homed per GPM (capacity accounting)
-	// remote is the RemoteBySrc of every Flow with remote bytes (see Flow).
-	remote []float64
 	// hist is access's per-GPM byte split of the accessed range, valid in
 	// the window rangeHist returns.
 	hist []int64
@@ -225,7 +213,6 @@ func NewSystem(cfg Config) *System {
 		copies:  make([][]uint64, cfg.NumGPMs),
 		traffic: NewTraffic(cfg.NumGPMs),
 		dramUse: make([]int64, cfg.NumGPMs),
-		remote:  make([]float64, cfg.NumGPMs),
 		hist:    make([]int64, cfg.NumGPMs),
 	}
 }
@@ -389,46 +376,40 @@ func (s *System) DRAMUsed(gpm GPMID) int64 {
 	return s.dramUse[gpm]
 }
 
-// Read models gpm reading n bytes starting at offset within the segment.
-// The returned Flow says how many bytes were local and how many crossed
-// each link. The remote cache absorbs RemoteCacheHitRate of remote bytes
-// when this GPM has read the segment before.
-func (s *System) Read(gpm GPMID, id SegmentID, offset, n int64) Flow {
-	return s.access(gpm, id, offset, n, true)
+// Read models gpm reading n bytes starting at offset within the segment,
+// issued at time at. Each source GPM's remote bytes are booked on l as the
+// split computes them; Read returns the bytes served locally and the time
+// the last remote byte arrives (at when none crossed a link). The remote
+// cache absorbs RemoteCacheHitRate of remote bytes when this GPM has read
+// the segment before.
+func (s *System) Read(gpm GPMID, id SegmentID, offset, n int64, l Links, at sim.Time) (local float64, arrive sim.Time) {
+	return s.access(gpm, id, offset, n, true, l, at)
 }
 
-// ReadAll reads the entire segment.
-func (s *System) ReadAll(gpm GPMID, id SegmentID) Flow {
-	return s.Read(gpm, id, 0, s.Segment(id).Size)
-}
-
-// Write models gpm writing n bytes starting at offset. Writes are never
-// absorbed by the remote cache (it is a read cache).
-func (s *System) Write(gpm GPMID, id SegmentID, offset, n int64) Flow {
-	return s.access(gpm, id, offset, n, false)
+// Write models gpm writing n bytes starting at offset, booked as Read
+// books. Writes are never absorbed by the remote cache (it is a read
+// cache).
+func (s *System) Write(gpm GPMID, id SegmentID, offset, n int64, l Links, at sim.Time) (local float64, arrive sim.Time) {
+	return s.access(gpm, id, offset, n, false, l, at)
 }
 
 // allLocal records and returns an access served entirely from the
 // requester's DRAM: no remote part to split.
-func (s *System) allLocal(gpm GPMID, kind SegmentKind, local float64) Flow {
+func (s *System) allLocal(gpm GPMID, local float64) float64 {
 	s.traffic.local[gpm] += local
-	return Flow{Requester: gpm, LocalBytes: local, Kind: kind}
+	return local
 }
 
-// addRemote books b bytes moved from src's DRAM to the flow's requester,
-// on the flow and in the traffic account; a zero b moves nothing. The
-// first remote byte of a flow gives it the System's zeroed scratch.
-func (s *System) addRemote(f *Flow, src GPMID, b float64) {
+// remote books b bytes of a kind moved from src's DRAM to dst: in the
+// traffic account and on l, starting at at. It returns when they arrive;
+// a zero b moves nothing and arrives at at.
+func (s *System) remote(src, dst GPMID, kind SegmentKind, b float64, l Links, at sim.Time) sim.Time {
 	if b == 0 {
-		return
+		return at
 	}
-	if f.RemoteBySrc == nil {
-		clear(s.remote)
-		f.RemoteBySrc = s.remote
-	}
-	f.RemoteBySrc[src] = b
-	s.traffic.link[src][f.Requester] += b
-	s.traffic.kindRemote[f.Kind] += b
+	s.traffic.link[src][dst] += b
+	s.traffic.kindRemote[kind] += b
+	return l.Reserve(at, src, dst, b)
 }
 
 // checkRange panics unless [offset, offset+n) lies inside the segment.
@@ -438,23 +419,23 @@ func checkRange(seg *Segment, offset, n int64) {
 	}
 }
 
-func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) Flow {
+func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool, l Links, at sim.Time) (local float64, arrive sim.Time) {
 	s.checkGPM(gpm)
 	seg := s.Segment(id)
 	checkRange(seg, offset, n)
 	if n == 0 {
-		return Flow{Requester: gpm, Kind: seg.Kind}
+		return 0, at
 	}
 	if seg.layout == LayoutUniform && seg.home == gpm {
-		// All-local: every byte is homed on the requester, so the flow is
+		// All-local: every byte is homed on the requester, so the split is
 		// the access length.
 		if isRead {
 			s.warmth[s.slot(id, gpm)] = s.epoch
 		}
-		return s.allLocal(gpm, seg.Kind, float64(n))
+		return s.allLocal(gpm, float64(n)), at
 	}
 	warm := isRead && s.warmth[s.slot(id, gpm)] == s.epoch
-	flow := Flow{Requester: gpm, Kind: seg.Kind}
+	arrive = at
 	// Split the range's bytes by home GPM, in closed form, and book each
 	// source's share as it is computed, in ascending source order.
 	hist := s.hist
@@ -465,22 +446,24 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 			continue
 		}
 		if GPMID(h) == gpm {
-			flow.LocalBytes += bytes
+			local += bytes
 			continue
 		}
 		remote := bytes
 		if warm {
 			hit := remote * s.cfg.RemoteCacheHitRate
-			flow.LocalBytes += hit // served from the local remote-cache copy
+			local += hit // served from the local remote-cache copy
 			remote -= hit
 		}
-		s.addRemote(&flow, GPMID(h), remote)
+		if t := s.remote(GPMID(h), gpm, seg.Kind, remote, l, at); t > arrive {
+			arrive = t
+		}
 	}
 	if isRead {
 		s.warmth[s.slot(id, gpm)] = s.epoch
 	}
-	s.traffic.local[gpm] += flow.LocalBytes
-	return flow
+	s.traffic.local[gpm] += local
+	return local, arrive
 }
 
 // ReadProportional models link-level traffic of `bytes` bytes of reads
@@ -490,22 +473,23 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool) F
 // shared striped L2 behaves — every texture sample travels to the L2 slice
 // that owns the address, hit or miss, so the link traffic is proportional
 // to the sample volume, not to the DRAM miss volume. The volume may exceed
-// the segment size (the same texels are fetched again and again).
-func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
+// the segment size (the same texels are fetched again and again). It books
+// and returns as Read does.
+func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64, l Links, at sim.Time) (local float64, arrive sim.Time) {
 	s.checkGPM(gpm)
 	if bytes < 0 {
 		panic(fmt.Sprintf("mem: negative proportional read %v", bytes))
 	}
 	seg := s.Segment(id)
 	if bytes == 0 || seg.Size == 0 {
-		return s.allLocal(gpm, seg.Kind, 0)
+		return s.allLocal(gpm, 0), at
 	}
 	if seg.layout == LayoutUniform && seg.home == gpm {
 		// All-local. The share is still computed as the general path does:
 		// bytes*Size/Size is not always bytes in float64.
-		return s.allLocal(gpm, seg.Kind, bytes*float64(s.homeHist(id)[gpm])/float64(seg.Size))
+		return s.allLocal(gpm, bytes*float64(s.homeHist(id)[gpm])/float64(seg.Size)), at
 	}
-	flow := Flow{Requester: gpm, Kind: seg.Kind}
+	arrive = at
 	// Split the volume by the cached home byte shares.
 	for h, b := range s.homeHist(id) {
 		if b == 0 {
@@ -513,13 +497,13 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64) Flow {
 		}
 		share := bytes * float64(b) / float64(seg.Size)
 		if GPMID(h) == gpm {
-			flow.LocalBytes += share
-		} else {
-			s.addRemote(&flow, GPMID(h), share)
+			local += share
+		} else if t := s.remote(GPMID(h), gpm, seg.Kind, share, l, at); t > arrive {
+			arrive = t
 		}
 	}
-	s.traffic.local[gpm] += flow.LocalBytes
-	return flow
+	s.traffic.local[gpm] += local
+	return local, arrive
 }
 
 // ResetWarmth clears every GPM's touched sets: caches do not survive a
@@ -579,31 +563,30 @@ func (s *System) copyStamp(g GPMID, id SegmentID) *uint64 {
 	return &s.copies[g][id]
 }
 
-// ReadCopy is Read on GPM g's copy of the segment: the flow a segment
-// homed entirely on g would give, local bytes only.
-func (s *System) ReadCopy(g GPMID, id SegmentID, offset, n int64) Flow {
+// ReadCopy is Read on GPM g's copy of the segment: the local bytes a
+// segment homed entirely on g would give. Nothing crosses a link.
+func (s *System) ReadCopy(g GPMID, id SegmentID, offset, n int64) float64 {
 	stamp := s.copyStamp(g, id)
-	seg := s.Segment(id)
-	checkRange(seg, offset, n)
+	checkRange(s.Segment(id), offset, n)
 	if n == 0 {
-		return Flow{Requester: g, Kind: seg.Kind}
+		return 0
 	}
 	*stamp = s.epoch
-	return s.allLocal(g, seg.Kind, float64(n))
+	return s.allLocal(g, float64(n))
 }
 
 // ReadCopyProportional is ReadProportional on GPM g's copy of the segment:
 // the all-local share bytes*Size/Size.
-func (s *System) ReadCopyProportional(g GPMID, id SegmentID, bytes float64) Flow {
+func (s *System) ReadCopyProportional(g GPMID, id SegmentID, bytes float64) float64 {
 	if bytes < 0 {
 		panic(fmt.Sprintf("mem: negative proportional read %v", bytes))
 	}
 	s.copyStamp(g, id) // panics unless g holds a copy
 	seg := s.Segment(id)
 	if bytes == 0 || seg.Size == 0 {
-		return s.allLocal(g, seg.Kind, 0)
+		return s.allLocal(g, 0)
 	}
-	return s.allLocal(g, seg.Kind, bytes*float64(seg.Size)/float64(seg.Size)) // not always bytes
+	return s.allLocal(g, bytes*float64(seg.Size)/float64(seg.Size)) // not always bytes
 }
 
 // CopyTouched is Touched on GPM g's copy of the segment.

@@ -43,7 +43,7 @@ func TestRemoteReadCrossesLink(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindTexture, "tex", 4096)
 	s.Place(id, 0)
-	f := s.Read(1, id, 0, 4096)
+	f := read(t, s, 1, id, 0, 4096)
 	if f.LocalBytes != 0 {
 		t.Errorf("cold remote read should have no local bytes, got %v", f.LocalBytes)
 	}
@@ -59,8 +59,8 @@ func TestRemoteCacheAbsorbsRepeatedReads(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindTexture, "tex", 4096)
 	s.Place(id, 0)
-	s.Read(1, id, 0, 4096) // cold remote: arms cache
-	f := s.Read(1, id, 0, 4096)
+	read(t, s, 1, id, 0, 4096) // cold remote: arms cache
+	f := read(t, s, 1, id, 0, 4096)
 	if f.RemoteBySrc[0] != 2048 {
 		t.Errorf("warm remote read should be halved by the cache, got %v", f.RemoteBySrc[0])
 	}
@@ -73,8 +73,8 @@ func TestWritesNotCached(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindFramebuffer, "fb", 4096)
 	s.Place(id, 0)
-	s.Write(1, id, 0, 4096)
-	f := s.Write(1, id, 0, 4096)
+	write(t, s, 1, id, 0, 4096)
+	f := write(t, s, 1, id, 0, 4096)
 	if f.RemoteBySrc[0] != 4096 {
 		t.Errorf("repeated remote writes must not hit the read cache, got %v", f.RemoteBySrc[0])
 	}
@@ -84,7 +84,7 @@ func TestPlaceExplicit(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindTexture, "tex", 16384)
 	s.Place(id, 3)
-	f := s.Read(3, id, 0, 16384)
+	f := read(t, s, 3, id, 0, 16384)
 	if f.RemoteTotal() != 0 {
 		t.Errorf("read from home should be local, remote=%v", f.RemoteTotal())
 	}
@@ -129,7 +129,7 @@ func TestPartialLastPageAccounting(t *testing.T) {
 	if s.DRAMUsed(0) != 4196 {
 		t.Errorf("DRAMUsed = %d, want 4196 (partial page counted by bytes)", s.DRAMUsed(0))
 	}
-	f := s.Read(0, id, 0, 4196)
+	f := read(t, s, 0, id, 0, 4196)
 	if f.LocalBytes != 4196 {
 		t.Errorf("LocalBytes = %v", f.LocalBytes)
 	}
@@ -140,7 +140,7 @@ func TestAccessRangeSplitAcrossPages(t *testing.T) {
 	id := s.Alloc(KindTexture, "tex", 4096*2)
 	s.Place(id, 0)
 	// Read 1000 bytes straddling the page boundary from a remote GPM.
-	f := s.Read(1, id, 4096-500, 1000)
+	f := read(t, s, 1, id, 4096-500, 1000)
 	if f.RemoteBySrc[0] != 1000 {
 		t.Errorf("straddling read remote bytes = %v", f.RemoteBySrc[0])
 	}
@@ -158,7 +158,7 @@ func TestAccessOutOfRangePanics(t *testing.T) {
 			t.Errorf("out-of-range access panicked with %q, want a message naming %s", msg, want)
 		}
 	}()
-	s.Read(0, id, 50, 100)
+	read(t, s, 0, id, 50, 100)
 }
 
 func TestTrafficByKind(t *testing.T) {
@@ -167,8 +167,8 @@ func TestTrafficByKind(t *testing.T) {
 	fb := s.Alloc(KindFramebuffer, "fb", 4096)
 	s.Place(tex, 0)
 	s.Place(fb, 0)
-	s.Read(1, tex, 0, 4096)
-	s.Write(1, fb, 0, 4096)
+	read(t, s, 1, tex, 0, 4096)
+	write(t, s, 1, fb, 0, 4096)
 	tr := s.Traffic()
 	if tr.RemoteByKind(KindTexture) != 4096 {
 		t.Errorf("texture remote = %v", tr.RemoteByKind(KindTexture))
@@ -218,9 +218,9 @@ func TestConservationPropertyQuick(t *testing.T) {
 			n := int64(op.Len) % (segSize - off)
 			var fl Flow
 			if op.Read {
-				fl = s.Read(g, id, off, n)
+				fl = read(t, s, g, id, off, n)
 			} else {
-				fl = s.Write(g, id, off, n)
+				fl = write(t, s, g, id, off, n)
 			}
 			wantTotal += float64(n)
 			gotLocal += fl.LocalBytes

@@ -34,14 +34,14 @@ func (s *System) ComposeToRoot(root mem.GPMID) sim.Time {
 		bytes := px * scene.BytesPerPixel
 		if mem.GPMID(g) != root {
 			// The root reads the worker's staging buffer across the link.
-			flow := s.Mem.Read(root, s.stageSeg[g], 0, clampLen(bytes, s.Mem.Segment(s.stageSeg[g]).Size))
-			if e := s.reserveFlow(start, flow); e > end {
+			local, arrive := s.Mem.Read(root, s.stageSeg[g], 0, clampLen(bytes, s.Mem.Segment(s.stageSeg[g]).Size), s.Fabric, start)
+			if e := s.book(root, start, local, arrive); e > end {
 				end = e
 			}
 		}
 		// Final write into the root-homed framebuffer.
-		flow := s.Mem.Write(root, s.fbSeg, 0, clampLen(bytes, s.Mem.Segment(s.fbSeg).Size))
-		if e := s.reserveFlow(start, flow); e > end {
+		local, arrive := s.Mem.Write(root, s.fbSeg, 0, clampLen(bytes, s.Mem.Segment(s.fbSeg).Size), s.Fabric, start)
+		if e := s.book(root, start, local, arrive); e > end {
 			end = e
 		}
 	}
@@ -86,14 +86,14 @@ func (s *System) ComposeDistributed() sim.Time {
 			ropPixels[o] += share
 			bytes := share * scene.BytesPerPixel
 			if o != g {
-				flow := s.Mem.Read(mem.GPMID(o), s.stageSeg[g], 0, clampLen(bytes, s.Mem.Segment(s.stageSeg[g]).Size))
-				if e := s.reserveFlow(start, flow); e > end {
+				local, arrive := s.Mem.Read(mem.GPMID(o), s.stageSeg[g], 0, clampLen(bytes, s.Mem.Segment(s.stageSeg[g]).Size), s.Fabric, start)
+				if e := s.book(mem.GPMID(o), start, local, arrive); e > end {
 					end = e
 				}
 			}
 			off, ln := s.partitionRange(fsize, o, clampLen(bytes, fsize))
-			flow := s.Mem.Write(mem.GPMID(o), s.fbSeg, off, ln)
-			if e := s.reserveFlow(start, flow); e > end {
+			local, arrive := s.Mem.Write(mem.GPMID(o), s.fbSeg, off, ln, s.Fabric, start)
+			if e := s.book(mem.GPMID(o), start, local, arrive); e > end {
 				end = e
 			}
 		}

@@ -81,6 +81,18 @@ func (o Options) Validate() error {
 	return o.memConfig().Validate()
 }
 
+// Interconnect validates the options and builds the topology graph they
+// name: Validate's error first, then topo.Build's, so an unknown or
+// inconsistent interconnect is an input error rather than a panic in New.
+// A graph is read-only once built, so one serves every System of these
+// options (see New).
+func (o Options) Interconnect() (*topo.Graph, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	return topo.Build(o.Config.TopologyParams())
+}
+
 // memConfig is the memory system's share of the options.
 func (o Options) memConfig() mem.Config {
 	return mem.Config{
@@ -278,9 +290,12 @@ func (s *System) numShared() int { return len(s.texSeg) + len(s.vbSeg) }
 
 // New binds a system to a scene. The framebuffer and depth surfaces are
 // allocated for the side-by-side stereo target and striped by default; the
-// command stream lives on GPM0 where the driver writes it. New panics on
-// options Validate or topo.Build rejects.
-func New(opt Options, sc *scene.Scene) *System {
+// command stream lives on GPM0 where the driver writes it. The interconnect
+// is graph, the one Options.Interconnect built for opt, when the caller
+// passes it (a resolved spec builds its graph once for all the systems it
+// opens); otherwise New builds it. New panics on options Validate or
+// topo.Build rejects.
+func New(opt Options, sc *scene.Scene, graph ...*topo.Graph) *System {
 	if err := opt.Validate(); err != nil {
 		panic(err)
 	}
@@ -300,14 +315,17 @@ func New(opt Options, sc *scene.Scene) *System {
 		ropScratch: make([]float64, n),
 	}
 	if n > 1 {
-		// The interconnect is built from the configured topology (fullmesh
-		// unless the config names another); each physical link's FIFO
-		// server counts the bytes it carries, which Collect reports.
-		g, err := topo.Build(opt.Config.TopologyParams())
-		if err != nil {
-			panic("multigpu: " + err.Error())
+		// The interconnect is the configured topology (fullmesh unless the
+		// config names another); each physical link's FIFO server counts
+		// the bytes it carries, which Collect reports.
+		if len(graph) == 0 || graph[0] == nil {
+			g, err := topo.Build(opt.Config.TopologyParams())
+			if err != nil {
+				panic("multigpu: " + err.Error())
+			}
+			graph = []*topo.Graph{g}
 		}
-		s.Fabric = link.New(g, opt.Config.ClockGHz)
+		s.Fabric = link.New(graph[0], opt.Config.ClockGHz)
 	}
 	dramRate := opt.Config.DRAMBytesPerCycle()
 	for g := 0; g < n; g++ {
@@ -400,15 +418,15 @@ func (s *System) EnsureLocalCopies(g mem.GPMID) {
 	}
 }
 
-// reserveFlow books a flow's bytes on the requester DRAM and on the links
-// that carry the remote portions, all starting at t, and returns the
-// completion time of the slowest stream.
-func (s *System) reserveFlow(t sim.Time, f mem.Flow) sim.Time {
-	end := s.dram[f.Requester].Reserve(t, f.LocalBytes)
-	if s.Fabric != nil {
-		if le := s.Fabric.ReserveFlow(t, f); le > end {
-			end = le
-		}
+// book completes one access of GPM g issued at t: the memory system has
+// booked its remote bytes on the fabric, which deliver the last of them at
+// arrive; book queues the local bytes on g's DRAM and returns the
+// completion time of the slower stream. DRAM and links are independent
+// servers, so booking the links first changes no time.
+func (s *System) book(g mem.GPMID, t sim.Time, local float64, arrive sim.Time) sim.Time {
+	end := s.dram[g].Reserve(t, local)
+	if arrive > end {
+		end = arrive
 	}
 	return end
 }
@@ -525,18 +543,19 @@ func (c *taskContext) Execute() sim.Time {
 	// Shipped and AFR tasks read textures and vertices from the GPM's
 	// copies.
 	copies := c.shipped || task.UseLocalCopies
-	read := func(seg mem.SegmentID, n int64) mem.Flow {
+	read := func(seg mem.SegmentID, n int64) (float64, sim.Time) {
 		if copies {
-			return s.Mem.ReadCopy(g, seg, 0, n)
+			return s.Mem.ReadCopy(g, seg, 0, n), start
 		}
-		return s.Mem.Read(g, seg, 0, n)
+		return s.Mem.Read(g, seg, 0, n, s.Fabric, start)
 	}
 
-	// Aggregate compute work and issue memory flows.
+	// Aggregate compute work and issue memory accesses, each booked on the
+	// fabric by the memory system and completed on g's DRAM by account.
 	var work pipeline.Work
 	memEnd := start
-	account := func(f mem.Flow) {
-		if e := s.reserveFlow(start, f); e > memEnd {
+	account := func(local float64, arrive sim.Time) {
+		if e := s.book(g, start, local, arrive); e > memEnd {
 			memEnd = e
 		}
 	}
@@ -559,9 +578,9 @@ func (c *taskContext) Execute() sim.Time {
 				// fabric, no local-cache filtering.
 				vol := mv.FragsForTexture * s.opt.Cache.SampleBytesPerFragment
 				if copies {
-					account(s.Mem.ReadCopyProportional(g, seg, vol))
+					account(s.Mem.ReadCopyProportional(g, seg, vol), start)
 				} else {
-					account(s.Mem.ReadProportional(g, seg, vol))
+					account(s.Mem.ReadProportional(g, seg, vol, s.Fabric, start))
 				}
 				continue
 			}
@@ -583,31 +602,31 @@ func (c *taskContext) Execute() sim.Time {
 		dlen := clampLen(mv.DepthBytes/2, dsize)
 		if task.DepthLocal {
 			off, ln := s.partitionRange(dsize, gi, dlen)
-			account(s.Mem.Read(g, dseg, off, ln))
-			account(s.Mem.Write(g, dseg, off, ln))
+			account(s.Mem.Read(g, dseg, off, ln, s.Fabric, start))
+			account(s.Mem.Write(g, dseg, off, ln, s.Fabric, start))
 		} else {
-			account(s.Mem.Read(g, dseg, 0, dlen))
-			account(s.Mem.Write(g, dseg, 0, dlen))
+			account(s.Mem.Read(g, dseg, 0, dlen, s.Fabric, start))
+			account(s.Mem.Write(g, dseg, 0, dlen, s.Fabric, start))
 		}
 
 		// Color output.
 		switch task.Color {
 		case ColorStriped:
-			account(s.Mem.Write(g, s.fbSeg, 0, clampLen(mv.ColorBytes, s.Mem.Segment(s.fbSeg).Size)))
+			account(s.Mem.Write(g, s.fbSeg, 0, clampLen(mv.ColorBytes, s.Mem.Segment(s.fbSeg).Size), s.Fabric, start))
 		case ColorLocalStage:
 			st := s.stageSeg[gi]
-			account(s.Mem.Write(g, st, 0, clampLen(mv.ColorBytes, s.Mem.Segment(st).Size)))
+			account(s.Mem.Write(g, st, 0, clampLen(mv.ColorBytes, s.Mem.Segment(st).Size), s.Fabric, start))
 			s.gpms[gi].StagedPixels += mv.ColorBytes / scene.BytesPerPixel
 		case ColorPartitionOwned:
 			fsize := s.Mem.Segment(s.fbSeg).Size
 			off, ln := s.partitionRange(fsize, gi, clampLen(mv.ColorBytes, fsize))
-			account(s.Mem.Write(g, s.fbSeg, off, ln))
+			account(s.Mem.Write(g, s.fbSeg, off, ln, s.Fabric, start))
 		default:
 			panic(fmt.Sprintf("multigpu: unknown color target %d", task.Color))
 		}
 
 		// Command stream from the driver's staging on GPM0.
-		account(s.Mem.Read(g, s.cmdSeg, 0, clampLen(mv.CommandBytes, s.Mem.Segment(s.cmdSeg).Size)))
+		account(s.Mem.Read(g, s.cmdSeg, 0, clampLen(mv.CommandBytes, s.Mem.Segment(s.cmdSeg).Size), s.Fabric, start))
 	}
 
 	compute := pipeline.Cycles(work, s.rates, s.opt.IssueCyclesPerDraw)
@@ -663,8 +682,8 @@ func (s *System) ship(g mem.GPMID, orig mem.SegmentID, budget float64, at sim.Ti
 	if budget > size {
 		budget = size
 	}
-	flow := s.Mem.ReadProportional(g, orig, budget)
-	if e := s.reserveFlow(at, flow); e > *end {
+	local, arrive := s.Mem.ReadProportional(g, orig, budget, s.Fabric, at)
+	if e := s.book(g, at, local, arrive); e > *end {
 		*end = e
 	}
 }

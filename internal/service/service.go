@@ -266,13 +266,9 @@ func OpenCell(s spec.ServiceSpec) (*Cell, error) {
 	c := &Cell{res: res, router: router, periodMs: 1000 / n.RefreshHz, deadline: n.DeadlineMs}
 	for gi, g := range n.Nodes {
 		opts := *g.Hardware
-		graph, err := topo.Build(opts.Config.TopologyParams())
-		if err != nil {
-			return nil, fmt.Errorf("service: node group %d: %w", gi, err)
-		}
 		gr := group{
 			opts:       opts,
-			fabricCost: meanHops(graph),
+			fabricCost: meanHops(res.Graphs[gi]),
 			cyclesPMs:  opts.Config.ClockGHz * 1e6,
 		}
 		c.groups = append(c.groups, gr)
@@ -449,8 +445,9 @@ func (c *Cell) arrive(idx int, t float64) {
 		}
 		return
 	}
-	gr := &c.groups[c.nodes[pick].group]
-	run := spec.Run{Case: c.res.Cases[a.mix], Planner: c.res.Planner, Options: gr.opts, Layout: c.res.Layout}
+	gi := c.nodes[pick].group
+	gr := &c.groups[gi]
+	run := spec.Run{Case: c.res.Cases[a.mix], Planner: c.res.Planner, Options: gr.opts, Graph: c.res.Graphs[gi], Layout: c.res.Layout}
 	st, _, ses := run.Open(a.frames, a.seed, c.res.Motion)
 
 	var s *session

@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"oovr/internal/driver"
+	"oovr/internal/multigpu"
 	"oovr/internal/obs"
 	"oovr/internal/render"
 	"oovr/internal/spec"
+	"oovr/internal/topo"
 )
 
 func sha256sum(b []byte) []byte {
@@ -153,6 +155,69 @@ func TestCellBuildsOnePlanner(t *testing.T) {
 	}
 	if got := plannerBuilds.Load(); got != 1 {
 		t.Errorf("RunCell admitting %d sessions built the planner %d times, want 1", rep.Admitted, got)
+	}
+}
+
+// topoBuilds counts the "counting-ring" topology's builds.
+var topoBuilds atomic.Int64
+
+func init() {
+	topo.Register("counting-ring", func(gb *topo.GraphBuilder, p topo.Params) error {
+		topoBuilds.Add(1)
+		for i := 0; i < p.NumGPMs; i++ {
+			j := (i + 1) % p.NumGPMs
+			gb.AddLink(fmt.Sprintf("link%d->%d", i, j), i, j, p.LinkGBs)
+			gb.AddLink(fmt.Sprintf("link%d->%d", j, i), j, i, p.LinkGBs)
+		}
+		return nil
+	})
+}
+
+// TestEachTopologyIsBuiltOnce pins that a resolved spec builds each
+// interconnect once: a RunSpec's in Resolve, shared by the system Execute
+// opens; a cell's once per node group in OpenCell, where routing weighs
+// the graph's mean hops and every admitted session's system shares it.
+func TestEachTopologyIsBuiltOnce(t *testing.T) {
+	hw := func(gpms int) *multigpu.Options {
+		o := multigpu.DefaultOptions()
+		o.Config = o.Config.WithGPMs(gpms).WithTopology("counting-ring")
+		return &o
+	}
+	topoBuilds.Store(0)
+	m, err := spec.RunSpec{
+		Workload:  spec.WorkloadRef{Name: "DM3-640"},
+		Scheduler: spec.SchedulerRef{Name: "oovr"},
+		Hardware:  hw(4),
+		Frames:    2,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Links) != 8 {
+		t.Fatalf("run reports %d links, want the 4-GPM ring's 8", len(m.Links))
+	}
+	if got := topoBuilds.Load(); got != 1 {
+		t.Errorf("resolving and running one RunSpec built %d topologies, want 1", got)
+	}
+
+	topoBuilds.Store(0)
+	rep, err := RunCell(spec.ServiceSpec{
+		ServiceVersion: 1,
+		Nodes:          []spec.NodeGroup{{Count: 2, Hardware: hw(4)}, {Count: 1, Hardware: hw(8)}},
+		Sessions:       []spec.SessionMix{{Workload: "DM3-640"}},
+		Lambda:         40,
+		MeanFrames:     2,
+		HorizonMs:      300,
+		Seed:           3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Admitted < 3 {
+		t.Fatalf("cell admitted %d sessions, want several", rep.Admitted)
+	}
+	if got := topoBuilds.Load(); got != 2 {
+		t.Errorf("RunCell admitting %d sessions on 2 node groups built %d topologies, want 2", rep.Admitted, got)
 	}
 }
 

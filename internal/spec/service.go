@@ -13,6 +13,7 @@ import (
 	"oovr/internal/driver"
 	"oovr/internal/multigpu"
 	"oovr/internal/registry"
+	"oovr/internal/topo"
 	"oovr/internal/workload"
 )
 
@@ -242,6 +243,9 @@ type ServiceRun struct {
 	Layout LayoutFunc
 	// Cases holds the resolved workload of each Spec.Sessions entry.
 	Cases []workload.Case
+	// Graphs holds the interconnect of each Spec.Nodes group, built once
+	// for every session its nodes open.
+	Graphs []*topo.Graph
 	// Motion replays the named head-motion trace into every session's
 	// stream.
 	Motion func(fi int) (dx, dy float64)
@@ -267,11 +271,12 @@ func (s ServiceSpec) Resolve() (*ServiceRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	graphs := make([]*topo.Graph, len(n.Nodes))
 	for gi, g := range n.Nodes {
 		if err := registry.Check("spec", registry.In("nodes.count", float64(g.Count), 1, maxNodes)); err != nil {
 			return nil, err
 		}
-		if err := ValidateOptions(*g.Hardware); err != nil {
+		if graphs[gi], err = g.Hardware.Interconnect(); err != nil {
 			return nil, fmt.Errorf("spec: node group %d hardware: %w", gi, err)
 		}
 		if err := rootInside(n.Scheduler.Name, p, g.Hardware.Config.NumGPMs); err != nil {
@@ -317,7 +322,7 @@ func (s ServiceSpec) Resolve() (*ServiceRun, error) {
 		registry.In("lambda_sweep", hi, 0, 1e6), registry.In("lambda × horizon_ms", hi*n.HorizonMs, 0, 1e8)); err != nil {
 		return nil, err
 	}
-	return &ServiceRun{Spec: n, Planner: p, Layout: layout, Cases: cases, Motion: trace.Replay()}, nil
+	return &ServiceRun{Spec: n, Planner: p, Layout: layout, Cases: cases, Graphs: graphs, Motion: trace.Replay()}, nil
 }
 
 const maxNodes = 1 << 10 // a cluster's node count

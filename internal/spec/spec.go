@@ -206,6 +206,9 @@ type Run struct {
 	Planner driver.Planner
 	// Options are the explicit simulator options.
 	Options multigpu.Options
+	// Graph is the interconnect Resolve built for Options; every system
+	// Open binds shares it. Nil makes each system build its own.
+	Graph *topo.Graph
 	// Phases is the executed run's per-phase cycle breakdown, populated by
 	// Execute. Purely observational — it rides alongside Metrics and never
 	// enters the canonical Result encoding, so content addresses and golden
@@ -244,13 +247,14 @@ func (s RunSpec) Resolve() (*Run, error) {
 	if !ok {
 		return nil, layouts.Unknown(n.Placement)
 	}
-	if err := ValidateOptions(*n.Hardware); err != nil {
+	graph, err := n.Hardware.Interconnect()
+	if err != nil {
 		return nil, fmt.Errorf("spec: hardware: %w", err)
 	}
 	if err := rootInside(n.Scheduler.Name, p, n.Hardware.Config.NumGPMs); err != nil {
 		return nil, err
 	}
-	return &Run{Spec: n, Case: c, Planner: p, Options: *n.Hardware, Layout: layout}, nil
+	return &Run{Spec: n, Case: c, Planner: p, Options: *n.Hardware, Graph: graph, Layout: layout}, nil
 }
 
 // rootInside checks that a built-in master-node policy names a GPM of an
@@ -304,19 +308,6 @@ func (n RunSpec) ResolveWorkload() (workload.Case, error) {
 	return c, nil
 }
 
-// ValidateOptions checks hardware options as Resolve does: their domains,
-// then the topology they name, built, so an unknown or inconsistent
-// interconnect is an input error (with the registered alternatives) rather
-// than a panic in multigpu.New. The harness's -spec template uses a
-// spec's machine this way without resolving its scheduler.
-func ValidateOptions(opt multigpu.Options) error {
-	if err := opt.Validate(); err != nil {
-		return err
-	}
-	_, err := topo.Build(opt.Config.TopologyParams())
-	return err
-}
-
 // Open assembles one streaming session of the resolved run — the steps a
 // run and every serving session share: the workload stream (frames long,
 // seeded by seed, its camera panned by motion when non-nil), a system bound
@@ -326,7 +317,7 @@ func (r *Run) Open(frames int, seed int64, motion func(fi int) (dx, dy float64))
 	c := r.Case
 	st := c.Spec.Stream(c.Width, c.Height, frames, seed)
 	st.Motion = motion
-	sys := multigpu.New(r.Options, st.Header())
+	sys := multigpu.New(r.Options, st.Header(), r.Graph)
 	sys.AttachTimeline(r.Timeline)
 	r.Layout(sys)
 	ses := driver.Open(sys, r.Planner)

@@ -87,9 +87,10 @@ func TestTopologyAliasCanonicalizes(t *testing.T) {
 func TestUnknownTopologyRejected(t *testing.T) {
 	s := topoSpec("torus9d")
 	_, resolveErr := s.Resolve()
+	_, interconnectErr := s.Hardware.Interconnect()
 	for name, err := range map[string]error{
-		"Resolve":         resolveErr,
-		"ValidateOptions": ValidateOptions(*s.Hardware),
+		"Resolve":      resolveErr,
+		"Interconnect": interconnectErr,
 	} {
 		if err == nil {
 			t.Fatalf("%s accepted an unknown topology", name)

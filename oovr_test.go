@@ -80,13 +80,26 @@ func TestStreamingSessionViaPublicAPI(t *testing.T) {
 // BenchmarkSimulatorFrame's: 8 frames warm the Grouper, the predictor and
 // shipped residency before the count starts.
 func TestSteadyStateOOVRSessionDoesNotAllocate(t *testing.T) {
+	steadyStateAllocs(t, oovr.NewOOVR(), 8)
+}
+
+// TestSteadyStateBaselineSessionDoesNotAllocate pins the warm Baseline
+// frame path, BenchmarkBaselineFrame's, at zero allocations per frame:
+// every access is split across all GPMs and booked on the fabric.
+func TestSteadyStateBaselineSessionDoesNotAllocate(t *testing.T) {
+	steadyStateAllocs(t, oovr.Baseline{}, 4)
+}
+
+// steadyStateAllocs streams warm frames of 4-GPM HL2-1280 through p, then
+// fails unless further frames allocate nothing.
+func steadyStateAllocs(t *testing.T, p oovr.Planner, warm int) {
 	if raceEnabled {
 		t.Skip("the race runtime changes allocation counts")
 	}
 	spec, _ := oovr.BenchmarkByAbbr("HL2")
 	st := spec.Stream(1280, 1024, 0, 1)
 	sys := oovr.NewSystem(oovr.DefaultOptions(), st.Header())
-	ses := oovr.Open(sys, oovr.NewOOVR())
+	ses := oovr.Open(sys, p)
 	var f oovr.Frame
 	frame := func() {
 		if !st.NextInto(&f) {
@@ -94,13 +107,13 @@ func TestSteadyStateOOVRSessionDoesNotAllocate(t *testing.T) {
 		}
 		ses.SubmitFrame(&f)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < warm; i++ {
 		frame()
 	}
 	const runs = 100
 	sys.ReserveFrames(runs + 1) // AllocsPerRun adds one warm-up call
 	if avg := testing.AllocsPerRun(runs, frame); avg != 0 {
-		t.Errorf("steady-state OO-VR frame allocated %.2f times per frame, want 0", avg)
+		t.Errorf("steady-state %s frame allocated %.2f times per frame, want 0", p.Name(), avg)
 	}
 }
 
