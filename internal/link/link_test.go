@@ -3,6 +3,7 @@ package link
 import (
 	"testing"
 
+	"oovr/internal/mem"
 	"oovr/internal/sim"
 	"oovr/internal/topo"
 )
@@ -32,7 +33,7 @@ func TestFabricTopology(t *testing.T) {
 	}
 }
 
-func TestReserveUsesCorrectLinks(t *testing.T) {
+func TestReserveFlowUsesCorrectLinks(t *testing.T) {
 	f := topoFabric(t, "", 4)
 	// GPM 2 reads 640 bytes from GPM 0 and 1280 from GPM 3 at once.
 	end := max(f.Reserve(0, 0, 2, 640), f.Reserve(0, 3, 2, 1280))
@@ -55,7 +56,26 @@ func TestReserveUsesCorrectLinks(t *testing.T) {
 	}
 }
 
-func TestReserveContention(t *testing.T) {
+func TestReserveFlowEmpty(t *testing.T) {
+	f := topoFabric(t, "", 2)
+	m := mem.NewSystem(mem.DefaultConfig(2))
+	seg := m.Alloc(mem.KindTexture, "tex", 4096)
+	m.Place(seg, 0)
+	// An all-local access books nothing on the fabric: the last remote
+	// byte "arrives" at the issue time.
+	local, end := m.Read(0, seg, 0, 4096, f, 42)
+	if end != 42 {
+		t.Errorf("empty flow end = %v", end)
+	}
+	if local != 4096 {
+		t.Errorf("local bytes = %v, want 4096", local)
+	}
+	if total := servedBytes(f); total != 0 {
+		t.Errorf("links served %v bytes, want 0", total)
+	}
+}
+
+func TestReserveFlowContention(t *testing.T) {
 	f := topoFabric(t, "", 2)
 	e1 := f.Reserve(0, 0, 1, 6400) // 100 cycles
 	e2 := f.Reserve(0, 0, 1, 6400) // queued behind: 200
