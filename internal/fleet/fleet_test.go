@@ -35,7 +35,7 @@ func mkSpec(seed int64) spec.RunSpec {
 // mkResult fabricates a canonical Result body for a spec; the coordinator
 // verifies the content address, not the metrics, so zero metrics suffice
 // for lease-protocol tests.
-func mkResult(t *testing.T, rs spec.RunSpec) []byte {
+func mkResult(t testing.TB, rs spec.RunSpec) []byte {
 	t.Helper()
 	res, err := spec.NewResult(rs, multigpu.Metrics{Workload: "DM3-640", Frames: 1})
 	if err != nil {

@@ -59,7 +59,7 @@ func TestReserveFlowUsesCorrectLinks(t *testing.T) {
 func TestReserveFlowEmpty(t *testing.T) {
 	f := topoFabric(t, "", 2)
 	m := mem.NewSystem(mem.DefaultConfig(2))
-	seg := m.Alloc(mem.KindTexture, "tex", 4096)
+	seg := m.Alloc(mem.KindTexture, 4096)
 	m.Place(seg, 0)
 	// An all-local access books nothing on the fabric: the last remote
 	// byte "arrives" at the issue time.

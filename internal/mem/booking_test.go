@@ -147,7 +147,7 @@ func replay(t *testing.T, name string, ng int, layout mem.Layout, rng *rand.Rand
 	var ids []mem.SegmentID
 	for i, size := range sizes {
 		kind := mem.SegmentKind(i % 5)
-		id := sys.Alloc(kind, "seg", size)
+		id := sys.Alloc(kind, size)
 		ref.Alloc(kind, size)
 		place(id)
 		ids = append(ids, id)

@@ -8,7 +8,7 @@ import (
 
 func TestReadProportionalSplitsByHomeShares(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 4096*4)
+	id := s.Alloc(KindTexture, 4096*4)
 	s.PlaceStriped(id) // one page per GPM
 	f := readProportional(t, s, 0, id, 8000)
 	if !nearly(f.LocalBytes, 2000) {
@@ -25,7 +25,7 @@ func TestReadProportionalVolumeMayExceedSize(t *testing.T) {
 	// Repeated sampling of the same texels: the request volume models link
 	// traffic, not storage, so it may exceed the segment size.
 	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 4096)
+	id := s.Alloc(KindTexture, 4096)
 	s.Place(id, 1)
 	f := readProportional(t, s, 0, id, 1<<20)
 	if f.RemoteBySrc[1] != 1<<20 {
@@ -35,7 +35,7 @@ func TestReadProportionalVolumeMayExceedSize(t *testing.T) {
 
 func TestReadProportionalZeroAndNegative(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 4096)
+	id := s.Alloc(KindTexture, 4096)
 	f := readProportional(t, s, 0, id, 0)
 	if f.LocalBytes != 0 || f.RemoteTotal() != 0 {
 		t.Errorf("zero read moved bytes: %+v", f)
@@ -51,7 +51,7 @@ func TestReadProportionalZeroAndNegative(t *testing.T) {
 func TestReadProportionalManyGPMs(t *testing.T) {
 	// More GPMs than pages per GPM: the shares still sum to the volume.
 	s := NewSystem(Config{NumGPMs: 20, PageSize: 512, RemoteCacheHitRate: 0})
-	id := s.Alloc(KindTexture, "tex", 512*20)
+	id := s.Alloc(KindTexture, 512*20)
 	s.PlaceStriped(id)
 	f := readProportional(t, s, 0, id, 2000)
 	total := f.LocalBytes + f.RemoteTotal()
@@ -65,7 +65,7 @@ func TestReadProportionalManyGPMs(t *testing.T) {
 func TestReadProportionalConservationQuick(t *testing.T) {
 	f := func(layout, home uint8, vol uint16) bool {
 		s := NewSystem(Config{NumGPMs: 4, PageSize: 256, RemoteCacheHitRate: 0.5})
-		id := s.Alloc(KindTexture, "t", 256*8+13) // striped
+		id := s.Alloc(KindTexture, 256*8+13) // striped
 		switch layout % 3 {
 		case 1:
 			s.PlacePartitioned(id)

@@ -128,7 +128,7 @@ func TestRemoteAccessesDoNotAllocate(t *testing.T) {
 		s := NewSystem(DefaultConfig(gpms))
 		size := int64(4096 * 3 * gpms)
 		for _, layout := range []Layout{LayoutStriped, LayoutPartitioned} {
-			id := s.Alloc(KindTexture, "tex", size)
+			id := s.Alloc(KindTexture, size)
 			place := func() {
 				if layout == LayoutStriped {
 					s.PlaceStriped(id)
@@ -164,10 +164,15 @@ func TestRemoteAccessesDoNotAllocate(t *testing.T) {
 // TestColdSegmentAllocBudget bounds what allocating a segment and reading
 // it cold costs on the path multigpu.New takes: a fresh System whose table
 // is sized once by Grow, inside the measured window, then Alloc and a cold
-// whole-segment Read per segment. Per segment that is the Segment record and its
-// N-entry histogram and warmth entries, plus a little slack for size-class
-// rounding. The read itself allocates nothing, at any GPM count.
+// whole-segment Read per segment. Per segment that is the 24-byte Segment
+// record, its N-entry histogram and its N bits in each of the three
+// bitsets (warmth, copy residency, copy warmth), plus a little slack for
+// size-class rounding. The read itself allocates nothing, at any GPM
+// count.
 func TestColdSegmentAllocBudget(t *testing.T) {
+	if size := unsafe.Sizeof(Segment{}); size != 24 {
+		t.Errorf("Segment is %d bytes, want 24", size)
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
 	for _, gpms := range []int{4, 16, 32} {
 		s := NewSystem(DefaultConfig(gpms))
@@ -177,14 +182,14 @@ func TestColdSegmentAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		s.Grow(runs)
 		for i := 0; i < runs; i++ {
-			id := s.Alloc(KindTexture, "tex", 4*4096)
+			id := s.Alloc(KindTexture, 4*4096)
 			rec.reset(GPMID(int(id) % gpms))
 			s.Read(GPMID(int(id)%gpms), id, 0, 4*4096, rec, startAt)
 		}
 		runtime.ReadMemStats(&after)
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-		const slack = 128
-		budget := int(unsafe.Sizeof(Segment{})) + 2*gpms*8 + slack
+		const slack = 32
+		budget := int(unsafe.Sizeof(Segment{})) + gpms*8 + 3*gpms/8 + slack
 		t.Logf("gpms=%d: %.0f B/op, budget %d", gpms, bytes, budget)
 		if bytes > float64(budget) {
 			t.Errorf("gpms=%d: Alloc + cold Read = %.0f B/op, budget %d", gpms, bytes, budget)
@@ -218,7 +223,7 @@ func TestAllLocalAccessesMatchTheReference(t *testing.T) {
 	}
 	s := NewSystem(cfg)
 	ref := newPageRef(cfg)
-	id := s.Alloc(KindTexture, "tex", size)
+	id := s.Alloc(KindTexture, size)
 	rid := ref.alloc(KindTexture, size)
 	s.Place(id, g)
 	ref.place(rid, g)
@@ -259,9 +264,9 @@ func TestAllLocalAccessesMatchTheReference(t *testing.T) {
 	check("warm remote read", read(t, s, g, id, 0, size), ref.access(g, rid, 0, size, true))
 
 	placed, copied := NewSystem(cfg), NewSystem(cfg)
-	pid := placed.Alloc(KindTexture, "tex", size)
+	pid := placed.Alloc(KindTexture, size)
 	placed.Place(pid, g)
-	cid := copied.Alloc(KindTexture, "tex", size)
+	cid := copied.Alloc(KindTexture, size)
 	copied.PlaceStriped(cid)
 	if !copied.Copy(cid, g) || copied.Copy(cid, g) {
 		t.Errorf("Copy must report new once, then not")

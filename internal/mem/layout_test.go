@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -13,22 +12,29 @@ import (
 // Flows against it for every operation sequence (the configs under test use
 // dyadic RemoteCacheHitRate values, for which the per-page and per-GPM
 // orderings of the cache arithmetic are exactly equal).
+//
+// Its warmth and copy residency are the epoch-stamp tables the System's
+// bitsets replaced: warmth[id*N+g] is the epoch of g's last read of
+// segment id, and copies[g][id] is 0 while g holds no copy of id,
+// otherwise copyCold until g reads the copy and then the epoch of g's last
+// read. A stamp equal to epoch is warm; resetWarmth bumps epoch.
 type pageRefSystem struct {
 	cfg     Config
 	pages   [][]GPMID
 	sizes   []int64
 	kinds   []SegmentKind
-	touched []map[int]bool
-	dramUse []int64
+	warmth  []uint64
+	copies  [][]uint64
+	epoch   uint64
 	traffic *Traffic
 }
 
+// copyCold is the stamp of a registered copy no read has warmed yet;
+// epochs start above it.
+const copyCold = 1
+
 func newPageRef(cfg Config) *pageRefSystem {
-	touched := make([]map[int]bool, cfg.NumGPMs)
-	for i := range touched {
-		touched[i] = make(map[int]bool)
-	}
-	return &pageRefSystem{cfg: cfg, touched: touched, dramUse: make([]int64, cfg.NumGPMs), traffic: NewTraffic(cfg.NumGPMs)}
+	return &pageRefSystem{cfg: cfg, copies: make([][]uint64, cfg.NumGPMs), epoch: copyCold + 1, traffic: NewTraffic(cfg.NumGPMs)}
 }
 
 // record books a returned flow into the reference's traffic account as a
@@ -53,11 +59,13 @@ func (r *pageRefSystem) alloc(kind SegmentKind, size int64) int {
 	r.pages = append(r.pages, make([]GPMID, n))
 	r.sizes = append(r.sizes, size)
 	r.kinds = append(r.kinds, kind)
+	r.warmth = append(r.warmth, make([]uint64, r.cfg.NumGPMs)...)
+	for g := range r.copies {
+		r.copies[g] = append(r.copies[g], 0)
+	}
 	id := len(r.pages) - 1
 	for p := range r.pages[id] {
-		home := GPMID(p % r.cfg.NumGPMs)
-		r.pages[id][p] = home
-		r.dramUse[home] += r.pageBytes(id, p)
+		r.pages[id][p] = GPMID(p % r.cfg.NumGPMs)
 	}
 	return id
 }
@@ -73,16 +81,7 @@ func (r *pageRefSystem) pageBytes(id, p int) int64 {
 	return rem
 }
 
-func (r *pageRefSystem) rehome(id, p int, g GPMID) {
-	old := r.pages[id][p]
-	if old == g {
-		return
-	}
-	size := r.pageBytes(id, p)
-	r.dramUse[old] -= size
-	r.dramUse[g] += size
-	r.pages[id][p] = g
-}
+func (r *pageRefSystem) rehome(id, p int, g GPMID) { r.pages[id][p] = g }
 
 func (r *pageRefSystem) place(id int, g GPMID) {
 	for p := range r.pages[id] {
@@ -112,7 +111,8 @@ func (r *pageRefSystem) access(gpm GPMID, id int, offset, n int64, isRead bool) 
 	if n == 0 {
 		return flow
 	}
-	warm := r.touched[gpm][id]
+	slot := id*r.cfg.NumGPMs + int(gpm)
+	warm := r.warmth[slot] == r.epoch
 	first := int(offset / r.cfg.PageSize)
 	last := int((offset + n - 1) / r.cfg.PageSize)
 	for p := first; p <= last; p++ {
@@ -140,7 +140,7 @@ func (r *pageRefSystem) access(gpm GPMID, id int, offset, n int64, isRead bool) 
 		flow.RemoteBySrc[home] += remote
 	}
 	if isRead {
-		r.touched[gpm][id] = true
+		r.warmth[slot] = r.epoch
 	}
 	return r.record(flow)
 }
@@ -168,10 +168,39 @@ func (r *pageRefSystem) readProportional(gpm GPMID, id int, bytes float64) Flow 
 	return r.record(flow)
 }
 
-func (r *pageRefSystem) resetWarmth() {
-	for g := range r.touched {
-		r.touched[g] = make(map[int]bool)
+func (r *pageRefSystem) resetWarmth() { r.epoch++ }
+
+func (r *pageRefSystem) touched(g GPMID, id int) bool {
+	return r.warmth[id*r.cfg.NumGPMs+int(g)] == r.epoch
+}
+
+// copy registers g's copy of id and reports whether it is new.
+func (r *pageRefSystem) copy(id int, g GPMID) bool {
+	if r.hasCopy(g, id) {
+		return false
 	}
+	r.copies[g][id] = copyCold
+	return true
+}
+
+func (r *pageRefSystem) hasCopy(g GPMID, id int) bool { return r.copies[g][id] != 0 }
+
+func (r *pageRefSystem) copyTouched(g GPMID, id int) bool { return r.copies[g][id] == r.epoch }
+
+// readCopy and readCopyProportional read g's copy of id: all local.
+func (r *pageRefSystem) readCopy(g GPMID, id int, n int64) Flow {
+	if n > 0 {
+		r.copies[g][id] = r.epoch
+	}
+	return r.record(Flow{Requester: g, LocalBytes: float64(n), Kind: r.kinds[id]})
+}
+
+func (r *pageRefSystem) readCopyProportional(g GPMID, id int, bytes float64) Flow {
+	f := Flow{Requester: g, Kind: r.kinds[id]}
+	if size := float64(r.sizes[id]); bytes > 0 && size > 0 {
+		f.LocalBytes = bytes * size / size
+	}
+	return r.record(f)
 }
 
 func (r *pageRefSystem) homeHistogram(id int) []int64 {
@@ -240,16 +269,16 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 
 		sizes := []int64{0, 100, 256, 256 * 7, 256*31 + 13, 256 * 64}
 		var ids []SegmentID
-		for i, size := range sizes {
-			id := sys.Alloc(KindTexture, fmt.Sprintf("t%d", i), size)
+		for _, size := range sizes {
+			id := sys.Alloc(KindTexture, size)
 			rid := ref.alloc(KindTexture, size)
 			if int(id) != rid {
 				t.Fatalf("id mismatch %d vs %d", id, rid)
 			}
 			ids = append(ids, id)
 		}
-		// State must agree everywhere: page homes, histograms, DRAM
-		// capacity accounting, and warmth.
+		// State must agree everywhere: page homes, home histograms (the
+		// bytes each GPM's DRAM holds of the segment), and warmth.
 		checkState := func(when string) {
 			t.Helper()
 			for _, id := range ids {
@@ -271,14 +300,9 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 					}
 				}
 				for g := 0; g < ng; g++ {
-					if sys.Touched(GPMID(g), id) != ref.touched[g][int(id)] {
+					if sys.Touched(GPMID(g), id) != ref.touched(GPMID(g), int(id)) {
 						t.Fatalf("trial %d %s: seg %d touched[%d] mismatch", trial, when, id, g)
 					}
-				}
-			}
-			for g := 0; g < ng; g++ {
-				if sys.DRAMUsed(GPMID(g)) != ref.dramUse[g] {
-					t.Fatalf("trial %d %s: DRAMUsed(%d) = %d, want %d", trial, when, g, sys.DRAMUsed(GPMID(g)), ref.dramUse[g])
 				}
 			}
 		}
@@ -341,7 +365,7 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 // and proportional reads leave every layout as placed.
 func TestAnalyticLayoutsStayAnalytic(t *testing.T) {
 	s := NewSystem(Config{NumGPMs: 4, PageSize: 4096, RemoteCacheHitRate: 0.5})
-	id := s.Alloc(KindTexture, "tex", 4096*1000)
+	id := s.Alloc(KindTexture, 4096*1000)
 	if got := s.Segment(id).Layout(); got != LayoutStriped {
 		t.Fatalf("fresh segment layout = %v, want striped", got)
 	}

@@ -28,6 +28,16 @@
 // caches its home histogram (bytes per GPM), rewritten on every placement,
 // so ReadProportional and HomeHistogram never rescan pages.
 //
+// # The segment table
+//
+// A segment is a 24-byte record whose id is its index in one table. Its
+// per-GPM state lives in System arenas indexed by slot id*NumGPMs+g: the
+// home histogram, and one bit each for "g's remote cache is armed for it",
+// "g holds a private copy" (Copy) and "g read that copy". The two warmth
+// bits are per frame: ResetWarmth, which the execution core calls once at
+// each frame start, clears them. Grow sizes every arena once, so Alloc
+// and the accesses allocate nothing.
+//
 // # One pass per access
 //
 // Every access books its bytes in the same pass that splits them: each
@@ -64,7 +74,7 @@ type SegmentID int
 // SegmentKind classifies allocations; the traffic report breaks totals down
 // by kind so experiments can attribute inter-GPM traffic to textures,
 // composition, commands and depth the way Section 6.2 does.
-type SegmentKind int
+type SegmentKind uint8
 
 const (
 	// KindVertex is application-issued vertex/index data.
@@ -99,7 +109,7 @@ func (k SegmentKind) String() string {
 }
 
 // Layout identifies how a segment's pages map to home GPMs.
-type Layout int
+type Layout uint8
 
 const (
 	// LayoutUniform homes every page on one GPM.
@@ -124,17 +134,14 @@ func (l Layout) String() string {
 	}
 }
 
-// Segment is one allocation. Its per-GPM state lives in System arenas.
+// Segment is one allocation, a 24-byte record; its id is its index in the
+// segment table. Its per-GPM state lives in System arenas.
 type Segment struct {
-	ID   SegmentID
-	Kind SegmentKind
-	// Name labels the segment in panic messages. It need not be unique.
-	Name string
-	Size int64
-
+	Size   int64
 	nPages int
+	Kind   SegmentKind
 	layout Layout
-	home   GPMID // LayoutUniform only: the shared home
+	home   int32 // LayoutUniform only: the shared home GPM
 }
 
 // Pages returns the number of pages in the segment.
@@ -182,23 +189,45 @@ type System struct {
 	cfg      Config
 	segments []Segment
 	// hists[id*N+g] caches the bytes of segment id homed on GPM g (every
-	// placement rewrites them); warmth[id*N+g] is the epoch of g's last read.
-	hists  []int64
-	warmth []uint64
-	// epoch is the warmth epoch: a segment's warmth entry matching it means
-	// the GPM's remote cache is armed for the segment. ResetWarmth bumps it
-	// instead of clearing per-GPM state. It starts above copyCold.
-	epoch uint64
-	// copies[g][id] is GPM g's private copy of segment id (see Copy): 0
-	// when g holds none, otherwise the copy's warmth stamp — copyCold until
-	// g first reads it, then the epoch of g's last read. A copy is homed
-	// entirely on g, so this stamp is all the state its reads consult.
-	copies  [][]uint64
-	traffic *Traffic
-	dramUse []int64 // bytes homed per GPM (capacity accounting)
+	// placement rewrites them). The bitsets have one bit per such slot:
+	// warm is set once g has read segment id since the last ResetWarmth
+	// (g's remote cache is armed for it); held is set while g holds a
+	// private copy of it (see Copy), and copyWarm once g has read that
+	// copy since the last ResetWarmth. A copy is homed entirely on g, so
+	// those two bits are all the state its reads consult.
+	hists                []int64
+	warm, held, copyWarm Bitset
+	traffic              *Traffic
 	// hist is access's per-GPM byte split of the accessed range, valid in
 	// the window rangeHist returns.
 	hist []int64
+}
+
+// Bitset holds one bit per index, 64 to a word: the per-slot yes/no
+// tables of the memory system and of the execution core. clear(b) clears
+// every bit.
+type Bitset []uint64
+
+// NewBitset returns a clear bitset of n bits.
+func NewBitset(n int) Bitset { return make(Bitset, (n+63)>>6) }
+
+// Has reports whether bit i is set.
+func (b Bitset) Has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+// Set sets bit i.
+func (b Bitset) Set(i int) { b[i>>6] |= 1 << (i & 63) }
+
+// extend returns b grown in place, zero-filled, to hold n bits: nothing
+// sets a bit past the length, so the words it uncovers are zero.
+func (b Bitset) extend(n int) Bitset {
+	w := (n + 63) >> 6
+	return slices.Grow(b, w-len(b))[:w]
+}
+
+// reserve returns b with room for n bits, so extending it to n allocates
+// nothing.
+func (b Bitset) reserve(n int) Bitset {
+	return append(make(Bitset, 0, (n+63)>>6), b...)
 }
 
 // NewSystem creates a memory system for the given configuration. It
@@ -209,10 +238,7 @@ func NewSystem(cfg Config) *System {
 	}
 	return &System{
 		cfg:     cfg,
-		epoch:   copyCold + 1,
-		copies:  make([][]uint64, cfg.NumGPMs),
 		traffic: NewTraffic(cfg.NumGPMs),
-		dramUse: make([]int64, cfg.NumGPMs),
 		hist:    make([]int64, cfg.NumGPMs),
 	}
 }
@@ -226,26 +252,28 @@ func (s *System) Traffic() *Traffic { return s.traffic }
 // Grow reserves room for n more segments, so the next n Allocs allocate
 // nothing.
 func (s *System) Grow(n int) {
+	slots := s.slot(SegmentID(len(s.segments)+n), 0)
 	s.segments = append(make([]Segment, 0, len(s.segments)+n), s.segments...)
-	s.hists = append(make([]int64, 0, len(s.hists)+n*s.cfg.NumGPMs), s.hists...)
-	s.warmth = append(make([]uint64, 0, len(s.warmth)+n*s.cfg.NumGPMs), s.warmth...)
+	s.hists = append(make([]int64, 0, slots), s.hists...)
+	s.warm, s.held, s.copyWarm = s.warm.reserve(slots), s.held.reserve(slots), s.copyWarm.reserve(slots)
 }
 
 // Alloc creates a new segment, striped across the GPMs: the driver's
 // default placement for shared surfaces. O(NumGPMs).
-func (s *System) Alloc(kind SegmentKind, name string, size int64) SegmentID {
+func (s *System) Alloc(kind SegmentKind, size int64) SegmentID {
 	if size < 0 {
-		panic(fmt.Sprintf("mem: negative size %d for %q", size, name))
+		panic(fmt.Sprintf("mem: negative size %d", size))
 	}
 	id := SegmentID(len(s.segments))
 	s.segments = append(s.segments, Segment{
-		ID: id, Kind: kind, Name: name, Size: size,
+		Kind: kind, Size: size,
 		nPages: int((size + s.cfg.PageSize - 1) / s.cfg.PageSize),
 	})
 	// Extended in place: nothing writes past a table's length, so it is zero.
-	s.hists = slices.Grow(s.hists, s.cfg.NumGPMs)[:s.slot(id+1, 0)]
-	s.warmth = slices.Grow(s.warmth, s.cfg.NumGPMs)[:s.slot(id+1, 0)]
-	s.setLayout(&s.segments[id], LayoutStriped, 0)
+	slots := s.slot(id+1, 0)
+	s.hists = slices.Grow(s.hists, s.cfg.NumGPMs)[:slots]
+	s.warm, s.held, s.copyWarm = s.warm.extend(slots), s.held.extend(slots), s.copyWarm.extend(slots)
+	s.setLayout(id, LayoutStriped, 0)
 	return id
 }
 
@@ -258,7 +286,7 @@ func (s *System) Segment(id SegmentID) *Segment {
 // homeHist returns segment id's N-entry home histogram.
 func (s *System) homeHist(id SegmentID) []int64 { return s.hists[s.slot(id, 0):s.slot(id+1, 0)] }
 
-// slot is the index of segment id's GPM g entry in hists and warmth.
+// slot is the index of segment id's GPM g entry in hists and the bitsets.
 func (s *System) slot(id SegmentID, g GPMID) int { return int(id)*s.cfg.NumGPMs + int(g) }
 
 // pagesPerPartition returns the ceil(nPages/N) partition stride of the
@@ -272,7 +300,7 @@ func (s *System) PageHome(id SegmentID, i int) GPMID {
 	seg := s.Segment(id)
 	switch seg.layout {
 	case LayoutUniform:
-		return seg.home
+		return GPMID(seg.home)
 	case LayoutStriped:
 		return GPMID(i % s.cfg.NumGPMs)
 	default: // LayoutPartitioned
@@ -288,37 +316,30 @@ func (s *System) NumSegments() int { return len(s.segments) }
 // the homing of per-GPM buffers. O(NumGPMs).
 func (s *System) Place(id SegmentID, gpm GPMID) {
 	s.checkGPM(gpm)
-	s.setLayout(s.Segment(id), LayoutUniform, gpm)
+	s.setLayout(id, LayoutUniform, gpm)
 }
 
 // PlaceStriped distributes the segment's pages round-robin across all GPMs,
 // the paper's baseline address mapping for shared surfaces. O(NumGPMs).
 func (s *System) PlaceStriped(id SegmentID) {
-	s.setLayout(s.Segment(id), LayoutStriped, 0)
+	s.setLayout(id, LayoutStriped, 0)
 }
 
 // PlacePartitioned splits the segment into NumGPMs contiguous ranges, one
 // per GPM, the placement the distributed hardware composition unit uses for
 // the framebuffer (Section 5.3, Figure 14). O(NumGPMs).
 func (s *System) PlacePartitioned(id SegmentID) {
-	s.setLayout(s.Segment(id), LayoutPartitioned, 0)
+	s.setLayout(id, LayoutPartitioned, 0)
 }
 
-// setLayout installs a layout (home is the GPM of LayoutUniform) and
-// rewrites the segment's home histogram, moving the per-GPM DRAM capacity
-// accounting from the old homes to the new ones.
-func (s *System) setLayout(seg *Segment, layout Layout, home GPMID) {
-	hist := s.homeHist(seg.ID)
-	for g, b := range hist {
-		s.dramUse[g] -= b
-	}
+// setLayout installs segment id's layout (home is the GPM of
+// LayoutUniform) and rewrites its home histogram.
+func (s *System) setLayout(id SegmentID, layout Layout, home GPMID) {
+	seg, hist := s.Segment(id), s.homeHist(id)
 	clear(hist)
-	seg.layout, seg.home = layout, home
+	seg.layout, seg.home = layout, int32(home)
 	if seg.Size > 0 {
 		s.rangeHist(seg, 0, seg.Size, hist)
-	}
-	for g, b := range hist {
-		s.dramUse[g] += b
 	}
 }
 
@@ -370,12 +391,6 @@ func (s *System) rangeHist(seg *Segment, offset, n int64, hist []int64) (lo, hi 
 	}
 }
 
-// DRAMUsed returns the bytes homed on the given GPM.
-func (s *System) DRAMUsed(gpm GPMID) int64 {
-	s.checkGPM(gpm)
-	return s.dramUse[gpm]
-}
-
 // Read models gpm reading n bytes starting at offset within the segment,
 // issued at time at. Each source GPM's remote bytes are booked on l as the
 // split computes them; Read returns the bytes served locally and the time
@@ -412,29 +427,30 @@ func (s *System) remote(src, dst GPMID, kind SegmentKind, b float64, l Links, at
 	return l.Reserve(at, src, dst, b)
 }
 
-// checkRange panics unless [offset, offset+n) lies inside the segment.
-func checkRange(seg *Segment, offset, n int64) {
+// checkRange panics unless [offset, offset+n) lies inside segment id.
+func checkRange(id SegmentID, seg *Segment, offset, n int64) {
 	if offset < 0 || n < 0 || offset+n > seg.Size {
-		panic(fmt.Sprintf("mem: access [%d,%d) outside segment %d %q of size %d", offset, offset+n, seg.ID, seg.Name, seg.Size))
+		panic(fmt.Sprintf("mem: access [%d,%d) outside segment %d of size %d", offset, offset+n, id, seg.Size))
 	}
 }
 
 func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool, l Links, at sim.Time) (local float64, arrive sim.Time) {
 	s.checkGPM(gpm)
 	seg := s.Segment(id)
-	checkRange(seg, offset, n)
+	checkRange(id, seg, offset, n)
 	if n == 0 {
 		return 0, at
 	}
-	if seg.layout == LayoutUniform && seg.home == gpm {
+	slot := s.slot(id, gpm)
+	if seg.layout == LayoutUniform && GPMID(seg.home) == gpm {
 		// All-local: every byte is homed on the requester, so the split is
 		// the access length.
 		if isRead {
-			s.warmth[s.slot(id, gpm)] = s.epoch
+			s.warm.Set(slot)
 		}
 		return s.allLocal(gpm, float64(n)), at
 	}
-	warm := isRead && s.warmth[s.slot(id, gpm)] == s.epoch
+	warm := isRead && s.warm.Has(slot)
 	arrive = at
 	// Split the range's bytes by home GPM, in closed form, and book each
 	// source's share as it is computed, in ascending source order.
@@ -460,7 +476,7 @@ func (s *System) access(gpm GPMID, id SegmentID, offset, n int64, isRead bool, l
 		}
 	}
 	if isRead {
-		s.warmth[s.slot(id, gpm)] = s.epoch
+		s.warm.Set(slot)
 	}
 	s.traffic.local[gpm] += local
 	return local, arrive
@@ -484,7 +500,7 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64, l Link
 	if bytes == 0 || seg.Size == 0 {
 		return s.allLocal(gpm, 0), at
 	}
-	if seg.layout == LayoutUniform && seg.home == gpm {
+	if seg.layout == LayoutUniform && GPMID(seg.home) == gpm {
 		// All-local. The share is still computed as the general path does:
 		// bytes*Size/Size is not always bytes in float64.
 		return s.allLocal(gpm, bytes*float64(s.homeHist(id)[gpm])/float64(seg.Size)), at
@@ -510,68 +526,59 @@ func (s *System) ReadProportional(gpm GPMID, id SegmentID, bytes float64, l Link
 // frame boundary (the per-GPM L2 is far smaller than a frame's streaming
 // working set), so schedulers call this at frame start and every texture is
 // re-streamed cold each frame — the steady-state behaviour of a real GPU.
-// Bumping the warmth epoch invalidates all entries in O(1).
+// It clears the warm and copyWarm bitsets, one word per 64 slots.
 func (s *System) ResetWarmth() {
-	s.epoch++
+	clear(s.warm)
+	clear(s.copyWarm)
 }
 
 // Touched reports whether the GPM has read the segment before (remote cache
 // warm).
 func (s *System) Touched(gpm GPMID, id SegmentID) bool {
 	s.checkGPM(gpm)
-	return s.warmth[s.slot(id, gpm)] == s.epoch
+	return s.warm.Has(s.slot(id, gpm))
 }
-
-// copyCold is the warmth stamp of a registered copy that no read has
-// warmed yet; warmth epochs start above it.
-const copyCold = 1
 
 // Copy registers GPM g's private copy of segment id: a replica homed
 // entirely in g's DRAM, such as AFR's per-GPM memory spaces or a
-// framework's shipped working set. The copy costs the original's size in
-// g's DRAM capacity but is no segment of its own; ReadCopy,
-// ReadCopyProportional and CopyTouched read it, always all-local. Copy is
-// idempotent and reports whether the copy is new.
+// framework's shipped working set. The copy is no segment of its own;
+// ReadCopy, ReadCopyProportional and CopyTouched read it, always
+// all-local. Copy is idempotent and reports whether the copy is new.
 func (s *System) Copy(id SegmentID, g GPMID) bool {
 	s.checkGPM(g)
 	if s.HasCopy(g, id) {
 		return false
 	}
-	size := s.Segment(id).Size
-	c := s.copies[g]
-	if int(id) >= len(c) {
-		c = append(c, make([]uint64, len(s.segments)-len(c))...)
-		s.copies[g] = c
-	}
-	c[id] = copyCold
-	s.dramUse[g] += size
+	s.held.Set(s.slot(id, g))
 	return true
 }
 
-// HasCopy reports whether GPM g holds a copy of segment id (see Copy).
+// HasCopy reports whether GPM g holds a copy of segment id (see Copy); a
+// GPM out of range holds none. It is small enough to inline into the
+// per-texture paths that call it.
 func (s *System) HasCopy(g GPMID, id SegmentID) bool {
-	c := s.copies[g]
-	return int(id) < len(c) && c[id] != 0
+	return uint(g) < uint(s.cfg.NumGPMs) && s.held.Has(s.slot(id, g))
 }
 
-// copyStamp returns the warmth stamp of g's copy of id and panics when g
-// holds no copy of it.
-func (s *System) copyStamp(g GPMID, id SegmentID) *uint64 {
-	if !s.HasCopy(g, id) {
+// copySlot returns the slot of g's copy of id and panics when g holds no
+// copy of it.
+func (s *System) copySlot(g GPMID, id SegmentID) int {
+	slot := s.slot(id, g)
+	if uint(g) >= uint(s.cfg.NumGPMs) || !s.held.Has(slot) {
 		panic("mem: read of a copy that was never registered")
 	}
-	return &s.copies[g][id]
+	return slot
 }
 
 // ReadCopy is Read on GPM g's copy of the segment: the local bytes a
 // segment homed entirely on g would give. Nothing crosses a link.
 func (s *System) ReadCopy(g GPMID, id SegmentID, offset, n int64) float64 {
-	stamp := s.copyStamp(g, id)
-	checkRange(s.Segment(id), offset, n)
+	slot := s.copySlot(g, id)
+	checkRange(id, s.Segment(id), offset, n)
 	if n == 0 {
 		return 0
 	}
-	*stamp = s.epoch
+	s.copyWarm.Set(slot)
 	return s.allLocal(g, float64(n))
 }
 
@@ -581,7 +588,7 @@ func (s *System) ReadCopyProportional(g GPMID, id SegmentID, bytes float64) floa
 	if bytes < 0 {
 		panic(fmt.Sprintf("mem: negative proportional read %v", bytes))
 	}
-	s.copyStamp(g, id) // panics unless g holds a copy
+	s.copySlot(g, id) // panics unless g holds a copy
 	seg := s.Segment(id)
 	if bytes == 0 || seg.Size == 0 {
 		return s.allLocal(g, 0)
@@ -591,7 +598,7 @@ func (s *System) ReadCopyProportional(g GPMID, id SegmentID, bytes float64) floa
 
 // CopyTouched is Touched on GPM g's copy of the segment.
 func (s *System) CopyTouched(g GPMID, id SegmentID) bool {
-	return *s.copyStamp(g, id) == s.epoch
+	return s.copyWarm.Has(s.copySlot(g, id))
 }
 
 // HomeHistogram returns, for the given segment, how many bytes are homed on

@@ -13,10 +13,11 @@ func newSys(t *testing.T) *System {
 }
 
 // TestAllocPages pins that a new segment is homed at allocation: its
-// pages are striped across the GPMs and charged to their DRAM at once.
+// pages are striped across the GPMs and its home histogram is written at
+// once.
 func TestAllocPages(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 4096*5+1)
+	id := s.Alloc(KindTexture, 4096*5+1)
 	seg := s.Segment(id)
 	if seg.Pages() != 6 {
 		t.Errorf("Pages = %d, want 6", seg.Pages())
@@ -29,9 +30,10 @@ func TestAllocPages(t *testing.T) {
 			t.Errorf("page %d home = %d, want %d", i, s.PageHome(id, i), i%4)
 		}
 	}
+	hist := s.HomeHistogram(id)
 	for g, want := range []int64{2 * 4096, 4096 + 1, 4096, 4096} {
-		if got := s.DRAMUsed(GPMID(g)); got != want {
-			t.Errorf("DRAMUsed(%d) = %d, want %d", g, got, want)
+		if hist[g] != want {
+			t.Errorf("GPM %d homes %d bytes, want %d", g, hist[g], want)
 		}
 	}
 	if s.NumSegments() != 1 {
@@ -41,7 +43,7 @@ func TestAllocPages(t *testing.T) {
 
 func TestRemoteReadCrossesLink(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 4096)
+	id := s.Alloc(KindTexture, 4096)
 	s.Place(id, 0)
 	f := read(t, s, 1, id, 0, 4096)
 	if f.LocalBytes != 0 {
@@ -57,7 +59,7 @@ func TestRemoteReadCrossesLink(t *testing.T) {
 
 func TestRemoteCacheAbsorbsRepeatedReads(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 4096)
+	id := s.Alloc(KindTexture, 4096)
 	s.Place(id, 0)
 	read(t, s, 1, id, 0, 4096) // cold remote: arms cache
 	f := read(t, s, 1, id, 0, 4096)
@@ -71,7 +73,7 @@ func TestRemoteCacheAbsorbsRepeatedReads(t *testing.T) {
 
 func TestWritesNotCached(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindFramebuffer, "fb", 4096)
+	id := s.Alloc(KindFramebuffer, 4096)
 	s.Place(id, 0)
 	write(t, s, 1, id, 0, 4096)
 	f := write(t, s, 1, id, 0, 4096)
@@ -82,20 +84,20 @@ func TestWritesNotCached(t *testing.T) {
 
 func TestPlaceExplicit(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 16384)
+	id := s.Alloc(KindTexture, 16384)
 	s.Place(id, 3)
 	f := read(t, s, 3, id, 0, 16384)
 	if f.RemoteTotal() != 0 {
 		t.Errorf("read from home should be local, remote=%v", f.RemoteTotal())
 	}
-	if s.DRAMUsed(3) != 16384 {
-		t.Errorf("DRAMUsed(3) = %d", s.DRAMUsed(3))
+	if h := s.HomeHistogram(id); h[3] != 16384 {
+		t.Errorf("GPM 3 homes %d bytes, want 16384", h[3])
 	}
 }
 
 func TestPlaceStriped(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindFramebuffer, "fb", 4096*8)
+	id := s.Alloc(KindFramebuffer, 4096*8)
 	s.Place(id, 1)
 	s.PlaceStriped(id)
 	hist := s.HomeHistogram(id)
@@ -103,15 +105,15 @@ func TestPlaceStriped(t *testing.T) {
 		t.Fatalf("histogram has %d entries, want 4", len(hist))
 	}
 	for g := 0; g < 4; g++ {
-		if hist[g] != 4096*2 || s.DRAMUsed(GPMID(g)) != 4096*2 {
-			t.Errorf("GPM %d homed %d bytes (DRAMUsed %d), want %d", g, hist[g], s.DRAMUsed(GPMID(g)), 4096*2)
+		if hist[g] != 4096*2 {
+			t.Errorf("GPM %d homed %d bytes, want %d", g, hist[g], 4096*2)
 		}
 	}
 }
 
 func TestPlacePartitioned(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindFramebuffer, "fb", 4096*8)
+	id := s.Alloc(KindFramebuffer, 4096*8)
 	s.PlacePartitioned(id)
 	// First two pages on GPM0, next two on GPM1, etc.
 	want := []GPMID{0, 0, 1, 1, 2, 2, 3, 3}
@@ -124,10 +126,10 @@ func TestPlacePartitioned(t *testing.T) {
 
 func TestPartialLastPageAccounting(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindVertex, "vb", 4096+100)
+	id := s.Alloc(KindVertex, 4096+100)
 	s.Place(id, 0)
-	if s.DRAMUsed(0) != 4196 {
-		t.Errorf("DRAMUsed = %d, want 4196 (partial page counted by bytes)", s.DRAMUsed(0))
+	if h := s.HomeHistogram(id); h[0] != 4196 {
+		t.Errorf("GPM 0 homes %d bytes, want 4196 (partial page counted by bytes)", h[0])
 	}
 	f := read(t, s, 0, id, 0, 4196)
 	if f.LocalBytes != 4196 {
@@ -137,7 +139,7 @@ func TestPartialLastPageAccounting(t *testing.T) {
 
 func TestAccessRangeSplitAcrossPages(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindTexture, "tex", 4096*2)
+	id := s.Alloc(KindTexture, 4096*2)
 	s.Place(id, 0)
 	// Read 1000 bytes straddling the page boundary from a remote GPM.
 	f := read(t, s, 1, id, 4096-500, 1000)
@@ -147,14 +149,14 @@ func TestAccessRangeSplitAcrossPages(t *testing.T) {
 }
 
 // TestAccessOutOfRangePanics also pins that the panic names the segment
-// by id: names need not be unique (every vertex buffer is "vb").
+// by id and size.
 func TestAccessOutOfRangePanics(t *testing.T) {
 	s := newSys(t)
-	s.Alloc(KindVertex, "vb", 100)
-	id := s.Alloc(KindVertex, "vb", 100)
+	s.Alloc(KindVertex, 100)
+	id := s.Alloc(KindVertex, 100)
 	defer func() {
 		msg, _ := recover().(string)
-		if want := `segment 1 "vb"`; !strings.Contains(msg, want) {
+		if want := "segment 1 of size 100"; !strings.Contains(msg, want) {
 			t.Errorf("out-of-range access panicked with %q, want a message naming %s", msg, want)
 		}
 	}()
@@ -163,8 +165,8 @@ func TestAccessOutOfRangePanics(t *testing.T) {
 
 func TestTrafficByKind(t *testing.T) {
 	s := newSys(t)
-	tex := s.Alloc(KindTexture, "tex", 4096)
-	fb := s.Alloc(KindFramebuffer, "fb", 4096)
+	tex := s.Alloc(KindTexture, 4096)
+	fb := s.Alloc(KindFramebuffer, 4096)
 	s.Place(tex, 0)
 	s.Place(fb, 0)
 	read(t, s, 1, tex, 0, 4096)
@@ -207,7 +209,7 @@ func TestConservationPropertyQuick(t *testing.T) {
 		const segSize = 8192
 		ids := make([]SegmentID, 4)
 		for i := range ids {
-			ids[i] = s.Alloc(KindTexture, "t", segSize)
+			ids[i] = s.Alloc(KindTexture, segSize)
 		}
 		var wantTotal float64
 		var gotLocal, gotRemote float64
@@ -236,18 +238,18 @@ func TestConservationPropertyQuick(t *testing.T) {
 	}
 }
 
-// Property: DRAM usage totals always equal the segment's bytes, never
-// negative: a segment is homed from allocation on.
+// Property: the bytes a segment homes per GPM (its home histogram, the
+// DRAM it occupies) are never negative and always total its size: a
+// segment is homed from allocation on.
 func TestDRAMAccountingPropertyQuick(t *testing.T) {
 	f := func(moves []uint8) bool {
 		s := NewSystem(Config{NumGPMs: 4, PageSize: 256, RemoteCacheHitRate: 0})
-		id := s.Alloc(KindTexture, "t", 256*7+13)
+		id := s.Alloc(KindTexture, 256*7+13)
 		for _, m := range moves {
 			s.Place(id, GPMID(m%4))
 		}
 		var total int64
-		for g := GPMID(0); g < 4; g++ {
-			u := s.DRAMUsed(g)
+		for _, u := range s.HomeHistogram(id) {
 			if u < 0 {
 				return false
 			}

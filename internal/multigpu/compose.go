@@ -125,10 +125,11 @@ func (s *System) DiscardStagedPixels() {
 // per-frame shipping sets and cools all caches (a frame's streaming working
 // set does not survive into the next frame). It returns the frame start
 // time (the point when every GPM is available; frames render back-to-back).
-// The per-frame transfer state is epoch-stamped, so the reset is one
-// counter bump — no allocation, no clearing pass.
+// It is the one per-frame reset point: it clears the shipped bitset here
+// and the memory system's warmth bitsets (mem.System.ResetWarmth), one
+// word per 64 (segment, GPM) slots and no allocation.
 func (s *System) BeginFrame() sim.Time {
-	s.frameEpoch++
+	clear(s.shipped)
 	s.Mem.ResetWarmth()
 	s.frameStart = s.maxNextFree()
 	return s.frameStart

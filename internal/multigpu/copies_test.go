@@ -12,38 +12,47 @@ import (
 
 // TestCopiesAreResidencyNotSegments pins GPM-local copies as residency in
 // the memory system, not segments: registering AFR's private copies twice
-// and rendering one OO-VR frame, which ships batch data to GPMs, allocate
-// no segment; the copying GPM's DRAM grows by the copied bytes exactly
-// once; and reading a copy that was never registered panics.
+// makes GPM1 hold a copy of every shared segment, each new exactly once
+// and none on another GPM; rendering one OO-VR frame, which ships batch
+// data to GPMs, registers copies but allocates no segment; and reading a
+// copy that was never registered panics.
 func TestCopiesAreResidencyNotSegments(t *testing.T) {
 	sp, _ := workload.ByAbbr("DM3")
 	sc := sp.Generate(640, 480, 2, 1)
 	s := multigpu.New(multigpu.DefaultOptions(), sc)
 	segments := s.Mem.NumSegments()
-	totalDRAM := func() (sum int64) {
-		for g := 0; g < s.NumGPMs(); g++ {
-			sum += s.Mem.DRAMUsed(mem.GPMID(g))
+	shared := mem.SegmentID(len(sc.Textures) + len(sc.VertexCapacities()))
+	held := func() (n int) {
+		for g := range mem.GPMID(s.NumGPMs()) {
+			for id := range mem.SegmentID(segments) {
+				if s.Mem.HasCopy(g, id) {
+					n++
+				}
+			}
 		}
-		return sum
+		return n
+	}
+	if n := held(); n != 0 {
+		t.Fatalf("a fresh system holds %d copies", n)
 	}
 
-	var copied int64
-	for _, tex := range sc.Textures {
-		copied += tex.Bytes
-	}
-	for _, vb := range sc.VertexCapacities() {
-		copied += vb
-	}
-	used := s.Mem.DRAMUsed(1)
 	s.EnsureLocalCopies(1)
 	s.EnsureLocalCopies(1)
-	if got := s.Mem.DRAMUsed(1) - used; got != copied {
-		t.Errorf("EnsureLocalCopies twice grew GPM1's DRAM by %d bytes, want the copied %d once", got, copied)
+	for id := range mem.SegmentID(segments) {
+		if got, want := s.Mem.HasCopy(1, id), id < shared; got != want {
+			t.Errorf("segment %d: GPM1 holds a copy %v, want %v", id, got, want)
+		}
+		if id < shared && s.Mem.Copy(id, 1) {
+			t.Errorf("segment %d: Copy reports GPM1's copy new after EnsureLocalCopies", id)
+		}
+	}
+	if got := held(); got != int(shared) {
+		t.Errorf("EnsureLocalCopies twice registered %d copies, want the %d shared segments once", got, shared)
 	}
 
-	before := totalDRAM()
+	before := held()
 	driver.NewFrameLoop(s, core.NewOOVR()).RunFrame(&sc.Frames[0])
-	if totalDRAM() == before {
+	if held() == before {
 		t.Fatal("the OO-VR frame shipped no copy; the check below would be vacuous")
 	}
 	if got := s.Mem.NumSegments(); got != segments {

@@ -133,6 +133,31 @@ func TestShipOncePerFrame(t *testing.T) {
 	}
 }
 
+// TestShipBooksOncePerFrame pins the per-frame shipped bitset: shipping
+// one segment to a GPM twice in a frame books its transfer once, shipping
+// it to another GPM books it again, and BeginFrame clears the bits, so the
+// next frame books both transfers anew.
+func TestShipBooksOncePerFrame(t *testing.T) {
+	s := newSystem(t)
+	seg := s.texSeg[0]
+	size := float64(s.Mem.Segment(seg).Size)
+	moved := func() float64 { tr := s.Mem.Traffic(); return tr.TotalLocal() + tr.TotalInterGPM() }
+	for frame := 0; frame < 2; frame++ {
+		at := s.BeginFrame()
+		for _, step := range []struct {
+			g     mem.GPMID
+			books bool
+		}{{1, true}, {1, false}, {2, true}, {1, false}, {2, false}} {
+			before, end := moved(), at
+			s.ship(step.g, seg, size, at, &end)
+			if booked := moved() > before; booked != step.books || booked != (end > at) {
+				t.Errorf("frame %d, ship to GPM %d: booked %v bytes ending at %v (start %v), want booked=%v",
+					frame, step.g, moved()-before, end, at, step.books)
+			}
+		}
+	}
+}
+
 // TestPersistentShipSkipsResidentCopies pins the persistent-residency
 // skip: a ShipPersistent task run again on the same GPM in a later frame
 // finds every copy resident, so its Ship books no link bytes and no Ship

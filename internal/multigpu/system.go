@@ -195,17 +195,14 @@ type System struct {
 	cmdSeg   mem.SegmentID
 	stageSeg []mem.SegmentID // per GPM color staging
 
-	// Per-frame transfer state lives in epoch-stamped slices indexed by
-	// segment id: BeginFrame resets all of it by bumping frameEpoch, so the
+	// shipped has bit seg*nGPM+g set once shared segment seg has been
+	// transferred to GPM g in the current frame (sort-first frameworks
+	// re-distribute per frame). New sizes it; BeginFrame clears it, so the
 	// steady-state frame loop allocates nothing.
-	//
-	// shipStamp[g][seg] == frameEpoch when seg has been transferred to GPM g
-	// in the current frame (sort-first frameworks re-distribute per frame).
-	shipStamp  [][]uint64
-	frameEpoch uint64
+	shipped mem.Bitset
 
-	// Ship's working state: per-segment working-set budgets stamped by
-	// shipSerial plus the touched-id list, reused across tasks.
+	// Ship's working state: per-shared-segment working-set budgets stamped
+	// by shipSerial plus the touched-id list, reused across tasks.
 	shipBudget []float64
 	shipMark   []uint64
 	shipSerial uint64
@@ -270,20 +267,6 @@ func (s *System) AttachTimeline(tl *obs.Timeline) {
 // Timeline returns the attached recorder, or nil when recording is off.
 func (s *System) Timeline() *obs.Timeline { return s.tl }
 
-// padTo grows sl to hold index i, filling new slots with pad. Segment-
-// indexed state grows lazily, to the largest index it actually stores. A
-// table that must grow reserves room for at least want entries at once
-// (the shared segments every such table is keyed by).
-func padTo[T any](sl []T, i, want int, pad T) []T {
-	if cap(sl) <= i {
-		sl = slices.Grow(sl, max(i+1, want)-len(sl))
-	}
-	for len(sl) <= i {
-		sl = append(sl, pad)
-	}
-	return sl
-}
-
 // numShared returns how many texture and vertex segments the scene shares
 // across GPMs. New allocates them first, so they are ids [0, numShared).
 func (s *System) numShared() int { return len(s.texSeg) + len(s.vbSeg) }
@@ -310,8 +293,6 @@ func New(opt Options, sc *scene.Scene, graph ...*topo.Graph) *System {
 		Mem:        mem.NewSystem(opt.memConfig()),
 		gpms:       make([]GPMState, n),
 		sc:         sc,
-		shipStamp:  make([][]uint64, n),
-		frameEpoch: 1,
 		ropScratch: make([]float64, n),
 	}
 	if n > 1 {
@@ -344,24 +325,25 @@ func New(opt Options, sc *scene.Scene, graph ...*topo.Graph) *System {
 	// locality-aware schemes re-place them explicitly.
 	s.texSeg = make([]mem.SegmentID, len(sc.Textures))
 	for i, t := range sc.Textures {
-		s.texSeg[i] = s.Mem.Alloc(mem.KindTexture, t.Name, t.Bytes)
+		s.texSeg[i] = s.Mem.Alloc(mem.KindTexture, t.Bytes)
 	}
 	s.vbSeg = make([]mem.SegmentID, len(vcaps))
 	for i, size := range vcaps {
-		s.vbSeg[i] = s.Mem.Alloc(mem.KindVertex, "vb", size)
+		s.vbSeg[i] = s.Mem.Alloc(mem.KindVertex, size)
 	}
 	fbBytes := int64(2 * sc.PixelsPerView() * scene.BytesPerPixel)
-	s.fbSeg = s.Mem.Alloc(mem.KindFramebuffer, "framebuffer", fbBytes)
+	s.fbSeg = s.Mem.Alloc(mem.KindFramebuffer, fbBytes)
 	depthBytes := int64(2 * sc.PixelsPerView() * 4)
-	s.depthSeg = s.Mem.Alloc(mem.KindDepth, "depth", depthBytes)
+	s.depthSeg = s.Mem.Alloc(mem.KindDepth, depthBytes)
 	maxDraws := int64(sc.MaxObjects())
-	s.cmdSeg = s.Mem.Alloc(mem.KindCommand, "commands", 2*maxDraws*pipeline.CommandBytesPerDraw)
+	s.cmdSeg = s.Mem.Alloc(mem.KindCommand, 2*maxDraws*pipeline.CommandBytesPerDraw)
 	s.Mem.Place(s.cmdSeg, 0)
 	for g := 0; g < n; g++ {
-		st := s.Mem.Alloc(mem.KindFramebuffer, "stage", fbBytes)
+		st := s.Mem.Alloc(mem.KindFramebuffer, fbBytes)
 		s.Mem.Place(st, mem.GPMID(g))
 		s.stageSeg = append(s.stageSeg, st)
 	}
+	s.shipped = mem.NewBitset(s.numShared() * n)
 	return s
 }
 
@@ -465,11 +447,10 @@ func (c *taskContext) Ship() {
 	s.shipSerial++
 	serial := s.shipSerial
 	ids := s.shipIDs[:0]
+	if s.shipMark == nil {
+		s.shipMark, s.shipBudget = make([]uint64, s.numShared()), make([]float64, s.numShared())
+	}
 	budget := func(orig mem.SegmentID, want float64) {
-		if int(orig) >= len(s.shipMark) {
-			s.shipMark = padTo(s.shipMark, int(orig), s.numShared(), 0)
-			s.shipBudget = padTo(s.shipBudget, int(orig), s.numShared(), 0)
-		}
 		if s.shipMark[orig] != serial {
 			s.shipMark[orig] = serial
 			s.shipBudget[orig] = want
@@ -665,19 +646,14 @@ func (s *System) Run(g mem.GPMID, task Task) sim.Time {
 // ship ensures GPM g holds a copy of orig (mem.System.Copy). The bulk
 // transfer is booked at time at and extends *end; it is skipped when an
 // earlier ship in this frame made the copy valid (Ship skips persistent
-// copies itself). Copies persist across frames: their capacity stays
-// allocated.
+// copies itself). Copies persist across frames.
 func (s *System) ship(g mem.GPMID, orig mem.SegmentID, budget float64, at sim.Time, end *sim.Time) {
 	s.Mem.Copy(orig, g)
-	st := s.shipStamp[g]
-	if int(orig) < len(st) && st[orig] == s.frameEpoch {
+	i := int(orig)*s.nGPM + int(g)
+	if s.shipped.Has(i) {
 		return // already transferred this frame
 	}
-	if int(orig) >= len(st) {
-		st = padTo(st, int(orig), s.numShared(), 0)
-		s.shipStamp[g] = st
-	}
-	st[orig] = s.frameEpoch
+	s.shipped.Set(i)
 	size := float64(s.Mem.Segment(orig).Size)
 	if budget > size {
 		budget = size

@@ -12,8 +12,9 @@ import (
 // bytes/op plus 10%. It pins the cold-path cuts: frames streamed through
 // one buffer instead of materialized, every access's flow split into one
 // reused vector instead of a per-segment cache, copies kept as residency
-// stamps instead of segments, segments homed at allocation with no slot
-// for unplaced bytes, segment-indexed tables sized once, the scene,
+// bits instead of segments, segments homed at allocation with no slot
+// for unplaced bytes, segment-indexed tables sized once, 24-byte segment
+// records with per-frame warmth, copy and ship state in bitsets, the scene,
 // segment table and plans built at their declared size, and the scene
 // prefix (header and frame 0) taken from the process cache that the
 // warm-up run fills. A streamed run's bytes do not grow with its frame
@@ -27,9 +28,9 @@ func TestColdRunAllocBudget(t *testing.T) {
 		scheduler string
 		measured  float64 // B/op, linux/amd64, go1.24
 	}{
-		{"afr", 221_700},
-		{"oovr", 460_700},
-		{"object", 307_700},
+		{"afr", 139_700},
+		{"oovr", 353_900},
+		{"object", 201_300},
 	} {
 		s := RunSpec{Workload: WorkloadRef{Name: "HL2-1280"}, Scheduler: SchedulerRef{Name: tc.scheduler}, Frames: 12}
 		if _, err := s.Run(); err != nil { // warm the registries and caches
