@@ -7,44 +7,40 @@ import (
 )
 
 // CalibrationBatches is how many initial batches are distributed round-robin
-// to fit the predictor's coefficients (Section 5.2: "the distribution engine
-// uses the first 8 batches to initialize c0, c1 and c2").
+// to fit the predictor (Section 5.2: "the distribution engine uses the first
+// 8 batches to initialize c0, c1 and c2"; only c0 is modelled here).
 const CalibrationBatches = 8
 
 // MaxBatchQueue is the distribution engine's batch queue depth ("we limit
 // the maximum size of the batch queue to 4").
 const MaxBatchQueue = 4
 
-// Predictor is the rendering-time model of Equation (3):
+// Predictor is the total-time form of Equation (3):
 //
-//	t(X) = c0 · #triangle_x = c1 · #tv_x + c2 · #pixel_x
+//	t(X) = c0 · #triangle_x
 //
-// The total-time form (c0·triangles) estimates a batch before it runs; the
-// elapsed form (c1·tv + c2·pixel) tracks progress from the GPM counters.
+// It estimates a batch's rendering time before the batch runs. Only c0 is
+// fitted. The elapsed form (c1 · #tv_x + c2 · #pixel_x), which the paper
+// uses to track progress from the GPM counters, is not modelled: the
+// simulator reports each task's exact end time, so nothing would read it.
 type Predictor struct {
-	c0, c1, c2 float64
+	c0         float64
 	calibrated bool
 
 	// Calibration accumulators: per-batch observations from the first
 	// CalibrationBatches batches.
 	obsTriangles float64
-	obsTV        float64
-	obsPixels    float64
 	obsCycles    float64
 	obsCount     int
 }
 
-// Calibrated reports whether the coefficients have been fitted.
+// Calibrated reports whether c0 has been fitted.
 func (p *Predictor) Calibrated() bool { return p.calibrated }
 
-// Coefficients returns (c0, c1, c2); zeros before calibration.
-func (p *Predictor) Coefficients() (c0, c1, c2 float64) { return p.c0, p.c1, p.c2 }
-
-// Observe feeds one completed calibration batch: its triangle count, the
-// transformed-vertex and pixel counters it produced, and its measured
-// rendering cycles. After CalibrationBatches observations the coefficients
-// are fitted automatically.
-func (p *Predictor) Observe(triangles, tv, pixels, cycles float64) {
+// Observe feeds one completed calibration batch: its triangle count and its
+// measured rendering cycles. After CalibrationBatches observations c0 is
+// fitted automatically; later observations are ignored.
+func (p *Predictor) Observe(triangles, cycles float64) {
 	if p.calibrated {
 		return
 	}
@@ -52,8 +48,6 @@ func (p *Predictor) Observe(triangles, tv, pixels, cycles float64) {
 		panic(fmt.Sprintf("core: negative observed cycles %v", cycles))
 	}
 	p.obsTriangles += triangles
-	p.obsTV += tv
-	p.obsPixels += pixels
 	p.obsCycles += cycles
 	p.obsCount++
 	if p.obsCount >= CalibrationBatches {
@@ -61,22 +55,12 @@ func (p *Predictor) Observe(triangles, tv, pixels, cycles float64) {
 	}
 }
 
-// fit derives the rate coefficients from the accumulated observations. The
-// paper's model is deliberately simple — single rates, not a least-squares
-// fit: c0 is cycles per triangle; the elapsed model splits the same total
-// between geometry-side (tv) and pixel-side (pixel) progress.
+// fit derives c0, cycles per triangle, from the accumulated observations.
+// The paper's model is deliberately simple: a single rate, not a
+// least-squares fit.
 func (p *Predictor) fit() {
 	if p.obsTriangles > 0 {
 		p.c0 = p.obsCycles / p.obsTriangles
-	}
-	// Split observed time between the two progress counters in proportion
-	// to their volumes — each counter advancing by one then moves the
-	// elapsed clock by its rate, and together they reconstruct the total.
-	if p.obsTV > 0 {
-		p.c1 = p.obsCycles / 2 / p.obsTV
-	}
-	if p.obsPixels > 0 {
-		p.c2 = p.obsCycles / 2 / p.obsPixels
 	}
 	p.calibrated = true
 }
@@ -91,18 +75,10 @@ func (p *Predictor) PredictTotal(triangles float64) float64 {
 	return p.c0 * triangles
 }
 
-// Elapsed converts the runtime counters into elapsed rendering time
-// (Equation 3's right-hand side).
-func (p *Predictor) Elapsed(tv, pixels float64) float64 {
-	if !p.calibrated {
-		return 0
-	}
-	return p.c1*tv + p.c2*pixels
-}
-
-// GPMCounters is the per-GPM counter pair of Section 5.2: a 64-bit total
-// rendering time counter and an elapsed counter driven by #tv and #pixel
-// increments.
+// GPMCounters is the per-GPM state of the distribution engine (Section
+// 5.2). It holds the total-rendering-time counter as a predicted free
+// time. It has no elapsed counter driven by #tv and #pixel increments,
+// because the simulator knows when each task ends.
 type GPMCounters struct {
 	// PredictedFree is when the GPM is expected to become available (the
 	// "total rendering time" counter mapped onto the sim clock).

@@ -406,18 +406,7 @@ func (p *oovrPlanner) TaskDone(fi int, sub *driver.Submission, start, end sim.Ti
 	g := int(sub.GPM)
 	p.counters[g].PredictedFree += sim.Time(p.pred.PredictTotal(float64(b.Triangles)))
 	p.queues.Enqueue(g, p.counters[g].PredictedFree, p.counters)
-	// Feed the calibration with this batch's measured time and its
-	// counter volumes.
-	var work pipeline.Work
-	for _, o := range b.Objects {
-		work = work.Add(pipeline.ObjectWork(o, pipeline.ModeBothSMP, 1, 1))
-	}
-	p.pred.Observe(
-		float64(b.Triangles),
-		pipeline.TransformedVertices(work),
-		work.Pixels,
-		float64(end-start),
-	)
+	p.pred.Observe(float64(b.Triangles), float64(end-start))
 }
 
 // batchTask builds the multi-view SMP task for a whole batch, carving its

@@ -180,9 +180,6 @@ func NewFrameLoop(sys *multigpu.System, p Planner) *FrameLoop {
 	return l
 }
 
-// Depth returns the effective frames-in-flight depth.
-func (l *FrameLoop) Depth() int { return l.depth }
-
 // Frames returns how many frames the loop has executed.
 func (l *FrameLoop) Frames() int { return l.fi }
 

@@ -88,8 +88,8 @@ func TestPipelineDepthBoundsInFlight(t *testing.T) {
 				fi, start, fi-2, ends[fi-2])
 		}
 	}
-	if got := loop.Depth(); got != 2 {
-		t.Errorf("Depth() = %d, want 2", got)
+	if got := loop.depth; got != 2 {
+		t.Errorf("depth = %d, want 2", got)
 	}
 }
 

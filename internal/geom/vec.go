@@ -10,10 +10,7 @@
 // does (Section 5.1).
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Vec2 is a 2-component vector, used for screen-space coordinates.
 type Vec2 struct {
@@ -24,8 +21,3 @@ type Vec2 struct {
 func (v Vec2) Add(u Vec2) Vec2 { return Vec2{v.X + u.X, v.Y + u.Y} }
 
 func (v Vec2) String() string { return fmt.Sprintf("(%g, %g)", v.X, v.Y) }
-
-// NearlyEqual reports whether a and b differ by less than eps.
-func NearlyEqual(a, b, eps float64) bool {
-	return math.Abs(a-b) < eps
-}

@@ -162,11 +162,6 @@ func (c Config) DRAMBytesPerCycle() float64 {
 	return c.LocalDRAMGBs / c.ClockGHz
 }
 
-// LinkBytesPerCycle returns the per-direction link service rate.
-func (c Config) LinkBytesPerCycle() float64 {
-	return c.InterGPMLinkGBs / c.ClockGHz
-}
-
 // TopologyParams folds the interconnect knobs into the build parameters of
 // the internal/topo registry — the one conversion point every surface
 // (system construction, spec validation, figure sweeps) shares.

@@ -75,9 +75,6 @@ func TestBandwidthConversions(t *testing.T) {
 	if c.DRAMBytesPerCycle() != 1024 {
 		t.Errorf("DRAM bytes/cycle = %v", c.DRAMBytesPerCycle())
 	}
-	if c.LinkBytesPerCycle() != 64 {
-		t.Errorf("link bytes/cycle = %v", c.LinkBytesPerCycle())
-	}
 }
 
 func TestWithGPMsAndLink(t *testing.T) {

@@ -58,7 +58,7 @@ func TestReserveFlowUsesCorrectLinks(t *testing.T) {
 
 func TestReserveFlowEmpty(t *testing.T) {
 	f := topoFabric(t, "", 2)
-	m := mem.NewSystem(mem.DefaultConfig(2))
+	m := mem.NewSystem(mem.Config{NumGPMs: 2, PageSize: 4096, RemoteCacheHitRate: 0.5})
 	seg := m.Alloc(mem.KindTexture, 4096)
 	m.Place(seg, 0)
 	// An all-local access books nothing on the fabric: the last remote

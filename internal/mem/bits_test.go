@@ -49,7 +49,7 @@ func TestBitsetsMatchTheEpochReference(t *testing.T) {
 					sys.Place(id, g)
 					ref.place(int(id), g)
 				case 1:
-					sys.PlaceStriped(id)
+					sys.placeStriped(id)
 					ref.placeStriped(int(id))
 				case 2:
 					sys.PlacePartitioned(id)

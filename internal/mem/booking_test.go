@@ -137,8 +137,7 @@ func replay(t *testing.T, name string, ng int, layout mem.Layout, rng *rand.Rand
 			sys.Place(id, g)
 			ref.Place(int(id), g)
 		case mem.LayoutStriped:
-			sys.PlaceStriped(id)
-			ref.PlaceStriped(int(id))
+			// Alloc stripes every segment, so it already is.
 		default:
 			sys.PlacePartitioned(id)
 			ref.PlacePartitioned(int(id))

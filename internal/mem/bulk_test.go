@@ -8,8 +8,7 @@ import (
 
 func TestReadProportionalSplitsByHomeShares(t *testing.T) {
 	s := newSys(t)
-	id := s.Alloc(KindTexture, 4096*4)
-	s.PlaceStriped(id) // one page per GPM
+	id := s.Alloc(KindTexture, 4096*4) // striped: one page per GPM
 	f := readProportional(t, s, 0, id, 8000)
 	if !nearly(f.LocalBytes, 2000) {
 		t.Errorf("local share = %v, want 2000", f.LocalBytes)
@@ -52,7 +51,6 @@ func TestReadProportionalManyGPMs(t *testing.T) {
 	// More GPMs than pages per GPM: the shares still sum to the volume.
 	s := NewSystem(Config{NumGPMs: 20, PageSize: 512, RemoteCacheHitRate: 0})
 	id := s.Alloc(KindTexture, 512*20)
-	s.PlaceStriped(id)
 	f := readProportional(t, s, 0, id, 2000)
 	total := f.LocalBytes + f.RemoteTotal()
 	if !nearly(total, 2000) {

@@ -10,7 +10,6 @@ func NewPageRef(cfg Config) *PageRef { return newPageRef(cfg) }
 
 func (r *pageRefSystem) Alloc(kind SegmentKind, size int64) int { return r.alloc(kind, size) }
 func (r *pageRefSystem) Place(id int, g GPMID)                  { r.place(id, g) }
-func (r *pageRefSystem) PlaceStriped(id int)                    { r.placeStriped(id) }
 func (r *pageRefSystem) PlacePartitioned(id int)                { r.placePartitioned(id) }
 func (r *pageRefSystem) ResetWarmth()                           { r.resetWarmth() }
 func (r *pageRefSystem) Record(f Flow) Flow                     { return r.record(f) }

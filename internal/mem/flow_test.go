@@ -125,13 +125,13 @@ func copyFlow(s *System, g GPMID, id SegmentID, local float64) Flow {
 // book remote bytes, or the all-local path would be measured instead.
 func TestRemoteAccessesDoNotAllocate(t *testing.T) {
 	for _, gpms := range []int{4, 17, 32} {
-		s := NewSystem(DefaultConfig(gpms))
+		s := NewSystem(Config{NumGPMs: gpms, PageSize: 4096, RemoteCacheHitRate: 0.5})
 		size := int64(4096 * 3 * gpms)
 		for _, layout := range []Layout{LayoutStriped, LayoutPartitioned} {
 			id := s.Alloc(KindTexture, size)
 			place := func() {
 				if layout == LayoutStriped {
-					s.PlaceStriped(id)
+					s.placeStriped(id)
 				} else {
 					s.PlacePartitioned(id)
 				}
@@ -175,7 +175,7 @@ func TestColdSegmentAllocBudget(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
 	for _, gpms := range []int{4, 16, 32} {
-		s := NewSystem(DefaultConfig(gpms))
+		s := NewSystem(Config{NumGPMs: gpms, PageSize: 4096, RemoteCacheHitRate: 0.5})
 		rec := newRecorder(gpms)
 		const runs = 1000
 		var before, after runtime.MemStats
@@ -208,7 +208,7 @@ func TestColdSegmentAllocBudget(t *testing.T) {
 // bytes in float64, which a shortcut returning the volume itself would get
 // wrong.
 func TestAllLocalAccessesMatchTheReference(t *testing.T) {
-	cfg := DefaultConfig(4)
+	cfg := Config{NumGPMs: 4, PageSize: 4096, RemoteCacheHitRate: 0.5}
 	const size = 3*4096 + 100
 	const g = GPMID(2)
 	vol := 0.0
@@ -259,15 +259,14 @@ func TestAllLocalAccessesMatchTheReference(t *testing.T) {
 	}
 	// The fast reads kept the warmth stamp: once the segment is
 	// striped, g's next read is warm and the remote cache absorbs half.
-	s.PlaceStriped(id)
+	s.placeStriped(id)
 	ref.placeStriped(rid)
 	check("warm remote read", read(t, s, g, id, 0, size), ref.access(g, rid, 0, size, true))
 
 	placed, copied := NewSystem(cfg), NewSystem(cfg)
 	pid := placed.Alloc(KindTexture, size)
 	placed.Place(pid, g)
-	cid := copied.Alloc(KindTexture, size)
-	copied.PlaceStriped(cid)
+	cid := copied.Alloc(KindTexture, size) // striped
 	if !copied.Copy(cid, g) || copied.Copy(cid, g) {
 		t.Errorf("Copy must report new once, then not")
 	}

@@ -29,6 +29,23 @@ type pageRefSystem struct {
 	traffic *Traffic
 }
 
+// pageHome is the home GPM of page i of segment id as its layout
+// defines it: what the reference stores per page.
+func (s *System) pageHome(id SegmentID, i int) GPMID {
+	seg := s.Segment(id)
+	switch seg.layout {
+	case LayoutUniform:
+		return GPMID(seg.home)
+	case LayoutStriped:
+		return GPMID(i % s.cfg.NumGPMs)
+	default: // LayoutPartitioned
+		return GPMID(i / s.pagesPerPartition(seg))
+	}
+}
+
+// placeStriped re-stripes segment id across all GPMs, as Alloc homes it.
+func (s *System) placeStriped(id SegmentID) { s.setLayout(id, LayoutStriped, 0) }
+
 // copyCold is the stamp of a registered copy no read has warmed yet;
 // epochs start above it.
 const copyCold = 1
@@ -283,13 +300,13 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 			t.Helper()
 			for _, id := range ids {
 				seg := sys.Segment(id)
-				for p := 0; p < seg.Pages(); p++ {
-					if sys.PageHome(id, p) != ref.pages[int(id)][p] {
+				for p := 0; p < seg.nPages; p++ {
+					if sys.pageHome(id, p) != ref.pages[int(id)][p] {
 						t.Fatalf("trial %d %s: seg %d page %d home %d != ref %d (layout=%v)",
-							trial, when, id, p, sys.PageHome(id, p), ref.pages[int(id)][p], seg.Layout())
+							trial, when, id, p, sys.pageHome(id, p), ref.pages[int(id)][p], seg.Layout())
 					}
 				}
-				gotHist := sys.HomeHistogram(id)
+				gotHist := sys.homeHist(id)
 				wantHist := ref.homeHistogram(int(id))
 				if len(gotHist) != len(wantHist) {
 					t.Fatalf("trial %d %s: seg %d hist has %d entries, want %d", trial, when, id, len(gotHist), len(wantHist))
@@ -319,7 +336,7 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 				sys.Place(id, g)
 				ref.place(int(id), g)
 			case 1:
-				sys.PlaceStriped(id)
+				sys.placeStriped(id)
 				ref.placeStriped(int(id))
 			case 2:
 				sys.PlacePartitioned(id)

@@ -19,14 +19,14 @@
 // descriptor instead of a per-page home array:
 //
 //   - LayoutUniform: every page homed on one GPM (Place);
-//   - LayoutStriped: page i homed on GPM i mod N (Alloc, PlaceStriped);
+//   - LayoutStriped: page i homed on GPM i mod N (Alloc);
 //   - LayoutPartitioned: N contiguous 1/N shares (PlacePartitioned).
 //
 // The local/remote byte split of any [offset, n) range is computed in
 // closed form over only the GPMs the range overlaps — no page iteration —
 // and the Place* family are O(NumGPMs) layout swaps. Each segment also
 // caches its home histogram (bytes per GPM), rewritten on every placement,
-// so ReadProportional and HomeHistogram never rescan pages.
+// so ReadProportional never rescans pages.
 //
 // # The segment table
 //
@@ -144,9 +144,6 @@ type Segment struct {
 	home   int32 // LayoutUniform only: the shared home GPM
 }
 
-// Pages returns the number of pages in the segment.
-func (s *Segment) Pages() int { return s.nPages }
-
 // Layout returns the segment's current placement layout.
 func (s *Segment) Layout() Layout { return s.layout }
 
@@ -158,15 +155,6 @@ type Config struct {
 	// remote cache scheme of Arunkumar et al. [5] satisfies locally. The
 	// paper applies this scheme to its baseline (Section 3) so we do too.
 	RemoteCacheHitRate float64
-}
-
-// DefaultConfig mirrors the paper's baseline memory setup.
-func DefaultConfig(numGPMs int) Config {
-	return Config{
-		NumGPMs:            numGPMs,
-		PageSize:           4096,
-		RemoteCacheHitRate: 0.5,
-	}
 }
 
 // Validate returns an error naming the first field outside its domain.
@@ -295,19 +283,6 @@ func (s *System) pagesPerPartition(seg *Segment) int {
 	return (seg.nPages + s.cfg.NumGPMs - 1) / s.cfg.NumGPMs
 }
 
-// PageHome returns the home GPM of page i of the segment.
-func (s *System) PageHome(id SegmentID, i int) GPMID {
-	seg := s.Segment(id)
-	switch seg.layout {
-	case LayoutUniform:
-		return GPMID(seg.home)
-	case LayoutStriped:
-		return GPMID(i % s.cfg.NumGPMs)
-	default: // LayoutPartitioned
-		return GPMID(i / s.pagesPerPartition(seg))
-	}
-}
-
 // NumSegments returns how many segments have been allocated.
 func (s *System) NumSegments() int { return len(s.segments) }
 
@@ -317,12 +292,6 @@ func (s *System) NumSegments() int { return len(s.segments) }
 func (s *System) Place(id SegmentID, gpm GPMID) {
 	s.checkGPM(gpm)
 	s.setLayout(id, LayoutUniform, gpm)
-}
-
-// PlaceStriped distributes the segment's pages round-robin across all GPMs,
-// the paper's baseline address mapping for shared surfaces. O(NumGPMs).
-func (s *System) PlaceStriped(id SegmentID) {
-	s.setLayout(id, LayoutStriped, 0)
 }
 
 // PlacePartitioned splits the segment into NumGPMs contiguous ranges, one
@@ -599,12 +568,6 @@ func (s *System) ReadCopyProportional(g GPMID, id SegmentID, bytes float64) floa
 // CopyTouched is Touched on GPM g's copy of the segment.
 func (s *System) CopyTouched(g GPMID, id SegmentID) bool {
 	return s.copyWarm.Has(s.copySlot(g, id))
-}
-
-// HomeHistogram returns, for the given segment, how many bytes are homed on
-// each GPM.
-func (s *System) HomeHistogram(id SegmentID) []int64 {
-	return append([]int64(nil), s.homeHist(id)...)
 }
 
 func (s *System) checkGPM(g GPMID) {

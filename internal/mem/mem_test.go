@@ -19,18 +19,18 @@ func TestAllocPages(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindTexture, 4096*5+1)
 	seg := s.Segment(id)
-	if seg.Pages() != 6 {
-		t.Errorf("Pages = %d, want 6", seg.Pages())
+	if seg.nPages != 6 {
+		t.Errorf("Pages = %d, want 6", seg.nPages)
 	}
 	if seg.Layout() != LayoutStriped {
 		t.Errorf("Layout = %v, want striped", seg.Layout())
 	}
-	for i := 0; i < seg.Pages(); i++ {
-		if s.PageHome(id, i) != GPMID(i%4) {
-			t.Errorf("page %d home = %d, want %d", i, s.PageHome(id, i), i%4)
+	for i := 0; i < seg.nPages; i++ {
+		if s.pageHome(id, i) != GPMID(i%4) {
+			t.Errorf("page %d home = %d, want %d", i, s.pageHome(id, i), i%4)
 		}
 	}
-	hist := s.HomeHistogram(id)
+	hist := s.homeHist(id)
 	for g, want := range []int64{2 * 4096, 4096 + 1, 4096, 4096} {
 		if hist[g] != want {
 			t.Errorf("GPM %d homes %d bytes, want %d", g, hist[g], want)
@@ -90,7 +90,7 @@ func TestPlaceExplicit(t *testing.T) {
 	if f.RemoteTotal() != 0 {
 		t.Errorf("read from home should be local, remote=%v", f.RemoteTotal())
 	}
-	if h := s.HomeHistogram(id); h[3] != 16384 {
+	if h := s.homeHist(id); h[3] != 16384 {
 		t.Errorf("GPM 3 homes %d bytes, want 16384", h[3])
 	}
 }
@@ -99,8 +99,8 @@ func TestPlaceStriped(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindFramebuffer, 4096*8)
 	s.Place(id, 1)
-	s.PlaceStriped(id)
-	hist := s.HomeHistogram(id)
+	s.placeStriped(id)
+	hist := s.homeHist(id)
 	if len(hist) != 4 {
 		t.Fatalf("histogram has %d entries, want 4", len(hist))
 	}
@@ -118,8 +118,8 @@ func TestPlacePartitioned(t *testing.T) {
 	// First two pages on GPM0, next two on GPM1, etc.
 	want := []GPMID{0, 0, 1, 1, 2, 2, 3, 3}
 	for i, w := range want {
-		if s.PageHome(id, i) != w {
-			t.Errorf("page %d home = %d, want %d", i, s.PageHome(id, i), w)
+		if s.pageHome(id, i) != w {
+			t.Errorf("page %d home = %d, want %d", i, s.pageHome(id, i), w)
 		}
 	}
 }
@@ -128,7 +128,7 @@ func TestPartialLastPageAccounting(t *testing.T) {
 	s := newSys(t)
 	id := s.Alloc(KindVertex, 4096+100)
 	s.Place(id, 0)
-	if h := s.HomeHistogram(id); h[0] != 4196 {
+	if h := s.homeHist(id); h[0] != 4196 {
 		t.Errorf("GPM 0 homes %d bytes, want 4196 (partial page counted by bytes)", h[0])
 	}
 	f := read(t, s, 0, id, 0, 4196)
@@ -249,7 +249,7 @@ func TestDRAMAccountingPropertyQuick(t *testing.T) {
 			s.Place(id, GPMID(m%4))
 		}
 		var total int64
-		for _, u := range s.HomeHistogram(id) {
+		for _, u := range s.homeHist(id) {
 			if u < 0 {
 				return false
 			}

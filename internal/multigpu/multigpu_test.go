@@ -37,9 +37,10 @@ func TestNewSystemAllocations(t *testing.T) {
 	if s.Mem.NumSegments() != want {
 		t.Errorf("segments = %d, want %d", s.Mem.NumSegments(), want)
 	}
-	// Command stream lives on GPM0.
-	if s.Mem.PageHome(s.cmdSeg, 0) != 0 {
-		t.Errorf("commands not homed on GPM0")
+	// Command stream lives on GPM0: a cold read from GPM0 is all local.
+	size := s.Mem.Segment(s.cmdSeg).Size
+	if local, _ := s.Mem.Read(0, s.cmdSeg, 0, size, s.Fabric, 0); local != float64(size) {
+		t.Errorf("commands not homed on GPM0: %v of %d bytes local", local, size)
 	}
 }
 

@@ -56,7 +56,7 @@ func TestValidationContract(t *testing.T) {
 	}
 	// The memory system's own GPM count, which Options never leaves zero.
 	const want = "mem: NumGPMs 0 out of [1,64]"
-	cfg := mem.DefaultConfig(0)
+	cfg := mem.Config{NumGPMs: 0, PageSize: 4096, RemoteCacheHitRate: 0.5}
 	if err := cfg.Validate(); err == nil || err.Error() != want {
 		t.Errorf("mem.Config.Validate = %v, want %s", err, want)
 	}

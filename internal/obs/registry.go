@@ -116,7 +116,7 @@ type family struct {
 
 	mu     sync.Mutex        // guards series for vectors
 	series map[string]*serie // label key -> series
-	single *serie            // non-vector families
+	single *serie            // histogram families
 	fn     func() float64    // function families (counter or gauge)
 }
 
@@ -235,20 +235,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// NewCounter registers and returns a counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	f := &family{name: name, help: help, kind: KindCounter, single: &serie{}}
-	r.register(f)
-	return &Counter{s: f.single}
-}
-
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := &family{name: name, help: help, kind: KindGauge, single: &serie{}}
-	r.register(f)
-	return &Gauge{s: f.single}
 }
 
 // NewCounterFunc registers a counter whose value is sampled from fn at

@@ -11,20 +11,19 @@ import (
 // implicit +Inf bucket, _sum/_count, and function metrics.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("oovr_test_events_total", "Events seen.")
-	g := r.NewGauge("oovr_test_depth", "Queue depth.")
+	r.NewCounterFunc("oovr_test_events_total", "Events seen.", func() float64 { return 4 })
+	r.NewGaugeFunc("oovr_test_depth", "Queue depth.", func() float64 { return 2.5 })
 	h := r.NewHistogram("oovr_test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
 	v := r.NewCounterVec("oovr_test_requests_total", "Requests.", "path", "status")
 	r.NewGaugeFunc("oovr_test_alive", "Liveness.", func() float64 { return 1 })
 
-	c.Add(3)
-	c.Inc()
-	g.Set(2.5)
+	v.With("/run", "2xx").Add(3)
+	v.With("/run", "2xx").Inc()
 	h.Observe(0.005) // bucket le=0.01
 	h.Observe(0.05)  // bucket le=0.1
 	h.Observe(0.05)
 	h.Observe(42) // +Inf only
-	v.With("/run", "2xx").Add(7)
+	v.With("/run", "2xx").Add(3)
 	v.With("/batch", "5xx").Inc()
 
 	var sb strings.Builder
@@ -111,15 +110,13 @@ func TestLabelEscaping(t *testing.T) {
 // gates.
 func TestIncrementPathsDoNotAllocate(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("oovr_test_hot_total", "")
-	g := r.NewGauge("oovr_test_hot", "")
+	c := r.NewCounterVec("oovr_test_hot_total", "", "k").With("v")
+	g := r.NewGaugeVec("oovr_test_hot", "", "k").With("v")
 	h := r.NewHistogram("oovr_test_hot_seconds", "", DefBuckets)
-	vc := r.NewCounterVec("oovr_test_hotvec_total", "", "k").With("v")
 	for name, fn := range map[string]func(){
-		"counter":     func() { c.Inc(); c.Add(2) },
-		"gauge":       func() { g.Set(1); g.Add(0.5) },
-		"histogram":   func() { h.Observe(0.004); h.Observe(99) },
-		"vec-counter": func() { vc.Inc() },
+		"counter":   func() { c.Inc(); c.Add(2) },
+		"gauge":     func() { g.Set(1); g.Add(0.5) },
+		"histogram": func() { h.Observe(0.004); h.Observe(99) },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s increment allocates %.1f allocs/op, want 0", name, allocs)
@@ -176,9 +173,10 @@ func TestRegistrationPanics(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	r.NewCounter("oovr_test_dup_total", "")
-	mustPanic("duplicate", func() { r.NewCounter("oovr_test_dup_total", "") })
-	mustPanic("bad name", func() { r.NewCounter("oovr_test_bad", "") })
+	zero := func() float64 { return 0 }
+	r.NewCounterFunc("oovr_test_dup_total", "", zero)
+	mustPanic("duplicate", func() { r.NewCounterFunc("oovr_test_dup_total", "", zero) })
+	mustPanic("bad name", func() { r.NewCounterFunc("oovr_test_bad", "", zero) })
 	mustPanic("bad label", func() { r.NewCounterVec("oovr_test_v_total", "", "BadLabel") })
 	mustPanic("unsorted buckets", func() { r.NewHistogram("oovr_test_h_ms", "", []float64{2, 1}) })
 }

@@ -255,10 +255,3 @@ func WorkMemVolumes(o *scene.Object, mode Mode, geomFrac float64, w Work) MemVol
 		CommandBytes:    w.DrawIssues * CommandBytesPerDraw,
 	}
 }
-
-// TransformedVertices returns the #tv counter the distribution engine's
-// elapsed-time predictor tracks (Section 5.2, Equation 3): the vertices the
-// geometry process emits, post-SMP duplication.
-func TransformedVertices(w Work) float64 {
-	return w.Vertices + w.SMPTriangles // duplicated triangles add their re-projected positions
-}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -97,7 +98,7 @@ func TestCyclesPipelineOverlap(t *testing.T) {
 	w := Work{Fragments: 8000, Pixels: 8000, DrawIssues: 1}
 	got := Cycles(w, r, 100)
 	want := 8000/r.FragmentsPerCycle + 100
-	if !geom.NearlyEqual(got, want, 1e-9) {
+	if math.Abs(got-want) >= 1e-9 {
 		t.Errorf("Cycles = %v, want %v", got, want)
 	}
 	b := Breakdown(w, r, 100)
@@ -166,14 +167,6 @@ func TestMemVolumesAdd(t *testing.T) {
 	b := a.Add(a)
 	if b.VertexBytes != 2 || b.CommandBytes != 10 {
 		t.Errorf("Add wrong: %+v", b)
-	}
-}
-
-func TestTransformedVertices(t *testing.T) {
-	o := testObject()
-	w := ObjectWork(o, ModeBothSMP, 1, 1)
-	if TransformedVertices(w) != 2000+1000 {
-		t.Errorf("TransformedVertices = %v", TransformedVertices(w))
 	}
 }
 

@@ -2,6 +2,7 @@ package scene
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestFragsInTilesSumToWhole(t *testing.T) {
 		tile := box(float64(i)*25, 0, float64(i+1)*25, 100)
 		sum += o.FragsInRect(tile)
 	}
-	if !geom.NearlyEqual(sum, o.FragsInRect(full), 1e-9) {
+	if math.Abs(sum-o.FragsInRect(full)) >= 1e-9 {
 		t.Errorf("tile frags sum %v != whole %v", sum, o.FragsInRect(full))
 	}
 }

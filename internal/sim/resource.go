@@ -47,9 +47,6 @@ func NewResource(name string, rate float64) *Resource {
 // Name returns the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// Rate returns the service rate in units per cycle.
-func (r *Resource) Rate() float64 { return r.rate }
-
 // Reserve queues a request of the given amount arriving at time at, and
 // returns the time the transfer completes. Zero amounts complete immediately
 // at max(at, queue head) without occupying the server. A negative or NaN

@@ -117,19 +117,6 @@ func (g *Graph) Route(src, dst int) []int {
 	return g.routes[src][dst]
 }
 
-// Diameter returns the longest route length in hops across all GPM pairs.
-func (g *Graph) Diameter() int {
-	d := 0
-	for s := range g.routes {
-		for _, r := range g.routes[s] {
-			if len(r) > d {
-				d = len(r)
-			}
-		}
-	}
-	return d
-}
-
 // Builder constructs the links of a topology into gb. It runs after the
 // GPM nodes exist and Params validation passed; it adds any internal nodes
 // and the links.

@@ -52,9 +52,20 @@ func TestFullMeshMatchesPaperFabric(t *testing.T) {
 			}
 		}
 	}
-	if g.Diameter() != 1 {
-		t.Errorf("fullmesh diameter %d, want 1", g.Diameter())
+	if longestRoute(g) != 1 {
+		t.Errorf("fullmesh longest route %d, want 1", longestRoute(g))
 	}
+}
+
+// longestRoute is the longest route length in hops across all GPM pairs.
+func longestRoute(g *Graph) int {
+	d := 0
+	for src := 0; src < g.NumGPMs(); src++ {
+		for dst := 0; dst < g.NumGPMs(); dst++ {
+			d = max(d, len(g.Route(src, dst)))
+		}
+	}
+	return d
 }
 
 func itoa(i int) string { return string(rune('0' + i)) }
@@ -77,8 +88,8 @@ func TestRingRoutesAndTieBreak(t *testing.T) {
 	if got, want := routeNodes(g, 3, 1), []int{3, 0, 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("ring route 3->1 visits %v, want %v", got, want)
 	}
-	if g.Diameter() != 2 {
-		t.Errorf("ring(4) diameter %d, want 2", g.Diameter())
+	if longestRoute(g) != 2 {
+		t.Errorf("ring(4) longest route %d, want 2", longestRoute(g))
 	}
 }
 
@@ -96,8 +107,8 @@ func TestChainEndToEnd(t *testing.T) {
 	if got, want := routeNodes(g, 0, 3), []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
 		t.Errorf("chain route 0->3 visits %v, want %v", got, want)
 	}
-	if g.Diameter() != 3 {
-		t.Errorf("chain(4) diameter %d, want 3", g.Diameter())
+	if longestRoute(g) != 3 {
+		t.Errorf("chain(4) longest route %d, want 3", longestRoute(g))
 	}
 }
 
@@ -172,8 +183,8 @@ func TestHierarchicalPackagesAndTrunk(t *testing.T) {
 	}
 	// A single package is a plain full mesh.
 	one := mustBuild(t, Params{Name: "hierarchical", NumGPMs: 4, LinkGBs: 64, PackageSize: 4})
-	if one.Diameter() != 1 {
-		t.Errorf("single-package hierarchical diameter %d, want 1", one.Diameter())
+	if longestRoute(one) != 1 {
+		t.Errorf("single-package hierarchical longest route %d, want 1", longestRoute(one))
 	}
 }
 
@@ -252,7 +263,7 @@ func TestShapeParamsSurviveGPMSweeps(t *testing.T) {
 				t.Errorf("%s at %d GPMs: %v", base.Name, n, err)
 				continue
 			}
-			if n > 1 && g.Diameter() == 0 {
+			if n > 1 && longestRoute(g) == 0 {
 				t.Errorf("%s at %d GPMs built no routes", base.Name, n)
 			}
 		}
@@ -260,14 +271,14 @@ func TestShapeParamsSurviveGPMSweeps(t *testing.T) {
 	// The documented degradations: an oversized package is one package (a
 	// full mesh); an over-wide grid is a single row (the chain).
 	one := mustBuild(t, Params{Name: "hierarchical", NumGPMs: 2, LinkGBs: 64, PackageSize: 4})
-	if one.Diameter() != 1 {
-		t.Errorf("oversized package diameter %d, want 1 (full mesh)", one.Diameter())
+	if longestRoute(one) != 1 {
+		t.Errorf("oversized package longest route %d, want 1 (full mesh)", longestRoute(one))
 	}
 	row := mustBuild(t, Params{Name: "mesh2d", NumGPMs: 4, LinkGBs: 64, MeshCols: 9})
 	chain := mustBuild(t, Params{Name: "chain", NumGPMs: 4, LinkGBs: 64})
-	if row.Diameter() != chain.Diameter() || len(row.Links()) != len(chain.Links()) {
-		t.Errorf("over-wide mesh2d (diam %d, %d links) is not the chain (diam %d, %d links)",
-			row.Diameter(), len(row.Links()), chain.Diameter(), len(chain.Links()))
+	if longestRoute(row) != longestRoute(chain) || len(row.Links()) != len(chain.Links()) {
+		t.Errorf("over-wide mesh2d (longest route %d, %d links) is not the chain (longest route %d, %d links)",
+			longestRoute(row), len(row.Links()), longestRoute(chain), len(chain.Links()))
 	}
 }
 
